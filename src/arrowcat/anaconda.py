@@ -13,20 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intmat
 from .baselin import LinearSystem
 from .basemor import compose, zero_mor
 from .core2 import (
     TwoCell,
     TwoMorphism,
     TwoObject,
+    add_cell,
+    add_homotopy,
+    add_square,
     cell_to_zero,
     compose2,
-    two_morphism,
+    solved_square,
     zero2,
     zero_two_object,
 )
-from .limits2 import LoopData, omega_mor, omega_obj, sigma_mor, sigma_obj
+from .limits2 import LoopData, omega_mor, omega_obj, sigma_mor, sigma_obj, solve_cell
 from .snake import ColumnData, SnakeResult, plain_snake
 
 
@@ -56,17 +58,15 @@ def anaconda(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnDat
     # d': Pip c -> Ker a with cells, pinned by omega_{Kc} = gbar*dtil . etabar^{-1}*d'
     dprime, dtil = _connect_left(sn.fbar, sn.etabar, sn.gbar, om_kc)
     # eps~: d'.om_g => 0 pinned by dtil*om_g - fbar*eps = omega_{Kb}
-    eps = _solve_cell_system(
+    eps = _cell_to_zero_pinned(
         compose2(dprime, om_g),
-        pin_terms=[(-1, sn.fbar.top, None)],
-        pin_rhs=_wh(dtil, om_g) - om_kb.loop.mat,
+        (-1, sn.fbar.top, None, om_kb.loop.mat - _wh(dtil, om_g)),
     )
     # d'': Coker c -> Copip a, dual
     dsec, dhat = _connect_right(sn.fbar2, sn.etabar2, sn.gbar2, sg_qa)
-    epsp = _solve_cell_system(
+    epsp = _cell_to_zero_pinned(
         compose2(sg_f, dsec),
-        pin_terms=[(-1, None, sn.gbar2.bottom)],
-        pin_rhs=sg_qb.loop.mat + compose(sg_f.top, dhat.mat),
+        (-1, None, sn.gbar2.bottom, -(sg_qb.loop.mat + compose(sg_f.top, dhat.mat))),
     )
 
     objects = (
@@ -93,149 +93,50 @@ def _wh(cell: TwoCell, u: TwoMorphism):
 
 def _connect_left(fbar, etabar, gbar, om_kc: LoopData):
     """(d', dtil) with dtil: fbar.d' => 0 and gbar_1.dtil - etabar*d'_0 = omega_{Kc}."""
-    ka, kb, kc = fbar.src, fbar.dst, gbar.dst
+    ka, kb = fbar.src, fbar.dst
     sys = LinearSystem(fbar.top.ring)
-    sys.add_unknown("d1", om_kc.obj.top, ka.top)
-    sys.add_unknown("d0", om_kc.obj.bottom, ka.bottom)
-    sys.add_unknown("dt", om_kc.obj.bottom, kb.top)
-    eye_t = intmat.identity(om_kc.obj.top.ngens)
-    eye_b = intmat.identity(om_kc.obj.bottom.ngens)
-    sys.add_equation(
-        [
-            (1, ka.boundary.mat, "d1", eye_t),
-            (-1, intmat.identity(ka.bottom.ngens), "d0", om_kc.obj.boundary.mat),
-        ],
-        intmat.zeros(ka.bottom.ngens, om_kc.obj.top.ngens),
-        ka.bottom,
-        om_kc.obj.top.ngens,
-    )
+    d = add_square(sys, "d", om_kc.obj, ka)
+    dt = add_cell(sys, "dt", om_kc.obj, kb)
     # dt: fbar.d' => 0
-    sys.add_equation(
-        [
-            (1, fbar.top.mat, "d1", eye_t),
-            (-1, intmat.identity(kb.top.ngens), "dt", om_kc.obj.boundary.mat),
-        ],
-        intmat.zeros(kb.top.ngens, om_kc.obj.top.ngens),
-        kb.top,
-        om_kc.obj.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, fbar.bottom.mat, "d0", eye_b),
-            (-1, kb.boundary.mat, "dt", eye_b),
-        ],
-        intmat.zeros(kb.bottom.ngens, om_kc.obj.bottom.ngens),
-        kb.bottom,
-        om_kc.obj.bottom.ngens,
-    )
+    add_homotopy(sys, dt, [(1, fbar, d, None)], [])
     # pinning: gbar_1.dt - etabar.d0 = omega_{Kc} (inclusion matrix)
     sys.add_equation(
-        [
-            (1, gbar.top.mat, "dt", eye_b),
-            (-1, etabar.mat.mat, "d0", eye_b),
-        ],
-        om_kc.loop.mat.mat,
-        kc.top,
-        om_kc.obj.bottom.ngens,
+        [(1, gbar.top, dt.name, None), (-1, etabar.mat, d.bottom, None)], om_kc.loop.mat
     )
     sol = sys.solve()
     if sol is None:
         raise AssertionError("left anaconda connector does not exist")
-    dprime = two_morphism(om_kc.obj, ka, sol["d1"], sol["d0"])
-    dtil = TwoCell(compose2(fbar, dprime), zero2(om_kc.obj, kb), sol["dt"])
+    dprime = solved_square(sol, d)
+    dtil = TwoCell(compose2(fbar, dprime), zero2(om_kc.obj, kb), sol[dt.name])
     return dprime, dtil
 
 
 def _connect_right(fbar2, etabar2, gbar2, sg_qa: LoopData):
     """(d'', dhat) with dhat: d''.gbar2 => 0 and dhat*fbar2 - d''_1.etabar2 = -sigma_{Qa}."""
-    qa, qb, qc = fbar2.src, fbar2.dst, gbar2.dst
+    qb, qc = fbar2.dst, gbar2.dst
     sys = LinearSystem(fbar2.top.ring)
-    sys.add_unknown("d1", qc.top, sg_qa.obj.top)
-    sys.add_unknown("d0", qc.bottom, sg_qa.obj.bottom)
-    sys.add_unknown("dh", qb.bottom, sg_qa.obj.top)
-    eye_t = intmat.identity(qc.top.ngens)
-    eye_b = intmat.identity(qc.bottom.ngens)
-    eye_qb = intmat.identity(qb.bottom.ngens)
-    sys.add_equation(
-        [
-            (1, sg_qa.obj.boundary.mat, "d1", eye_t),
-            (-1, intmat.identity(sg_qa.obj.bottom.ngens), "d0", qc.boundary.mat),
-        ],
-        intmat.zeros(sg_qa.obj.bottom.ngens, qc.top.ngens),
-        sg_qa.obj.bottom,
-        qc.top.ngens,
-    )
+    d = add_square(sys, "d", qc, sg_qa.obj)
+    dh = add_cell(sys, "dh", qb, sg_qa.obj)
     # dh: d''.gbar2 => 0
-    sys.add_equation(
-        [
-            (1, intmat.identity(sg_qa.obj.top.ngens), "d1", gbar2.top.mat),
-            (-1, intmat.identity(sg_qa.obj.top.ngens), "dh", qb.boundary.mat),
-        ],
-        intmat.zeros(sg_qa.obj.top.ngens, qb.top.ngens),
-        sg_qa.obj.top,
-        qb.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(sg_qa.obj.bottom.ngens), "d0", gbar2.bottom.mat),
-            (-1, sg_qa.obj.boundary.mat, "dh", eye_qb),
-        ],
-        intmat.zeros(sg_qa.obj.bottom.ngens, qb.bottom.ngens),
-        sg_qa.obj.bottom,
-        qb.bottom.ngens,
-    )
+    add_homotopy(sys, dh, [(1, None, d, gbar2)], [])
     # pinning: dh*fbar2_0 - d''_1.etabar2 = -sigma_{Qa}
     sys.add_equation(
-        [
-            (1, intmat.identity(sg_qa.obj.top.ngens), "dh", fbar2.bottom.mat),
-            (-1, intmat.identity(sg_qa.obj.top.ngens), "d1", etabar2.mat.mat),
-        ],
-        (-sg_qa.loop.mat).mat,
-        sg_qa.obj.top,
-        qa.bottom.ngens,
+        [(1, None, dh.name, fbar2.bottom), (-1, None, d.top, etabar2.mat)], -sg_qa.loop.mat
     )
     sol = sys.solve()
     if sol is None:
         raise AssertionError("right anaconda connector does not exist")
-    dsec = two_morphism(qc, sg_qa.obj, sol["d1"], sol["d0"])
-    dhat = TwoCell(compose2(dsec, gbar2), zero2(qb, sg_qa.obj), sol["dh"])
+    dsec = solved_square(sol, d)
+    dhat = TwoCell(compose2(dsec, gbar2), zero2(qb, sg_qa.obj), sol[dh.name])
     return dsec, dhat
 
 
-def _solve_cell_system(u: TwoMorphism, pin_terms, pin_rhs) -> TwoCell:
-    """A cell u => 0 with sum(pin contributions of the cell) = pin_rhs."""
-    sys = LinearSystem(u.top.ring)
-    sys.add_unknown("al", u.src.bottom, u.dst.top)
-    eye_b = intmat.identity(u.src.bottom.ngens)
-    sys.add_equation(
-        [(1, intmat.identity(u.dst.top.ngens), "al", u.src.boundary.mat)],
-        u.top.mat,
-        u.dst.top,
-        u.src.top.ngens,
-    )
-    sys.add_equation(
-        [(1, u.dst.boundary.mat, "al", eye_b)],
-        u.bottom.mat,
-        u.dst.bottom,
-        u.src.bottom.ngens,
-    )
-    terms = []
-    for coef, left, right in pin_terms:
-        lm = left.mat if left is not None else intmat.identity(pin_rhs.dst.ngens)
-        rm = right.mat if right is not None else eye_b
-        terms.append((coef, lm, "al", rm))
-    sys.add_equation(terms, (-pin_rhs).mat, pin_rhs.dst, _pin_cols(pin_terms, u))
-    sol = sys.solve()
-    if sol is None:
+def _cell_to_zero_pinned(u: TwoMorphism, pin) -> TwoCell:
+    """A cell u => 0 with a pinned whisker (see solve_cell)."""
+    cell = solve_cell(u, zero2(u.src, u.dst), (pin,))
+    if cell is None:
         raise AssertionError("anaconda pinned cell does not exist")
-    return TwoCell(u, zero2(u.src, u.dst), sol["al"])
-
-
-def _pin_cols(pin_terms, u):
-    for coef, left, right in pin_terms:
-        if right is not None:
-            return right.src.ngens
-    return u.src.bottom.ngens
+    return cell
 
 
 def _composite_signs(objects, maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb, sg_qc, a, b, c):

@@ -177,97 +177,123 @@ class _Unknown:
     src: BaseObject
     dst: BaseObject
     offset: int
-    morphism: bool
 
 
 class LinearSystem:
-    """Linear equations in unknown matrices, solved as one integer system.
+    """Linear equations in unknown base morphisms, solved as one integer system.
 
-    Unknowns are matrices dst x src; declaring one as a morphism adds the
-    well-definedness congruences.  Equations have the form
+    An unknown X: src -> dst is a dst x src matrix; over Z its
+    well-definedness congruences are kept in their own list and placed ahead
+    of the equation rows at assembly.  An equation has the form
 
-        sum_i  coef_i * L_i @ X_{name_i} @ R_i  ==  rhs   (mod target orders)
+        sum_i  coef_i * L_i . X_{name_i} . R_i  ==  rhs   (mod target orders)
+
+    where L_i, R_i and rhs are base morphisms, None standing for an identity
+    side or a zero right-hand side.  The target object and the column count
+    are read off the terms, which must agree.  Unknown squares and cells of
+    the 2-dimensional layer are declared through core2 (add_square, add_cell,
+    add_homotopy), which spells out their equations once.
     """
 
     def __init__(self, ring: BaseRing):
         self.ring = ring
         self._unknowns: dict[str, _Unknown] = {}
         self._ncols = 0
+        self._wd_rows: list[list[int]] = []
+        self._wd_mods: list[int] = []
         self._rows: list[list[int]] = []
         self._rhs: list[int] = []
         self._mods: list[int] = []
 
-    def add_unknown(self, name: str, src: BaseObject, dst: BaseObject, morphism: bool = True):
+    def add_unknown(self, name: str, src: BaseObject, dst: BaseObject):
         if name in self._unknowns:
             raise ValueError(f"duplicate unknown {name}")
-        u = _Unknown(src, dst, self._ncols, morphism)
+        u = _Unknown(src, dst, self._ncols)
         self._unknowns[name] = u
         self._ncols += src.ngens * dst.ngens
         # over a field every generator has order p and the well-definedness
         # congruences are vacuous
-        if morphism and not self.ring.is_field:
+        if not self.ring.is_field:
             for j, d in enumerate(src.orders):
                 if d == 0:
                     continue
                 for i, e in enumerate(dst.orders):
                     row = [0] * self._ncols
                     row[u.offset + i * src.ngens + j] = d
-                    self._rows.append(row)
-                    self._rhs.append(0)
-                    self._mods.append(e)
+                    self._wd_rows.append(row)
+                    self._wd_mods.append(e)
         return u
 
-    def _entry(self, name: str, i: int, j: int) -> int:
-        u = self._unknowns[name]
-        return u.offset + i * u.src.ngens + j
-
-    def add_equation(self, terms, rhs: Matrix, target: BaseObject, eq_cols: int):
-        """terms: list of (coef, lmat, name, rmat); lmat is target.ngens x dst.ngens,
-        rmat is src.ngens x eq_cols."""
+    def add_equation(self, terms, rhs: BaseMorphism | None = None):
+        """terms: list of (coef, left, name, right) for coef * left . X_name . right."""
+        target = source = None
+        parts = []
+        for coef, left, name, right in terms:
+            u = self._unknowns[name]
+            if (left is not None and left.src != u.dst) or (right is not None and right.dst != u.src):
+                raise ValueError(f"term endpoints do not match unknown {name}")
+            t = u.dst if left is None else left.dst
+            s = u.src if right is None else right.src
+            if target is None:
+                target, source = t, s
+            elif t != target or s != source:
+                raise ValueError("equation terms disagree on their endpoints")
+            parts.append((coef, None if left is None else left.mat, u, None if right is None else right.mat))
+        if target is None:
+            raise ValueError("equation without terms")
+        if rhs is not None and (rhs.src != source or rhs.dst != target):
+            raise ValueError("right-hand side has the wrong endpoints")
         for r in range(target.ngens):
-            for c in range(eq_cols):
+            for c in range(source.ngens):
                 row = [0] * self._ncols
-                for coef, lmat, name, rmat in terms:
-                    u = self._unknowns[name]
-                    for i in range(u.dst.ngens):
-                        li = lmat[r][i]
+                for coef, lmat, u, rmat in parts:
+                    ns = u.src.ngens
+                    lrow = ((r, 1),) if lmat is None else enumerate(lmat[r])
+                    for i, li in lrow:
                         if li == 0:
                             continue
-                        for j in range(u.src.ngens):
+                        base = u.offset + i * ns
+                        if rmat is None:
+                            row[base + c] += coef * li
+                            continue
+                        for j in range(ns):
                             rj = rmat[j][c]
                             if rj:
-                                row[self._entry(name, i, j)] += coef * li * rj
+                                row[base + j] += coef * li * rj
                 self._rows.append(row)
-                self._rhs.append(rhs[r][c])
+                self._rhs.append(0 if rhs is None else rhs.mat[r][c])
                 self._mods.append(target.orders[r])
 
+    def _layout(self):
+        """(rows, rhs, moduli), well-definedness rows first, padded to full width."""
+        rows = [r + [0] * (self._ncols - len(r)) for r in self._wd_rows + self._rows]
+        return rows, [0] * len(self._wd_rows) + self._rhs, self._wd_mods + self._mods
+
     def _assemble(self):
-        nrows = len(self._rows)
-        slack = [i for i in range(nrows) if self._mods[i] != 0]
+        rows, rhs, mods = self._layout()
+        nrows = len(rows)
+        slack = [i for i in range(nrows) if mods[i] != 0]
         ncols = self._ncols + len(slack)
         a = []
-        self._reduced_rhs = list(self._rhs)
+        self._reduced_rhs = list(rhs)
         for i in range(nrows):
-            row = list(self._rows[i])
-            if len(row) < self._ncols:
-                row += [0] * (self._ncols - len(row))
-            m = self._mods[i]
+            row = rows[i]
+            m = mods[i]
             if m:
                 row = [x % m for x in row]
-                self._reduced_rhs[i] = self._rhs[i] % m
+                self._reduced_rhs[i] = rhs[i] % m
             row += [0] * len(slack)
             a.append(row)
         for s_idx, i in enumerate(slack):
-            a[i][self._ncols + s_idx] = self._mods[i]
+            a[i][self._ncols + s_idx] = mods[i]
         return intmat.mat(a), nrows, ncols
 
     def solve(self) -> dict[str, BaseMorphism] | None:
         if self.ring.is_field:
             from .modsolve import solve_mod_p
 
-            nrows = len(self._rows)
-            rows = [r + [0] * (self._ncols - len(r)) for r in self._rows]
-            x = solve_mod_p(rows, self._rhs, nrows, self._ncols, self.ring.p)
+            rows, rhs, _ = self._layout()
+            x = solve_mod_p(rows, rhs, len(rows), self._ncols, self.ring.p)
             return None if x is None else self._extract(tuple(x))
         a, nrows, ncols = self._assemble()
         b = tuple((x,) for x in self._reduced_rhs)
@@ -295,9 +321,8 @@ class LinearSystem:
         if self.ring.is_field:
             from .modsolve import nullspace_mod_p
 
-            nrows = len(self._rows)
-            rows = [r + [0] * (self._ncols - len(r)) for r in self._rows]
-            basis = nullspace_mod_p(rows, nrows, self._ncols, self.ring.p)
+            rows, _, _ = self._layout()
+            basis = nullspace_mod_p(rows, len(rows), self._ncols, self.ring.p)
         else:
             a, nrows, ncols = self._assemble()
             basis = kernel_lattice(a, nrows, ncols)
@@ -324,9 +349,7 @@ def solve_base(a: BaseMorphism, b: BaseMorphism) -> BaseMorphism | None:
         raise ValueError("solveBase needs a common target")
     sys = LinearSystem(a.ring)
     sys.add_unknown("s", b.src, a.src)
-    sys.add_equation(
-        [(1, a.mat, "s", intmat.identity(b.src.ngens))], b.mat, a.dst, b.src.ngens
-    )
+    sys.add_equation([(1, a, "s", None)], b)
     sol = sys.solve()
     return None if sol is None else sol["s"]
 
@@ -353,12 +376,7 @@ def split_data_base(f: BaseMorphism) -> BaseMorphism | None:
 def left_inverse(f: BaseMorphism) -> BaseMorphism | None:
     sys = LinearSystem(f.ring)
     sys.add_unknown("h", f.dst, f.src)
-    sys.add_equation(
-        [(1, intmat.identity(f.src.ngens), "h", f.mat)],
-        intmat.identity(f.src.ngens),
-        f.src,
-        f.src.ngens,
-    )
+    sys.add_equation([(1, None, "h", f)], identity_mor(f.src))
     sol = sys.solve()
     return None if sol is None else sol["h"]
 
@@ -366,21 +384,9 @@ def left_inverse(f: BaseMorphism) -> BaseMorphism | None:
 def right_inverse(f: BaseMorphism) -> BaseMorphism | None:
     sys = LinearSystem(f.ring)
     sys.add_unknown("h", f.dst, f.src)
-    sys.add_equation(
-        [(1, f.mat, "h", intmat.identity(f.dst.ngens))],
-        intmat.identity(f.dst.ngens),
-        f.dst,
-        f.dst.ngens,
-    )
+    sys.add_equation([(1, f, "h", None)], identity_mor(f.dst))
     sol = sys.solve()
     return None if sol is None else sol["h"]
-
-
-def invert_base(f: BaseMorphism) -> BaseMorphism:
-    h = right_inverse(f)
-    if h is None or compose(h, f) != identity_mor(f.src):
-        raise ValueError("morphism is not invertible")
-    return h
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intmat
 from .baselin import (
     LinearSystem,
     biproduct_base,
@@ -25,7 +24,7 @@ from .baselin import (
     split_data_base,
 )
 from .basemor import BaseMorphism, compose, identity_mor, zero_mor
-from .core2 import TwoMorphism
+from .core2 import TwoMorphism, add_homotopy, add_square, identity2
 
 
 @dataclass(frozen=True)
@@ -143,12 +142,7 @@ def equivalence_data2(u: TwoMorphism) -> EquivalenceData | None:
     # e factors through pmap: e = s~ . pmap, and then r . s~ = 0 automatically
     sys = LinearSystem(u.top.ring)
     sys.add_unknown("s", pmap.dst, iota.dst)
-    sys.add_equation(
-        [(1, intmat.identity(iota.dst.ngens), "s", pmap.mat)],
-        e.mat,
-        iota.dst,
-        pmap.src.ngens,
-    )
+    sys.add_equation([(1, None, "s", pmap)], e)
     sol = sys.solve()
     if sol is None:
         raise AssertionError("split exact sequence must provide a section")
@@ -166,52 +160,17 @@ def equivalence_data2(u: TwoMorphism) -> EquivalenceData | None:
 def _strict_witness(u: TwoMorphism) -> EquivalenceData | None:
     """A strict quasi-inverse (epsilon = eta = 0) when one exists."""
     a, b = u.src, u.dst
-    f, g = a.boundary, b.boundary
-    u1, u0 = u.top, u.bottom
     sys = LinearSystem(u.top.ring)
-    sys.add_unknown("v1", b.top, a.top)
-    sys.add_unknown("v0", b.bottom, a.bottom)
-    eye_bt = intmat.identity(b.top.ngens)
-    eye_bb = intmat.identity(b.bottom.ngens)
-    sys.add_equation(
-        [
-            (1, f.mat, "v1", eye_bt),
-            (-1, intmat.identity(a.bottom.ngens), "v0", g.mat),
-        ],
-        intmat.zeros(a.bottom.ngens, b.top.ngens),
-        a.bottom,
-        b.top.ngens,
-    )
-    sys.add_equation(
-        [(1, intmat.identity(a.top.ngens), "v1", u1.mat)],
-        intmat.identity(a.top.ngens),
-        a.top,
-        a.top.ngens,
-    )
-    sys.add_equation(
-        [(1, intmat.identity(a.bottom.ngens), "v0", u0.mat)],
-        intmat.identity(a.bottom.ngens),
-        a.bottom,
-        a.bottom.ngens,
-    )
-    sys.add_equation(
-        [(1, u1.mat, "v1", eye_bt)],
-        intmat.identity(b.top.ngens),
-        b.top,
-        b.top.ngens,
-    )
-    sys.add_equation(
-        [(1, u0.mat, "v0", eye_bb)],
-        intmat.identity(b.bottom.ngens),
-        b.bottom,
-        b.bottom.ngens,
-    )
+    v = add_square(sys, "v", b, a)
+    # v.u = 1 and u.v = 1 strictly
+    add_homotopy(sys, None, identity2(a), [(1, None, v, u)])
+    add_homotopy(sys, None, identity2(b), [(1, u, v, None)])
     sol = sys.solve()
     if sol is None:
         return None
     return EquivalenceData(
-        v1=sol["v1"],
-        v0=sol["v0"],
+        v1=sol[v.top],
+        v0=sol[v.bottom],
         epsilon=zero_mor(b.bottom, b.top),
         eta=zero_mor(a.bottom, a.top),
     )

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .classify2 import classify2, equivalence_data2
-from .core2 import TwoCell, TwoMorphism, TwoObject
+from .core2 import TwoMorphism, TwoObject
 from .factor2 import factor2
 from .les import les_full_sequence, les_homology
 from .lemmas import ShortFiveInput, ThreeByThree, check_3x3, check_3x3_part2, check_short_five
@@ -51,14 +51,6 @@ def _mor_json(u: TwoMorphism):
         "target": _obj_json(u.dst),
         "top": _matrix_to_json(u.top),
         "bottom": _matrix_to_json(u.bottom),
-    }
-
-
-def _cell_json(c: TwoCell):
-    return {
-        "from": _mor_json(c.cfrom),
-        "to": _mor_json(c.cto),
-        "matrix": _matrix_to_json(c.mat),
     }
 
 
@@ -434,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_in=True):
-        sp.add_argument("--in", dest="infile", default=None, help="workspace JSON file")
+    def out(sp):
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--cases", type=int, default=None)
-        sp.add_argument("--ring", default=None, help="fp:<p> or Z (generator commands)")
+
+    def common(sp):
+        sp.add_argument("--in", dest="infile", default=None, help="workspace JSON file")
+        out(sp)
 
     for name, fn in [
         ("kernel", cmd_kernel), ("cokernel", cmd_cokernel),
@@ -500,11 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_shortfive)
 
     sp = sub.add_parser("demo-nonsplit")
-    common(sp, needs_in=False)
+    out(sp)
     sp.set_defaults(fn=cmd_demo_nonsplit)
 
     sp = sub.add_parser("selftest")
-    common(sp, needs_in=False)
+    out(sp)
+    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--cases", type=int, default=None)
+    sp.add_argument("--ring", default=None, help="fp:<p> or Z: keep only that ring's suites")
     sp.add_argument("--suite", default=None, help="comma-separated suite names")
     sp.add_argument("--max-dim", type=int, default=2)
     sp.set_defaults(fn=cmd_selftest)

@@ -9,12 +9,19 @@ morphism bottom(source) -> top(target) with
 exactly.  Vertical composition adds the matrices, horizontal composition is
 beta * alpha = v1' . alpha + beta . u0 (the alternative formula is asserted
 equal), and identities/zeros are strict.
+
+The same two layouts - the commutativity of a square and the two homotopy
+equations of a cell - are what every "there is a square or a cell such
+that ..." question solves for.  add_square, add_cell and add_homotopy
+declare such unknowns on a baselin.LinearSystem and emit these equations,
+so they are written out only here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .baselin import LinearSystem
 from .baseobj import BaseObject, zero_object
 from .basemor import BaseMorphism, compose, identity_mor, zero_mor
 from .rings import BaseRing
@@ -23,9 +30,6 @@ from .rings import BaseRing
 @dataclass(frozen=True)
 class TwoObject:
     boundary: BaseMorphism
-
-    def __post_init__(self):
-        pass
 
     @property
     def top(self) -> BaseObject:
@@ -197,10 +201,6 @@ def hcomp2(beta: TwoCell, alpha: TwoCell) -> TwoCell:
     )
 
 
-def is_loop(c: TwoCell) -> bool:
-    return c.cfrom.is_zero_mor() and c.cto.is_zero_mor()
-
-
 def loop_cell(src: TwoObject, dst: TwoObject, mat: BaseMorphism) -> TwoCell:
     """A cell 0 => 0 given by a matrix with alpha.d = 0 and d.alpha = 0."""
     return TwoCell(zero2(src, dst), zero2(src, dst), mat)
@@ -208,3 +208,95 @@ def loop_cell(src: TwoObject, dst: TwoObject, mat: BaseMorphism) -> TwoCell:
 
 def cells_equal(a: TwoCell, b: TwoCell) -> bool:
     return a.cfrom == b.cfrom and a.cto == b.cto and a.mat == b.mat
+
+
+# ---------------------------------------------------------------------------
+# Unknown squares and cells of a LinearSystem
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SquareUnknown:
+    """An unknown square X: src -> dst, with components named top and bottom."""
+
+    src: TwoObject
+    dst: TwoObject
+    top: str
+    bottom: str
+
+
+@dataclass(frozen=True)
+class CellUnknown:
+    """An unknown cell matrix src.bottom -> dst.top."""
+
+    src: TwoObject
+    dst: TwoObject
+    name: str
+
+
+def add_square(sys: LinearSystem, name: str, src: TwoObject, dst: TwoObject) -> SquareUnknown:
+    """Declare X1 (name + "1") and X0 (name + "0") and emit the
+    commutativity equation d_dst . X1 - X0 . d_src = 0."""
+    sq = SquareUnknown(src, dst, name + "1", name + "0")
+    sys.add_unknown(sq.top, src.top, dst.top)
+    sys.add_unknown(sq.bottom, src.bottom, dst.bottom)
+    sys.add_equation([(1, dst.boundary, sq.top, None), (-1, None, sq.bottom, src.boundary)])
+    return sq
+
+
+def add_cell(sys: LinearSystem, name: str, src: TwoObject, dst: TwoObject) -> CellUnknown:
+    """Declare an unknown cell matrix alpha: bottom(src) -> top(dst)."""
+    sys.add_unknown(name, src.bottom, dst.top)
+    return CellUnknown(src, dst, name)
+
+
+def add_homotopy(sys: LinearSystem, cell: CellUnknown | None, cfrom, cto) -> None:
+    """Emit the equations of cell: cfrom => cto,
+
+        F1 - G1 = alpha . d_src        F0 - G0 = d_dst . alpha.
+
+    Each side is a known TwoMorphism or a list of (coef, left, square,
+    right) terms standing for the sum of coef * left . X . right, with left
+    and right TwoMorphisms or None (an empty list is zero).  When cfrom holds
+    unknowns the rows read F - G - alpha.d = known, otherwise G + alpha.d = F.
+    cell None asks for F = G strictly.
+    """
+    sign = 1 if isinstance(cfrom, list) and cfrom else -1
+    for part in ("top", "bottom"):
+        terms = _side_terms(cfrom, part, sign) + _side_terms(cto, part, -sign)
+        if cell is not None:
+            if part == "top":
+                terms.append((-sign, None, cell.name, cell.src.boundary))
+            else:
+                terms.append((-sign, cell.dst.boundary, cell.name, None))
+        f, g = _known(cfrom, part), _known(cto, part)
+        if f is not None:
+            rhs = f if g is None else f - g
+        elif g is not None:
+            rhs = g if sign > 0 else -g
+        else:
+            rhs = None
+        sys.add_equation(terms, rhs)
+
+
+def _known(side, part: str) -> BaseMorphism | None:
+    return getattr(side, part) if isinstance(side, TwoMorphism) else None
+
+
+def _side_terms(side, part: str, sign: int) -> list:
+    if isinstance(side, TwoMorphism):
+        return []
+    return [
+        (
+            sign * coef,
+            None if left is None else getattr(left, part),
+            getattr(sq, part),
+            None if right is None else getattr(right, part),
+        )
+        for coef, left, sq, right in side
+    ]
+
+
+def solved_square(sol: dict[str, BaseMorphism], sq: SquareUnknown) -> TwoMorphism:
+    """The square a solution assigns to an unknown square."""
+    return TwoMorphism(sq.src, sq.dst, sol[sq.top], sol[sq.bottom])

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intmat
 from .baselin import LinearSystem
 from .basemor import BaseMorphism, zero_mor
 from .classify2 import ArrowClassification, classify2
 from .core2 import (
     TwoMorphism,
     TwoObject,
+    add_cell,
+    add_homotopy,
+    add_square,
     cell_to_zero,
     compose2,
+    solved_square,
     two_morphism,
 )
 from .limits2 import (
@@ -170,113 +173,34 @@ def orthogonal2(e: TwoMorphism, m: TwoMorphism, rivals) -> OrthogonalityReport:
 def _solve_filler(e, m, a, psi, b):
     x, y = e.dst, m.src
     sys = LinearSystem(e.top.ring)
-    sys.add_unknown("c1", x.top, y.top)
-    sys.add_unknown("c0", x.bottom, y.bottom)
-    sys.add_unknown("nu", e.src.bottom, y.top)
-    sys.add_unknown("mu", x.bottom, m.dst.top)
-    eye_et = intmat.identity(e.src.top.ngens)
-    eye_eb = intmat.identity(e.src.bottom.ngens)
-    eye_xb = intmat.identity(x.bottom.ngens)
-    # square condition for c
-    sys.add_equation(
-        [
-            (1, y.boundary.mat, "c1", intmat.identity(x.top.ngens)),
-            (-1, intmat.identity(y.bottom.ngens), "c0", x.boundary.mat),
-        ],
-        intmat.zeros(y.bottom.ngens, x.top.ngens),
-        y.bottom,
-        x.top.ngens,
-    )
+    c = add_square(sys, "c", x, y)
+    nu = add_cell(sys, "nu", e.src, y)
+    mu = add_cell(sys, "mu", x, m.dst)
     # nu: c.e => a
-    sys.add_equation(
-        [
-            (1, intmat.identity(y.top.ngens), "c1", e.top.mat),
-            (-1, intmat.identity(y.top.ngens), "nu", e.src.boundary.mat),
-        ],
-        a.top.mat,
-        y.top,
-        e.src.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(y.bottom.ngens), "c0", e.bottom.mat),
-            (-1, y.boundary.mat, "nu", eye_eb),
-        ],
-        a.bottom.mat,
-        y.bottom,
-        e.src.bottom.ngens,
-    )
+    add_homotopy(sys, nu, [(1, None, c, e)], a)
     # mu: m.c => b
-    sys.add_equation(
-        [
-            (1, m.top.mat, "c1", intmat.identity(x.top.ngens)),
-            (-1, intmat.identity(m.dst.top.ngens), "mu", x.boundary.mat),
-        ],
-        b.top.mat,
-        m.dst.top,
-        x.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, m.bottom.mat, "c0", eye_xb),
-            (-1, m.dst.boundary.mat, "mu", eye_xb),
-        ],
-        b.bottom.mat,
-        m.dst.bottom,
-        x.bottom.ngens,
-    )
+    add_homotopy(sys, mu, [(1, m, c, None)], b)
     # pasting: psi = mu*e - m*nu  (as matrices)
-    sys.add_equation(
-        [
-            (1, intmat.identity(m.dst.top.ngens), "mu", e.bottom.mat),
-            (-1, m.top.mat, "nu", eye_eb),
-        ],
-        psi.mat.mat,
-        m.dst.top,
-        e.src.bottom.ngens,
-    )
+    sys.add_equation([(1, None, mu.name, e.bottom), (-1, m.top, nu.name, None)], psi.mat)
     sol = sys.solve()
     if sol is None:
         return None
-    c = two_morphism(x, y, sol["c1"], sol["c0"])
-    return c, sol["nu"], sol["mu"]
+    return solved_square(sol, c), sol[nu.name], sol[mu.name]
 
 
 def _fillers_unique(e, m) -> bool:
     """No nonzero loop cell gamma on cod(e) -> dom(m) is killed by both whiskers."""
     x, y = e.dst, m.src
     sys = LinearSystem(e.top.ring)
-    sys.add_unknown("g", x.bottom, y.top)
-    eye_xb = intmat.identity(x.bottom.ngens)
-    sys.add_equation(
-        [(1, intmat.identity(y.top.ngens), "g", x.boundary.mat)],
-        intmat.zeros(y.top.ngens, x.top.ngens),
-        y.top,
-        x.top.ngens,
-    )
-    sys.add_equation(
-        [(1, y.boundary.mat, "g", eye_xb)],
-        intmat.zeros(y.bottom.ngens, x.bottom.ngens),
-        y.bottom,
-        x.bottom.ngens,
-    )
-    sys.add_equation(
-        [(1, intmat.identity(y.top.ngens), "g", e.bottom.mat)],
-        intmat.zeros(y.top.ngens, e.src.bottom.ngens),
-        y.top,
-        e.src.bottom.ngens,
-    )
-    sys.add_equation(
-        [(1, m.top.mat, "g", eye_xb)],
-        intmat.zeros(m.dst.top.ngens, x.bottom.ngens),
-        m.dst.top,
-        x.bottom.ngens,
-    )
+    g = add_cell(sys, "g", x, y)
+    add_homotopy(sys, g, [], [])
+    sys.add_equation([(1, None, g.name, e.bottom)])
+    sys.add_equation([(1, m.top, g.name, None)])
     from .basemor import base_morphism
 
     for entry in sys.homogeneous_basis():
-        g = base_morphism(x.bottom, y.top, entry["g"])
-        if not g.is_zero_mor():
+        gm = base_morphism(x.bottom, y.top, entry[g.name])
+        if not gm.is_zero_mor():
             return False
     return True
 

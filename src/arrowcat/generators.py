@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from . import intmat
 from .baselin import LinearSystem
 from .baseobj import BaseObject, field_object, make_object, zero_object
 from .basemor import BaseMorphism, base_morphism, compose, zero_mor
@@ -21,11 +20,14 @@ from .core2 import (
     TwoCell,
     TwoMorphism,
     TwoObject,
+    add_cell,
+    add_homotopy,
+    add_square,
     cell_to_zero,
     compose2,
     deform,
     identity_cell,
-    two_morphism,
+    solved_square,
     vcomp2,
     whisker_left,
     whisker_right,
@@ -130,19 +132,8 @@ def _sample_system(rng: random.Random, sys: LinearSystem, spread: int = 2) -> di
 
 def random_square(rng: random.Random, a: TwoObject, b: TwoObject) -> TwoMorphism:
     sys = LinearSystem(a.ring)
-    sys.add_unknown("u1", a.top, b.top)
-    sys.add_unknown("u0", a.bottom, b.bottom)
-    sys.add_equation(
-        [
-            (1, b.boundary.mat, "u1", intmat.identity(a.top.ngens)),
-            (-1, intmat.identity(b.bottom.ngens), "u0", a.boundary.mat),
-        ],
-        intmat.zeros(b.bottom.ngens, a.top.ngens),
-        b.bottom,
-        a.top.ngens,
-    )
-    picks = _sample_system(rng, sys)
-    return two_morphism(a, b, picks["u1"], picks["u0"])
+    u = add_square(sys, "u", a, b)
+    return solved_square(_sample_system(rng, sys), u)
 
 
 def random_cell_on(rng: random.Random, u: TwoMorphism, bounds: Bounds) -> TwoCell:
@@ -219,56 +210,19 @@ def _next_differential(rng, prev: TwoMorphism, target: TwoObject, prev_cell: Two
     previous nullhomotopy."""
     a, b = prev.src, prev.dst
     sys = LinearSystem(a.ring)
-    sys.add_unknown("d1", b.top, target.top)
-    sys.add_unknown("d0", b.bottom, target.bottom)
-    sys.add_unknown("al", a.bottom, target.top)
-    eye_at = intmat.identity(a.top.ngens)
-    eye_ab = intmat.identity(a.bottom.ngens)
-    # square condition for d
-    sys.add_equation(
-        [
-            (1, target.boundary.mat, "d1", intmat.identity(b.top.ngens)),
-            (-1, intmat.identity(target.bottom.ngens), "d0", b.boundary.mat),
-        ],
-        intmat.zeros(target.bottom.ngens, b.top.ngens),
-        target.bottom,
-        b.top.ngens,
-    )
-    # cell condition: (d.prev).top = al . dA, (d.prev).bottom = dT . al
-    sys.add_equation(
-        [
-            (1, intmat.identity(target.top.ngens), "d1", prev.top.mat),
-            (-1, intmat.identity(target.top.ngens), "al", a.boundary.mat),
-        ],
-        intmat.zeros(target.top.ngens, a.top.ngens),
-        target.top,
-        a.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(target.bottom.ngens), "d0", prev.bottom.mat),
-            (-1, target.boundary.mat, "al", eye_ab),
-        ],
-        intmat.zeros(target.bottom.ngens, a.bottom.ngens),
-        target.bottom,
-        a.bottom.ngens,
-    )
+    d = add_square(sys, "d", b, target)
+    al = add_cell(sys, "al", a, target)
+    # cell condition: al: d.prev => 0
+    add_homotopy(sys, al, [(1, None, d, prev)], [])
     if prev_cell is not None:
         # compatibility with the previous cell: d1 . prev_cell = al . (prev prev).bottom
-        pp = prev_cell.src  # object two steps back
         sys.add_equation(
-            [
-                (1, intmat.identity(target.top.ngens), "d1", prev_cell.mat.mat),
-                (-1, intmat.identity(target.top.ngens), "al", diffs[-2].bottom.mat),
-            ],
-            intmat.zeros(target.top.ngens, pp.bottom.ngens),
-            target.top,
-            pp.bottom.ngens,
+            [(1, None, d.top, prev_cell.mat), (-1, None, al.name, diffs[-2].bottom)]
         )
     picks = _sample_system(rng, sys)
-    d = two_morphism(b, target, picks["d1"], picks["d0"])
-    alpha = cell_to_zero(compose2(d, prev), picks["al"])
-    return d, alpha
+    nxt = solved_square(picks, d)
+    alpha = cell_to_zero(compose2(nxt, prev), picks[al.name])
+    return nxt, alpha
 
 
 @dataclass(frozen=True)
@@ -363,85 +317,29 @@ def _connect_rows(rng, r1: ExtensionInstance, r2: ExtensionInstance) -> SnakeIns
     B1, B2 = f.dst, f2.dst
     ring = f.top.ring
     sys = LinearSystem(ring)
-    for nm, (s, d) in dict(
-        a1=(A.top, A2.top), a0=(A.bottom, A2.bottom),
-        b1=(B1.top, B2.top), b0=(B1.bottom, B2.bottom),
-        c1=(C.top, C2.top), c0=(C.bottom, C2.bottom),
-        ph=(A.bottom, B2.top), ps=(B1.bottom, C2.top),
-    ).items():
-        sys.add_unknown(nm, s, d)
-
-    def square(top, bot, x, y):
-        sys.add_equation(
-            [
-                (1, y.boundary.mat, top, intmat.identity(x.top.ngens)),
-                (-1, intmat.identity(y.bottom.ngens), bot, x.boundary.mat),
-            ],
-            intmat.zeros(y.bottom.ngens, x.top.ngens),
-            y.bottom,
-            x.top.ngens,
-        )
-
-    square("a1", "a0", A, A2)
-    square("b1", "b0", B1, B2)
-    square("c1", "c0", C, C2)
+    a_sq = add_square(sys, "a", A, A2)
+    b_sq = add_square(sys, "b", B1, B2)
+    c_sq = add_square(sys, "c", C, C2)
+    ph = add_cell(sys, "ph", A, B2)
+    ps = add_cell(sys, "ps", B1, C2)
+    # ph: b.f => f2.a and ps: c.g => g2.b
+    add_homotopy(sys, ph, [(1, None, b_sq, f)], [(1, f2, a_sq, None)])
+    add_homotopy(sys, ps, [(1, None, c_sq, g)], [(1, g2, b_sq, None)])
+    # pasting: eta2.a0 + g2.ph + ps.f0 = c1.eta
     sys.add_equation(
         [
-            (1, intmat.identity(B2.top.ngens), "b1", f.top.mat),
-            (-1, f2.top.mat, "a1", intmat.identity(A.top.ngens)),
-            (-1, intmat.identity(B2.top.ngens), "ph", A.boundary.mat),
-        ],
-        intmat.zeros(B2.top.ngens, A.top.ngens),
-        B2.top,
-        A.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(B2.bottom.ngens), "b0", f.bottom.mat),
-            (-1, f2.bottom.mat, "a0", intmat.identity(A.bottom.ngens)),
-            (-1, B2.boundary.mat, "ph", intmat.identity(A.bottom.ngens)),
-        ],
-        intmat.zeros(B2.bottom.ngens, A.bottom.ngens),
-        B2.bottom,
-        A.bottom.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(C2.top.ngens), "c1", g.top.mat),
-            (-1, g2.top.mat, "b1", intmat.identity(B1.top.ngens)),
-            (-1, intmat.identity(C2.top.ngens), "ps", B1.boundary.mat),
-        ],
-        intmat.zeros(C2.top.ngens, B1.top.ngens),
-        C2.top,
-        B1.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(C2.bottom.ngens), "c0", g.bottom.mat),
-            (-1, g2.bottom.mat, "b0", intmat.identity(B1.bottom.ngens)),
-            (-1, C2.boundary.mat, "ps", intmat.identity(B1.bottom.ngens)),
-        ],
-        intmat.zeros(C2.bottom.ngens, B1.bottom.ngens),
-        C2.bottom,
-        B1.bottom.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, eta2.mat.mat, "a0", intmat.identity(A.bottom.ngens)),
-            (1, g2.top.mat, "ph", intmat.identity(A.bottom.ngens)),
-            (1, intmat.identity(C2.top.ngens), "ps", f.bottom.mat),
-            (-1, intmat.identity(C2.top.ngens), "c1", eta.mat.mat),
-        ],
-        intmat.zeros(C2.top.ngens, A.bottom.ngens),
-        C2.top,
-        A.bottom.ngens,
+            (1, eta2.mat, a_sq.bottom, None),
+            (1, g2.top, ph.name, None),
+            (1, None, ps.name, f.bottom),
+            (-1, None, c_sq.top, eta.mat),
+        ]
     )
     picks = _sample_system(rng, sys)
-    a = two_morphism(f.src, f2.src, picks["a1"], picks["a0"])
-    b = two_morphism(B1, B2, picks["b1"], picks["b0"])
-    c = two_morphism(C, C2, picks["c1"], picks["c0"])
-    phi = TwoCell(compose2(b, f), compose2(f2, a), picks["ph"])
-    psi = TwoCell(compose2(c, g), compose2(g2, b), picks["ps"])
+    a = solved_square(picks, a_sq)
+    b = solved_square(picks, b_sq)
+    c = solved_square(picks, c_sq)
+    phi = TwoCell(compose2(b, f), compose2(f2, a), picks[ph.name])
+    psi = TwoCell(compose2(c, g), compose2(g2, b), picks[ps.name])
     return SnakeInstance((f, eta, g), (f2, eta2, g2), (a, b, c), (phi, psi))
 
 
@@ -628,64 +526,27 @@ def random_shortfive_instance(rng, ring, bounds, flanks="random"):
     f2, eta2, g2 = inst.row2
     a = random_self_equivalence(rng, f.src, bounds)
     c = random_self_equivalence(rng, g.dst, bounds)
-    # reuse the rows with equivalence flanks by re-solving the middle column
-    sys = LinearSystem(ring)
-    B1, B2 = f.dst, f2.dst
+    # reuse the rows with equivalence flanks by re-solving the middle column,
     # only valid when both rows share their end objects
     if f2.src != f.src or g2.dst != g.dst:
         return inst
-    sys.add_unknown("b1", B1.top, B2.top)
-    sys.add_unknown("b0", B1.bottom, B2.bottom)
-    sys.add_unknown("ph", f.src.bottom, B2.top)
-    sys.add_unknown("ps", B1.bottom, g2.dst.top)
-    A, C = f.src, g.dst
+    B1, B2 = f.dst, f2.dst
+    sys = LinearSystem(ring)
+    b_sq = add_square(sys, "b", B1, B2)
+    ph = add_cell(sys, "ph", f.src, B2)
+    ps = add_cell(sys, "ps", B1, g2.dst)
+    # ph: b.f => f2.a and ps: c.g => g2.b
+    add_homotopy(sys, ph, [(1, None, b_sq, f)], compose2(f2, a))
+    add_homotopy(sys, ps, compose2(c, g), [(1, g2, b_sq, None)])
+    # pasting: ps.f0 + g2.ph = c.eta - eta2.a0
     sys.add_equation(
-        [
-            (1, B2.boundary.mat, "b1", intmat.identity(B1.top.ngens)),
-            (-1, intmat.identity(B2.bottom.ngens), "b0", B1.boundary.mat),
-        ],
-        intmat.zeros(B2.bottom.ngens, B1.top.ngens), B2.bottom, B1.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(B2.top.ngens), "b1", f.top.mat),
-            (-1, intmat.identity(B2.top.ngens), "ph", A.boundary.mat),
-        ],
-        compose(f2.top, a.top).mat, B2.top, A.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(B2.bottom.ngens), "b0", f.bottom.mat),
-            (-1, B2.boundary.mat, "ph", intmat.identity(A.bottom.ngens)),
-        ],
-        compose(f2.bottom, a.bottom).mat, B2.bottom, A.bottom.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, g2.top.mat, "b1", intmat.identity(B1.top.ngens)),
-            (-1, intmat.identity(C.top.ngens), "ps", B1.boundary.mat),
-        ],
-        compose(c.top, g.top).mat, C.top, B1.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, g2.bottom.mat, "b0", intmat.identity(B1.bottom.ngens)),
-            (-1, C.boundary.mat, "ps", intmat.identity(B1.bottom.ngens)),
-        ],
-        compose(c.bottom, g.bottom).mat, C.bottom, B1.bottom.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(C.top.ngens), "ps", f.bottom.mat),
-            (1, g2.top.mat, "ph", intmat.identity(A.bottom.ngens)),
-        ],
-        (compose(c.top, eta.mat) - compose(eta2.mat, a.bottom)).mat,
-        C.top, A.bottom.ngens,
+        [(1, None, ps.name, f.bottom), (1, g2.top, ph.name, None)],
+        compose(c.top, eta.mat) - compose(eta2.mat, a.bottom),
     )
     sol = sys.solve()
     if sol is None:
         return inst
-    b = two_morphism(B1, B2, sol["b1"], sol["b0"])
-    phi = TwoCell(compose2(b, f), compose2(f2, a), sol["ph"])
-    psi = TwoCell(compose2(c, g), compose2(g2, b), sol["ps"])
+    b = solved_square(sol, b_sq)
+    phi = TwoCell(compose2(b, f), compose2(f2, a), sol[ph.name])
+    psi = TwoCell(compose2(c, g), compose2(g2, b), sol[ps.name])
     return SnakeInstance((f, eta, g), (f2, eta2, g2), (a, b, c), (phi, psi))

@@ -61,10 +61,6 @@ def _cols_of(b: Matrix, default: int) -> int:
     return len(b[0]) if b else default
 
 
-def transpose(a: Matrix, ncols: int) -> Matrix:
-    return tuple(tuple(r[j] for r in a) for j in range(ncols))
-
-
 def hstack(blocks: list[Matrix], nrows: int) -> Matrix:
     out = []
     for i in range(nrows):
@@ -73,28 +69,6 @@ def hstack(blocks: list[Matrix], nrows: int) -> Matrix:
             row.extend(b[i])
         out.append(tuple(row))
     return tuple(out)
-
-
-def vstack(blocks: list[Matrix]) -> Matrix:
-    out: list[tuple[int, ...]] = []
-    for b in blocks:
-        out.extend(b)
-    return tuple(out)
-
-
-def block_diag(blocks: list[tuple[Matrix, int, int]]) -> Matrix:
-    """blocks are (matrix, nrows, ncols); returns their diagonal sum."""
-    total_r = sum(r for _, r, _ in blocks)
-    total_c = sum(c for _, _, c in blocks)
-    out = [[0] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
-    for b, r, c in blocks:
-        for i in range(r):
-            for j in range(c):
-                out[r0 + i][c0 + j] = b[i][j]
-        r0 += r
-        c0 += c
-    return mat(out)
 
 
 def is_zero(a: Matrix) -> bool:

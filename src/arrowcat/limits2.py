@@ -4,15 +4,17 @@ All constructions are the canonical ones: the kernel of a square is built on
 the pullback of (u0, boundary) with the A0 block first, the cokernel on the
 dual pushout, loops/suspensions on base kernels/cokernels of the boundary.
 Factorizations through canonical (co)kernels are strict (the connecting cell
-is an identity); factorizations through abstractly-given (co)kernel data are
-produced by the linear solver.
+is an identity); factorizations through abstractly-given (co)kernel data and
+cells between parallel squares are solved for: each is one LinearSystem
+whose unknown squares and cells are declared with core2's add_square,
+add_cell and add_homotopy, so only the extra pasting or pinning equations
+are written here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intmat
 from .baselin import (
     LinearSystem,
     biproduct_base,
@@ -26,9 +28,13 @@ from .core2 import (
     TwoCell,
     TwoMorphism,
     TwoObject,
+    add_cell,
+    add_homotopy,
+    add_square,
     cell_to_zero,
     compose2,
     loop_cell,
+    solved_square,
     two_morphism,
     whisker_right,
 )
@@ -38,7 +44,7 @@ def factor_through_epi(e: BaseMorphism, h: BaseMorphism) -> BaseMorphism:
     """x with x.e = h (e epi onto its image containing what h needs)."""
     sys = LinearSystem(e.ring)
     sys.add_unknown("x", e.dst, h.dst)
-    sys.add_equation([(1, intmat.identity(h.dst.ngens), "x", e.mat)], h.mat, h.dst, e.src.ngens)
+    sys.add_equation([(1, None, "x", e)], h)
     sol = sys.solve()
     if sol is None:
         raise AssertionError("factorization through quotient does not exist")
@@ -56,9 +62,8 @@ def joint_factor_pullback(k: BaseMorphism, kappa: BaseMorphism, a: BaseMorphism,
     """The unique s with k.s = a and kappa.s = b ((k, kappa) jointly mono)."""
     sys = LinearSystem(k.ring)
     sys.add_unknown("s", a.src, k.src)
-    eye = intmat.identity(a.src.ngens)
-    sys.add_equation([(1, k.mat, "s", eye)], a.mat, k.dst, a.src.ngens)
-    sys.add_equation([(1, kappa.mat, "s", eye)], b.mat, kappa.dst, a.src.ngens)
+    sys.add_equation([(1, k, "s", None)], a)
+    sys.add_equation([(1, kappa, "s", None)], b)
     sol = sys.solve()
     if sol is None:
         raise AssertionError("pullback factorization does not exist")
@@ -104,8 +109,8 @@ class CokernelData:
     qmor: TwoMorphism  # dst(u) -> obj
     zeta: TwoCell  # qmor . u => 0
     qfull: BaseMorphism  # A0 (+) B1 -> Q
-    inj0: BaseMorphism  # A0 -> A0 (+) B1
-    inj1: BaseMorphism  # B1 -> A0 (+) B1
+    p0: BaseMorphism  # A0 (+) B1 -> A0
+    p1: BaseMorphism  # A0 (+) B1 -> B1
 
 
 def cokernel2(u: TwoMorphism) -> CokernelData:
@@ -120,36 +125,14 @@ def cokernel2(u: TwoMorphism) -> CokernelData:
     obj = TwoObject(qprime)
     qmor = two_morphism(b, obj, q_m, identity_mor(b.bottom))
     zeta = cell_to_zero(compose2(qmor, u), zeta_m)
-    return CokernelData(obj, qmor, zeta, qfull, i0, i1)
+    return CokernelData(obj, qmor, zeta, qfull, p0, p1)
 
 
 def factor_cokernel2(cd: CokernelData, w: TwoMorphism, theta: TwoCell) -> TwoMorphism:
     """The strict factorization w' with w' . qmor = w and w' transporting zeta to theta."""
-    h = compose(theta.mat, _proj(cd, 0)) + compose(w.top, _proj(cd, 1))
+    h = compose(theta.mat, cd.p0) + compose(w.top, cd.p1)
     top = factor_through_epi(cd.qfull, h)
     return two_morphism(cd.obj, w.dst, top, w.bottom)
-
-
-def _proj(cd: CokernelData, which: int) -> BaseMorphism:
-    ab = cd.qfull.src
-    # recover projections of the biproduct A0 (+) B1 from stored injections
-    from .baselin import LinearSystem
-
-    inj = (cd.inj0, cd.inj1)[which]
-    other = (cd.inj1, cd.inj0)[which]
-    sys = LinearSystem(inj.ring)
-    sys.add_unknown("p", ab, inj.src)
-    eye = intmat.identity(inj.src.ngens)
-    sys.add_equation([(1, intmat.identity(inj.src.ngens), "p", inj.mat)], eye, inj.src, inj.src.ngens)
-    sys.add_equation(
-        [(1, intmat.identity(inj.src.ngens), "p", other.mat)],
-        intmat.zeros(inj.src.ngens, other.src.ngens),
-        inj.src,
-        other.src.ngens,
-    )
-    sol = sys.solve()
-    assert sol is not None
-    return sol["p"]
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +338,8 @@ def biproduct2(parts: list[TwoObject]) -> Biproduct2:
     t_obj, t_inj, t_proj = biproduct_base(tops)
     b_obj, b_inj, b_proj = biproduct_base(bottoms)
     boundary = None
-    for part, it, ib in zip(parts, t_inj, b_inj):
-        term = compose(ib, compose(part.boundary, _proj_of(t_obj, t_inj, t_proj, it)))
+    for part, pt, ib in zip(parts, t_proj, b_inj):
+        term = compose(ib, compose(part.boundary, pt))
         boundary = term if boundary is None else boundary + term
     obj = TwoObject(boundary)
     injections = tuple(
@@ -366,13 +349,6 @@ def biproduct2(parts: list[TwoObject]) -> Biproduct2:
         two_morphism(obj, p, pt, pb) for p, pt, pb in zip(parts, t_proj, b_proj)
     )
     return Biproduct2(obj, injections, projections)
-
-
-def _proj_of(obj, injs, projs, inj):
-    for i, m in enumerate(injs):
-        if m is inj:
-            return projs[i]
-    raise AssertionError
 
 
 @dataclass(frozen=True)
@@ -429,64 +405,28 @@ def factor_through_kernel_data(
 ):
     """(m, theta) with theta: t => kmor.m and kappa*m . g*theta = beta.
 
-    A strict solution (theta the identity) is preferred when one exists.
+    A strict solution (theta the identity) is preferred when one exists; the
+    strict system is the same one without the cell unknown.
     """
-    strict = _strict_kernel_factor(kmor, kappa, t, beta)
-    if strict is not None:
-        return strict, TwoCell(t, compose2(kmor, strict), zero_mor(t.src.bottom, g.src.top))
-    x, k_obj, b_obj = t.src, kmor.src, g.src
-    sys = LinearSystem(g.top.ring)
-    sys.add_unknown("mt", x.top, k_obj.top)
-    sys.add_unknown("mb", x.bottom, k_obj.bottom)
-    sys.add_unknown("th", x.bottom, b_obj.top)
-    eye_t = intmat.identity(x.top.ngens)
-    eye_b = intmat.identity(x.bottom.ngens)
-    # square condition for m
-    sys.add_equation(
-        [
-            (1, k_obj.boundary.mat, "mt", eye_t),
-            (-1, intmat.identity(k_obj.bottom.ngens), "mb", x.boundary.mat),
-        ],
-        intmat.zeros(k_obj.bottom.ngens, x.top.ngens),
-        k_obj.bottom,
-        x.top.ngens,
-    )
-    # theta top: t.top - kmor.top.mt = th . dX
-    sys.add_equation(
-        [
-            (1, kmor.top.mat, "mt", eye_t),
-            (1, intmat.identity(b_obj.top.ngens), "th", x.boundary.mat),
-        ],
-        t.top.mat,
-        b_obj.top,
-        x.top.ngens,
-    )
-    # theta bottom: t.bottom - kmor.bottom.mb = dB . th
-    sys.add_equation(
-        [
-            (1, kmor.bottom.mat, "mb", eye_b),
-            (1, b_obj.boundary.mat, "th", eye_b),
-        ],
-        t.bottom.mat,
-        b_obj.bottom,
-        x.bottom.ngens,
-    )
-    # pasting: kappa.mb + g.top.th = beta
-    sys.add_equation(
-        [
-            (1, kappa.mat.mat, "mb", eye_b),
-            (1, g.top.mat, "th", eye_b),
-        ],
-        beta.mat.mat,
-        g.dst.top,
-        x.bottom.ngens,
-    )
-    sol = sys.solve()
-    if sol is None:
+    x, k_obj = t.src, kmor.src
+    for strict in (True, False):
+        sys = LinearSystem(g.top.ring)
+        m = add_square(sys, "m", x, k_obj)
+        th = None if strict else add_cell(sys, "th", x, g.src)
+        add_homotopy(sys, th, t, [(1, kmor, m, None)])
+        # pasting: kappa.mb + g.top.th = beta
+        pasting = [(1, kappa.mat, m.bottom, None)]
+        if th is not None:
+            pasting.append((1, g.top, th.name, None))
+        sys.add_equation(pasting, beta.mat)
+        sol = sys.solve()
+        if sol is not None:
+            break
+    else:
         raise AssertionError("kernel-data factorization does not exist")
-    m = two_morphism(x, k_obj, sol["mt"], sol["mb"])
-    theta = TwoCell(t, compose2(kmor, m), sol["th"])
-    return m, theta
+    mor = solved_square(sol, m)
+    th_mat = zero_mor(x.bottom, g.src.top) if th is None else sol[th.name]
+    return mor, TwoCell(t, compose2(kmor, mor), th_mat)
 
 
 def factor_through_cokernel_data(
@@ -494,149 +434,40 @@ def factor_through_cokernel_data(
 ):
     """(m, psi) with psi: w => m.qmor and m*zeta . psi*u = theta.
 
-    A strict solution (psi the identity) is preferred when one exists.
+    A strict solution (psi the identity) is preferred when one exists; the
+    strict system is the same one without the cell unknown.
     """
-    strict = _strict_cokernel_factor(qmor, zeta, w, theta)
-    if strict is not None:
-        return strict, TwoCell(w, compose2(strict, qmor), zero_mor(w.src.bottom, w.dst.top))
-    q_obj, b_obj, z_obj = qmor.dst, qmor.src, w.dst
-    sys = LinearSystem(u.top.ring)
-    sys.add_unknown("mt", q_obj.top, z_obj.top)
-    sys.add_unknown("mb", q_obj.bottom, z_obj.bottom)
-    sys.add_unknown("ps", b_obj.bottom, z_obj.top)
-    eye_t = intmat.identity(q_obj.top.ngens)
-    eye_b = intmat.identity(q_obj.bottom.ngens)
-    eye_bb = intmat.identity(b_obj.bottom.ngens)
-    sys.add_equation(
-        [
-            (1, z_obj.boundary.mat, "mt", eye_t),
-            (-1, intmat.identity(z_obj.bottom.ngens), "mb", q_obj.boundary.mat),
-        ],
-        intmat.zeros(z_obj.bottom.ngens, q_obj.top.ngens),
-        z_obj.bottom,
-        q_obj.top.ngens,
-    )
-    # psi top: w.top - mt.qmor.top = ps . dB
-    sys.add_equation(
-        [
-            (1, intmat.identity(z_obj.top.ngens), "mt", qmor.top.mat),
-            (1, intmat.identity(z_obj.top.ngens), "ps", b_obj.boundary.mat),
-        ],
-        w.top.mat,
-        z_obj.top,
-        b_obj.top.ngens,
-    )
-    # psi bottom: w.bottom - mb.qmor.bottom = dZ . ps
-    sys.add_equation(
-        [
-            (1, intmat.identity(z_obj.bottom.ngens), "mb", qmor.bottom.mat),
-            (1, z_obj.boundary.mat, "ps", eye_bb),
-        ],
-        w.bottom.mat,
-        z_obj.bottom,
-        b_obj.bottom.ngens,
-    )
-    # pasting: mt.zeta + ps.u.bottom = theta
-    sys.add_equation(
-        [
-            (1, intmat.identity(z_obj.top.ngens), "mt", zeta.mat.mat),
-            (1, intmat.identity(z_obj.top.ngens), "ps", u.bottom.mat),
-        ],
-        theta.mat.mat,
-        z_obj.top,
-        u.src.bottom.ngens,
-    )
-    sol = sys.solve()
-    if sol is None:
+    for strict in (True, False):
+        sys = LinearSystem(u.top.ring)
+        m = add_square(sys, "m", qmor.dst, w.dst)
+        ps = None if strict else add_cell(sys, "ps", qmor.src, w.dst)
+        add_homotopy(sys, ps, w, [(1, None, m, qmor)])
+        # pasting: mt.zeta + ps.u.bottom = theta
+        pasting = [(1, None, m.top, zeta.mat)]
+        if ps is not None:
+            pasting.append((1, None, ps.name, u.bottom))
+        sys.add_equation(pasting, theta.mat)
+        sol = sys.solve()
+        if sol is not None:
+            break
+    else:
         raise AssertionError("cokernel-data factorization does not exist")
-    m = two_morphism(q_obj, z_obj, sol["mt"], sol["mb"])
-    psi = TwoCell(w, compose2(m, qmor), sol["ps"])
-    return m, psi
+    mor = solved_square(sol, m)
+    ps_mat = zero_mor(w.src.bottom, w.dst.top) if ps is None else sol[ps.name]
+    return mor, TwoCell(w, compose2(mor, qmor), ps_mat)
 
 
-def _strict_kernel_factor(kmor, kappa, t, beta):
-    """m with kmor.m = t and kappa*m = beta exactly, or None."""
-    x, k_obj = t.src, kmor.src
-    sys = LinearSystem(kmor.top.ring)
-    sys.add_unknown("mt", x.top, k_obj.top)
-    sys.add_unknown("mb", x.bottom, k_obj.bottom)
-    eye_t = intmat.identity(x.top.ngens)
-    eye_b = intmat.identity(x.bottom.ngens)
-    sys.add_equation(
-        [
-            (1, k_obj.boundary.mat, "mt", eye_t),
-            (-1, intmat.identity(k_obj.bottom.ngens), "mb", x.boundary.mat),
-        ],
-        intmat.zeros(k_obj.bottom.ngens, x.top.ngens),
-        k_obj.bottom,
-        x.top.ngens,
-    )
-    sys.add_equation([(1, kmor.top.mat, "mt", eye_t)], t.top.mat, kmor.dst.top, x.top.ngens)
-    sys.add_equation([(1, kmor.bottom.mat, "mb", eye_b)], t.bottom.mat, kmor.dst.bottom, x.bottom.ngens)
-    sys.add_equation([(1, kappa.mat.mat, "mb", eye_b)], beta.mat.mat, kappa.mat.dst, x.bottom.ngens)
-    sol = sys.solve()
-    if sol is None:
-        return None
-    return two_morphism(x, k_obj, sol["mt"], sol["mb"])
+def solve_cell(u: TwoMorphism, v: TwoMorphism, pins=()) -> TwoCell | None:
+    """Some cell u => v between parallel squares, or None.
 
-
-def _strict_cokernel_factor(qmor, zeta, w, theta):
-    """m with m.qmor = w and m*zeta = theta exactly, or None."""
-    q_obj, z_obj = qmor.dst, w.dst
-    sys = LinearSystem(qmor.top.ring)
-    sys.add_unknown("mt", q_obj.top, z_obj.top)
-    sys.add_unknown("mb", q_obj.bottom, z_obj.bottom)
-    eye_t = intmat.identity(q_obj.top.ngens)
-    sys.add_equation(
-        [
-            (1, z_obj.boundary.mat, "mt", eye_t),
-            (-1, intmat.identity(z_obj.bottom.ngens), "mb", q_obj.boundary.mat),
-        ],
-        intmat.zeros(z_obj.bottom.ngens, q_obj.top.ngens),
-        z_obj.bottom,
-        q_obj.top.ngens,
-    )
-    sys.add_equation(
-        [(1, intmat.identity(z_obj.top.ngens), "mt", qmor.top.mat)],
-        w.top.mat,
-        z_obj.top,
-        qmor.src.top.ngens,
-    )
-    sys.add_equation(
-        [(1, intmat.identity(z_obj.bottom.ngens), "mb", qmor.bottom.mat)],
-        w.bottom.mat,
-        z_obj.bottom,
-        qmor.src.bottom.ngens,
-    )
-    sys.add_equation(
-        [(1, intmat.identity(z_obj.top.ngens), "mt", zeta.mat.mat)],
-        theta.mat.mat,
-        z_obj.top,
-        zeta.mat.src.ngens,
-    )
-    sol = sys.solve()
-    if sol is None:
-        return None
-    return two_morphism(q_obj, z_obj, sol["mt"], sol["mb"])
-
-
-def solve_cell(u: TwoMorphism, v: TwoMorphism) -> TwoCell | None:
-    """Some cell u => v between parallel squares, or None."""
+    Each pin (coef, left, right, rhs) adds the equation
+    coef * left . alpha . right = rhs on the cell matrix alpha, with left and
+    right base morphisms or None for an identity.
+    """
     sys = LinearSystem(u.top.ring)
-    sys.add_unknown("al", u.src.bottom, u.dst.top)
-    eye_t = intmat.identity(u.src.top.ngens)
-    eye_b = intmat.identity(u.src.bottom.ngens)
-    sys.add_equation(
-        [(1, intmat.identity(u.dst.top.ngens), "al", u.src.boundary.mat)],
-        (u.top - v.top).mat,
-        u.dst.top,
-        u.src.top.ngens,
-    )
-    sys.add_equation(
-        [(1, u.dst.boundary.mat, "al", eye_b)],
-        (u.bottom - v.bottom).mat,
-        u.dst.bottom,
-        u.src.bottom.ngens,
-    )
+    al = add_cell(sys, "al", u.src, u.dst)
+    add_homotopy(sys, al, u, v)
+    for coef, left, right, rhs in pins:
+        sys.add_equation([(coef, left, al.name, right)], rhs)
     sol = sys.solve()
-    return None if sol is None else TwoCell(u, v, sol["al"])
+    return None if sol is None else TwoCell(u, v, sol[al.name])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basemor import BaseMorphism, compose, zero_mor
+from .basemor import compose, zero_mor
 from .core2 import (
     TwoCell,
     TwoMorphism,
@@ -70,7 +70,7 @@ def puppe(u: TwoMorphism) -> PuppeSequence:
     m5 = u
     m6 = cd.qmor
     # m7: Coker u -> Sigma A collapses the A0 part
-    w7 = compose(sg_a.loop.mat, _proj_part(cd, 0))
+    w7 = compose(sg_a.loop.mat, cd.p0)
     d7 = factor_through_epi(cd.qfull, w7)
     m7 = two_morphism(cd.obj, sg_a.obj, d7, zero_mor(cd.obj.bottom, sg_a.obj.bottom))
     m8 = sigma_mor(u, sg_a, sg_b)
@@ -96,12 +96,6 @@ def puppe(u: TwoMorphism) -> PuppeSequence:
         cells=(c1, c2, c3, c4, c5, c6, c7, c8),
         mu=mu,
     )
-
-
-def _proj_part(cd, which: int) -> BaseMorphism:
-    from .limits2 import _proj
-
-    return _proj(cd, which)
 
 
 def _assert_identities(u, kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m9, c2, d0, d7):

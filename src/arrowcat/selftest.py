@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import intmat
 from .baselin import (
     LinearSystem,
     cokernel_base,
@@ -24,6 +23,8 @@ from .basemor import base_morphism, compose, identity_mor, zero_mor
 from .baseobj import z_object, zero_object
 from .classify2 import classify2, equivalence_data2, sequence_of
 from .core2 import (
+    add_cell,
+    add_homotopy,
     cell_to_zero,
     cells_equal,
     compose2,
@@ -160,9 +161,7 @@ def suite_base_universal(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
                 t2 = compose(r2, q)
                 sys = LinearSystem(ring)
                 sys.add_unknown("s", q_obj, w)
-                sys.add_equation(
-                    [(1, intmat.identity(w.ngens), "s", q.mat)], t2.mat, w, y.ngens
-                )
+                sys.add_equation([(1, None, "s", q)], t2)
                 sol2 = sys.solve()
                 ok = ok and sol2 is not None and sol2["s"] == r2
             fails += not ok
@@ -210,9 +209,8 @@ def suite_base_pullback(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
             ta, tb = compose(pa, r), compose(pb, r)
             sys = LinearSystem(ring)
             sys.add_unknown("s", w, p_obj)
-            eye = intmat.identity(w.ngens)
-            sys.add_equation([(1, pa.mat, "s", eye)], ta.mat, a, w.ngens)
-            sys.add_equation([(1, pb.mat, "s", eye)], tb.mat, b, w.ngens)
+            sys.add_equation([(1, pa, "s", None)], ta)
+            sys.add_equation([(1, pb, "s", None)], tb)
             sol = sys.solve()
             ok = ok and sol is not None and sol["s"] == r
         fails += not ok
@@ -307,24 +305,14 @@ def suite_universal2(ring: BaseRing):
 
 
 def _random_loop(rng, a, b):
+    """A random loop cell 0 => 0: a -> b."""
     sys = LinearSystem(a.ring)
-    sys.add_unknown("l", a.bottom, b.top)
-    sys.add_equation(
-        [(1, intmat.identity(b.top.ngens), "l", a.boundary.mat)],
-        intmat.zeros(b.top.ngens, a.top.ngens),
-        b.top,
-        a.top.ngens,
-    )
-    sys.add_equation(
-        [(1, b.boundary.mat, "l", intmat.identity(a.bottom.ngens))],
-        intmat.zeros(b.bottom.ngens, a.bottom.ngens),
-        b.bottom,
-        a.bottom.ngens,
-    )
+    lp = add_cell(sys, "l", a, b)
+    add_homotopy(sys, lp, [], [])
     from .generators import _sample_system
     from .core2 import loop_cell
 
-    return loop_cell(a, b, _sample_system(rng, sys)["l"])
+    return loop_cell(a, b, _sample_system(rng, sys)[lp.name])
 
 
 def factor_root_rival(rt, t):
@@ -369,32 +357,6 @@ def _zero_psi(u):
     return cell_to_zero(comp, zero_mor(u.src.bottom, z.top))
 
 
-def suite_two_puppe_field(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    """Over F_p the comparisons are equivalences and ff+cofaithful arrows
-    are equivalences with witness data."""
-    rng = random.Random(seed)
-    fails = 0
-    total = 0
-    per_ring = max(1, cases // len(FIELD_RINGS))
-    for ring in FIELD_RINGS:
-        for _ in range(per_ring):
-            total += 1
-            a = random_two_object(rng, ring, bounds)
-            b = random_two_object(rng, ring, bounds)
-            u = random_square(rng, a, b)
-            fz = factor2(u)
-            ok = fz.wbar_flags.equivalence and fz.w_flags.equivalence
-            ok = ok and fz.e_flags.fully_cofaithful and fz.mhat_flags.fully_faithful
-            ok = ok and fz.l_flags.faithful and fz.l_flags.cofaithful
-            fl = classify2(u)
-            if fl.fully_faithful and fl.cofaithful:
-                ok = ok and fl.equivalence and equivalence_data2(u) is not None
-            if fl.faithful and fl.fully_cofaithful:
-                ok = ok and fl.equivalence
-            fails += not ok
-    return SuiteResult("two-puppe-field", total, fails)
-
-
 def z_counterexample():
     """The nonsplit square (top Z->0, bottom q: Z->Z/2, left *2, right 0->Z/2)."""
     z1 = z_object(1)
@@ -426,31 +388,6 @@ def suite_counterexample(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
         ok = ok and exact_at(ps.maps[k], ps.cells[k], ps.maps[k + 1])
     notes = [f"mu_u exact over Z: {loop_exact(ps.mu)}"]
     return SuiteResult("z-counterexample", 1, 0 if ok else 1, notes)
-
-
-def suite_puppe(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    total = 0
-    per_ring = max(1, cases // len(ALL_RINGS))
-    for ring in ALL_RINGS:
-        for _ in range(per_ring):
-            total += 1
-            a = random_two_object(rng, ring, bounds)
-            b = random_two_object(rng, ring, bounds)
-            u = random_square(rng, a, b)
-            ok = True
-            try:
-                ps = puppe(u)
-            except AssertionError:
-                fails += 1
-                continue
-            for k in range(8):
-                ok = ok and exact_at(ps.maps[k], ps.cells[k], ps.maps[k + 1])
-            if ring.is_field:
-                ok = ok and loop_exact(ps.mu)
-            fails += not ok
-    return SuiteResult("puppe", total, fails)
 
 
 def suite_snake(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
@@ -625,56 +562,6 @@ def suite_matrix_calculus(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
     return SuiteResult("matrix-calculus", cases, fails)
 
 
-def suite_classification_enumeration(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    """classify2 flags against brute-force checks on finite instances."""
-    rng = random.Random(seed)
-    fails = 0
-    total = 0
-    per_ring = max(1, cases // len(ALL_RINGS))
-    for ring in ALL_RINGS:
-        for _ in range(per_ring):
-            total += 1
-            if ring.is_field:
-                max_order = 16 if ring.p == 2 else (27 if ring.p == 3 else 25)
-                t1 = random_finite_object(rng, ring, max_order)
-                t0 = random_finite_object(rng, ring, max_order)
-                b1 = random_finite_object(rng, ring, max_order)
-                b0 = random_finite_object(rng, ring, max_order)
-            else:
-                t1 = random_finite_object(rng, ring, 8)
-                t0 = random_finite_object(rng, ring, 8)
-                b1 = random_finite_object(rng, ring, 8)
-                b0 = random_finite_object(rng, ring, 8)
-            a = two_object(random_base_morphism(rng, t1, t0, bounds))
-            b = two_object(random_base_morphism(rng, b1, b0, bounds))
-            u = random_square(rng, a, b)
-            fl = classify2(u)
-            # faithful: (boundary, top) jointly injective on elements
-            joint = {}
-            inj = True
-            for el in a.top.elements():
-                key = (a.boundary.apply(el), u.top.apply(el))
-                if key in joint:
-                    inj = False
-                    break
-                joint[key] = el
-            ok = fl.faithful == inj
-            # fully faithful: elementwise pullback bijectivity
-            pullback_pairs = {
-                (x, yy)
-                for x in a.bottom.elements()
-                for yy in b.top.elements()
-                if u.bottom.apply(x) == b.boundary.apply(yy)
-            }
-            images = {
-                (a.boundary.apply(el), u.top.apply(el)) for el in a.top.elements()
-            }
-            bij = inj and images == pullback_pairs
-            ok = ok and fl.fully_faithful == bij
-            fails += not ok
-    return SuiteResult("classification-enumeration", total, fails)
-
-
 def suite_regularity_goodness(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
     rng = random.Random(seed)
     fails = 0
@@ -773,24 +660,7 @@ def suite_loop_exactness(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
         ring = ALL_RINGS[i % len(ALL_RINGS)]
         a = random_two_object(rng, ring, bounds)
         b = random_two_object(rng, ring, bounds)
-        sys = LinearSystem(ring)
-        sys.add_unknown("l", a.bottom, b.top)
-        sys.add_equation(
-            [(1, intmat.identity(b.top.ngens), "l", a.boundary.mat)],
-            intmat.zeros(b.top.ngens, a.top.ngens),
-            b.top,
-            a.top.ngens,
-        )
-        sys.add_equation(
-            [(1, b.boundary.mat, "l", intmat.identity(a.bottom.ngens))],
-            intmat.zeros(b.bottom.ngens, a.bottom.ngens),
-            b.bottom,
-            a.bottom.ngens,
-        )
-        from .generators import _sample_system
-        from .core2 import loop_cell
-
-        lp = loop_cell(a, b, _sample_system(rng, sys)["l"])
+        lp = _random_loop(rng, a, b)
         e = loop_exact(lp)
         bar = classify2(loop_bar(lp)).fully_faithful
         til = classify2(loop_tilde(lp)).fully_cofaithful

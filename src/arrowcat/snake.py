@@ -5,28 +5,33 @@ is built through the pushout of the left square (two-square lemma) and the
 triangle construction d = q'_a . k'_c.  The generalized snake only expects
 (g, eta) = Coker f in the top row and (f', eta') = Ker g' in the bottom one;
 it reduces to the plain snake on the kernel/cokernel rows as in the proof.
-All connecting 2-cells are produced by pinned linear solves and the three
-mu-identities are asserted exactly.
+All connecting 2-cells are produced by linear solves - limits2.solve_cell
+with pinned whiskers, or a LinearSystem whose unknown squares and cells are
+declared with core2's add_square, add_cell and add_homotopy, plus the
+pasting equations - and the three mu-identities are asserted exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intmat
 from .baselin import LinearSystem
 from .basemor import compose, zero_mor
 from .core2 import (
     TwoCell,
     TwoMorphism,
     TwoObject,
+    add_cell,
+    add_homotopy,
+    add_square,
     cell_to_zero,
     compose2,
     loop_cell,
-    two_morphism,
+    solved_square,
     vcomp2,
     whisker_left,
     whisker_right,
+    zero2,
 )
 from .limits2 import (
     CokernelData,
@@ -184,157 +189,60 @@ def plain_snake(
     iobj = po.obj
     kc = c.ker
     sys = LinearSystem(f.top.ring)
-    sys.add_unknown("s1", kc.obj.top, iobj.top)
-    sys.add_unknown("s0", kc.obj.bottom, iobj.bottom)
-    sys.add_unknown("kp", kc.obj.bottom, b.mor.dst.top)
-    sys.add_unknown("xi", kc.obj.bottom, c.mor.src.top)
-    eye_kt = intmat.identity(kc.obj.top.ngens)
-    eye_kb = intmat.identity(kc.obj.bottom.ngens)
-    sys.add_equation(
-        [
-            (1, iobj.boundary.mat, "s1", eye_kt),
-            (-1, intmat.identity(iobj.bottom.ngens), "s0", kc.obj.boundary.mat),
-        ],
-        intmat.zeros(iobj.bottom.ngens, kc.obj.top.ngens),
-        iobj.bottom,
-        kc.obj.top.ngens,
-    )
+    s = add_square(sys, "s", kc.obj, iobj)
+    kp = add_cell(sys, "kp", kc.obj, b.mor.dst)
+    xi = add_cell(sys, "xi", kc.obj, c.mor.src)
     # xi: kc_mor => j . s
-    sys.add_equation(
-        [
-            (1, j.top.mat, "s1", eye_kt),
-            (1, intmat.identity(c.mor.src.top.ngens), "xi", kc.obj.boundary.mat),
-        ],
-        kc.kmor.top.mat,
-        c.mor.src.top,
-        kc.obj.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, j.bottom.mat, "s0", eye_kb),
-            (1, c.mor.src.boundary.mat, "xi", eye_kb),
-        ],
-        kc.kmor.bottom.mat,
-        c.mor.src.bottom,
-        kc.obj.bottom.ngens,
-    )
+    add_homotopy(sys, xi, kc.kmor, [(1, j, s, None)])
     # kp: c' . s => 0
-    sys.add_equation(
-        [
-            (1, cprime.top.mat, "s1", eye_kt),
-            (-1, intmat.identity(b.mor.dst.top.ngens), "kp", kc.obj.boundary.mat),
-        ],
-        intmat.zeros(b.mor.dst.top.ngens, kc.obj.top.ngens),
-        b.mor.dst.top,
-        kc.obj.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, cprime.bottom.mat, "s0", eye_kb),
-            (-1, b.mor.dst.boundary.mat, "kp", eye_kb),
-        ],
-        intmat.zeros(b.mor.dst.bottom.ngens, kc.obj.bottom.ngens),
-        b.mor.dst.bottom,
-        kc.obj.bottom.ngens,
-    )
+    add_homotopy(sys, kp, [(1, cprime, s, None)], [])
     # pasting: c.xi - psi2.s0 + g2.kp = kappa_c
     sys.add_equation(
         [
-            (1, c.mor.top.mat, "xi", eye_kb),
-            (-1, psi2.mat.mat, "s0", eye_kb),
-            (1, g2.top.mat, "kp", eye_kb),
+            (1, c.mor.top, xi.name, None),
+            (-1, psi2.mat, s.bottom, None),
+            (1, g2.top, kp.name, None),
         ],
-        kc.kappa.mat.mat,
-        c.mor.dst.top,
-        kc.obj.bottom.ngens,
+        kc.kappa.mat,
     )
     sol = sys.solve()
     if sol is None:
         raise AssertionError("k'_c system is not solvable")
-    kprime_c = two_morphism(kc.obj, iobj, sol["s1"], sol["s0"])
-    kappa_pc = sol["kp"]
+    kprime_c = solved_square(sol, s)
+    kappa_pc = sol[kp.name]
 
     # q'_a: I -> Qa with cells zeta'_a and pi
     qa = a.coker
     sys = LinearSystem(f.top.ring)
-    sys.add_unknown("t1", iobj.top, qa.obj.top)
-    sys.add_unknown("t0", iobj.bottom, qa.obj.bottom)
-    sys.add_unknown("zp", b.mor.src.bottom, qa.obj.top)
-    sys.add_unknown("pi", a.mor.dst.bottom, qa.obj.top)
-    eye_it = intmat.identity(iobj.top.ngens)
-    eye_ib = intmat.identity(iobj.bottom.ngens)
-    sys.add_equation(
-        [
-            (1, qa.obj.boundary.mat, "t1", eye_it),
-            (-1, intmat.identity(qa.obj.bottom.ngens), "t0", iobj.boundary.mat),
-        ],
-        intmat.zeros(qa.obj.bottom.ngens, iobj.top.ngens),
-        qa.obj.bottom,
-        iobj.top.ngens,
-    )
+    t = add_square(sys, "t", iobj, qa.obj)
+    zp = add_cell(sys, "zp", b.mor.src, qa.obj)
+    pi = add_cell(sys, "pi", a.mor.dst, qa.obj)
     # zp: q'_a . i1 => 0
-    sys.add_equation(
-        [
-            (1, intmat.identity(qa.obj.top.ngens), "t1", i1.top.mat),
-            (-1, intmat.identity(qa.obj.top.ngens), "zp", b.mor.src.boundary.mat),
-        ],
-        intmat.zeros(qa.obj.top.ngens, b.mor.src.top.ngens),
-        qa.obj.top,
-        b.mor.src.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(qa.obj.bottom.ngens), "t0", i1.bottom.mat),
-            (-1, qa.obj.boundary.mat, "zp", intmat.identity(b.mor.src.bottom.ngens)),
-        ],
-        intmat.zeros(qa.obj.bottom.ngens, b.mor.src.bottom.ngens),
-        qa.obj.bottom,
-        b.mor.src.bottom.ngens,
-    )
+    add_homotopy(sys, zp, [(1, None, t, i1)], [])
     # pi: qa_mor => q'_a . i2
-    sys.add_equation(
-        [
-            (1, intmat.identity(qa.obj.top.ngens), "t1", i2.top.mat),
-            (1, intmat.identity(qa.obj.top.ngens), "pi", a.mor.dst.boundary.mat),
-        ],
-        qa.qmor.top.mat,
-        qa.obj.top,
-        a.mor.dst.top.ngens,
-    )
-    sys.add_equation(
-        [
-            (1, intmat.identity(qa.obj.bottom.ngens), "t0", i2.bottom.mat),
-            (1, qa.obj.boundary.mat, "pi", intmat.identity(a.mor.dst.bottom.ngens)),
-        ],
-        qa.qmor.bottom.mat,
-        qa.obj.bottom,
-        a.mor.dst.bottom.ngens,
-    )
+    add_homotopy(sys, pi, qa.qmor, [(1, None, t, i2)])
     # pasting: zp.f0 = t1.phi1 - pi.a0 + zeta_a
     sys.add_equation(
         [
-            (1, intmat.identity(qa.obj.top.ngens), "zp", f.bottom.mat),
-            (-1, intmat.identity(qa.obj.top.ngens), "t1", phi1.mat.mat),
-            (1, intmat.identity(qa.obj.top.ngens), "pi", a.mor.bottom.mat),
+            (1, None, zp.name, f.bottom),
+            (-1, None, t.top, phi1.mat),
+            (1, None, pi.name, a.mor.bottom),
         ],
-        qa.zeta.mat.mat,
-        qa.obj.top,
-        a.mor.src.bottom.ngens,
+        qa.zeta.mat,
     )
     sol = sys.solve()
     if sol is None:
         raise AssertionError("q'_a system is not solvable")
-    qprime_a = two_morphism(iobj, qa.obj, sol["t1"], sol["t0"])
-    zeta_pa = sol["zp"]
+    qprime_a = solved_square(sol, t)
+    zeta_pa = sol[zp.name]
 
     d = compose2(qprime_a, kprime_c)
 
     # mu2: k'_c . gbar => i1 . kb_mor pinned by kappa_b = kappa'_c*gbar . c'*mu2
-    mu2 = _solve_pinned_cell(
+    mu2 = _pinned_cell(
         compose2(kprime_c, gbar),
         compose2(i1, b.ker.kmor),
-        pin_left=cprime.top,
-        pin_rhs=compose(kappa_pc, gbar.bottom) - b.ker.kappa.mat,
+        (1, cprime.top, None, compose(kappa_pc, gbar.bottom) - b.ker.kappa.mat),
     )
 
     delta = cell_to_zero(
@@ -343,11 +251,10 @@ def plain_snake(
     )
 
     # nu1: fbar2 . q'_a => qb . c' pinned by fbar2*zeta'_a + nu1*i1 = zeta_b
-    nu1 = _solve_pinned_cell(
+    nu1 = _pinned_cell(
         compose2(fbar2, qprime_a),
         compose2(b.coker.qmor, cprime),
-        pin_right=i1.bottom,
-        pin_rhs=compose(fbar2.top, zeta_pa) - b.coker.zeta.mat,
+        (1, None, i1.bottom, compose(fbar2.top, zeta_pa) - b.coker.zeta.mat),
     )
 
     delta_prime = cell_to_zero(
@@ -357,18 +264,16 @@ def plain_snake(
 
     # the triangle lemma's own kernel/cokernel cells, pinned as in its proof
     kappa_1 = compose(i2.top, a.ker.kappa.mat) + compose(phi1.mat, a.ker.kmor.bottom)
-    etabar = _solve_pinned_cell(
+    etabar = _pinned_cell(
         compose2(gbar, fbar),
-        _zero_of(compose2(gbar, fbar)),
-        pin_left=kprime_c.top,
-        pin_rhs=kappa_1 + compose(mu2.mat, fbar.bottom),
+        zero2(fbar.src, gbar.dst),
+        (1, kprime_c.top, None, kappa_1 + compose(mu2.mat, fbar.bottom)),
     )
     zeta_3 = compose(c.coker.qmor.top, psi2.mat) + compose(c.coker.zeta.mat, j.bottom)
-    etabar2 = _solve_pinned_cell(
+    etabar2 = _pinned_cell(
         compose2(gbar2, fbar2),
-        _zero_of(compose2(gbar2, fbar2)),
-        pin_right=qprime_a.bottom,
-        pin_rhs=zeta_3 + compose(gbar2.top, nu1.mat),
+        zero2(fbar2.src, gbar2.dst),
+        (1, None, qprime_a.bottom, zeta_3 + compose(gbar2.top, nu1.mat)),
     )
 
     mu_a, mu_b, mu_c = mu_loop(a), mu_loop(b), mu_loop(c)
@@ -381,41 +286,12 @@ def plain_snake(
     )
 
 
-def _solve_pinned_cell(u: TwoMorphism, v: TwoMorphism, pin_left=None, pin_right=None, pin_rhs=None) -> TwoCell:
-    """A cell u => v whose left or right whisker is pinned to pin_rhs."""
-    sys = LinearSystem(u.top.ring)
-    sys.add_unknown("al", u.src.bottom, u.dst.top)
-    eye_b = intmat.identity(u.src.bottom.ngens)
-    sys.add_equation(
-        [(1, intmat.identity(u.dst.top.ngens), "al", u.src.boundary.mat)],
-        (u.top - v.top).mat,
-        u.dst.top,
-        u.src.top.ngens,
-    )
-    sys.add_equation(
-        [(1, u.dst.boundary.mat, "al", eye_b)],
-        (u.bottom - v.bottom).mat,
-        u.dst.bottom,
-        u.src.bottom.ngens,
-    )
-    if pin_left is not None:
-        sys.add_equation(
-            [(1, pin_left.mat, "al", eye_b)],
-            pin_rhs.mat,
-            pin_rhs.dst,
-            u.src.bottom.ngens,
-        )
-    if pin_right is not None:
-        sys.add_equation(
-            [(1, intmat.identity(u.dst.top.ngens), "al", pin_right.mat)],
-            pin_rhs.mat,
-            pin_rhs.dst,
-            pin_right.src.ngens,
-        )
-    sol = sys.solve()
-    if sol is None:
+def _pinned_cell(u: TwoMorphism, v: TwoMorphism, pin) -> TwoCell:
+    """A cell u => v whose left or right whisker is pinned (see solve_cell)."""
+    cell = solve_cell(u, v, (pin,))
+    if cell is None:
         raise AssertionError("pinned connecting cell does not exist")
-    return TwoCell(u, v, sol["al"])
+    return cell
 
 
 def _assert_mu_identities(fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2, mu_a, mu_b, mu_c):
@@ -467,31 +343,29 @@ def generalized_snake(
 
     # present Ker(chat) on Kc: solve nu: c => n'.chat with nu*g pinned,
     # then kappa_chat with n'*kappa_chat . nu*kc = kappa_c
-    nu = _solve_pinned_cell(
+    nu = _pinned_cell(
         c.mor,
         compose2(nprime, chat),
-        pin_right=g.bottom,
-        pin_rhs=compose(nprime.top, theta_c.mat) + psi.mat,
+        (1, None, g.bottom, compose(nprime.top, theta_c.mat) + psi.mat),
     )
-    kappa_chat = _solve_to_zero_pinned(
+    kappa_chat = _pinned_cell(
         compose2(chat, c.ker.kmor),
-        pin_left=nprime.top,
-        pin_rhs=c.ker.kappa.mat - compose(nu.mat, c.ker.kmor.bottom),
+        zero2(c.ker.obj, chat.dst),
+        (1, nprime.top, None, c.ker.kappa.mat - compose(nu.mat, c.ker.kmor.bottom)),
     )
     kc_side = KernelSide(c.ker.obj, c.ker.kmor, kappa_chat, None)
 
     # present Coker(ahat) on Qa: mu_m: a => ahat.m with f2-whisker pinned,
     # then zeta_ahat with zeta_ahat*m + qa*mu_m = zeta_a
-    mu_m = _solve_pinned_cell(
+    mu_m = _pinned_cell(
         a.mor,
         compose2(ahat, m),
-        pin_left=f2.top,
-        pin_rhs=compose(theta_a.mat, m.bottom) - phi.mat,
+        (1, f2.top, None, compose(theta_a.mat, m.bottom) - phi.mat),
     )
-    zeta_ahat = _solve_to_zero_pinned(
+    zeta_ahat = _pinned_cell(
         compose2(a.coker.qmor, ahat),
-        pin_right=m.bottom,
-        pin_rhs=a.coker.zeta.mat - compose(a.coker.qmor.top, mu_m.mat),
+        zero2(ahat.src, a.coker.obj),
+        (1, None, m.bottom, a.coker.zeta.mat - compose(a.coker.qmor.top, mu_m.mat)),
     )
     qa_side = CokernelSide(a.coker.obj, a.coker.qmor, zeta_ahat, None)
 
@@ -526,68 +400,29 @@ def generalized_snake(
     # re-solve the connecting cells against the outer data, pinned by the
     # three mu-identities
     sys = LinearSystem(ring)
-    kb_bottom = b.ker.obj.bottom
-    sys.add_unknown("de", kb_bottom, a.coker.obj.top)
-    sys.add_unknown("dp", c.ker.obj.bottom, b.coker.obj.top)
+    de = add_cell(sys, "de", b.ker.obj, a.coker.obj)
+    dp = add_cell(sys, "dp", c.ker.obj, b.coker.obj)
     dg = compose2(d, gbar)
     fd = compose2(fbar2, d)
-    eye_kb = intmat.identity(kb_bottom.ngens)
-    eye_kc = intmat.identity(c.ker.obj.bottom.ngens)
     # delta: d.gbar => 0
-    sys.add_equation(
-        [(1, intmat.identity(a.coker.obj.top.ngens), "de", b.ker.obj.boundary.mat)],
-        dg.top.mat,
-        a.coker.obj.top,
-        b.ker.obj.top.ngens,
-    )
-    sys.add_equation(
-        [(1, a.coker.obj.boundary.mat, "de", eye_kb)],
-        dg.bottom.mat,
-        a.coker.obj.bottom,
-        kb_bottom.ngens,
-    )
+    add_homotopy(sys, de, dg, [])
     # delta': fbar2.d => 0
-    sys.add_equation(
-        [(1, intmat.identity(b.coker.obj.top.ngens), "dp", c.ker.obj.boundary.mat)],
-        fd.top.mat,
-        b.coker.obj.top,
-        c.ker.obj.top.ngens,
-    )
-    sys.add_equation(
-        [(1, b.coker.obj.boundary.mat, "dp", eye_kc)],
-        fd.bottom.mat,
-        b.coker.obj.bottom,
-        c.ker.obj.bottom.ngens,
-    )
+    add_homotopy(sys, dp, fd, [])
     # identity 1: delta.fbar0 = mu_a + d1.etabar
-    sys.add_equation(
-        [(1, intmat.identity(a.coker.obj.top.ngens), "de", fbar.bottom.mat)],
-        (mu_a.mat + compose(d.top, etabar.mat)).mat,
-        a.coker.obj.top,
-        a.ker.obj.bottom.ngens,
-    )
+    sys.add_equation([(1, None, de.name, fbar.bottom)], mu_a.mat + compose(d.top, etabar.mat))
     # identity 2: delta'.gbar0 - fbar2_1.delta = -mu_b
     sys.add_equation(
-        [
-            (1, intmat.identity(b.coker.obj.top.ngens), "dp", gbar.bottom.mat),
-            (-1, fbar2.top.mat, "de", eye_kb),
-        ],
-        (-mu_b.mat).mat,
-        b.coker.obj.top,
-        kb_bottom.ngens,
+        [(1, None, dp.name, gbar.bottom), (-1, fbar2.top, de.name, None)], -mu_b.mat
     )
     # identity 3: gbar2_1.delta' = etabar2.d0 - mu_c
     sys.add_equation(
-        [(1, gbar2.top.mat, "dp", eye_kc)],
-        (compose(etabar2.mat, d.bottom) - mu_c.mat).mat,
-        c.coker.obj.top,
-        c.ker.obj.bottom.ngens,
+        [(1, gbar2.top, dp.name, None)], compose(etabar2.mat, d.bottom) - mu_c.mat
     )
     sol = sys.solve()
     if sol is None:
         raise AssertionError("generalized snake connecting cells do not exist")
-    delta = TwoCell(dg, _zero_of(dg), sol["de"])
-    delta_prime = TwoCell(fd, _zero_of(fd), sol["dp"])
+    delta = TwoCell(dg, zero2(dg.src, dg.dst), sol[de.name])
+    delta_prime = TwoCell(fd, zero2(fd.src, fd.dst), sol[dp.name])
     _assert_mu_identities(
         fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2, mu_a, mu_b, mu_c
     )
@@ -595,14 +430,3 @@ def generalized_snake(
         fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2,
         mu_a, mu_b, mu_c, a, b, c,
     )
-
-
-def _zero_of(u: TwoMorphism) -> TwoMorphism:
-    from .core2 import zero2
-
-    return zero2(u.src, u.dst)
-
-
-def _solve_to_zero_pinned(u: TwoMorphism, pin_left=None, pin_right=None, pin_rhs=None) -> TwoCell:
-    """A cell u => 0 with a pinned whisker."""
-    return _solve_pinned_cell(u, _zero_of(u), pin_left=pin_left, pin_right=pin_right, pin_rhs=pin_rhs)

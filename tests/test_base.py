@@ -4,6 +4,7 @@ import pytest
 
 from arrowcat import GF, ZZ, base_morphism, compose, field_object, identity_mor, z_object, zero_mor, zero_object
 from arrowcat.baselin import (
+    LinearSystem,
     biproduct_base,
     classify_base,
     cokernel_base,
@@ -12,6 +13,16 @@ from arrowcat.baselin import (
     pushout_base,
     solve_base,
     split_data_base,
+)
+from arrowcat.core2 import (
+    TwoCell,
+    add_cell,
+    add_homotopy,
+    add_square,
+    deform,
+    solved_square,
+    two_morphism,
+    two_object,
 )
 from arrowcat.generators import Bounds, random_base_morphism, random_base_object, random_finite_object
 
@@ -181,6 +192,67 @@ class TestSolve:
     def test_direct(self):
         sol = solve_base(doubling(), base_morphism(Z1, Z1, [[4]]))
         assert sol == base_morphism(Z1, Z1, [[2]])
+
+
+class TestLinearSystem:
+    def test_term_endpoints_must_match_unknown(self):
+        sys = LinearSystem(ZZ)
+        sys.add_unknown("x", Z1, Z2T)
+        with pytest.raises(ValueError):
+            sys.add_equation([(1, doubling(), "x", None)])  # doubling starts at Z, not Z/2
+        with pytest.raises(ValueError):
+            sys.add_equation([(1, None, "x", quotient_mod2())])  # ends at Z/2, not Z
+
+    def test_terms_must_agree(self):
+        sys = LinearSystem(ZZ)
+        sys.add_unknown("x", Z1, Z1)
+        sys.add_unknown("y", Z1, Z2T)
+        with pytest.raises(ValueError):
+            sys.add_equation([(1, None, "x", None), (1, None, "y", None)])
+        with pytest.raises(ValueError):
+            sys.add_equation([(1, None, "x", None)], quotient_mod2())
+
+    def test_none_side_is_identity(self):
+        w = z_object(1, (4,))
+        f = base_morphism(Z1, w, [[3], [2]])
+        g = base_morphism(w, Z2T, [[1, 0]])
+        one = identity_mor(w)
+
+        def layout(left, right, rhs):
+            sys = LinearSystem(ZZ)
+            sys.add_unknown("x", w, w)
+            sys.add_equation([(1, left, "x", right)], rhs)
+            return sys._layout()
+
+        assert layout(None, f, f) == layout(one, f, f)
+        assert layout(g, None, g) == layout(g, one, g)
+
+    def test_square_and_cell_recovered_over_z(self):
+        z4 = z_object(0, (4,))
+        x = two_object(doubling())
+        y = two_object(base_morphism(Z1, z4, [[1]]))
+        u = two_morphism(x, y, base_morphism(Z1, Z1, [[2]]), base_morphism(Z1, z4, [[1]]))
+        alpha = base_morphism(Z1, Z1, [[5]])
+        v = deform(u, alpha).cto
+        assert TwoCell(u, v, alpha).mat == alpha
+        # unknowns on the source side: h: m => v with h pinned to alpha gives m = u
+        sys = LinearSystem(ZZ)
+        m = add_square(sys, "m", x, y)
+        h = add_cell(sys, "h", x, y)
+        add_homotopy(sys, h, [(1, None, m, None)], v)
+        sys.add_equation([(1, None, h.name, None)], alpha)
+        sol = sys.solve()
+        assert solved_square(sol, m) == u
+        assert sol[h.name] == alpha
+        # unknowns on the target side: h: u => m with h pinned to alpha gives m = v
+        sys = LinearSystem(ZZ)
+        m = add_square(sys, "m", x, y)
+        h = add_cell(sys, "h", x, y)
+        add_homotopy(sys, h, u, [(1, None, m, None)])
+        sys.add_equation([(1, None, h.name, None)], alpha)
+        sol = sys.solve()
+        assert solved_square(sol, m) == v
+        assert sol[h.name] == alpha
 
 
 class TestSplit:

@@ -133,6 +133,12 @@ class TestCli:
         proc = run_cli(["kernel"])  # missing required --morphism
         assert proc.returncode == 2
 
+    def test_generator_options_only_on_selftest(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--seed", "1", "--in", GOLDEN, "--morphism", "u"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_unknown_name_exit_1(self):
         proc = run_cli(["kernel", "--in", GOLDEN, "--morphism", "nope"])
         assert proc.returncode == 1
