@@ -365,6 +365,18 @@ class TestGridLemmas:
             if fa.equivalence and fc.equivalence:
                 assert classify2(inst.cols[1]).equivalence
 
+    def test_short_five_flanks_on_shared_end_objects(self):
+        # this seed draws both rows on the same end objects, so the middle
+        # column is re-solved against the equivalence flanks; the cell psi
+        # must come out as c.g => g2.b
+        inst = random_shortfive_instance(random.Random(1151), GF(3), Bounds(max_dim=1), "equivalence")
+        f, _, g = inst.row1
+        f2, _, g2 = inst.row2
+        assert f2.src == f.src and g2.dst == g.dst
+        rep = check_short_five(ShortFiveInput(*inst.row1, *inst.row2, *inst.cols, *inst.cells))
+        assert rep.ok, rep.failed_condition
+        assert all(classify2(col).equivalence for col in inst.cols)
+
     def test_short_five_refined(self, rng, bounds):
         ring = GF(3)
         for _ in range(6):
