@@ -26,9 +26,9 @@ from .core2 import (
     compose2,
     solved_square,
     zero2,
-    zero_two_object,
 )
 from .limits2 import LoopData, omega_mor, omega_obj, sigma_mor, sigma_obj, solve_cell
+from .sequences import zero_capped
 from .snake import ColumnData, SnakeResult, plain_snake
 
 
@@ -161,12 +161,4 @@ def _composite_signs(objects, maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb
 
 def anaconda_full_sequence(res: AnacondaResult):
     """Zero-capped maps and cells for exactness checking at all twelve points."""
-    ring = res.objects[0].ring
-    z0, z1 = zero_two_object(ring), zero_two_object(ring)
-    first = zero2(z0, res.objects[0])
-    last = zero2(res.objects[-1], z1)
-    maps = (first,) + res.maps + (last,)
-    head = cell_to_zero(compose2(res.maps[0], first), zero_mor(z0.bottom, res.objects[1].top))
-    tail = cell_to_zero(compose2(last, res.maps[-1]), zero_mor(res.objects[-2].bottom, z1.top))
-    cells = (head,) + res.cells + (tail,)
-    return maps, cells
+    return zero_capped(res.maps, res.cells)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .baselin import (
     LinearSystem,
-    biproduct_base,
     cokernel_base,
     exact_at_base,
     kernel_base,
@@ -25,6 +24,7 @@ from .baselin import (
 )
 from .basemor import BaseMorphism, compose, identity_mor, zero_mor
 from .core2 import TwoMorphism, add_homotopy, add_square, identity2
+from .limits2 import sequence_of
 
 
 @dataclass(frozen=True)
@@ -42,26 +42,6 @@ class ArrowClassification:
     discrete_source: bool
     connected_source: bool
     split_source: bool
-
-
-@dataclass(frozen=True)
-class SequenceData:
-    """The three-term sequence of a square, with the biproduct glue."""
-
-    iota: BaseMorphism  # A1 -> A0 (+) B1
-    pmap: BaseMorphism  # A0 (+) B1 -> B0
-    i0: BaseMorphism
-    i1: BaseMorphism
-    p0: BaseMorphism
-    p1: BaseMorphism
-
-
-def sequence_of(u: TwoMorphism) -> SequenceData:
-    a, b = u.src, u.dst
-    ab, (i0, i1), (p0, p1) = biproduct_base([a.bottom, b.top])
-    iota = compose(i0, -a.boundary) + compose(i1, u.top)
-    pmap = compose(u.bottom, p0) + compose(b.boundary, p1)
-    return SequenceData(iota, pmap, i0, i1, p0, p1)
 
 
 def classify2(u: TwoMorphism) -> ArrowClassification:

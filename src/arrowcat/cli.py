@@ -12,7 +12,7 @@ import json
 import sys
 
 from .classify2 import classify2, equivalence_data2
-from .core2 import TwoMorphism, TwoObject
+from .core2 import TwoMorphism
 from .factor2 import factor2
 from .les import les_full_sequence, les_homology
 from .lemmas import ShortFiveInput, ThreeByThree, check_3x3, check_3x3_part2, check_short_five
@@ -20,7 +20,7 @@ from .limits2 import cokernel2, copip2, coroot2, kernel2, pip2, root2
 from .puppe import puppe
 from .rings import ZZ
 from .selftest import SUITES, run_all, z_counterexample
-from .sequences import exact_at, homology_at, relative_exact_at
+from .sequences import exact_at, exactness, homology_at, relative_exact_at
 from .snake import column_data, generalized_snake, plain_snake
 from .anaconda import anaconda, anaconda_full_sequence
 from .workspace import (
@@ -28,27 +28,15 @@ from .workspace import (
     WorkspaceError,
     parse_workspace,
     serialize_workspace,
-    _base_obj_to_json,
     _matrix_to_json,
+    _obj_to_json,
 )
-
-
-class HypothesisError(ValueError):
-    pass
-
-
-def _obj_json(x: TwoObject):
-    return {
-        "top": _base_obj_to_json(x.top),
-        "bottom": _base_obj_to_json(x.bottom),
-        "boundary": _matrix_to_json(x.boundary),
-    }
 
 
 def _mor_json(u: TwoMorphism):
     return {
-        "source": _obj_json(u.src),
-        "target": _obj_json(u.dst),
+        "source": _obj_to_json(u.src),
+        "target": _obj_to_json(u.dst),
         "top": _matrix_to_json(u.top),
         "bottom": _matrix_to_json(u.bottom),
     }
@@ -94,7 +82,7 @@ def cmd_kernel(args):
     ws = _load(args)
     kd = kernel2(ws.morphism(args.morphism))
     return _emit(args, "kernel", True, {
-        "object": _obj_json(kd.obj),
+        "object": _obj_to_json(kd.obj),
         "morphism": _mor_json(kd.kmor),
         "cell": _matrix_to_json(kd.kappa.mat),
     })
@@ -104,7 +92,7 @@ def cmd_cokernel(args):
     ws = _load(args)
     cd = cokernel2(ws.morphism(args.morphism))
     return _emit(args, "cokernel", True, {
-        "object": _obj_json(cd.obj),
+        "object": _obj_to_json(cd.obj),
         "morphism": _mor_json(cd.qmor),
         "cell": _matrix_to_json(cd.zeta.mat),
     })
@@ -114,7 +102,7 @@ def cmd_pip(args):
     ws = _load(args)
     pl = pip2(ws.morphism(args.morphism))
     return _emit(args, "pip", True, {
-        "object": _obj_json(pl.obj),
+        "object": _obj_to_json(pl.obj),
         "loop": _matrix_to_json(pl.loop.mat),
     })
 
@@ -123,7 +111,7 @@ def cmd_copip(args):
     ws = _load(args)
     pl = copip2(ws.morphism(args.morphism))
     return _emit(args, "copip", True, {
-        "object": _obj_json(pl.obj),
+        "object": _obj_to_json(pl.obj),
         "loop": _matrix_to_json(pl.loop.mat),
     })
 
@@ -132,7 +120,7 @@ def cmd_root(args):
     ws = _load(args)
     rt = root2(ws.cell(args.cell))
     return _emit(args, "root", True, {
-        "object": _obj_json(rt.obj),
+        "object": _obj_to_json(rt.obj),
         "morphism": _mor_json(rt.rmor),
     })
 
@@ -141,7 +129,7 @@ def cmd_coroot(args):
     ws = _load(args)
     rt = coroot2(ws.cell(args.cell))
     return _emit(args, "coroot", True, {
-        "object": _obj_json(rt.obj),
+        "object": _obj_to_json(rt.obj),
         "morphism": _mor_json(rt.rmor),
     })
 
@@ -216,7 +204,7 @@ def cmd_homology(args):
     ws = _load(args)
     h = homology_at(*_rel_args(ws, args))
     return _emit(args, "homology", True, {
-        "object": _obj_json(h.obj),
+        "object": _obj_to_json(h.obj),
         "qprime": _mor_json(h.qprime),
         "kprime": _mor_json(h.kprime),
         "comparisonEquivalence": h.comparison_flags.equivalence,
@@ -226,11 +214,9 @@ def cmd_homology(args):
 def cmd_puppe(args):
     ws = _load(args)
     ps = puppe(ws.morphism(args.morphism))
-    exact = [
-        exact_at(ps.maps[k], ps.cells[k], ps.maps[k + 1]) for k in range(8)
-    ]
+    exact = exactness(ps.maps, ps.cells)
     return _emit(args, "puppe", all(exact), {
-        "objects": [_obj_json(o) for o in ps.objects],
+        "objects": [_obj_to_json(o) for o in ps.objects],
         "maps": [_mor_json(m) for m in ps.maps],
         "cells": [_matrix_to_json(c.mat) for c in ps.cells],
         "exactAtInteriorPoints": exact,
@@ -261,7 +247,7 @@ def cmd_snake(args):
     except (ValueError, AssertionError) as e:
         return _emit(args, "snake", False, {"error": str(e)})
     maps, scells = res.sequence()
-    exact = [exact_at(maps[k], scells[k], maps[k + 1]) for k in range(4)]
+    exact = exactness(maps, scells)
     return _emit(args, "snake", all(exact), {
         "maps": [_mor_json(m) for m in maps],
         "cells": [_matrix_to_json(c.mat) for c in scells],
@@ -276,10 +262,9 @@ def cmd_anaconda(args):
         res = anaconda(*rows, *cols, *cells)
     except (ValueError, AssertionError) as e:
         return _emit(args, "anaconda", False, {"error": str(e)})
-    maps, acells = anaconda_full_sequence(res)
-    exact = [exact_at(maps[k], acells[k], maps[k + 1]) for k in range(len(maps) - 1)]
+    exact = exactness(*anaconda_full_sequence(res))
     return _emit(args, "anaconda", all(exact), {
-        "objects": [_obj_json(o) for o in res.objects],
+        "objects": [_obj_to_json(o) for o in res.objects],
         "compositeSigns": list(res.composite_signs),
         "exactness": exact,
     })
@@ -294,12 +279,11 @@ def cmd_les(args):
         res = les_homology(fmap, omegas, gmap)
     except (ValueError, AssertionError) as e:
         return _emit(args, "les", False, {"error": str(e)})
-    maps, cells = les_full_sequence(res)
-    exact = [exact_at(maps[k], cells[k], maps[k + 1]) for k in range(len(maps) - 1)]
+    exact = exactness(*les_full_sequence(res))
     return _emit(args, "les", all(exact), {
         "degrees": list(res.degrees),
         "homologyObjects": {
-            f"{'ABC'[i]}{n}": _obj_json(res.h_objects[(i, n)])
+            f"{'ABC'[i]}{n}": _obj_to_json(res.h_objects[(i, n)])
             for i in range(3)
             for n in res.degrees
         },
@@ -380,7 +364,7 @@ def cmd_demo_nonsplit(args):
     fl = classify2(u)
     data = equivalence_data2(u)
     from .baselin import split_data_base
-    from .classify2 import sequence_of
+    from .limits2 import sequence_of
 
     witness = split_data_base(sequence_of(u).iota)
     return _emit(args, "demo-nonsplit", True, {
@@ -512,9 +496,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (WorkspaceError, HypothesisError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
+    except AssertionError as e:
+        # an internal invariant failed: report it, do not print a traceback
+        return _emit(args, args.command, False, {"error": {"kind": "internal", "message": str(e)}})
 
 
 if __name__ == "__main__":

@@ -24,17 +24,15 @@ from .core2 import (
     cell_to_zero,
     compose2,
     solved_square,
-    two_morphism,
 )
 from .limits2 import (
     KernelData,
-    RootData,
     cokernel2,
     copip2,
     factor_cokernel2,
+    factor_coroot2,
     factor_kernel2,
-    factor_through_epi,
-    factor_through_mono,
+    factor_root2,
     kernel2,
     pi0_obj,
     pi1_obj,
@@ -42,18 +40,6 @@ from .limits2 import (
     root2,
     coroot2,
 )
-
-
-def factor_root2(rt: RootData, t: TwoMorphism) -> TwoMorphism:
-    """Factor t: X -> A through the root R -> A (needs loop * t = 0)."""
-    bottom = factor_through_mono(rt.kalpha, t.bottom)
-    return two_morphism(t.src, rt.obj, t.top, bottom)
-
-
-def factor_coroot2(rt: RootData, t: TwoMorphism) -> TwoMorphism:
-    """Factor t: B -> X through the coroot B -> R (needs t * loop = 0)."""
-    top = factor_through_epi(rt.kalpha, t.top)
-    return two_morphism(rt.obj, t.dst, top, t.bottom)
 
 
 @dataclass(frozen=True)

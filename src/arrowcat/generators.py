@@ -388,7 +388,7 @@ def to_complex_sequence(ci: ComplexInstance):
 
 def to_chain_maps(ce: ComplexExtensionInstance):
     """(fmap, omegas, gmap) of a generated complex extension."""
-    from .les import ChainMap
+    from .sequences import ChainMap
 
     sub = to_complex_sequence(ce.sub)
     tot = to_complex_sequence(ce.total)

@@ -24,7 +24,7 @@ from .limits2 import (
     rel_cokernel2,
     rel_kernel2,
 )
-from .sequences import is_extension
+from .sequences import is_extension, pasting_holds
 
 
 @dataclass(frozen=True)
@@ -46,42 +46,30 @@ class ThreeByThree:
 
 
 def _commutes(d: ThreeByThree) -> str | None:
-    """The four pasting equations of a commuting 3x3 grid; returns the name
-    of the first failure."""
-    f1, f2, f3 = d.f
-    g1, g2, g3 = d.g
-    checks = [
+    """The four pasting laws of a commuting 3x3 grid; returns the name of the
+    first failure.  The column laws are the row law of the transposed grid,
+    whose square cells are phi and psi inverted."""
+    f, g, eta, a, b, c, phi, psi = d.f, d.g, d.eta, d.a, d.b, d.c, d.phi, d.psi
+    laws = [
         (
             "f3*alpha . phi2*a1 . b2*phi1 = beta*f1",
-            compose(f3.top, d.alpha.mat)
-            + compose(d.phi[1].mat, d.a[0].bottom)
-            + compose(d.b[1].top, d.phi[0].mat)
-            == compose(d.beta.mat, f1.bottom),
+            (a[0], d.alpha, a[1]), (b[0], d.beta, b[1]), f, (phi[0].inverse(), phi[1].inverse()),
         ),
         (
             "g3*beta . psi2*b1 . c2*psi1 = gamma*g1",
-            compose(g3.top, d.beta.mat)
-            + compose(d.psi[1].mat, d.b[0].bottom)
-            + compose(d.c[1].top, d.psi[0].mat)
-            == compose(d.gamma.mat, g1.bottom),
+            (b[0], d.beta, b[1]), (c[0], d.gamma, c[1]), g, (psi[0].inverse(), psi[1].inverse()),
         ),
         (
             "eta2*a1 . g2*phi1 . psi1*f1 = c1*eta1",
-            compose(d.eta[1].mat, d.a[0].bottom)
-            + compose(g2.top, d.phi[0].mat)
-            + compose(d.psi[0].mat, f1.bottom)
-            == compose(d.c[0].top, d.eta[0].mat),
+            (f[0], eta[0], g[0]), (f[1], eta[1], g[1]), (a[0], b[0], c[0]), (phi[0], psi[0]),
         ),
         (
             "eta3*a2 . g3*phi2 . psi2*f2 = c2*eta2",
-            compose(d.eta[2].mat, d.a[1].bottom)
-            + compose(g3.top, d.phi[1].mat)
-            + compose(d.psi[1].mat, f2.bottom)
-            == compose(d.c[1].top, d.eta[1].mat),
+            (f[1], eta[1], g[1]), (f[2], eta[2], g[2]), (a[1], b[1], c[1]), (phi[1], psi[1]),
         ),
     ]
-    for name, ok in checks:
-        if not ok:
+    for name, row, row2, cols, cells in laws:
+        if not pasting_holds(row, row2, cols, cells):
             return name
     return None
 
@@ -244,12 +232,7 @@ def check_short_five(d: ShortFiveInput) -> Report:
     are 2-Puppe-exactness and goodness facts); faithful/cofaithful and the
     fully variants hold over both backends.
     """
-    lhs = (
-        compose(d.eta2.mat, d.a.bottom)
-        + compose(d.g2.top, d.phi.mat)
-        + compose(d.psi.mat, d.f.bottom)
-    )
-    if lhs != compose(d.c.top, d.eta.mat):
+    if not pasting_holds((d.f, d.eta, d.g), (d.f2, d.eta2, d.g2), (d.a, d.b, d.c), (d.phi, d.psi)):
         return Report(False, "diagram does not commute (pasting condition)")
     if not is_extension(d.f, d.eta, d.g):
         return Report(False, "top row is not an extension")

@@ -16,82 +16,22 @@ from .basemor import compose, zero_mor
 from .core2 import (
     TwoCell,
     TwoMorphism,
-    TwoObject,
     cell_to_zero,
     compose2,
     vcomp2,
     whisker_left,
     whisker_right,
-    zero2,
-    zero_two_object,
 )
 from .limits2 import factor_rel_cokernel2, factor_rel_kernel2, solve_cell
-from .sequences import ComplexSequence, HomologyResult, complex_homology_at, padded_window
+from .sequences import (
+    ChainMap,
+    ComplexSequence,
+    HomologyResult,
+    complex_homology_at,
+    padded_window,
+    zero_capped,
+)
 from .snake import CokernelSide, ColumnData, KernelSide, generalized_snake
-
-
-@dataclass(frozen=True)
-class ChainMap:
-    """A degreewise map of complexes with its connecting homotopies.
-
-    squares[i]: src.objects[i] -> dst.objects[i]; cells[i] fills
-    dst.diffs[i] . squares[i] => squares[i+1] . src.diffs[i].
-    """
-
-    src: ComplexSequence
-    dst: ComplexSequence
-    squares: tuple[TwoMorphism, ...]
-    cells: tuple[TwoCell, ...]
-
-    def __post_init__(self):
-        n = len(self.src.objects)
-        if len(self.dst.objects) != n or self.src.lo != self.dst.lo:
-            raise ValueError("chain map between different windows")
-        if len(self.squares) != n or len(self.cells) != max(n - 1, 0):
-            raise ValueError("chain map data lengths are wrong")
-        for i, c in enumerate(self.cells):
-            if c.cfrom != compose2(self.dst.diffs[i], self.squares[i]):
-                raise ValueError(f"chain cell {i} has the wrong source")
-            if c.cto != compose2(self.squares[i + 1], self.src.diffs[i]):
-                raise ValueError(f"chain cell {i} has the wrong target")
-        for i in range(n - 2):
-            lhs = (
-                compose(self.squares[i + 2].top, self.src.cells[i].mat)
-                + compose(self.cells[i + 1].mat, self.src.diffs[i].bottom)
-                + compose(self.dst.diffs[i + 1].top, self.cells[i].mat)
-            )
-            rhs = compose(self.dst.cells[i].mat, self.squares[i].bottom)
-            if lhs != rhs:
-                raise ValueError(f"chain map coherence fails at degree {i}")
-
-    def padded_square(self, n: int) -> TwoMorphism:
-        """The degree-n component, zero between padded zero objects outside."""
-        from .sequences import padded_window
-
-        idx = n - self.src.lo
-        if 0 <= idx < len(self.squares):
-            return self.squares[idx]
-        return zero2(_padded_obj(self.src, n), _padded_obj(self.dst, n))
-
-    def padded_cell(self, n: int) -> TwoCell:
-        idx = n - self.src.lo
-        if 0 <= idx < len(self.cells):
-            return self.cells[idx]
-        lhs = compose2(_padded_diff(self.dst, n), self.padded_square(n))
-        rhs = compose2(self.padded_square(n + 1), _padded_diff(self.src, n))
-        return TwoCell(lhs, rhs, zero_mor(lhs.src.bottom, lhs.dst.top))
-
-
-def _padded_obj(cx: ComplexSequence, n: int) -> TwoObject:
-    if cx.lo <= n <= cx.hi:
-        return cx.objects[n - cx.lo]
-    return zero_two_object(cx.ring())
-
-
-def _padded_diff(cx: ComplexSequence, n: int) -> TwoMorphism:
-    if cx.lo <= n <= cx.hi - 1:
-        return cx.diffs[n - cx.lo]
-    return zero2(_padded_obj(cx, n), _padded_obj(cx, n + 1))
 
 
 @dataclass(frozen=True)
@@ -201,19 +141,7 @@ def les_homology(fmap: ChainMap, omegas: tuple[TwoCell, ...], gmap: ChainMap) ->
 
 def les_full_sequence(res: LesResult):
     """Zero-capped maps and cells for exactness checking at every point."""
-    ring = res.maps[0].top.ring
-    z0, z1 = zero_two_object(ring), zero_two_object(ring)
-    first = zero2(z0, res.maps[0].src)
-    last = zero2(res.maps[-1].dst, z1)
-    maps = (first,) + res.maps + (last,)
-    head = cell_to_zero(
-        compose2(res.maps[0], first), zero_mor(z0.bottom, res.maps[0].dst.top)
-    )
-    tail = cell_to_zero(
-        compose2(last, res.maps[-1]), zero_mor(res.maps[-1].src.bottom, z1.top)
-    )
-    cells = (head,) + res.cells + (tail,)
-    return maps, cells
+    return zero_capped(res.maps, res.cells)
 
 
 def _padded_omega(fmap: ChainMap, gmap: ChainMap, omegas, n: int) -> TwoCell:

@@ -76,6 +76,27 @@ def joint_factor_pullback(k: BaseMorphism, kappa: BaseMorphism, a: BaseMorphism,
 
 
 @dataclass(frozen=True)
+class SequenceData:
+    """The three-term sequence of a square, with the biproduct glue."""
+
+    iota: BaseMorphism  # A1 -> A0 (+) B1
+    pmap: BaseMorphism  # A0 (+) B1 -> B0
+    i0: BaseMorphism
+    i1: BaseMorphism
+    p0: BaseMorphism
+    p1: BaseMorphism
+
+
+def sequence_of(u: TwoMorphism) -> SequenceData:
+    """The base sequence A1 --[-d; u1]--> A0 (+) B1 --(u0 d')--> B0 of u."""
+    a, b = u.src, u.dst
+    _, (i0, i1), (p0, p1) = biproduct_base([a.bottom, b.top])
+    iota = compose(i0, -a.boundary) + compose(i1, u.top)
+    pmap = compose(u.bottom, p0) + compose(b.boundary, p1)
+    return SequenceData(iota, pmap, i0, i1, p0, p1)
+
+
+@dataclass(frozen=True)
 class KernelData:
     obj: TwoObject
     kmor: TwoMorphism  # obj -> src(u)
@@ -114,18 +135,16 @@ class CokernelData:
 
 
 def cokernel2(u: TwoMorphism) -> CokernelData:
-    a, b = u.src, u.dst
-    ab, (i0, i1), (p0, p1) = biproduct_base([a.bottom, b.top])
-    iota = compose(i0, -a.boundary) + compose(i1, u.top)
-    q_obj, qfull = cokernel_base(iota)
-    zeta_m = compose(qfull, i0)
-    q_m = compose(qfull, i1)
-    w = compose(u.bottom, p0) + compose(b.boundary, p1)
-    qprime = factor_through_epi(qfull, w)
+    b = u.dst
+    seq = sequence_of(u)
+    q_obj, qfull = cokernel_base(seq.iota)
+    zeta_m = compose(qfull, seq.i0)
+    q_m = compose(qfull, seq.i1)
+    qprime = factor_through_epi(qfull, seq.pmap)
     obj = TwoObject(qprime)
     qmor = two_morphism(b, obj, q_m, identity_mor(b.bottom))
     zeta = cell_to_zero(compose2(qmor, u), zeta_m)
-    return CokernelData(obj, qmor, zeta, qfull, p0, p1)
+    return CokernelData(obj, qmor, zeta, qfull, seq.p0, seq.p1)
 
 
 def factor_cokernel2(cd: CokernelData, w: TwoMorphism, theta: TwoCell) -> TwoMorphism:
@@ -216,18 +235,14 @@ def pi1_mor(u: TwoMorphism, p_src: UnitData | None = None, p_dst: UnitData | Non
 
 def pip2(u: TwoMorphism) -> LoopData:
     a = u.src
-    ab, (i0, i1), _ = biproduct_base([a.bottom, u.dst.top])
-    iota = compose(i0, -a.boundary) + compose(i1, u.top)
-    kp, incl = kernel_base(iota)
+    kp, incl = kernel_base(sequence_of(u).iota)
     obj = TwoObject(zero_mor(zero_object(a.ring), kp))
     return LoopData(obj, loop_cell(obj, a, incl))
 
 
 def copip2(u: TwoMorphism) -> LoopData:
     b = u.dst
-    ab, (i0, i1), (p0, p1) = biproduct_base([u.src.bottom, b.top])
-    p = compose(u.bottom, p0) + compose(b.boundary, p1)
-    rq, proj = cokernel_base(p)
+    rq, proj = cokernel_base(sequence_of(u).pmap)
     obj = TwoObject(zero_mor(rq, zero_object(b.ring)))
     return LoopData(obj, loop_cell(b, obj, proj))
 
@@ -251,6 +266,12 @@ def root2(alpha: TwoCell) -> RootData:
     return RootData(obj, rmor, incl)
 
 
+def factor_root2(rt: RootData, t: TwoMorphism) -> TwoMorphism:
+    """Factor t: X -> A through the root R -> A (needs loop * t = 0)."""
+    bottom = factor_through_mono(rt.kalpha, t.bottom)
+    return two_morphism(t.src, rt.obj, t.top, bottom)
+
+
 def coroot2(alpha: TwoCell) -> RootData:
     if not (alpha.cfrom.is_zero_mor() and alpha.cto.is_zero_mor()):
         raise ValueError("coroot needs a loop 0 => 0")
@@ -260,6 +281,12 @@ def coroot2(alpha: TwoCell) -> RootData:
     obj = TwoObject(gbar)
     rmor = two_morphism(b, obj, proj, identity_mor(b.bottom))
     return RootData(obj, rmor, proj)
+
+
+def factor_coroot2(rt: RootData, t: TwoMorphism) -> TwoMorphism:
+    """Factor t: B -> X through the coroot B -> R (needs t * loop = 0)."""
+    top = factor_through_epi(rt.kalpha, t.top)
+    return two_morphism(rt.obj, t.dst, top, t.bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +316,7 @@ def rel_kernel2(b: TwoMorphism, y: TwoMorphism, psi: TwoCell) -> RelKernelData:
 
 
 def factor_rel_kernel2(rkd: RelKernelData, t: TwoMorphism, beta: TwoCell) -> TwoMorphism:
-    t1 = factor_kernel2(rkd.kernel, t, beta)
-    bottom = factor_through_mono(rkd.root.kalpha, t1.bottom)
-    return two_morphism(t.src, rkd.obj, t.top, bottom)
+    return factor_root2(rkd.root, factor_kernel2(rkd.kernel, t, beta))
 
 
 @dataclass(frozen=True)
@@ -315,9 +340,7 @@ def rel_cokernel2(a: TwoMorphism, x: TwoMorphism, phi: TwoCell) -> RelCokernelDa
 
 
 def factor_rel_cokernel2(rcd: RelCokernelData, w: TwoMorphism, theta: TwoCell) -> TwoMorphism:
-    w1 = factor_cokernel2(rcd.cokernel, w, theta)
-    top = factor_through_epi(rcd.coroot.kalpha, w1.top)
-    return two_morphism(rcd.obj, w.dst, top, w.bottom)
+    return factor_coroot2(rcd.coroot, factor_cokernel2(rcd.cokernel, w, theta))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ the kernel fully cofaithful - and the two verdicts are asserted to agree.
 Relative exactness is decided by triviality of the homology object, whose
 two constructions (relative cokernel of the induced arrow, relative kernel
 of the dual one) are built and compared by an explicit equivalence.
+
+The decisions every diagram lemma shares live here too: the pasting law of
+a map between two nullhomotopic pairs, zero padding of a complex (and of a
+chain map) outside its window, zero capping of a finite sequence, and the
+sweep of the exactness oracle over every interior point.
 """
 
 from __future__ import annotations
@@ -52,6 +57,21 @@ def is_compatible(t: TwoMorphism, alpha: TwoCell, v: TwoMorphism, beta: TwoCell)
     return compose(v.top, alpha.mat) == compose(beta.mat, t.bottom)
 
 
+def pasting_holds(row, row2, cols, cells) -> bool:
+    """The pasting law eta2*a . g2*phi . psi*f = c*eta of a map of pairs.
+
+    row = (f, eta, g) and row2 = (f2, eta2, g2) with eta: g.f => 0 and
+    eta2: g2.f2 => 0, cols = (a, b, c), cells = (phi, psi) with
+    phi: b.f => f2.a and psi: c.g => g2.b.
+    """
+    f, eta, _ = row
+    _, eta2, g2 = row2
+    a, _, c = cols
+    phi, psi = cells
+    lhs = compose(eta2.mat, a.bottom) + compose(g2.top, phi.mat) + compose(psi.mat, f.bottom)
+    return lhs == compose(c.top, eta.mat)
+
+
 def exact_at(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism) -> bool:
     """Exactness of the sequence (a, alpha, b) at the middle object.
 
@@ -68,6 +88,24 @@ def exact_at(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism) -> bool:
     if via_coker != via_ker:
         raise AssertionError("the two exactness routes disagree")
     return via_coker
+
+
+def exactness(maps, cells) -> list[bool]:
+    """exact_at at every interior point: cells[k] is maps[k+1].maps[k] => 0."""
+    if len(maps) != len(cells) + 1:
+        raise ValueError("a sequence needs one cell fewer than maps")
+    return [exact_at(maps[k], cells[k], maps[k + 1]) for k in range(len(cells))]
+
+
+def zero_capped(maps, cells):
+    """(maps, cells) with a zero object joined at both ends, so that the
+    first and last objects become interior points."""
+    z = zero_two_object(maps[0].top.ring)
+    first = zero2(z, maps[0].src)
+    last = zero2(maps[-1].dst, z)
+    head = cell_to_zero(compose2(maps[0], first), zero_mor(z.bottom, maps[0].dst.top))
+    tail = cell_to_zero(compose2(last, maps[-1]), zero_mor(maps[-1].src.bottom, z.top))
+    return (first, *maps, last), (head, *cells, tail)
 
 
 def _check_nullhomotopy(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism):
@@ -211,7 +249,8 @@ class ComplexSequence:
 
     objects[i] sits in degree lo + i; diffs[i]: objects[i] -> objects[i+1];
     cells[i]: diffs[i+1] . diffs[i] => 0.  Everything outside the window is
-    the zero object.  Adjacent nullhomotopies must be compatible.
+    the zero object; obj, diff and cell read the zero-padded complex by
+    degree.  Adjacent nullhomotopies must be compatible.
     """
 
     lo: int
@@ -240,35 +279,92 @@ class ComplexSequence:
     def ring(self):
         return self.objects[0].ring if self.objects else None
 
+    def obj(self, k: int) -> TwoObject:
+        """The object in degree k."""
+        if self.lo <= k <= self.hi:
+            return self.objects[k - self.lo]
+        return zero_two_object(self.ring())
+
+    def diff(self, k: int) -> TwoMorphism:
+        """The differential out of degree k."""
+        if self.lo <= k <= self.hi - 1:
+            return self.diffs[k - self.lo]
+        return zero2(self.obj(k), self.obj(k + 1))
+
+    def cell(self, k: int) -> TwoCell:
+        """The nullhomotopy diff(k+1) . diff(k) => 0."""
+        if self.lo <= k <= self.hi - 2:
+            return self.cells[k - self.lo]
+        return cell_to_zero(
+            compose2(self.diff(k + 1), self.diff(k)),
+            zero_mor(self.obj(k).bottom, self.obj(k + 2).top),
+        )
+
+
+@dataclass(frozen=True)
+class ChainMap:
+    """A degreewise map of complexes with its connecting homotopies.
+
+    squares[i]: src.objects[i] -> dst.objects[i]; cells[i] fills
+    dst.diffs[i] . squares[i] => squares[i+1] . src.diffs[i].  Outside the
+    window padded_square and padded_cell read the zero map of the padded
+    complexes.
+    """
+
+    src: ComplexSequence
+    dst: ComplexSequence
+    squares: tuple[TwoMorphism, ...]
+    cells: tuple[TwoCell, ...]
+
+    def __post_init__(self):
+        n = len(self.src.objects)
+        if len(self.dst.objects) != n or self.src.lo != self.dst.lo:
+            raise ValueError("chain map between different windows")
+        if len(self.squares) != n or len(self.cells) != max(n - 1, 0):
+            raise ValueError("chain map data lengths are wrong")
+        for i, c in enumerate(self.cells):
+            if c.cfrom != compose2(self.dst.diffs[i], self.squares[i]):
+                raise ValueError(f"chain cell {i} has the wrong source")
+            if c.cto != compose2(self.squares[i + 1], self.src.diffs[i]):
+                raise ValueError(f"chain cell {i} has the wrong target")
+        # the pasting law of each consecutive pair of squares, with the chain
+        # cells inverted into the b.f => f2.a orientation of pasting_holds
+        src, dst = self.src, self.dst
+        for i in range(n - 2):
+            if not pasting_holds(
+                (src.diffs[i], src.cells[i], src.diffs[i + 1]),
+                (dst.diffs[i], dst.cells[i], dst.diffs[i + 1]),
+                self.squares[i : i + 3],
+                (self.cells[i].inverse(), self.cells[i + 1].inverse()),
+            ):
+                raise ValueError(f"chain map coherence fails at degree {i}")
+
+    def padded_square(self, n: int) -> TwoMorphism:
+        """The degree-n component, zero between padded zero objects outside."""
+        idx = n - self.src.lo
+        if 0 <= idx < len(self.squares):
+            return self.squares[idx]
+        return zero2(self.src.obj(n), self.dst.obj(n))
+
+    def padded_cell(self, n: int) -> TwoCell:
+        idx = n - self.src.lo
+        if 0 <= idx < len(self.cells):
+            return self.cells[idx]
+        lhs = compose2(self.dst.diff(n), self.padded_square(n))
+        rhs = compose2(self.padded_square(n + 1), self.src.diff(n))
+        return TwoCell(lhs, rhs, zero_mor(lhs.src.bottom, lhs.dst.top))
+
 
 def padded_window(cx: ComplexSequence, n: int):
     """(x, phi, a, alpha, b, psi, y) centered at degree n, zero-padded."""
-    ring = cx.ring()
-    z = zero_two_object(ring)
-
-    def obj(k: int) -> TwoObject:
-        return cx.objects[k - cx.lo] if cx.lo <= k <= cx.hi else z
-
-    def diff(k: int) -> TwoMorphism:
-        if cx.lo <= k <= cx.hi - 1:
-            return cx.diffs[k - cx.lo]
-        return zero2(obj(k), obj(k + 1))
-
-    def cell(k: int) -> TwoCell:
-        if cx.lo <= k <= cx.hi - 2:
-            return cx.cells[k - cx.lo]
-        return cell_to_zero(
-            compose2(diff(k + 1), diff(k)), zero_mor(obj(k).bottom, obj(k + 2).top)
-        )
-
     return (
-        diff(n - 2),
-        cell(n - 2),
-        diff(n - 1),
-        cell(n - 1),
-        diff(n),
-        cell(n),
-        diff(n + 1),
+        cx.diff(n - 2),
+        cx.cell(n - 2),
+        cx.diff(n - 1),
+        cx.cell(n - 1),
+        cx.diff(n),
+        cx.cell(n),
+        cx.diff(n + 1),
     )
 
 

@@ -45,6 +45,7 @@ from .limits2 import (
     pushout2,
     solve_cell,
 )
+from .sequences import pasting_holds
 
 
 @dataclass(frozen=True)
@@ -130,13 +131,22 @@ class SnakeResult:
 
 
 def check_pasting(f, eta, g, f2, eta2, g2, a, b, c, phi, psi):
-    lhs = (
-        compose(eta2.mat, a.bottom)
-        + compose(g2.top, phi.mat)
-        + compose(psi.mat, f.bottom)
-    )
-    if lhs != compose(c.top, eta.mat):
+    if not pasting_holds((f, eta, g), (f2, eta2, g2), (a, b, c), (phi, psi)):
         raise ValueError("snake diagram does not commute (pasting condition)")
+
+
+def _induced_maps(f, g, f2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi, psi):
+    """fbar: Ka -> Kb and gbar: Kb -> Kc on the kernels, fbar2: Qa -> Qb and
+    gbar2: Qb -> Qc on the cokernels of the columns."""
+    beta_f = vcomp2(whisker_left(f2, a.ker.kappa), whisker_right(phi, a.ker.kmor))
+    fbar, _ = _factor_ker(b.ker, b.mor, compose2(f, a.ker.kmor), beta_f)
+    beta_g = vcomp2(whisker_left(g2, b.ker.kappa), whisker_right(psi, b.ker.kmor))
+    gbar, _ = _factor_ker(c.ker, c.mor, compose2(g, b.ker.kmor), beta_g)
+    theta_f = vcomp2(whisker_right(b.coker.zeta, f), whisker_left(b.coker.qmor, phi.inverse()))
+    fbar2, _ = _factor_coker(a.coker, a.mor, compose2(b.coker.qmor, f2), theta_f)
+    theta_g = vcomp2(whisker_right(c.coker.zeta, g), whisker_left(c.coker.qmor, psi.inverse()))
+    gbar2, _ = _factor_coker(b.coker, b.mor, compose2(c.coker.qmor, g2), theta_g)
+    return fbar, gbar, fbar2, gbar2
 
 
 def plain_snake(
@@ -156,15 +166,7 @@ def plain_snake(
     psi: c.g => g2.b."""
     check_pasting(f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, phi, psi)
 
-    # induced maps on kernels and cokernels
-    beta_f = vcomp2(whisker_left(f2, a.ker.kappa), whisker_right(phi, a.ker.kmor))
-    fbar, _ = _factor_ker(b.ker, b.mor, compose2(f, a.ker.kmor), beta_f)
-    beta_g = vcomp2(whisker_left(g2, b.ker.kappa), whisker_right(psi, b.ker.kmor))
-    gbar, _ = _factor_ker(c.ker, c.mor, compose2(g, b.ker.kmor), beta_g)
-    theta_f = vcomp2(whisker_right(b.coker.zeta, f), whisker_left(b.coker.qmor, phi.inverse()))
-    fbar2, _ = _factor_coker(a.coker, a.mor, compose2(b.coker.qmor, f2), theta_f)
-    theta_g = vcomp2(whisker_right(c.coker.zeta, g), whisker_left(c.coker.qmor, psi.inverse()))
-    gbar2, _ = _factor_coker(b.coker, b.mor, compose2(c.coker.qmor, g2), theta_g)
+    fbar, gbar, fbar2, gbar2 = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
 
     # two-square construction on the left square (f, a; f2, b)
     po = pushout2(f, a.mor)
@@ -376,22 +378,15 @@ def generalized_snake(
         f2,
         etahat2,
         ghat2,
-        ColumnData(ahat, column_data(ahat).ker, qa_side),
+        column_data(ahat, coker=qa_side),
         b,
-        ColumnData(chat, kc_side, column_data(chat).coker),
+        column_data(chat, ker=kc_side),
         theta_a,
         theta_c.inverse(),
     )
 
     # outer induced maps on the original columns
-    beta_f = vcomp2(whisker_left(f2, a.ker.kappa), whisker_right(phi, a.ker.kmor))
-    fbar, _ = _factor_ker(b.ker, b.mor, compose2(f, a.ker.kmor), beta_f)
-    beta_g = vcomp2(whisker_left(g2, b.ker.kappa), whisker_right(psi, b.ker.kmor))
-    gbar, _ = _factor_ker(c.ker, c.mor, compose2(g, b.ker.kmor), beta_g)
-    theta_f = vcomp2(whisker_right(b.coker.zeta, f), whisker_left(b.coker.qmor, phi.inverse()))
-    fbar2, _ = _factor_coker(a.coker, a.mor, compose2(b.coker.qmor, f2), theta_f)
-    theta_g = vcomp2(whisker_right(c.coker.zeta, g), whisker_left(c.coker.qmor, psi.inverse()))
-    gbar2, _ = _factor_coker(b.coker, b.mor, compose2(c.coker.qmor, g2), theta_g)
+    fbar, gbar, fbar2, gbar2 = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
     etabar = cell_to_zero(compose2(gbar, fbar), compose(eta.mat, a.ker.kmor.bottom))
     etabar2 = cell_to_zero(compose2(gbar2, fbar2), compose(c.coker.qmor.top, eta2.mat))
 

@@ -15,7 +15,7 @@ from .baseobj import BaseObject, field_object, z_object
 from .basemor import BaseMorphism, base_morphism
 from .core2 import TwoCell, TwoMorphism, TwoObject, two_cell, two_morphism, two_object
 from .rings import GF, ZZ, BaseRing
-from .sequences import ComplexSequence
+from .sequences import ChainMap, ComplexSequence
 
 
 class WorkspaceError(ValueError):
@@ -29,7 +29,7 @@ class Workspace:
     morphisms: dict[str, TwoMorphism] = field(default_factory=dict)
     cells: dict[str, TwoCell] = field(default_factory=dict)
     complexes: dict[str, ComplexSequence] = field(default_factory=dict)
-    chainmaps: dict = field(default_factory=dict)
+    chainmaps: dict[str, ChainMap] = field(default_factory=dict)
 
     def object(self, name: str) -> TwoObject:
         return self._get(self.objects, name, "object")
@@ -43,7 +43,7 @@ class Workspace:
     def complex(self, name: str) -> ComplexSequence:
         return self._get(self.complexes, name, "complex")
 
-    def chainmap(self, name: str):
+    def chainmap(self, name: str) -> ChainMap:
         return self._get(self.chainmaps, name, "chain map")
 
     def _get(self, table, name, kind):
@@ -60,10 +60,16 @@ def _ring_from_json(data) -> BaseRing:
     if not isinstance(data, dict):
         raise WorkspaceError("ring must be an object")
     if "field" in data:
-        return GF(int(data["field"]))
+        return _build("ring", GF, _int(data["field"], "ring: field"))
     if data.get("ring") == "Z":
         return ZZ
     raise WorkspaceError(f"unrecognized ring {data!r}")
+
+
+def _int(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise WorkspaceError(f"{where} must be an integer")
+    return value
 
 
 def _base_obj_to_json(x: BaseObject):
@@ -75,14 +81,23 @@ def _base_obj_to_json(x: BaseObject):
 def _base_obj_from_json(ring: BaseRing, data, where: str) -> BaseObject:
     if not isinstance(data, dict):
         raise WorkspaceError(f"{where}: object must be a JSON object")
-    try:
-        if ring.is_field:
-            if "dim" not in data:
-                raise WorkspaceError(f"{where}: field objects need a dim")
-            return field_object(ring, int(data["dim"]))
-        return z_object(int(data.get("free", 0)), tuple(int(d) for d in data.get("torsion", [])))
-    except ValueError as e:
-        raise WorkspaceError(f"{where}: {e}") from e
+    if ring.is_field:
+        if "dim" not in data:
+            raise WorkspaceError(f"{where}: field objects need a dim")
+        return _build(where, field_object, ring, _int(data["dim"], f"{where}: dim"))
+    torsion = data.get("torsion", [])
+    if not isinstance(torsion, list):
+        raise WorkspaceError(f"{where}: torsion must be a list")
+    orders = tuple(_int(d, f"{where}: torsion order") for d in torsion)
+    return _build(where, z_object, _int(data.get("free", 0), f"{where}: free"), orders)
+
+
+def _obj_to_json(x: TwoObject):
+    return {
+        "top": _base_obj_to_json(x.top),
+        "bottom": _base_obj_to_json(x.bottom),
+        "boundary": _matrix_to_json(x.boundary),
+    }
 
 
 def _matrix_to_json(m: BaseMorphism):
@@ -92,6 +107,9 @@ def _matrix_to_json(m: BaseMorphism):
 def _check_matrix(data, where: str):
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise WorkspaceError(f"{where}: matrix must be a list of rows")
+    for r in data:
+        for x in r:
+            _int(x, f"{where}: matrix entry")
     widths = {len(r) for r in data}
     if len(widths) > 1:
         raise WorkspaceError(f"{where}: ragged matrix")
@@ -105,10 +123,41 @@ def _mor_from_json(src: BaseObject, dst: BaseObject, data, where: str) -> BaseMo
             f"{where}: matrix shape {len(rows)}x{len(rows[0]) if rows else 0} "
             f"does not match {dst.ngens}x{src.ngens}"
         )
+    return _build(where, base_morphism, src, dst, rows)
+
+
+def _build(where: str, make, *args):
+    """make(*args), a ValueError from the constructor reported at where."""
     try:
-        return base_morphism(src, dst, rows)
+        return make(*args)
     except ValueError as e:
         raise WorkspaceError(f"{where}: {e}") from e
+
+
+def _entries(data: dict, section: str, kind: str):
+    """(name, where, entry) for every entry of a section, sorted by name."""
+    table = data.get(section, {})
+    if not isinstance(table, dict):
+        raise WorkspaceError(f"{section} must be a JSON object")
+    for name in sorted(table):
+        where = f"{kind} {name!r}"
+        if not isinstance(table[name], dict):
+            raise WorkspaceError(f"{where} must be a JSON object")
+        yield name, where, table[name]
+
+
+def _name(entry: dict, key: str, where: str) -> str:
+    name = entry.get(key)
+    if not isinstance(name, str):
+        raise WorkspaceError(f"{where}: {key} must be a name")
+    return name
+
+
+def _names(entry: dict, key: str, where: str) -> list[str]:
+    names = entry.get(key, [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise WorkspaceError(f"{where}: {key} must be a list of names")
+    return names
 
 
 def parse_workspace(text: str) -> Workspace:
@@ -120,60 +169,33 @@ def parse_workspace(text: str) -> Workspace:
         raise WorkspaceError("workspace must be a JSON object with a ring")
     ring = _ring_from_json(data["ring"])
     ws = Workspace(ring)
-    for name, od in sorted(data.get("objects", {}).items()):
-        where = f"object {name!r}"
+    for name, where, od in _entries(data, "objects", "object"):
         top = _base_obj_from_json(ring, od.get("top"), where)
         bottom = _base_obj_from_json(ring, od.get("bottom"), where)
-        try:
-            ws.objects[name] = two_object(_mor_from_json(top, bottom, od.get("boundary"), where))
-        except ValueError as e:
-            raise WorkspaceError(f"{where}: {e}") from e
-    for name, md in sorted(data.get("morphisms", {}).items()):
-        where = f"morphism {name!r}"
-        src = ws.object(md.get("source"))
-        dst = ws.object(md.get("target"))
-        try:
-            ws.morphisms[name] = two_morphism(
-                src,
-                dst,
-                _mor_from_json(src.top, dst.top, md.get("top"), where),
-                _mor_from_json(src.bottom, dst.bottom, md.get("bottom"), where),
-            )
-        except ValueError as e:
-            raise WorkspaceError(f"{where}: {e}") from e
-    for name, cd in sorted(data.get("cells", {}).items()):
-        where = f"cell {name!r}"
-        cfrom = ws.morphism(cd.get("from"))
-        cto = ws.morphism(cd.get("to"))
-        try:
-            ws.cells[name] = two_cell(
-                cfrom,
-                cto,
-                _mor_from_json(cfrom.src.bottom, cfrom.dst.top, cd.get("matrix"), where),
-            )
-        except ValueError as e:
-            raise WorkspaceError(f"{where}: {e}") from e
-    for name, xd in sorted(data.get("complexes", {}).items()):
-        where = f"complex {name!r}"
-        objs = tuple(ws.object(n) for n in xd.get("objects", []))
-        diffs = tuple(ws.morphism(n) for n in xd.get("differentials", []))
-        cells = tuple(ws.cell(n) for n in xd.get("nullhomotopies", []))
-        try:
-            ws.complexes[name] = ComplexSequence(int(xd.get("lo", 0)), objs, diffs, cells)
-        except ValueError as e:
-            raise WorkspaceError(f"{where}: {e}") from e
-    for name, md in sorted(data.get("chainmaps", {}).items()):
-        where = f"chain map {name!r}"
-        from .les import ChainMap
-
-        src = ws.complex(md.get("source"))
-        dst = ws.complex(md.get("target"))
-        squares = tuple(ws.morphism(n) for n in md.get("squares", []))
-        cells = tuple(ws.cell(n) for n in md.get("homotopies", []))
-        try:
-            ws.chainmaps[name] = ChainMap(src, dst, squares, cells)
-        except ValueError as e:
-            raise WorkspaceError(f"{where}: {e}") from e
+        ws.objects[name] = two_object(_mor_from_json(top, bottom, od.get("boundary"), where))
+    for name, where, md in _entries(data, "morphisms", "morphism"):
+        src = ws.object(_name(md, "source", where))
+        dst = ws.object(_name(md, "target", where))
+        top = _mor_from_json(src.top, dst.top, md.get("top"), where)
+        bottom = _mor_from_json(src.bottom, dst.bottom, md.get("bottom"), where)
+        ws.morphisms[name] = _build(where, two_morphism, src, dst, top, bottom)
+    for name, where, cd in _entries(data, "cells", "cell"):
+        cfrom = ws.morphism(_name(cd, "from", where))
+        cto = ws.morphism(_name(cd, "to", where))
+        mat = _mor_from_json(cfrom.src.bottom, cfrom.dst.top, cd.get("matrix"), where)
+        ws.cells[name] = _build(where, two_cell, cfrom, cto, mat)
+    for name, where, xd in _entries(data, "complexes", "complex"):
+        lo = _int(xd.get("lo", 0), f"{where}: lo")
+        objs = tuple(ws.object(n) for n in _names(xd, "objects", where))
+        diffs = tuple(ws.morphism(n) for n in _names(xd, "differentials", where))
+        cells = tuple(ws.cell(n) for n in _names(xd, "nullhomotopies", where))
+        ws.complexes[name] = _build(where, ComplexSequence, lo, objs, diffs, cells)
+    for name, where, md in _entries(data, "chainmaps", "chain map"):
+        src = ws.complex(_name(md, "source", where))
+        dst = ws.complex(_name(md, "target", where))
+        squares = tuple(ws.morphism(n) for n in _names(md, "squares", where))
+        cells = tuple(ws.cell(n) for n in _names(md, "homotopies", where))
+        ws.chainmaps[name] = _build(where, ChainMap, src, dst, squares, cells)
     return ws
 
 
@@ -181,12 +203,7 @@ def serialize_workspace(ws: Workspace) -> str:
     doc: dict = {"ring": _ring_to_json(ws.ring)}
     objs = {}
     for name in sorted(ws.objects):
-        x = ws.objects[name]
-        objs[name] = {
-            "top": _base_obj_to_json(x.top),
-            "bottom": _base_obj_to_json(x.bottom),
-            "boundary": _matrix_to_json(x.boundary),
-        }
+        objs[name] = _obj_to_json(ws.objects[name])
     doc["objects"] = objs
     mors = {}
     for name in sorted(ws.morphisms):

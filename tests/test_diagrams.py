@@ -1,13 +1,16 @@
 """Puppe, snake, anaconda, LES and the grid lemmas on structured instances."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from arrowcat import GF, ZZ, base_morphism, field_object, z_object, zero_mor, zero_object
 from arrowcat.anaconda import anaconda, anaconda_full_sequence
+from arrowcat.basemor import compose
 from arrowcat.classify2 import classify2
 from arrowcat.core2 import (
+    TwoCell,
     compose2,
     identity2,
     identity_cell,
@@ -37,7 +40,8 @@ from arrowcat.lemmas import (
 )
 from arrowcat.les import les_full_sequence, les_homology
 from arrowcat.puppe import puppe
-from arrowcat.sequences import exact_at, loop_exact
+from arrowcat.selftest import _random_loop
+from arrowcat.sequences import ChainMap, exact_at, loop_exact
 from arrowcat.snake import column_data, generalized_snake, plain_snake
 
 
@@ -384,3 +388,97 @@ class TestGridLemmas:
             d = ShortFiveInput(*inst.row1, *inst.row2, *inst.cols, *inst.cells)
             rep = check_short_five(d)
             assert rep.ok, rep.failed_condition
+
+
+def _break_pasting(rng, draw, cell_of, effect_of, tries=60):
+    """(inst, bad): an instance from draw() and one of its cells shifted by a
+    loop 0 => 0, so the cell stays valid but its pasting law changes by
+    effect_of(inst, loop), which is nonzero."""
+    for _ in range(tries):
+        inst = draw()
+        cell = cell_of(inst)
+        loop = _random_loop(rng, cell.src, cell.dst).mat
+        if not effect_of(inst, loop).is_zero_mor():
+            return inst, TwoCell(cell.cfrom, cell.cto, cell.mat + loop)
+    pytest.fail("no loop changed the pasting law")
+
+
+def _grid(rng, bounds):
+    inst = random_3x3_instance(rng, GF(3), bounds)
+    return ThreeByThree(
+        inst.f, inst.g, inst.eta, inst.a, inst.b, inst.c,
+        inst.alpha, inst.beta, inst.gamma, inst.phi, inst.psi,
+    )
+
+
+class TestPastingLaw:
+    """Each site of the pasting law rejects a valid cell that breaks it."""
+
+    def test_snake(self, rng, bounds3):
+        inst, bad = _break_pasting(
+            rng,
+            lambda: random_snake_instance(rng, GF(3), bounds3),
+            lambda i: i.row1[1],
+            lambda i, loop: compose(i.cols[2].top, loop),
+        )
+        f, _, g = inst.row1
+        cols = [column_data(x) for x in inst.cols]
+        with pytest.raises(ValueError, match="snake diagram does not commute"):
+            plain_snake(f, bad, g, *inst.row2, *cols, *inst.cells)
+
+    def test_short_five(self, rng, bounds3):
+        inst, bad = _break_pasting(
+            rng,
+            lambda: random_snake_instance(rng, GF(3), bounds3),
+            lambda i: i.cells[1],
+            lambda i, loop: compose(loop, i.row1[0].bottom),
+        )
+        rep = check_short_five(ShortFiveInput(*inst.row1, *inst.row2, *inst.cols, inst.cells[0], bad))
+        assert not rep.ok
+        assert rep.failed_condition == "diagram does not commute (pasting condition)"
+
+    @pytest.mark.parametrize(
+        "law,cell_of,effect_of,rebuild",
+        [
+            (
+                "f3*alpha . phi2*a1 . b2*phi1 = beta*f1",
+                lambda d: d.alpha,
+                lambda d, loop: compose(d.f[2].top, loop),
+                lambda d, bad: replace(d, alpha=bad),
+            ),
+            (
+                "g3*beta . psi2*b1 . c2*psi1 = gamma*g1",
+                lambda d: d.gamma,
+                lambda d, loop: compose(loop, d.g[0].bottom),
+                lambda d, bad: replace(d, gamma=bad),
+            ),
+            (
+                "eta2*a1 . g2*phi1 . psi1*f1 = c1*eta1",
+                lambda d: d.eta[0],
+                lambda d, loop: compose(d.c[0].top, loop),
+                lambda d, bad: replace(d, eta=(bad, *d.eta[1:])),
+            ),
+            (
+                "eta3*a2 . g3*phi2 . psi2*f2 = c2*eta2",
+                lambda d: d.eta[2],
+                lambda d, loop: compose(loop, d.a[1].bottom),
+                lambda d, bad: replace(d, eta=(*d.eta[:2], bad)),
+            ),
+        ],
+        ids=["column-a-b", "column-b-c", "rows-1-2", "rows-2-3"],
+    )
+    def test_3x3(self, rng, bounds, law, cell_of, effect_of, rebuild):
+        d, bad = _break_pasting(rng, lambda: _grid(rng, bounds), cell_of, effect_of)
+        rep = check_3x3(rebuild(d, bad))
+        assert not rep.ok
+        assert rep.failed_condition == f"diagram does not commute: {law}"
+
+    def test_chain_map(self, rng, bounds3):
+        fmap, bad = _break_pasting(
+            rng,
+            lambda: to_chain_maps(random_complex_extension(rng, GF(3), 3, bounds3))[0],
+            lambda m: m.cells[0],
+            lambda m, loop: compose(m.dst.diffs[1].top, loop),
+        )
+        with pytest.raises(ValueError, match="chain map coherence fails at degree 0"):
+            ChainMap(fmap.src, fmap.dst, fmap.squares, (bad, *fmap.cells[1:]))

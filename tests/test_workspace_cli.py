@@ -54,6 +54,45 @@ class TestWorkspace:
             )
         assert "shape" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ('{"ring": {"field": 2}, "objects": {"a": 5}}', "object 'a' must be a JSON object"),
+            ('{"ring": {"field": 2}, "objects": []}', "objects must be a JSON object"),
+            ('{"ring": {"field": [2]}}', "ring: field must be an integer"),
+            (
+                '{"ring": {"field": 2}, "morphisms": {"u": {"source": ["x"]}}}',
+                "morphism 'u': source must be a name",
+            ),
+            (
+                '{"ring": {"field": 2}, "complexes": {"c": {"objects": "x"}}}',
+                "complex 'c': objects must be a list of names",
+            ),
+            (
+                '{"ring": {"field": 2}, "objects": {"x": {"top": {"dim": 1}, '
+                '"bottom": {"dim": 1}, "boundary": [["1"]]}}}',
+                "object 'x': matrix entry must be an integer",
+            ),
+        ],
+        ids=["entry", "section", "ring", "name", "name-list", "matrix-entry"],
+    )
+    def test_wrong_json_types(self, doc, message):
+        with pytest.raises(WorkspaceError) as exc:
+            parse_workspace(doc)
+        assert str(exc.value) == message
+
+    def test_location_named_once(self):
+        with pytest.raises(WorkspaceError) as exc:
+            parse_workspace(
+                '{"ring": {"field": 2}, "objects": {"x": {"top": {"dim": 1}, '
+                '"bottom": {"dim": 1}, "boundary": [[1]]}}, "morphisms": {"u": '
+                '{"source": "x", "target": "x", "top": 1, "bottom": [[1]]}}}'
+            )
+        assert str(exc.value) == "morphism 'u': matrix must be a list of rows"
+        with pytest.raises(WorkspaceError) as exc:
+            parse_workspace('{"ring": {"field": 2}, "objects": {"x": {"top": {}}}}')
+        assert str(exc.value) == "object 'x': field objects need a dim"
+
     def test_parse_error_has_position(self):
         with pytest.raises(WorkspaceError) as exc:
             parse_workspace("{not json")
@@ -143,6 +182,22 @@ class TestCli:
         proc = run_cli(["kernel", "--in", GOLDEN, "--morphism", "nope"])
         assert proc.returncode == 1
         assert "unknown morphism" in proc.stderr
+
+    def test_internal_error_is_a_report(self, monkeypatch, capsys):
+        import arrowcat.cli
+
+        def broken(u):
+            raise AssertionError("invariant broken")
+
+        monkeypatch.setattr(arrowcat.cli, "classify2", broken)
+        assert main(["classify", "--in", GOLDEN, "--morphism", "u"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {
+            "command": "classify",
+            "ok": False,
+            "result": {"error": {"kind": "internal", "message": "invariant broken"}},
+        }
+        assert "Traceback" not in err
 
     def test_exactat_via_files(self, tmp_path, rng, bounds):
         # build a workspace exercising exactat end to end
