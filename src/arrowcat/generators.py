@@ -518,18 +518,20 @@ def random_3x3_instance(rng: random.Random, ring: BaseRing, bounds: Bounds) -> T
 
 
 def random_shortfive_instance(rng, ring, bounds, flanks="random"):
-    """A map of extensions; flanks: 'random' or 'equivalence'."""
-    inst = random_snake_instance(rng, ring, bounds)
+    """A map of extensions; flanks: 'random' or 'equivalence'.
+
+    Equivalence flanks are self-equivalences of the top row's end objects,
+    so the bottom row is drawn on the same end objects and the middle column
+    is solved against the flanks.
+    """
     if flanks == "random":
-        return inst
-    f, eta, g = inst.row1
-    f2, eta2, g2 = inst.row2
+        return random_snake_instance(rng, ring, bounds)
+    top = random_extension(rng, ring, bounds)
+    f, eta, g = top.m, top.cell, top.e
+    bottom = extension_on(rng, f.src, g.dst, bounds)
+    f2, eta2, g2 = bottom.m, bottom.cell, bottom.e
     a = random_self_equivalence(rng, f.src, bounds)
     c = random_self_equivalence(rng, g.dst, bounds)
-    # reuse the rows with equivalence flanks by re-solving the middle column,
-    # only valid when both rows share their end objects
-    if f2.src != f.src or g2.dst != g.dst:
-        return inst
     B1, B2 = f.dst, f2.dst
     sys = LinearSystem(ring)
     b_sq = add_square(sys, "b", B1, B2)
@@ -545,7 +547,7 @@ def random_shortfive_instance(rng, ring, bounds, flanks="random"):
     )
     sol = sys.solve()
     if sol is None:
-        return inst
+        raise AssertionError("no middle column between the equivalence flanks")
     b = solved_square(sol, b_sq)
     phi = TwoCell(compose2(b, f), compose2(f2, a), sol[ph.name])
     psi = TwoCell(compose2(c, g), compose2(g2, b), sol[ps.name])

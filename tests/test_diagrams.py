@@ -369,6 +369,16 @@ class TestGridLemmas:
             if fa.equivalence and fc.equivalence:
                 assert classify2(inst.cols[1]).equivalence
 
+    def test_short_five_equivalence_instances_share_ends(self, rng, bounds):
+        for ring in (GF(2), GF(3), GF(5), ZZ):
+            for _ in range(5):
+                inst = random_shortfive_instance(rng, ring, bounds, "equivalence")
+                f, _, g = inst.row1
+                f2, _, g2 = inst.row2
+                assert f2.src == f.src and g2.dst == g.dst
+                a, _, c = inst.cols
+                assert classify2(a).equivalence and classify2(c).equivalence
+
     def test_short_five_flanks_on_shared_end_objects(self):
         # this seed draws both rows on the same end objects, so the middle
         # column is re-solved against the equivalence flanks; the cell psi
