@@ -260,7 +260,9 @@ class ComplexSequence:
 
     def __post_init__(self):
         n = len(self.objects)
-        if len(self.diffs) != max(n - 1, 0) or len(self.cells) != max(n - 2, 0):
+        if n == 0:
+            raise ValueError("a complex needs at least one object")
+        if len(self.diffs) != n - 1 or len(self.cells) != max(n - 2, 0):
             raise ValueError("window lengths do not match")
         for i, d in enumerate(self.diffs):
             if d.src != self.objects[i] or d.dst != self.objects[i + 1]:
@@ -277,7 +279,7 @@ class ComplexSequence:
         return self.lo + len(self.objects) - 1
 
     def ring(self):
-        return self.objects[0].ring if self.objects else None
+        return self.objects[0].ring
 
     def obj(self, k: int) -> TwoObject:
         """The object in degree k."""

@@ -73,10 +73,11 @@ class TestWorkspace:
                 '"bottom": {"dim": 1}, "boundary": [["1"]]}}}',
                 "object 'x': matrix entry must be an integer",
             ),
+            ('{"ring": {"field": 2}, "complexes": {"c": {}}}', "complex 'c': a complex needs at least one object"),
         ],
-        ids=["entry", "section", "ring", "name", "name-list", "matrix-entry"],
+        ids=["entry", "section", "ring", "name", "name-list", "matrix-entry", "empty-complex"],
     )
-    def test_wrong_json_types(self, doc, message):
+    def test_malformed_document(self, doc, message):
         with pytest.raises(WorkspaceError) as exc:
             parse_workspace(doc)
         assert str(exc.value) == message
