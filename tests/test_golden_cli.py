@@ -154,6 +154,7 @@ def build_case(ring, seed):
 GLOBAL_RUNS = [
     ("demo-nonsplit", ["demo-nonsplit"]),
     ("selftest", ["selftest", "--seed", "7", "--cases", "1"]),
+    ("selftest-cases6", ["selftest", "--seed", "11", "--cases", "6"]),
 ]
 
 
