@@ -382,14 +382,12 @@ def cmd_selftest(args):
         if unknown:
             raise WorkspaceError(f"unknown suites: {sorted(unknown)}")
     if args.ring:
+        rings = {str(r).lower(): r for _, _, r in SUITES.values() if r is not None}
         tag = args.ring.lower().replace("fp:", "f").replace(":", "")
-        tag = {"z": "z"}.get(tag, tag)
-        ringed = {
-            name
-            for name in SUITES
-            if name.rsplit("-", 1)[-1] in ("f2", "f3", "f5", "z")
-        }
-        keep = {n for n in SUITES if n not in ringed or n.endswith(f"-{tag}")}
+        if tag not in rings:
+            names = ", ".join(str(r) for r in rings.values())
+            raise WorkspaceError(f"no suites over ring {args.ring!r}; rings with suites: {names}")
+        keep = {n for n, (_, _, r) in SUITES.items() if r in (None, rings[tag])}
         only = keep if only is None else (only & keep)
     results = run_all(seed=args.seed, cases=args.cases, max_dim=args.max_dim, only=only)
     ok = all(r.failures == 0 for r in results)

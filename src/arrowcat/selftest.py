@@ -1,7 +1,9 @@
 """Property suites: the randomized verification battery behind `selftest`.
 
 Each suite is a function (seed, cases, bounds) -> SuiteResult counting
-failures; `run_all` executes every suite and aggregates a deterministic
+failures.  Most are built by the `suite` driver from one case function
+over a schedule of rings; `SUITES` registers every suite under the name its
+report prints, and `run_all` executes them and aggregates a deterministic
 report.  The acceptance tests drive the same functions at the pinned case
 counts.
 """
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 from .baselin import (
     LinearSystem,
     cokernel_base,
+    exact_at_base,
     kernel_base,
     pullback_base,
     solve_base,
@@ -32,6 +35,7 @@ from .core2 import (
     identity2,
     identity_cell,
     is_zero_equivalent,
+    loop_cell,
     two_morphism,
     two_object,
     vcomp2,
@@ -43,6 +47,8 @@ from .core2 import (
 from .factor2 import factor2, goodness_comparisons, orthogonal2
 from .generators import (
     Bounds,
+    _sample_system,
+    extension_on,
     random_3x3_instance,
     random_base_morphism,
     random_base_object,
@@ -71,10 +77,15 @@ from .limits2 import (
     coroot2,
     factor_cokernel2,
     factor_kernel2,
+    factor_rel_cokernel2,
     factor_rel_kernel2,
     factor_root2,
+    factor_through_epi,
+    factor_through_mono,
     kernel2,
     omega_obj,
+    pi0_obj,
+    pi1_obj,
     pullback2,
     rel_cokernel2,
     rel_kernel2,
@@ -83,20 +94,25 @@ from .limits2 import (
     sigma_obj,
 )
 from .matrix2 import grid_product, matrix_assemble2, matrix_of2
+from .modsolve import _rref_mod_p
 from .puppe import puppe
 from .rings import GF, ZZ, BaseRing
 from .sequences import (
+    ComplexSequence,
+    complex_homology_at,
     exactness,
     is_extension,
     loop_bar,
     loop_exact,
     loop_tilde,
+    padded_window,
     relative_exact_at,
 )
 from .snake import column_data, generalized_snake, plain_snake
 from .anaconda import anaconda, anaconda_full_sequence
 from .intmat import det, identity, mat, mul
 from .snf import smith_normal_form
+from .workspace import Workspace, parse_workspace, serialize_workspace
 
 FIELD_RINGS = (GF(2), GF(3), GF(5))
 ALL_RINGS = (GF(2), GF(3), GF(5), ZZ)
@@ -114,196 +130,204 @@ class SuiteResult:
         return self.failures == 0
 
 
-def suite_snf(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for _ in range(cases):
-        r = rng.randint(1, 5)
-        c = rng.randint(1, 5)
-        m = mat([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
-        s = smith_normal_form(m, r, c)
-        ok = (
-            mul(mul(s.u, m, r), s.v, c) == s.d
-            and abs(det(s.u)) == 1
-            and abs(det(s.v)) == 1
-            and mul(s.u, s.u_inv, r) == identity(r)
-            and mul(s.v, s.v_inv, c) == identity(c)
-        )
-        diag = s.diagonal()
-        for x, y in zip(diag, diag[1:]):
-            if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y != 0 and y % x):
-                ok = False
-        fails += not ok
-    return SuiteResult("snf", cases, fails)
+def _cycle(rings, cases):
+    """Round robin: case i runs over rings[i % len(rings)]."""
+    return [rings[i % len(rings)] for i in range(cases)]
 
 
-def suite_base_universal(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    total = 0
-    per_ring = max(1, cases // len(ALL_RINGS))
-    for ring in ALL_RINGS:
-        for _ in range(per_ring):
-            total += 1
-            x = random_base_object(rng, ring, bounds)
-            y = random_base_object(rng, ring, bounds)
-            f = random_base_morphism(rng, x, y, bounds)
-            k_obj, k = kernel_base(f)
-            q_obj, q = cokernel_base(f)
-            ok = compose(f, k).is_zero_mor() and compose(q, f).is_zero_mor()
-            ok = ok and kernel_base(k)[0].is_zero and cokernel_base(q)[0].is_zero
-            # rivals through the kernel and cokernel
-            for _ in range(3):
-                w = random_base_object(rng, ring, bounds)
-                r = random_base_morphism(rng, w, k_obj, bounds)
-                t = compose(k, r)
-                sol = solve_base(k, t)
-                ok = ok and sol is not None and compose(k, sol) == t and sol == r
-                r2 = random_base_morphism(rng, q_obj, w, bounds)
-                t2 = compose(r2, q)
-                sys = LinearSystem(ring)
-                sys.add_unknown("s", q_obj, w)
-                sys.add_equation([(1, None, "s", q)], t2)
-                sol2 = sys.solve()
-                ok = ok and sol2 is not None and sol2["s"] == r2
-            fails += not ok
-    return SuiteResult("base-universal", total, fails)
+def _blocks(rings, cases):
+    """max(1, cases // len(rings)) consecutive cases per ring."""
+    return [ring for ring in rings for _ in range(max(1, cases // len(rings)))]
 
 
-def suite_base_enumeration(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    """Kernels and cokernels against brute-force enumeration of finite groups."""
-    rng = random.Random(seed)
-    fails = 0
-    for _ in range(cases):
-        x = random_finite_object(rng, ZZ, 64)
-        y = random_finite_object(rng, ZZ, 64)
-        f = random_base_morphism(rng, x, y, bounds)
-        kernel_count = sum(
-            1 for el in x.elements() if all(v == 0 for v in f.apply(el))
-        )
-        k_obj, k = kernel_base(f)
-        ok = k_obj.total_order() == kernel_count
-        image = {f.apply(el) for el in x.elements()}
-        q_obj, q = cokernel_base(f)
-        ok = ok and q_obj.total_order() == (y.total_order() // len(image))
-        ok = ok and {k.apply(el) for el in k_obj.elements()} == {
-            el for el in x.elements() if all(v == 0 for v in f.apply(el))
-        }
-        fails += not ok
-    return SuiteResult("base-enumeration", cases, fails)
+def suite(name: str, rings, schedule=_cycle):
+    """Turn case(rng, ring, k, bounds) -> bool into a suite.
+
+    The suite run(seed, cases, bounds) draws every case from one
+    random.Random(seed), over the rings in schedule(rings, cases) order; k
+    is the number of earlier cases over the same ring.  A case that raises
+    AssertionError (an internal invariant failed) counts as a failure, and
+    the first such message is noted.
+    """
+
+    def wrap(case):
+        def run(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
+            rng = random.Random(seed)
+            result = SuiteResult(name, 0, 0)
+            seen = {}
+            for ring in schedule(rings, cases):
+                k = seen[ring] = seen.get(ring, -1) + 1
+                try:
+                    ok = case(rng, ring, k, bounds)
+                except AssertionError as e:
+                    ok = False
+                    if not result.notes:
+                        result.notes.append(f"internal error: {e}")
+                result.cases += 1
+                result.failures += not ok
+            return result
+
+        return run
+
+    return wrap
 
 
-def suite_base_pullback(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        a = random_base_object(rng, ring, bounds)
-        b = random_base_object(rng, ring, bounds)
-        c = random_base_object(rng, ring, bounds)
-        f = random_base_morphism(rng, a, c, bounds)
-        g = random_base_morphism(rng, b, c, bounds)
-        p_obj, pa, pb = pullback_base(f, g)
-        ok = compose(f, pa) == compose(g, pb)
-        for _ in range(5):
-            w = random_base_object(rng, ring, bounds)
-            r = random_base_morphism(rng, w, p_obj, bounds)
-            ta, tb = compose(pa, r), compose(pb, r)
-            sys = LinearSystem(ring)
-            sys.add_unknown("s", w, p_obj)
-            sys.add_equation([(1, pa, "s", None)], ta)
-            sys.add_equation([(1, pb, "s", None)], tb)
-            sol = sys.solve()
-            ok = ok and sol is not None and sol["s"] == r
-        fails += not ok
-    return SuiteResult("base-pullback", cases, fails)
-
-
-def suite_base_split(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        x = random_base_object(rng, ring, bounds)
-        y = random_base_object(rng, ring, bounds)
-        f = random_base_morphism(rng, x, y, bounds)
-        g = split_data_base(f)
-        ok = True
-        if g is not None:
-            ok = compose(f, compose(g, f)) == f and compose(g, compose(f, g)) == g
-        if ring.is_field and g is None:
+@suite("snf", (ZZ,))
+def suite_snf(rng, ring, k, bounds):
+    r = rng.randint(1, 5)
+    c = rng.randint(1, 5)
+    m = mat([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+    s = smith_normal_form(m, r, c)
+    ok = (
+        mul(mul(s.u, m, r), s.v, c) == s.d
+        and abs(det(s.u)) == 1
+        and abs(det(s.v)) == 1
+        and mul(s.u, s.u_inv, r) == identity(r)
+        and mul(s.v, s.v_inv, c) == identity(c)
+    )
+    diag = s.diagonal()
+    for x, y in zip(diag, diag[1:]):
+        if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y != 0 and y % x):
             ok = False
-        fails += not ok
-    return SuiteResult("base-split", cases, fails)
+    return ok
 
 
-def suite_interchange(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        a = random_two_object(rng, ring, bounds)
-        b = random_two_object(rng, ring, bounds)
-        c = random_two_object(rng, ring, bounds)
-        u = random_square(rng, a, b)
-        v = random_square(rng, b, c)
-        a1 = random_cell_on(rng, u, bounds)
-        a2 = random_cell_on(rng, a1.cto, bounds)
-        b1 = random_cell_on(rng, v, bounds)
-        b2 = random_cell_on(rng, b1.cto, bounds)
-        lhs = hcomp2(vcomp2(b2, b1), vcomp2(a2, a1))
-        rhs = vcomp2(hcomp2(b2, a2), hcomp2(b1, a1))
-        fails += not cells_equal(lhs, rhs)
-    return SuiteResult("interchange", cases, fails)
+@suite("base-universal", ALL_RINGS, _blocks)
+def suite_base_universal(rng, ring, k, bounds):
+    x = random_base_object(rng, ring, bounds)
+    y = random_base_object(rng, ring, bounds)
+    f = random_base_morphism(rng, x, y, bounds)
+    k_obj, kmor = kernel_base(f)
+    q_obj, q = cokernel_base(f)
+    ok = compose(f, kmor).is_zero_mor() and compose(q, f).is_zero_mor()
+    ok = ok and kernel_base(kmor)[0].is_zero and cokernel_base(q)[0].is_zero
+    # rivals through the kernel and cokernel
+    for _ in range(3):
+        w = random_base_object(rng, ring, bounds)
+        r = random_base_morphism(rng, w, k_obj, bounds)
+        t = compose(kmor, r)
+        sol = solve_base(kmor, t)
+        ok = ok and sol is not None and compose(kmor, sol) == t and sol == r
+        r2 = random_base_morphism(rng, q_obj, w, bounds)
+        t2 = compose(r2, q)
+        sys = LinearSystem(ring)
+        sys.add_unknown("s", q_obj, w)
+        sys.add_equation([(1, None, "s", q)], t2)
+        sol2 = sys.solve()
+        ok = ok and sol2 is not None and sol2["s"] == r2
+    return ok
+
+
+@suite("base-enumeration", (ZZ,))
+def suite_base_enumeration(rng, ring, k, bounds):
+    """Kernels and cokernels against brute-force enumeration of finite groups."""
+    x = random_finite_object(rng, ring, 64)
+    y = random_finite_object(rng, ring, 64)
+    f = random_base_morphism(rng, x, y, bounds)
+    kernel_count = sum(
+        1 for el in x.elements() if all(v == 0 for v in f.apply(el))
+    )
+    k_obj, kmor = kernel_base(f)
+    ok = k_obj.total_order() == kernel_count
+    image = {f.apply(el) for el in x.elements()}
+    q_obj, q = cokernel_base(f)
+    ok = ok and q_obj.total_order() == (y.total_order() // len(image))
+    ok = ok and {kmor.apply(el) for el in k_obj.elements()} == {
+        el for el in x.elements() if all(v == 0 for v in f.apply(el))
+    }
+    return ok
+
+
+@suite("base-pullback", ALL_RINGS)
+def suite_base_pullback(rng, ring, k, bounds):
+    a = random_base_object(rng, ring, bounds)
+    b = random_base_object(rng, ring, bounds)
+    c = random_base_object(rng, ring, bounds)
+    f = random_base_morphism(rng, a, c, bounds)
+    g = random_base_morphism(rng, b, c, bounds)
+    p_obj, pa, pb = pullback_base(f, g)
+    ok = compose(f, pa) == compose(g, pb)
+    for _ in range(5):
+        w = random_base_object(rng, ring, bounds)
+        r = random_base_morphism(rng, w, p_obj, bounds)
+        ta, tb = compose(pa, r), compose(pb, r)
+        sys = LinearSystem(ring)
+        sys.add_unknown("s", w, p_obj)
+        sys.add_equation([(1, pa, "s", None)], ta)
+        sys.add_equation([(1, pb, "s", None)], tb)
+        sol = sys.solve()
+        ok = ok and sol is not None and sol["s"] == r
+    return ok
+
+
+@suite("base-split", ALL_RINGS)
+def suite_base_split(rng, ring, k, bounds):
+    x = random_base_object(rng, ring, bounds)
+    y = random_base_object(rng, ring, bounds)
+    f = random_base_morphism(rng, x, y, bounds)
+    g = split_data_base(f)
+    if g is None:
+        return not ring.is_field
+    return compose(f, compose(g, f)) == f and compose(g, compose(f, g)) == g
+
+
+@suite("interchange", ALL_RINGS)
+def suite_interchange(rng, ring, k, bounds):
+    a = random_two_object(rng, ring, bounds)
+    b = random_two_object(rng, ring, bounds)
+    c = random_two_object(rng, ring, bounds)
+    u = random_square(rng, a, b)
+    v = random_square(rng, b, c)
+    a1 = random_cell_on(rng, u, bounds)
+    a2 = random_cell_on(rng, a1.cto, bounds)
+    b1 = random_cell_on(rng, v, bounds)
+    b2 = random_cell_on(rng, b1.cto, bounds)
+    lhs = hcomp2(vcomp2(b2, b1), vcomp2(a2, a1))
+    rhs = vcomp2(hcomp2(b2, a2), hcomp2(b1, a1))
+    return cells_equal(lhs, rhs)
+
+
+def _universal2_case(rng, ring, k, bounds):
+    a = random_two_object(rng, ring, bounds)
+    b = random_two_object(rng, ring, bounds)
+    u = random_square(rng, a, b)
+    kd = kernel2(u)
+    cd = cokernel2(u)
+    ok = kernel_base(sequence_of(kd.kmor).iota)[0].is_zero
+    ok = ok and cokernel_base(sequence_of(cd.qmor).pmap)[0].is_zero
+    lp = _random_loop(rng, a, b)
+    rt = root2(lp)
+    ok = ok and compose(lp.mat, rt.rmor.bottom).is_zero_mor()
+    ok = ok and classify2(rt.rmor).fully_faithful
+    crt = coroot2(lp)
+    ok = ok and compose(crt.rmor.top, lp.mat).is_zero_mor()
+    ok = ok and classify2(crt.rmor).fully_cofaithful
+    ext = random_extension(rng, ring, bounds)
+    rk = rel_kernel2(ext.m, ext.e, ext.cell)
+    for _ in range(20):
+        x = random_two_object(rng, ring, bounds)
+        r = random_square(rng, x, kd.obj)
+        t = compose2(kd.kmor, r)
+        beta = cell_to_zero(compose2(u, t), whisker_right(kd.kappa, r).mat)
+        tp = factor_kernel2(kd, t, beta)
+        ok = ok and compose2(kd.kmor, tp) == t
+        s = random_square(rng, cd.obj, x)
+        w = compose2(s, cd.qmor)
+        theta = cell_to_zero(compose2(w, u), whisker_left(s, cd.zeta).mat)
+        wp = factor_cokernel2(cd, w, theta)
+        ok = ok and compose2(wp, cd.qmor) == w
+        rr = random_square(rng, x, rt.obj)
+        factor_root2(rt, compose2(rt.rmor, rr))  # raises if the rival does not factor
+        rx = random_square(rng, x, rk.obj)
+        trx = compose2(rk.kmor, rx)
+        betax = cell_to_zero(compose2(ext.m, trx), whisker_right(rk.kappa, rx).mat)
+        ok = ok and compose2(rk.kmor, factor_rel_kernel2(rk, trx, betax)) == trx
+    return ok
 
 
 def suite_universal2(ring: BaseRing):
     """Kernel2/cokernel2/root2/coroot2/relKernel2 against random rivals."""
-
-    def run(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-        rng = random.Random(seed)
-        fails = 0
-        for _ in range(cases):
-            a = random_two_object(rng, ring, bounds)
-            b = random_two_object(rng, ring, bounds)
-            u = random_square(rng, a, b)
-            ok = True
-            kd = kernel2(u)
-            cd = cokernel2(u)
-            ok = ok and kernel_base(sequence_of(kd.kmor).iota)[0].is_zero
-            ok = ok and cokernel_base(sequence_of(cd.qmor).pmap)[0].is_zero
-            lp = _random_loop(rng, a, b)
-            rt = root2(lp)
-            ok = ok and compose(lp.mat, rt.rmor.bottom).is_zero_mor()
-            ok = ok and classify2(rt.rmor).fully_faithful
-            crt = coroot2(lp)
-            ok = ok and compose(crt.rmor.top, lp.mat).is_zero_mor()
-            ok = ok and classify2(crt.rmor).fully_cofaithful
-            ext = random_extension(rng, ring, bounds)
-            rk = rel_kernel2(ext.m, ext.e, ext.cell)
-            for _ in range(20):
-                x = random_two_object(rng, ring, bounds)
-                r = random_square(rng, x, kd.obj)
-                t = compose2(kd.kmor, r)
-                beta = cell_to_zero(compose2(u, t), whisker_right(kd.kappa, r).mat)
-                tp = factor_kernel2(kd, t, beta)
-                ok = ok and compose2(kd.kmor, tp) == t
-                s = random_square(rng, cd.obj, x)
-                w = compose2(s, cd.qmor)
-                theta = cell_to_zero(compose2(w, u), whisker_left(s, cd.zeta).mat)
-                wp = factor_cokernel2(cd, w, theta)
-                ok = ok and compose2(wp, cd.qmor) == w
-                rr = random_square(rng, x, rt.obj)
-                trr = compose2(rt.rmor, rr)
-                ok = ok and factor_root_rival(rt, trr) is not None
-                rx = random_square(rng, x, rk.obj)
-                trx = compose2(rk.kmor, rx)
-                betax = cell_to_zero(compose2(ext.m, trx), whisker_right(rk.kappa, rx).mat)
-                ok = ok and compose2(rk.kmor, factor_rel_kernel2(rk, trx, betax)) == trx
-            fails += not ok
-        return SuiteResult(f"universal-2-{ring}", cases, fails)
-
-    return run
+    return suite(f"universal-2-{ring}", (ring,))(_universal2_case)
 
 
 def _random_loop(rng, a, b):
@@ -311,43 +335,28 @@ def _random_loop(rng, a, b):
     sys = LinearSystem(a.ring)
     lp = add_cell(sys, "l", a, b)
     add_homotopy(sys, lp, [], [])
-    from .generators import _sample_system
-    from .core2 import loop_cell
-
     return loop_cell(a, b, _sample_system(rng, sys)[lp.name])
 
 
-def factor_root_rival(rt, t):
-    try:
-        return factor_root2(rt, t)
-    except AssertionError:
-        return None
-
-
-def suite_rel_kernel(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
+@suite("relative-kernel", ALL_RINGS)
+def suite_rel_kernel(rng, ring, k, bounds):
     """Relative (co)kernels: universal property on constructed compatibles."""
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        ext = random_extension(rng, ring, bounds)
-        b_mor, psi, y = ext.m, ext.cell, ext.e
-        # here psi: y.b => 0 with (b, psi) = Ker y, so Ker(b rel psi) ~ 0
-        rk = rel_kernel2(b_mor, y, psi)
-        ok = is_zero_equivalent(rk.obj)
-        rc = rel_cokernel2(y, b_mor, psi)
-        ok = ok and is_zero_equivalent(rc.obj)
-        # rivals factor through the plain relative kernel of a random square
-        a = random_two_object(rng, ring, bounds)
-        u = random_square(rng, a, b_mor.src)
-        rk2 = rel_kernel2(u, zero2(b_mor.src, zero_two_object(ring)), _zero_psi(u))
-        r = random_square(rng, random_two_object(rng, ring, bounds), rk2.obj)
-        t = compose2(rk2.kmor, r)
-        beta = cell_to_zero(compose2(u, t), whisker_right(rk2.kappa, r).mat)
-        tp = factor_rel_kernel2(rk2, t, beta)
-        ok = ok and compose2(rk2.kmor, tp) == t
-        fails += not ok
-    return SuiteResult("relative-kernel", cases, fails)
+    ext = random_extension(rng, ring, bounds)
+    b_mor, psi, y = ext.m, ext.cell, ext.e
+    # here psi: y.b => 0 with (b, psi) = Ker y, so Ker(b rel psi) ~ 0
+    rk = rel_kernel2(b_mor, y, psi)
+    ok = is_zero_equivalent(rk.obj)
+    rc = rel_cokernel2(y, b_mor, psi)
+    ok = ok and is_zero_equivalent(rc.obj)
+    # rivals factor through the plain relative kernel of a random square
+    a = random_two_object(rng, ring, bounds)
+    u = random_square(rng, a, b_mor.src)
+    rk2 = rel_kernel2(u, zero2(b_mor.src, zero_two_object(ring)), _zero_psi(u))
+    r = random_square(rng, random_two_object(rng, ring, bounds), rk2.obj)
+    t = compose2(rk2.kmor, r)
+    beta = cell_to_zero(compose2(u, t), whisker_right(rk2.kappa, r).mat)
+    tp = factor_rel_kernel2(rk2, t, beta)
+    return ok and compose2(rk2.kmor, tp) == t
 
 
 def _zero_psi(u):
@@ -388,101 +397,59 @@ def suite_counterexample(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
     return SuiteResult("z-counterexample", 1, 0 if ok else 1, notes)
 
 
-def suite_snake(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    total = 0
-    per_ring = max(1, cases // len(ALL_RINGS))
-    for ring in ALL_RINGS:
-        for j in range(per_ring):
-            total += 1
-            try:
-                if j % 2 == 0:
-                    inst = random_snake_instance(rng, ring, bounds)
-                    ca, cb, cc = (column_data(x) for x in inst.cols)
-                    res = plain_snake(*inst.row1, *inst.row2, ca, cb, cc, *inst.cells)
-                else:
-                    inst = random_generalized_snake_instance(rng, ring, bounds)
-                    ca, cb, cc = (column_data(x) for x in inst.cols)
-                    res = generalized_snake(*inst.row1, *inst.row2, ca, cb, cc, *inst.cells)
-            except AssertionError:
-                fails += 1
-                continue
-            fails += not all(exactness(*res.sequence()))
-    return SuiteResult("snake", total, fails)
+@suite("snake", ALL_RINGS, _blocks)
+def suite_snake(rng, ring, k, bounds):
+    if k % 2 == 0:
+        inst = random_snake_instance(rng, ring, bounds)
+        snake = plain_snake
+    else:
+        inst = random_generalized_snake_instance(rng, ring, bounds)
+        snake = generalized_snake
+    ca, cb, cc = (column_data(x) for x in inst.cols)
+    res = snake(*inst.row1, *inst.row2, ca, cb, cc, *inst.cells)
+    return all(exactness(*res.sequence()))
 
 
-def suite_anaconda(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        try:
-            inst = random_snake_instance(rng, ring, bounds)
-            ca, cb, cc = (column_data(x) for x in inst.cols)
-            res = anaconda(*inst.row1, *inst.row2, ca, cb, cc, *inst.cells)
-        except AssertionError:
-            fails += 1
-            continue
-        fails += not all(exactness(*anaconda_full_sequence(res)))
-    return SuiteResult("anaconda", cases, fails)
+@suite("anaconda", ALL_RINGS)
+def suite_anaconda(rng, ring, k, bounds):
+    inst = random_snake_instance(rng, ring, bounds)
+    ca, cb, cc = (column_data(x) for x in inst.cols)
+    res = anaconda(*inst.row1, *inst.row2, ca, cb, cc, *inst.cells)
+    return all(exactness(*anaconda_full_sequence(res)))
 
 
-def suite_3x3(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        inst = random_3x3_instance(rng, ring, bounds)
-        d = ThreeByThree(
-            inst.f, inst.g, inst.eta, inst.a, inst.b, inst.c,
-            inst.alpha, inst.beta, inst.gamma, inst.phi, inst.psi,
-        )
-        rep = check_3x3(d)
-        ok = rep.ok
-        if ring.is_field and i % 4 == 0:
-            ok = ok and check_3x3_part2(d).ok
-        fails += not ok
-    return SuiteResult("three-by-three", cases, fails)
+@suite("three-by-three", ALL_RINGS)
+def suite_3x3(rng, ring, k, bounds):
+    inst = random_3x3_instance(rng, ring, bounds)
+    d = ThreeByThree(
+        inst.f, inst.g, inst.eta, inst.a, inst.b, inst.c,
+        inst.alpha, inst.beta, inst.gamma, inst.phi, inst.psi,
+    )
+    ok = check_3x3(d).ok
+    if ring == GF(2):
+        ok = ok and check_3x3_part2(d).ok
+    return ok
 
 
-def suite_short_five(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        kind = "equivalence" if i % 2 else "random"
-        inst = random_shortfive_instance(rng, ring, bounds, kind)
-        d = ShortFiveInput(*inst.row1, *inst.row2, *inst.cols, *inst.cells)
-        rep = check_short_five(d)
-        fails += not rep.ok
-    return SuiteResult("short-five", cases, fails)
+@suite("short-five", ALL_RINGS)
+def suite_short_five(rng, ring, k, bounds):
+    kind = "equivalence" if ring in (GF(3), ZZ) else "random"
+    inst = random_shortfive_instance(rng, ring, bounds, kind)
+    d = ShortFiveInput(*inst.row1, *inst.row2, *inst.cols, *inst.cells)
+    return check_short_five(d).ok
 
 
-def suite_les(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    rings = (GF(2), GF(3))
-    for i in range(cases):
-        ring = rings[i % 2]
-        length = 3 + (i % 2)
-        ce = random_complex_extension(rng, ring, length, bounds)
-        fmap, omegas, gmap = to_chain_maps(ce)
-        try:
-            res = les_homology(fmap, omegas, gmap)
-        except AssertionError:
-            fails += 1
-            continue
-        maps, cells = les_full_sequence(res)
-        ok = all(exactness(maps, cells)) and shadows_exact(maps, ring)
-        fails += not ok
-    return SuiteResult("les-homology", cases, fails)
+@suite("les-homology", (GF(2), GF(3)))
+def suite_les(rng, ring, k, bounds):
+    length = 4 if ring == GF(3) else 3
+    ce = random_complex_extension(rng, ring, length, bounds)
+    fmap, omegas, gmap = to_chain_maps(ce)
+    maps, cells = les_full_sequence(les_homology(fmap, omegas, gmap))
+    return all(exactness(maps, cells)) and shadows_exact(maps, ring)
 
 
 def shadows_exact(maps, ring) -> bool:
     """Classical exactness of the pi0 and Omega images by rank arithmetic."""
-    from .modsolve import _rref_mod_p
-
     p = ring.p
 
     def rank(m, rows, cols):
@@ -492,19 +459,14 @@ def shadows_exact(maps, ring) -> bool:
 
     for shadow in ("pi0", "omega"):
         mats = []
-        dims = []
         for u in maps:
             if shadow == "pi0":
                 src_q, src_proj = cokernel_base(u.src.boundary)
                 dst_q, dst_proj = cokernel_base(u.dst.boundary)
-                from .limits2 import factor_through_epi
-
                 ind = factor_through_epi(src_proj, compose(dst_proj, u.bottom))
             else:
                 src_k, src_inc = kernel_base(u.src.boundary)
                 dst_k, dst_inc = kernel_base(u.dst.boundary)
-                from .limits2 import factor_through_mono
-
                 ind = factor_through_mono(dst_inc, compose(u.top, src_inc))
             mats.append(ind)
         for i in range(len(mats) - 1):
@@ -520,38 +482,33 @@ def shadows_exact(maps, ring) -> bool:
     return True
 
 
-def suite_matrix_calculus(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    ring = GF(3)
-    for _ in range(cases):
-        a = [random_two_object(rng, ring, bounds) for _ in range(2)]
-        b = [random_two_object(rng, ring, bounds) for _ in range(2)]
-        c = [random_two_object(rng, ring, bounds) for _ in range(2)]
-        f = [[random_square(rng, a[k], b[j]) for k in range(2)] for j in range(2)]
-        g = [[random_square(rng, b[k], c[j]) for k in range(2)] for j in range(2)]
-        af = matrix_assemble2(f, a, b)
-        ag = matrix_assemble2(g, b, c)
-        ok = compose2(ag.mor, af.mor) == matrix_assemble2(grid_product(g, f), a, c).mor
-        ok = ok and matrix_of2(af.mor, af.src_bp, af.dst_bp) == f
-        idg = [
-            [identity2(a[j]) if j == k else zero2(a[k], a[j]) for k in range(2)]
-            for j in range(2)
-        ]
-        ok = ok and classify2(matrix_assemble2(idg, a, a).mor).equivalence
-        # hom-set addition realizes codiagonal . (u (+) v) . diagonal
-        u = random_square(rng, a[0], b[0])
-        v = random_square(rng, a[0], b[0])
-        bp_a = biproduct2([a[0], a[0]])
-        bp_b = biproduct2([b[0], b[0]])
-        diag = bp_a.injections[0] + bp_a.injections[1]
-        codiag = bp_b.projections[0] + bp_b.projections[1]
-        uv = compose2(bp_b.injections[0], compose2(u, bp_a.projections[0])) + compose2(
-            bp_b.injections[1], compose2(v, bp_a.projections[1])
-        )
-        ok = ok and compose2(codiag, compose2(uv, diag)) == u + v
-        fails += not ok
-    return SuiteResult("matrix-calculus", cases, fails)
+@suite("matrix-calculus", (GF(3),))
+def suite_matrix_calculus(rng, ring, k, bounds):
+    a = [random_two_object(rng, ring, bounds) for _ in range(2)]
+    b = [random_two_object(rng, ring, bounds) for _ in range(2)]
+    c = [random_two_object(rng, ring, bounds) for _ in range(2)]
+    f = [[random_square(rng, a[k], b[j]) for k in range(2)] for j in range(2)]
+    g = [[random_square(rng, b[k], c[j]) for k in range(2)] for j in range(2)]
+    af = matrix_assemble2(f, a, b)
+    ag = matrix_assemble2(g, b, c)
+    ok = compose2(ag.mor, af.mor) == matrix_assemble2(grid_product(g, f), a, c).mor
+    ok = ok and matrix_of2(af.mor, af.src_bp, af.dst_bp) == f
+    idg = [
+        [identity2(a[j]) if j == k else zero2(a[k], a[j]) for k in range(2)]
+        for j in range(2)
+    ]
+    ok = ok and classify2(matrix_assemble2(idg, a, a).mor).equivalence
+    # hom-set addition realizes codiagonal . (u (+) v) . diagonal
+    u = random_square(rng, a[0], b[0])
+    v = random_square(rng, a[0], b[0])
+    bp_a = biproduct2([a[0], a[0]])
+    bp_b = biproduct2([b[0], b[0]])
+    diag = bp_a.injections[0] + bp_a.injections[1]
+    codiag = bp_b.projections[0] + bp_b.projections[1]
+    uv = compose2(bp_b.injections[0], compose2(u, bp_a.projections[0])) + compose2(
+        bp_b.injections[1], compose2(v, bp_a.projections[1])
+    )
+    return ok and compose2(codiag, compose2(uv, diag)) == u + v
 
 
 def suite_regularity_goodness(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
@@ -589,46 +546,36 @@ def suite_regularity_goodness(seed: int, cases: int, bounds: Bounds) -> SuiteRes
     return SuiteResult("regularity-goodness", total, fails, notes)
 
 
-def suite_sigma_omega(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        x = random_two_object(rng, ring, bounds)
-        om, sg = omega_obj(x), sigma_obj(x)
-        from .limits2 import pi0_obj, pi1_obj
-
-        p0, p1 = pi0_obj(x), pi1_obj(x)
-        om_sg = omega_obj(sg.obj)
-        sg_om = sigma_obj(om.obj)
-        ok = compose(om_sg.loop.mat, p0.unit.bottom) == sg.loop.mat
-        ok = ok and compose(p1.unit.top, sg_om.loop.mat) == om.loop.mat
-        fl = classify2(identity2(x))
-        ok = ok and fl.discrete_source == kernel_base(x.boundary)[0].is_zero
-        ok = ok and fl.connected_source == cokernel_base(x.boundary)[0].is_zero
-        fails += not ok
-    return SuiteResult("sigma-omega", cases, fails)
+@suite("sigma-omega", ALL_RINGS)
+def suite_sigma_omega(rng, ring, k, bounds):
+    x = random_two_object(rng, ring, bounds)
+    om, sg = omega_obj(x), sigma_obj(x)
+    p0, p1 = pi0_obj(x), pi1_obj(x)
+    om_sg = omega_obj(sg.obj)
+    sg_om = sigma_obj(om.obj)
+    ok = compose(om_sg.loop.mat, p0.unit.bottom) == sg.loop.mat
+    ok = ok and compose(p1.unit.top, sg_om.loop.mat) == om.loop.mat
+    fl = classify2(identity2(x))
+    ok = ok and fl.discrete_source == kernel_base(x.boundary)[0].is_zero
+    return ok and fl.connected_source == cokernel_base(x.boundary)[0].is_zero
 
 
 def suite_split_source(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
     """When the boundary splits, the object is equivalent to pi1 (+) pi0 via
     an explicitly constructed comparison."""
-    rng = random.Random(seed)
-    fails = 0
     split_hits = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
+
+    @suite("split-source", ALL_RINGS)
+    def run(rng, ring, k, bounds):
+        nonlocal split_hits
         x = random_two_object(rng, ring, bounds)
         fl = classify2(identity2(x))
         g = split_data_base(x.boundary)
         if (g is not None) != fl.split_source:
-            fails += 1
-            continue
+            return False
         if g is None:
-            continue
+            return True
         split_hits += 1
-        from .limits2 import factor_through_mono, pi0_obj, pi1_obj
-
         p0, p1 = pi0_obj(x), pi1_obj(x)
         f = x.boundary
         u1 = factor_through_mono(
@@ -637,334 +584,260 @@ def suite_split_source(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
         to_p1 = two_morphism(x, p1.obj, u1, zero_mor(x.bottom, p1.obj.bottom))
         bp = biproduct2([p1.obj, p0.obj])
         u = compose2(bp.injections[0], to_p1) + compose2(bp.injections[1], p0.unit)
-        if not classify2(u).equivalence:
-            fails += 1
-    notes = [f"split instances: {split_hits}/{cases}"]
-    return SuiteResult("split-source", cases, fails, notes)
+        return classify2(u).equivalence
+
+    result = run(seed, cases, bounds)
+    result.notes.append(f"split instances: {split_hits}/{cases}")
+    return result
 
 
-def suite_loop_exactness(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
+@suite("loop-exactness", ALL_RINGS)
+def suite_loop_exactness(rng, ring, k, bounds):
     """Three-way agreement: loop exact iff bar fully faithful iff tilde
     fully cofaithful."""
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        a = random_two_object(rng, ring, bounds)
-        b = random_two_object(rng, ring, bounds)
-        lp = _random_loop(rng, a, b)
-        e = loop_exact(lp)
-        bar = classify2(loop_bar(lp)).fully_faithful
-        til = classify2(loop_tilde(lp)).fully_cofaithful
-        fails += not (e == bar == til)
-    return SuiteResult("loop-exactness", cases, fails)
+    a = random_two_object(rng, ring, bounds)
+    b = random_two_object(rng, ring, bounds)
+    lp = _random_loop(rng, a, b)
+    e = loop_exact(lp)
+    bar = classify2(loop_bar(lp)).fully_faithful
+    til = classify2(loop_tilde(lp)).fully_cofaithful
+    return e == bar == til
 
 
-def suite_extension_properties(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
+@suite("extension-properties", ALL_RINGS)
+def suite_extension_properties(rng, ring, k, bounds):
     """Extensions are relative exact at all points; biproduct and pi1/pi0
     sequences are extensions; relative exact windows factor into extensions."""
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        ok = True
-        ext = random_extension(rng, ring, bounds)
-        ok = ok and is_extension(ext.m, ext.cell, ext.e)
-        z1, z2 = zero_two_object(ring), zero_two_object(ring)
-        x = zero2(z1, ext.m.src)
-        y = zero2(ext.e.dst, z2)
-        phi = identity_cell(compose2(ext.m, x))
-        psi = identity_cell(compose2(y, ext.e))
-        ok = ok and relative_exact_at(x, phi, ext.m, ext.cell, ext.e, psi, y)
-        # ... and at every position of the zero-padded window
-        from .sequences import ComplexSequence, complex_homology_at
-
-        cx = ComplexSequence(0, (ext.m.src, ext.m.dst, ext.e.dst), (ext.m, ext.e), (ext.cell,))
-        for n in range(3):
-            ok = ok and is_zero_equivalent(complex_homology_at(cx, n).obj)
-        # biproduct extension
-        a = random_two_object(rng, ring, bounds)
-        c = random_two_object(rng, ring, bounds)
-        bp = biproduct2([a, c])
-        cell = cell_to_zero(
-            compose2(bp.projections[1], bp.injections[0]), zero_mor(a.bottom, c.top)
-        )
-        ok = ok and is_extension(bp.injections[0], cell, bp.projections[1])
-        # pi1 -> x -> pi0 is an extension in the 2-Puppe-exact case: assert
-        # over prime fields; over Z it holds exactly for split boundaries
-        from .baselin import split_data_base
-        from .limits2 import pi0_obj, pi1_obj
-
-        xobj = random_two_object(rng, ring, bounds)
-        p0, p1 = pi0_obj(xobj), pi1_obj(xobj)
-        comp = compose2(p0.unit, p1.unit)
-        cell2 = cell_to_zero(comp, zero_mor(p1.obj.bottom, p0.obj.top))
-        pi_ext = is_extension(p1.unit, cell2, p0.unit)
-        if ring.is_field:
-            ok = ok and pi_ext
-        else:
-            ok = ok and pi_ext == (split_data_base(xobj.boundary) is not None)
-        fails += not ok
-    return SuiteResult("extension-properties", cases, fails)
+    ext = random_extension(rng, ring, bounds)
+    ok = is_extension(ext.m, ext.cell, ext.e)
+    z1, z2 = zero_two_object(ring), zero_two_object(ring)
+    x = zero2(z1, ext.m.src)
+    y = zero2(ext.e.dst, z2)
+    phi = identity_cell(compose2(ext.m, x))
+    psi = identity_cell(compose2(y, ext.e))
+    ok = ok and relative_exact_at(x, phi, ext.m, ext.cell, ext.e, psi, y)
+    # ... and at every position of the zero-padded window
+    cx = ComplexSequence(0, (ext.m.src, ext.m.dst, ext.e.dst), (ext.m, ext.e), (ext.cell,))
+    for n in range(3):
+        ok = ok and is_zero_equivalent(complex_homology_at(cx, n).obj)
+    # biproduct extension
+    a = random_two_object(rng, ring, bounds)
+    c = random_two_object(rng, ring, bounds)
+    bp = biproduct2([a, c])
+    cell = cell_to_zero(
+        compose2(bp.projections[1], bp.injections[0]), zero_mor(a.bottom, c.top)
+    )
+    ok = ok and is_extension(bp.injections[0], cell, bp.projections[1])
+    # pi1 -> x -> pi0 is an extension in the 2-Puppe-exact case: assert
+    # over prime fields; over Z it holds exactly for split boundaries
+    xobj = random_two_object(rng, ring, bounds)
+    p0, p1 = pi0_obj(xobj), pi1_obj(xobj)
+    comp = compose2(p0.unit, p1.unit)
+    cell2 = cell_to_zero(comp, zero_mor(p1.obj.bottom, p0.obj.top))
+    pi_ext = is_extension(p1.unit, cell2, p0.unit)
+    if ring.is_field:
+        return ok and pi_ext
+    return ok and pi_ext == (split_data_base(xobj.boundary) is not None)
 
 
-def suite_relex_factorization(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
+@suite("relex-factorization", (GF(2), GF(3)))
+def suite_relex_factorization(rng, ring, k, bounds):
     """Relative exact windows factor into extensions through the canonical
     image objects I_n (tested on glued pairs of extensions)."""
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = (GF(2), GF(3))[i % 2]
-        b_obj = random_two_object(rng, ring, bounds)
-        c_obj = random_two_object(rng, ring, bounds)
-        from .generators import extension_on
-
-        e1 = extension_on(rng, b_obj, c_obj, bounds)
-        d_obj = random_two_object(rng, ring, bounds)
-        e2 = extension_on(rng, e1.e.dst, d_obj, bounds)
-        a_sq, alpha, b_sq = e1.m, e1.cell, e1.e
-        c_sq, gamma, d_sq = e2.m, e2.cell, e2.e
-        cb = compose2(c_sq, b_sq)
-        upper_alpha = whisker_left(c_sq, alpha)
-        upper_gamma = whisker_right(gamma, b_sq)
-        from .sequences import ComplexSequence, padded_window
-
-        cx = ComplexSequence(
-            0,
-            (a_sq.src, a_sq.dst, cb.dst, d_sq.dst),
-            (a_sq, cb, d_sq),
-            (upper_alpha, upper_gamma),
+    b_obj = random_two_object(rng, ring, bounds)
+    c_obj = random_two_object(rng, ring, bounds)
+    e1 = extension_on(rng, b_obj, c_obj, bounds)
+    d_obj = random_two_object(rng, ring, bounds)
+    e2 = extension_on(rng, e1.e.dst, d_obj, bounds)
+    a_sq, alpha, b_sq = e1.m, e1.cell, e1.e
+    c_sq, gamma, d_sq = e2.m, e2.cell, e2.e
+    cb = compose2(c_sq, b_sq)
+    upper_alpha = whisker_left(c_sq, alpha)
+    upper_gamma = whisker_right(gamma, b_sq)
+    cx = ComplexSequence(
+        0,
+        (a_sq.src, a_sq.dst, cb.dst, d_sq.dst),
+        (a_sq, cb, d_sq),
+        (upper_alpha, upper_gamma),
+    )
+    ok = True
+    images = {}
+    for n in range(5):
+        x, phi, a, _, _, _, _ = padded_window(cx, n)
+        images[n] = rel_cokernel2(a, x, phi)
+    for n in range(4):
+        _, _, _, alpha_n, bmor, _, _ = padded_window(cx, n)
+        # the induced I_n -> A_{n+1} and the descended nullhomotopy
+        k_n = factor_rel_cokernel2(images[n], bmor, alpha_n)
+        phi_n = cell_to_zero(
+            compose2(images[n + 1].qmor, k_n), images[n + 1].zeta.mat
         )
-        from .limits2 import factor_rel_cokernel2
-
-        ok = True
-        images = {}
-        for n in range(5):
-            x, phi, a, _, _, _, _ = padded_window(cx, n)
-            images[n] = rel_cokernel2(a, x, phi)
-        for n in range(4):
-            _, _, _, alpha_n, bmor, _, _ = padded_window(cx, n)
-            # the induced I_n -> A_{n+1} and the descended nullhomotopy
-            k_n = factor_rel_cokernel2(images[n], bmor, alpha_n)
-            phi_n = cell_to_zero(
-                compose2(images[n + 1].qmor, k_n), images[n + 1].zeta.mat
-            )
-            ok = ok and is_extension(k_n, phi_n, images[n + 1].qmor)
-        fails += not ok
-    return SuiteResult("relex-factorization", cases, fails)
+        ok = ok and is_extension(k_n, phi_n, images[n + 1].qmor)
+    return ok
 
 
-def suite_pasequ(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
+@suite("pasequ", ALL_RINGS)
+def suite_pasequ(rng, ring, k, bounds):
     """Mutual equivalence of the five faithful+fully-cofaithful conditions."""
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        a = random_two_object(rng, ring, bounds)
-        b = random_two_object(rng, ring, bounds)
-        u = random_square(rng, a, b)
-        fl = classify2(u)
-        c1 = fl.faithful and fl.fully_cofaithful
-        c2 = fl.faithful and fl.full and fl.cofaithful
-        c3 = fl.fully_faithful and fl.cofaithful
-        # conditions 4/5: the four-term base sequence is exact everywhere
-        seq = sequence_of(u)
-        c45 = (
-            kernel_base(seq.iota)[0].is_zero
-            and cokernel_base(seq.pmap)[0].is_zero
-            and _exact_mid(seq)
+    a = random_two_object(rng, ring, bounds)
+    b = random_two_object(rng, ring, bounds)
+    u = random_square(rng, a, b)
+    fl = classify2(u)
+    c1 = fl.faithful and fl.fully_cofaithful
+    c2 = fl.faithful and fl.full and fl.cofaithful
+    c3 = fl.fully_faithful and fl.cofaithful
+    # conditions 4/5: the four-term base sequence is exact everywhere
+    seq = sequence_of(u)
+    c45 = (
+        kernel_base(seq.iota)[0].is_zero
+        and cokernel_base(seq.pmap)[0].is_zero
+        and exact_at_base(seq.iota, seq.pmap)
+    )
+    return c1 == c2 == c3 == c45
+
+
+@suite("orthogonality", FIELD_RINGS)
+def suite_orthogonality(rng, ring, k, bounds):
+    a = random_two_object(rng, ring, bounds)
+    b = random_two_object(rng, ring, bounds)
+    u = random_square(rng, a, b)
+    fz = factor2(u)
+    e, m = fz.e, fz.mhat
+    rivals = []
+    for _ in range(3):
+        c0 = random_square(rng, e.dst, m.src)
+        rivals.append(
+            (compose2(c0, e), identity_cell(compose2(m, compose2(c0, e))), compose2(m, c0))
         )
-        fails += not (c1 == c2 == c3 == c45)
-    return SuiteResult("pasequ", cases, fails)
+    return orthogonal2(e, m, rivals).holds
 
 
-def _exact_mid(seq) -> bool:
-    from .baselin import exact_at_base
-
-    return exact_at_base(seq.iota, seq.pmap)
-
-
-def suite_orthogonality(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = FIELD_RINGS[i % len(FIELD_RINGS)]
-        a = random_two_object(rng, ring, bounds)
-        b = random_two_object(rng, ring, bounds)
-        u = random_square(rng, a, b)
-        fz = factor2(u)
-        e, m = fz.e, fz.mhat
-        rivals = []
-        for _ in range(3):
-            c0 = random_square(rng, e.dst, m.src)
-            rivals.append(
-                (compose2(c0, e), identity_cell(compose2(m, compose2(c0, e))), compose2(m, c0))
-            )
-        rep = orthogonal2(e, m, rivals)
-        fails += not rep.holds
-    return SuiteResult("orthogonality", cases, fails)
+@suite("workspace-roundtrip", ALL_RINGS)
+def suite_workspace_roundtrip(rng, ring, k, bounds):
+    ws = Workspace(ring)
+    a = random_two_object(rng, ring, bounds)
+    b = random_two_object(rng, ring, bounds)
+    u = random_square(rng, a, b)
+    cell = random_cell_on(rng, u, bounds)
+    ws.objects["a"] = a
+    ws.objects["b"] = b
+    ws.morphisms["u"] = u
+    ws.morphisms["u2"] = cell.cto
+    ws.cells["h"] = cell
+    text = serialize_workspace(ws)
+    back = parse_workspace(text)
+    return (
+        back.objects == ws.objects
+        and back.morphisms == ws.morphisms
+        and back.cells == ws.cells
+        and serialize_workspace(back) == text
+    )
 
 
-def suite_workspace_roundtrip(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    from .workspace import Workspace, parse_workspace, serialize_workspace
-
-    rng = random.Random(seed)
-    fails = 0
-    for i in range(cases):
-        ring = ALL_RINGS[i % len(ALL_RINGS)]
-        ws = Workspace(ring)
-        a = random_two_object(rng, ring, bounds)
-        b = random_two_object(rng, ring, bounds)
-        u = random_square(rng, a, b)
-        cell = random_cell_on(rng, u, bounds)
-        ws.objects["a"] = a
-        ws.objects["b"] = b
-        ws.morphisms["u"] = u
-        ws.morphisms["u2"] = cell.cto
-        ws.cells["h"] = cell
-        text = serialize_workspace(ws)
-        back = parse_workspace(text)
-        ok = (
-            back.objects == ws.objects
-            and back.morphisms == ws.morphisms
-            and back.cells == ws.cells
-            and serialize_workspace(back) == text
-        )
-        fails += not ok
-    return SuiteResult("workspace-roundtrip", cases, fails)
+def _two_puppe_case(rng, ring, k, bounds):
+    a = random_two_object(rng, ring, bounds)
+    b = random_two_object(rng, ring, bounds)
+    u = random_square(rng, a, b)
+    fz = factor2(u)
+    ok = fz.wbar_flags.equivalence and fz.w_flags.equivalence
+    ok = ok and fz.e_flags.fully_cofaithful and fz.mhat_flags.fully_faithful
+    ok = ok and fz.l_flags.faithful and fz.l_flags.cofaithful
+    fl = classify2(u)
+    if fl.fully_faithful and fl.cofaithful:
+        ok = ok and fl.equivalence and equivalence_data2(u) is not None
+    if fl.faithful and fl.fully_cofaithful:
+        ok = ok and fl.equivalence
+    return ok
 
 
-def suite_two_puppe(ring):
-    def run(seed, cases, bounds):
-        r = suite_two_puppe_ring(seed, cases, bounds, ring)
-        return r
-
-    return run
+def suite_two_puppe(ring: BaseRing):
+    return suite(f"two-puppe-{ring}", (ring,))(_two_puppe_case)
 
 
-def suite_two_puppe_ring(seed, cases, bounds, ring) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    for _ in range(cases):
-        a = random_two_object(rng, ring, bounds)
-        b = random_two_object(rng, ring, bounds)
-        u = random_square(rng, a, b)
-        fz = factor2(u)
-        ok = fz.wbar_flags.equivalence and fz.w_flags.equivalence
-        ok = ok and fz.e_flags.fully_cofaithful and fz.mhat_flags.fully_faithful
-        ok = ok and fz.l_flags.faithful and fz.l_flags.cofaithful
-        fl = classify2(u)
-        if fl.fully_faithful and fl.cofaithful:
-            ok = ok and fl.equivalence and equivalence_data2(u) is not None
-        if fl.faithful and fl.fully_cofaithful:
-            ok = ok and fl.equivalence
-        fails += not ok
-    return SuiteResult(f"two-puppe-{ring}", cases, fails)
+def _classification_case(rng, ring, k, bounds):
+    if ring.is_field:
+        max_order = 16 if ring.p == 2 else (27 if ring.p == 3 else 25)
+    else:
+        max_order = 8
+    t1 = random_finite_object(rng, ring, max_order)
+    t0 = random_finite_object(rng, ring, max_order)
+    b1 = random_finite_object(rng, ring, max_order)
+    b0 = random_finite_object(rng, ring, max_order)
+    a = two_object(random_base_morphism(rng, t1, t0, bounds))
+    b = two_object(random_base_morphism(rng, b1, b0, bounds))
+    u = random_square(rng, a, b)
+    fl = classify2(u)
+    joint = set()
+    inj = True
+    for el in a.top.elements():
+        key = (a.boundary.apply(el), u.top.apply(el))
+        if key in joint:
+            inj = False
+            break
+        joint.add(key)
+    ok = fl.faithful == inj
+    pullback_pairs = {
+        (xx, yy)
+        for xx in a.bottom.elements()
+        for yy in b.top.elements()
+        if u.bottom.apply(xx) == b.boundary.apply(yy)
+    }
+    images = {(a.boundary.apply(el), u.top.apply(el)) for el in a.top.elements()}
+    bij = inj and images == pullback_pairs
+    return ok and fl.fully_faithful == bij
 
 
-def suite_classification_ring(ring):
-    def run(seed, cases, bounds):
-        rng = random.Random(seed)
-        fails = 0
-        for _ in range(cases):
-            if ring.is_field:
-                max_order = 16 if ring.p == 2 else (27 if ring.p == 3 else 25)
-            else:
-                max_order = 8
-            t1 = random_finite_object(rng, ring, max_order)
-            t0 = random_finite_object(rng, ring, max_order)
-            b1 = random_finite_object(rng, ring, max_order)
-            b0 = random_finite_object(rng, ring, max_order)
-            a = two_object(random_base_morphism(rng, t1, t0, bounds))
-            b = two_object(random_base_morphism(rng, b1, b0, bounds))
-            u = random_square(rng, a, b)
-            fl = classify2(u)
-            joint = set()
-            inj = True
-            for el in a.top.elements():
-                key = (a.boundary.apply(el), u.top.apply(el))
-                if key in joint:
-                    inj = False
-                    break
-                joint.add(key)
-            ok = fl.faithful == inj
-            pullback_pairs = {
-                (xx, yy)
-                for xx in a.bottom.elements()
-                for yy in b.top.elements()
-                if u.bottom.apply(xx) == b.boundary.apply(yy)
-            }
-            images = {(a.boundary.apply(el), u.top.apply(el)) for el in a.top.elements()}
-            bij = inj and images == pullback_pairs
-            ok = ok and fl.fully_faithful == bij
-            fails += not ok
-        return SuiteResult(f"classification-{ring}", cases, fails)
-
-    return run
+def suite_classification_ring(ring: BaseRing):
+    return suite(f"classification-{ring}", (ring,))(_classification_case)
 
 
-def suite_puppe_ring(ring):
-    def run(seed, cases, bounds):
-        rng = random.Random(seed)
-        fails = 0
-        for _ in range(cases):
-            a = random_two_object(rng, ring, bounds)
-            b = random_two_object(rng, ring, bounds)
-            u = random_square(rng, a, b)
-            try:
-                ps = puppe(u)
-            except AssertionError:
-                fails += 1
-                continue
-            ok = all(exactness(ps.maps, ps.cells))
-            if ring.is_field:
-                ok = ok and loop_exact(ps.mu)
-            fails += not ok
-        return SuiteResult(f"puppe-{ring}", cases, fails)
-
-    return run
+def _puppe_case(rng, ring, k, bounds):
+    a = random_two_object(rng, ring, bounds)
+    b = random_two_object(rng, ring, bounds)
+    u = random_square(rng, a, b)
+    ps = puppe(u)
+    ok = all(exactness(ps.maps, ps.cells))
+    if ring.is_field:
+        ok = ok and loop_exact(ps.mu)
+    return ok
 
 
+def suite_puppe_ring(ring: BaseRing):
+    return suite(f"puppe-{ring}", (ring,))(_puppe_case)
+
+
+# name -> (suite, default case count, the ring of a per-ring suite or None)
 SUITES = {
-    "snf": (suite_snf, 500),
-    "base-universal": (suite_base_universal, 120),
-    "base-enumeration": (suite_base_enumeration, 80),
-    "base-pullback": (suite_base_pullback, 60),
-    "base-split": (suite_base_split, 120),
-    "interchange": (suite_interchange, 200),
-    "universal-2-f2": (suite_universal2(GF(2)), 200),
-    "universal-2-f3": (suite_universal2(GF(3)), 200),
-    "universal-2-f5": (suite_universal2(GF(5)), 200),
-    "universal-2-z": (suite_universal2(ZZ), 200),
-    "relative-kernel": (suite_rel_kernel, 40),
-    "two-puppe-f2": (suite_two_puppe(GF(2)), 200),
-    "two-puppe-f3": (suite_two_puppe(GF(3)), 200),
-    "two-puppe-f5": (suite_two_puppe(GF(5)), 200),
-    "z-counterexample": (suite_counterexample, 1),
-    "puppe-f2": (suite_puppe_ring(GF(2)), 100),
-    "puppe-f3": (suite_puppe_ring(GF(3)), 100),
-    "puppe-f5": (suite_puppe_ring(GF(5)), 100),
-    "puppe-z": (suite_puppe_ring(ZZ), 100),
-    "snake": (suite_snake, 100),
-    "anaconda": (suite_anaconda, 100),
-    "three-by-three": (suite_3x3, 100),
-    "short-five": (suite_short_five, 100),
-    "les-homology": (suite_les, 50),
-    "matrix-calculus": (suite_matrix_calculus, 200),
-    "classification-f2": (suite_classification_ring(GF(2)), 500),
-    "classification-f3": (suite_classification_ring(GF(3)), 500),
-    "classification-f5": (suite_classification_ring(GF(5)), 500),
-    "classification-z": (suite_classification_ring(ZZ), 500),
-    "regularity-goodness": (suite_regularity_goodness, 200),
-    "sigma-omega": (suite_sigma_omega, 100),
-    "split-source": (suite_split_source, 60),
-    "loop-exactness": (suite_loop_exactness, 60),
-    "extension-properties": (suite_extension_properties, 40),
-    "pasequ": (suite_pasequ, 100),
-    "relex-factorization": (suite_relex_factorization, 20),
-    "orthogonality": (suite_orthogonality, 20),
-    "workspace-roundtrip": (suite_workspace_roundtrip, 30),
+    "snf": (suite_snf, 500, None),
+    "base-universal": (suite_base_universal, 120, None),
+    "base-enumeration": (suite_base_enumeration, 80, None),
+    "base-pullback": (suite_base_pullback, 60, None),
+    "base-split": (suite_base_split, 120, None),
+    "interchange": (suite_interchange, 200, None),
+    "relative-kernel": (suite_rel_kernel, 40, None),
+    "z-counterexample": (suite_counterexample, 1, None),
+    "snake": (suite_snake, 100, None),
+    "anaconda": (suite_anaconda, 100, None),
+    "three-by-three": (suite_3x3, 100, None),
+    "short-five": (suite_short_five, 100, None),
+    "les-homology": (suite_les, 50, None),
+    "matrix-calculus": (suite_matrix_calculus, 200, None),
+    "regularity-goodness": (suite_regularity_goodness, 200, None),
+    "sigma-omega": (suite_sigma_omega, 100, None),
+    "split-source": (suite_split_source, 60, None),
+    "loop-exactness": (suite_loop_exactness, 60, None),
+    "extension-properties": (suite_extension_properties, 40, None),
+    "pasequ": (suite_pasequ, 100, None),
+    "relex-factorization": (suite_relex_factorization, 20, None),
+    "orthogonality": (suite_orthogonality, 20, None),
+    "workspace-roundtrip": (suite_workspace_roundtrip, 30, None),
 }
+for _ring in ALL_RINGS:
+    SUITES[f"universal-2-{_ring}"] = (suite_universal2(_ring), 200, _ring)
+    SUITES[f"puppe-{_ring}"] = (suite_puppe_ring(_ring), 100, _ring)
+    SUITES[f"classification-{_ring}"] = (suite_classification_ring(_ring), 500, _ring)
+    if _ring.is_field:
+        SUITES[f"two-puppe-{_ring}"] = (suite_two_puppe(_ring), 200, _ring)
 
 
 def run_all(seed: int = 42, cases: int | None = None, max_dim: int = 2, only=None):
@@ -973,7 +846,7 @@ def run_all(seed: int = 42, cases: int | None = None, max_dim: int = 2, only=Non
     for i, name in enumerate(sorted(SUITES)):
         if only and name not in only:
             continue
-        fn, default_cases = SUITES[name]
+        fn, default_cases, _ = SUITES[name]
         n = default_cases if cases is None else max(1, min(default_cases, cases))
         results.append(fn(seed + i, n, bounds))
     return results
