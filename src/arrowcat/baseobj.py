@@ -90,6 +90,8 @@ def field_object(ring: BaseRing, dim: int) -> BaseObject:
 def z_object(free_rank: int, torsion: tuple[int, ...] = ()) -> BaseObject:
     from .rings import ZZ
 
+    if free_rank < 0:
+        raise ValueError("negative free rank")
     return BaseObject(ZZ, tuple(torsion) + (0,) * free_rank)
 
 

@@ -244,7 +244,7 @@ def cmd_snake(args):
     fn = generalized_snake if args.generalized else plain_snake
     try:
         res = fn(*rows, *cols, *cells)
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         return _emit(args, "snake", False, {"error": str(e)})
     maps, scells = res.sequence()
     exact = exactness(maps, scells)
@@ -260,7 +260,7 @@ def cmd_anaconda(args):
     rows, cols, cells = _snake_parts(ws, args)
     try:
         res = anaconda(*rows, *cols, *cells)
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         return _emit(args, "anaconda", False, {"error": str(e)})
     exact = exactness(*anaconda_full_sequence(res))
     return _emit(args, "anaconda", all(exact), {
@@ -277,7 +277,7 @@ def cmd_les(args):
     omegas = tuple(ws.cell(n) for n in args.omega.split(","))
     try:
         res = les_homology(fmap, omegas, gmap)
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         return _emit(args, "les", False, {"error": str(e)})
     exact = exactness(*les_full_sequence(res))
     return _emit(args, "les", all(exact), {

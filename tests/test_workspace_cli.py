@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from arrowcat.generators import Bounds, random_cell_on, random_square, random_tw
 from arrowcat.workspace import Workspace, WorkspaceError, parse_workspace, serialize_workspace
 
 GOLDEN = "golden/nonsplit.json"
+SNAKE_KEYS = ("f", "eta", "g", "f2", "eta2", "g2", "a", "b", "c", "phi", "psi")
 
 
 def run_cli(args):
@@ -74,8 +76,13 @@ class TestWorkspace:
                 "object 'x': matrix entry must be an integer",
             ),
             ('{"ring": {"field": 2}, "complexes": {"c": {}}}', "complex 'c': a complex needs at least one object"),
+            (
+                '{"ring": {"ring": "Z"}, "objects": {"x": {"top": {"free": -2}, '
+                '"bottom": {"free": 0}, "boundary": []}}}',
+                "object 'x': negative free rank",
+            ),
         ],
-        ids=["entry", "section", "ring", "name", "name-list", "matrix-entry", "empty-complex"],
+        ids=["entry", "section", "ring", "name", "name-list", "matrix-entry", "empty-complex", "negative-free"],
     )
     def test_malformed_document(self, doc, message):
         with pytest.raises(WorkspaceError) as exc:
@@ -163,6 +170,25 @@ class TestCli:
         names = [s["name"] for s in rep["result"]["suites"]]
         assert names == ["interchange", "snf"]
 
+    def test_selftest_names_as_reported(self, tmp_path):
+        golden = Path(__file__).parent / "golden_cli" / "selftest.json"
+        names = [suite["name"] for suite in json.loads(golden.read_text())["result"]["suites"]]
+        out = tmp_path / "r.json"
+        main(["selftest", "--seed", "7", "--cases", "1", "--suite", ",".join(names), "--out", str(out)])
+        assert out.read_text() == golden.read_text()
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            (["--ring", "fp:7"], "no suites over ring 'fp:7'; rings with suites: F2, F3, F5, Z"),
+            (["--suite", "puppe-f2"], "unknown suites: ['puppe-f2']"),
+        ],
+        ids=["ring", "suite"],
+    )
+    def test_selftest_rejects_unknown(self, option, message, capsys):
+        assert main(["selftest", "--cases", "1", *option]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for target in (a, b):
@@ -187,18 +213,27 @@ class TestCli:
     def test_internal_error_is_a_report(self, monkeypatch, capsys):
         import arrowcat.cli
 
-        def broken(u):
+        def broken(*args):
             raise AssertionError("invariant broken")
 
-        monkeypatch.setattr(arrowcat.cli, "classify2", broken)
-        assert main(["classify", "--in", GOLDEN, "--morphism", "u"]) == 1
-        out, err = capsys.readouterr()
-        assert json.loads(out) == {
-            "command": "classify",
-            "ok": False,
-            "result": {"error": {"kind": "internal", "message": "invariant broken"}},
-        }
-        assert "Traceback" not in err
+        case = str(Path(__file__).parent / "golden_cli" / "f2-seed1" / "workspace.json")
+        snake = [arg for key in SNAKE_KEYS for arg in (f"--{key}", f"p.{key}")]
+        runs = [
+            ("classify2", ["classify", "--in", GOLDEN, "--morphism", "u"]),
+            ("plain_snake", ["snake", "--in", case, *snake]),
+            ("anaconda", ["anaconda", "--in", case, *snake]),
+            ("les_homology", ["les", "--in", case, "--f", "f", "--g", "g", "--omega", "omega0,omega1,omega2"]),
+        ]
+        for name, argv in runs:
+            monkeypatch.setattr(arrowcat.cli, name, broken)
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert json.loads(out) == {
+                "command": argv[0],
+                "ok": False,
+                "result": {"error": {"kind": "internal", "message": "invariant broken"}},
+            }
+            assert "Traceback" not in err
 
     def test_exactat_via_files(self, tmp_path, rng, bounds):
         # build a workspace exercising exactat end to end
