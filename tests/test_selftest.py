@@ -1,4 +1,5 @@
 from arrowcat import selftest
+from arrowcat.rings import GF
 
 
 def test_internal_error_is_a_counted_failure(monkeypatch):
@@ -10,3 +11,24 @@ def test_internal_error_is_a_counted_failure(monkeypatch):
     assert (broken_suite.name, broken_suite.cases, broken_suite.failures) == ("interchange", 3, 3)
     assert broken_suite.notes == ["internal error: invariant broken"]
     assert (snf.name, snf.cases, snf.failures, snf.notes) == ("snf", 3, 0, [])
+
+
+def _recorder(monkeypatch, name, seen, variant):
+    def record(*args):
+        seen.add(variant(*args))
+        raise AssertionError("recorded")
+
+    monkeypatch.setattr(selftest, name, record)
+
+
+def test_every_ring_gets_every_variant(monkeypatch, bounds):
+    kinds, lengths, part2 = set(), set(), set()
+    _recorder(monkeypatch, "random_shortfive_instance", kinds, lambda rng, ring, b, kind: (ring, kind))
+    _recorder(monkeypatch, "random_complex_extension", lengths, lambda rng, ring, n, b: (ring, n))
+    selftest.suite_short_five(1, 8, bounds)
+    selftest.suite_les(1, 4, bounds)
+    assert kinds == {(ring, kind) for ring in selftest.ALL_RINGS for kind in ("random", "equivalence")}
+    assert lengths == {(ring, n) for ring in (GF(2), GF(3)) for n in (3, 4)}
+    _recorder(monkeypatch, "check_3x3_part2", part2, lambda d: d.f[0].top.ring)
+    selftest.suite_3x3(1, 4, bounds)
+    assert part2 == set(selftest.FIELD_RINGS)
