@@ -487,14 +487,14 @@ def suite_matrix_calculus(rng, ring, k, bounds):
     a = [random_two_object(rng, ring, bounds) for _ in range(2)]
     b = [random_two_object(rng, ring, bounds) for _ in range(2)]
     c = [random_two_object(rng, ring, bounds) for _ in range(2)]
-    f = [[random_square(rng, a[k], b[j]) for k in range(2)] for j in range(2)]
-    g = [[random_square(rng, b[k], c[j]) for k in range(2)] for j in range(2)]
+    f = [[random_square(rng, a[i], b[j]) for i in range(2)] for j in range(2)]
+    g = [[random_square(rng, b[i], c[j]) for i in range(2)] for j in range(2)]
     af = matrix_assemble2(f, a, b)
     ag = matrix_assemble2(g, b, c)
     ok = compose2(ag.mor, af.mor) == matrix_assemble2(grid_product(g, f), a, c).mor
     ok = ok and matrix_of2(af.mor, af.src_bp, af.dst_bp) == f
     idg = [
-        [identity2(a[j]) if j == k else zero2(a[k], a[j]) for k in range(2)]
+        [identity2(a[j]) if j == i else zero2(a[i], a[j]) for i in range(2)]
         for j in range(2)
     ]
     ok = ok and classify2(matrix_assemble2(idg, a, a).mor).equivalence
