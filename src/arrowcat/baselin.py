@@ -9,6 +9,7 @@ re-expressed in the canonical generators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import intmat
@@ -17,6 +18,29 @@ from .basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mo
 from .intmat import Matrix
 from .rings import BaseRing
 from .snf import kernel_lattice, smith_normal_form, solve_int
+
+
+_MEMO_SIZE = 256
+
+
+def _memo(fn):
+    """fn behind a least-recently-used memo of _MEMO_SIZE entries.
+
+    For pure constructions on frozen values whose results are immutable: a
+    hit hands the same result to every caller.  List arguments are keyed as
+    tuples; exceptions are not cached.  The memoized name stays a plain
+    function, as the layer tracer wraps only functions; cache_info() counts
+    the hits and __wrapped__ is the construction itself.
+    """
+    cached = functools.lru_cache(maxsize=_MEMO_SIZE)(fn)
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        return cached(*[tuple(a) if isinstance(a, list) else a for a in args])
+
+    memoized.cache_info = cached.cache_info
+    memoized.cache_clear = cached.cache_clear
+    return memoized
 
 
 def relation_columns(x: BaseObject) -> Matrix:
@@ -90,6 +114,7 @@ def quotient(ambient: BaseObject, kill_cols: Matrix, ncols: int):
     return pres.obj, proj, pres
 
 
+@_memo
 def kernel_base(f: BaseMorphism):
     """(K, k) with k mono, f.k = 0, universal among such."""
     if f.is_zero_mor():
@@ -102,6 +127,7 @@ def kernel_base(f: BaseMorphism):
     return k_obj, incl
 
 
+@_memo
 def cokernel_base(f: BaseMorphism):
     """(Q, q) with q epi, q.f = 0, universal among such."""
     if f.is_zero_mor():
@@ -120,8 +146,10 @@ def image_comparison(f: BaseMorphism):
     return i_obj, incl, e
 
 
-def biproduct_base(parts: list[BaseObject]):
-    """(sum, injections, projections) with strict delta identities."""
+@_memo
+def biproduct_base(parts: tuple[BaseObject, ...]):
+    """(sum, injections, projections) with strict delta identities; the
+    injections and projections are tuples in the order of parts."""
     if not parts:
         raise ValueError("empty biproduct")
     ring = parts[0].ring
@@ -143,7 +171,7 @@ def biproduct_base(parts: list[BaseObject]):
         rows = tuple(pres.from_canon[off + i] for i in range(p.ngens))
         projections.append(base_morphism(pres.obj, p, rows))
         off += p.ngens
-    return pres.obj, injections, projections
+    return pres.obj, tuple(injections), tuple(projections)
 
 
 def pullback_base(f: BaseMorphism, g: BaseMorphism):
@@ -354,6 +382,7 @@ def solve_base(a: BaseMorphism, b: BaseMorphism) -> BaseMorphism | None:
     return None if sol is None else sol["s"]
 
 
+@_memo
 def split_data_base(f: BaseMorphism) -> BaseMorphism | None:
     """g with f.g.f = f and g.f.g = g, when f splits.
 
@@ -418,6 +447,7 @@ def classify_base(f: BaseMorphism) -> BaseFlags:
     return flags
 
 
+@_memo
 def exact_at_base(f: BaseMorphism, g: BaseMorphism) -> bool:
     """Exactness of X -f-> Y -g-> Z at Y (requires g.f = 0)."""
     if compose(g, f).mat != zero_mor(f.src, g.dst).mat:

@@ -10,6 +10,7 @@ d) and invalid matrices are rejected rather than repaired.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import intmat
 from .baseobj import BaseObject
@@ -34,6 +35,13 @@ class BaseMorphism:
                 f"matrix shape {len(self.mat)}x? does not match "
                 f"{self.dst.ngens}x{self.src.ngens}"
             )
+        p = self.src.ring.p
+        if p is not None:
+            # every generator has order p, so (p * x) % p == 0 always holds
+            for row in self.mat:
+                if row and (min(row) < 0 or max(row) >= p):
+                    raise ValueError("matrix not canonically reduced")
+            return
         for i, e in enumerate(self.dst.orders):
             for j, d in enumerate(self.src.orders):
                 x = self.mat[i][j]
@@ -50,6 +58,16 @@ class BaseMorphism:
                             f"ill-defined entry at ({i},{j}): {e} does not divide {d}*{x}"
                         )
 
+    def __hash__(self) -> int:
+        # the field hash of the dataclass, computed once: memo lookups hash
+        # the same morphism many times
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.src, self.dst, self.mat))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def ring(self):
         return self.src.ring
@@ -63,7 +81,9 @@ class BaseMorphism:
         return base_morphism(self.src, self.dst, intmat.add(self.mat, other.mat))
 
     def __sub__(self, other: "BaseMorphism") -> "BaseMorphism":
-        return self + (-other)
+        if self.src != other.src or self.dst != other.dst:
+            raise ValueError("difference of non-parallel morphisms")
+        return base_morphism(self.src, self.dst, intmat.sub(self.mat, other.mat))
 
     def __neg__(self) -> "BaseMorphism":
         return base_morphism(self.src, self.dst, intmat.neg(self.mat))
@@ -82,30 +102,29 @@ class BaseMorphism:
 
 def base_morphism(src: BaseObject, dst: BaseObject, entries) -> BaseMorphism:
     """Build a morphism, reducing entries into canonical range first."""
-    reduced = tuple(
-        tuple(_reduce_entry(int(x), e) for x in row)
+    reduced = tuple([
+        tuple([int(x) % e for x in row] if e else [int(x) for x in row])
         for row, e in zip(entries, dst.orders)
-    )
+    ])
     if len(reduced) != dst.ngens:
         raise ValueError("matrix row count does not match target")
     return BaseMorphism(src, dst, reduced)
 
 
 def identity_mor(x: BaseObject) -> BaseMorphism:
-    return base_morphism(x, x, intmat.identity(x.ngens))
+    return BaseMorphism(x, x, intmat.identity(x.ngens))
 
 
 def zero_mor(src: BaseObject, dst: BaseObject) -> BaseMorphism:
-    return base_morphism(src, dst, intmat.zeros(dst.ngens, src.ngens))
+    return BaseMorphism(src, dst, intmat.zeros(dst.ngens, src.ngens))
 
 
 def compose(g: BaseMorphism, f: BaseMorphism) -> BaseMorphism:
     """g after f."""
     if f.dst != g.src:
         raise ValueError("non-composable morphisms")
-    inner = g.src.ngens
-    if inner == 0:
-        prod = intmat.zeros(g.dst.ngens, f.src.ngens)
-    else:
-        prod = intmat.mul(g.mat, f.mat, inner)
+    if g.src.ngens == 0:
+        return zero_mor(f.src, g.dst)
+    cols = tuple(zip(*f.mat))
+    prod = [[sum(map(mul, row, col)) for col in cols] for row in g.mat]
     return base_morphism(f.src, g.dst, prod)

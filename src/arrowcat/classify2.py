@@ -24,7 +24,7 @@ from .baselin import (
 )
 from .basemor import BaseMorphism, compose, identity_mor, zero_mor
 from .core2 import TwoMorphism, add_homotopy, add_square, identity2
-from .limits2 import sequence_of
+from .limits2 import SequenceData, sequence_of
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,49 @@ class ArrowClassification:
     split_source: bool
 
 
+# One predicate per flag over the base sequence of a square.  classify2
+# evaluates them all; exact_at and is_extension evaluate only the flag they
+# read.  Repeated base constructions are served by the baselin memo.
+
+
+def _split(f: BaseMorphism) -> bool:
+    return split_data_base(f) is not None
+
+
+def _faithful(seq: SequenceData) -> bool:
+    return kernel_base(seq.iota)[0].is_zero
+
+
+def _cofaithful(seq: SequenceData) -> bool:
+    return cokernel_base(seq.pmap)[0].is_zero
+
+
+def _full(seq: SequenceData) -> bool:
+    return exact_at_base(seq.iota, seq.pmap)
+
+
+def _fully_faithful(seq: SequenceData) -> bool:
+    return _faithful(seq) and _full(seq)
+
+
+def _fully_cofaithful(seq: SequenceData) -> bool:
+    return _cofaithful(seq) and _full(seq)
+
+
+def _equivalence(seq: SequenceData) -> bool:
+    return _fully_faithful(seq) and _cofaithful(seq) and _split(seq.iota)
+
+
 def classify2(u: TwoMorphism) -> ArrowClassification:
     seq = sequence_of(u)
-    iota, pmap = seq.iota, seq.pmap
-    faithful = kernel_base(iota)[0].is_zero
-    cofaithful = cokernel_base(pmap)[0].is_zero
-    full = exact_at_base(iota, pmap)
-    fully_faithful = faithful and full
-    fully_cofaithful = cofaithful and full
-    split_iota = split_data_base(iota) is not None
-    split_p = split_data_base(pmap) is not None
-    equivalence = fully_faithful and cofaithful and split_iota
+    faithful = _faithful(seq)
+    cofaithful = _cofaithful(seq)
+    full = _full(seq)
+    fully_faithful = _fully_faithful(seq)
+    fully_cofaithful = _fully_cofaithful(seq)
+    split_iota = _split(seq.iota)
+    split_p = _split(seq.pmap)
+    equivalence = _equivalence(seq)
     d = u.src.boundary
     flags = ArrowClassification(
         faithful=faithful,
@@ -69,7 +101,7 @@ def classify2(u: TwoMorphism) -> ArrowClassification:
         equivalence=equivalence,
         discrete_source=kernel_base(d)[0].is_zero,
         connected_source=cokernel_base(d)[0].is_zero,
-        split_source=split_data_base(d) is not None,
+        split_source=_split(d),
     )
     if flags.equivalence and not (
         flags.faithful

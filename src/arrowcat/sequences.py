@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basemor import compose, zero_mor
-from .classify2 import ArrowClassification, classify2
+from .classify2 import (
+    ArrowClassification,
+    _equivalence,
+    _fully_cofaithful,
+    _fully_faithful,
+    classify2,
+)
 from .core2 import (
     TwoCell,
     TwoMorphism,
@@ -44,6 +50,7 @@ from .limits2 import (
     omega_obj,
     rel_cokernel2,
     rel_kernel2,
+    sequence_of,
     sigma_obj,
 )
 
@@ -76,15 +83,15 @@ def exact_at(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism) -> bool:
     """Exactness of the sequence (a, alpha, b) at the middle object.
 
     alpha must be a cell b.a => 0; both dual decision routes are computed
-    and must agree.
+    and must agree.  Each route evaluates only the classify2 flag it reads.
     """
     _check_nullhomotopy(a, alpha, b)
     cd = cokernel2(a)
     b_prime = factor_cokernel2(cd, b, alpha)
-    via_coker = classify2(b_prime).fully_faithful
+    via_coker = _fully_faithful(sequence_of(b_prime))
     kd = kernel2(b)
     a_prime = factor_kernel2(kd, a, alpha)
-    via_ker = classify2(a_prime).fully_cofaithful
+    via_ker = _fully_cofaithful(sequence_of(a_prime))
     if via_coker != via_ker:
         raise AssertionError("the two exactness routes disagree")
     return via_coker
@@ -143,11 +150,11 @@ def is_extension(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism) -> bool:
     _check_nullhomotopy(a, alpha, b)
     kd = kernel2(b)
     a_prime = factor_kernel2(kd, a, alpha)
-    if not classify2(a_prime).equivalence:
+    if not _equivalence(sequence_of(a_prime)):
         return False
     cd = cokernel2(a)
     b_prime = factor_cokernel2(cd, b, alpha)
-    return classify2(b_prime).equivalence
+    return _equivalence(sequence_of(b_prime))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
+import dataclasses
+import inspect
 import random
 
 import pytest
 
 from arrowcat import GF, ZZ, base_morphism, compose, field_object, identity_mor, z_object, zero_mor, zero_object
+from arrowcat.basemor import BaseMorphism
 from arrowcat.baselin import (
     LinearSystem,
     biproduct_base,
     classify_base,
     cokernel_base,
+    exact_at_base,
     kernel_base,
     pullback_base,
     pushout_base,
@@ -301,3 +305,137 @@ class TestClassify:
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError):
             base_morphism(Z2T, Z1, [[1]])  # torsion cannot map to free
+
+
+MEMOIZED = (kernel_base, cokernel_base, biproduct_base, split_data_base, exact_at_base)
+RINGS = (GF(2), GF(3), GF(5), ZZ)
+
+
+def _memo_calls(rng, ring):
+    """(fn, args) covering every memoized construction on one seeded map."""
+    b = Bounds()
+    x = random_base_object(rng, ring, b)
+    y = random_base_object(rng, ring, b)
+    f = random_base_morphism(rng, x, y, b)
+    k = kernel_base.__wrapped__(f)[1]
+    q = cokernel_base.__wrapped__(f)[1]
+    return [
+        (kernel_base, (f,)),
+        (cokernel_base, (f,)),
+        (split_data_base, (f,)),
+        (biproduct_base, ([x, y],)),
+        (exact_at_base, (k, f)),
+        (exact_at_base, (f, q)),
+    ]
+
+
+class TestMemo:
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_equals_unmemoized(self, ring):
+        rng = random.Random(2024)
+        for _ in range(12):
+            for fn, args in _memo_calls(rng, ring):
+                expected = fn.__wrapped__(*args)
+                # the second call is a hit
+                assert fn(*args) == expected
+                assert fn(*args) == expected
+
+    def test_results_are_immutable(self):
+        rng = random.Random(5)
+        for ring in RINGS:
+            for fn, args in _memo_calls(rng, ring):
+                out = fn(*args)
+                if fn is biproduct_base:
+                    assert isinstance(out[1], tuple) and isinstance(out[2], tuple)
+                if fn in (kernel_base, cokernel_base, biproduct_base):
+                    assert isinstance(out, tuple)
+                    mor = out[1] if fn is not biproduct_base else out[1][0]
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        mor.mat = ()
+
+    def test_list_argument_is_copied_into_the_key(self):
+        a, b = z_object(1), z_object(0, (2,))
+        parts = [a, b]
+        first = biproduct_base(parts)
+        parts.append(a)
+        assert biproduct_base(parts) == biproduct_base.__wrapped__([a, b, a])
+        assert biproduct_base([a, b]) == first
+
+    def test_exceptions_are_not_cached(self):
+        f = identity_mor(z_object(1))
+        before = exact_at_base.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="composite is not zero"):
+                exact_at_base(f, f)
+        after = exact_at_base.cache_info()
+        assert after.misses == before.misses + 3
+        assert after.currsize == before.currsize
+
+    def test_size_is_bounded(self):
+        maxsize = kernel_base.cache_info().maxsize
+        assert maxsize == 256
+        for n in range(1, maxsize + 50):
+            kernel_base(base_morphism(Z1, Z1, [[n]]))
+        assert kernel_base.cache_info().currsize == maxsize
+
+    @pytest.mark.parametrize("fn", MEMOIZED, ids=lambda fn: fn.__name__)
+    def test_stays_a_plain_function(self, fn):
+        # the layer tracer wraps only what inspect.isfunction accepts
+        assert inspect.isfunction(fn)
+        assert fn.__module__ == "arrowcat.baselin"
+        assert inspect.isfunction(fn.__wrapped__)
+
+
+class TestMorphismValues:
+    @pytest.mark.parametrize("entry", [5, -1])
+    def test_field_entry_out_of_range(self, entry):
+        v = field_object(GF(5), 1)
+        with pytest.raises(ValueError, match="not canonically reduced"):
+            BaseMorphism(v, v, ((entry,),))
+
+    def test_wrong_shape(self):
+        v1, v2 = field_object(GF(5), 1), field_object(GF(5), 2)
+        with pytest.raises(ValueError, match="does not match"):
+            BaseMorphism(v1, v2, ((1,),))
+        with pytest.raises(ValueError, match="does not match"):
+            BaseMorphism(v2, v1, ((1,),))
+        with pytest.raises(ValueError, match="row count"):
+            base_morphism(v1, v2, [[1]])
+
+    def test_z_well_definedness(self):
+        with pytest.raises(ValueError, match="hits a free generator"):
+            BaseMorphism(Z2T, Z1, ((1,),))
+        with pytest.raises(ValueError, match="does not divide"):
+            BaseMorphism(Z2T, z_object(0, (3,)), ((1,),))
+        with pytest.raises(ValueError, match="not canonically reduced"):
+            BaseMorphism(Z1, Z2T, ((2,),))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_routes_agree(self, ring):
+        rng = random.Random(77)
+        b = Bounds()
+        for _ in range(10):
+            x = random_base_object(rng, ring, b)
+            y = random_base_object(rng, ring, b)
+            f = random_base_morphism(rng, x, y, b)
+            routes = [
+                compose(f, identity_mor(x)),
+                compose(identity_mor(y), f),
+                base_morphism(x, y, f.mat),
+                -(-f),
+                f + zero_mor(x, y),
+                f - zero_mor(x, y),
+            ]
+            for g in routes:
+                assert g == f
+                assert hash(g) == hash(f) == hash((f.src, f.dst, f.mat))
+
+    def test_fields_and_repr_unchanged(self):
+        assert [fl.name for fl in dataclasses.fields(BaseMorphism)] == ["src", "dst", "mat"]
+        f = quotient_mod2()
+        text = f"BaseMorphism(src={Z1!r}, dst={Z2T!r}, mat=((1,),))"
+        assert repr(f) == text
+        hash(f)
+        assert repr(f) == text
+        assert list(dataclasses.asdict(f)) == ["src", "dst", "mat"]
+        assert dataclasses.asdict(f) == dataclasses.asdict(quotient_mod2())

@@ -1,9 +1,24 @@
 import random
 
+import pytest
+
 from arrowcat import GF, ZZ, base_morphism, z_object, zero_mor, zero_object
-from arrowcat.classify2 import classify2, equivalence_data2, inverse_from_data
+from arrowcat.classify2 import (
+    _equivalence,
+    _fully_cofaithful,
+    _fully_faithful,
+    classify2,
+    equivalence_data2,
+    inverse_from_data,
+)
 from arrowcat.core2 import compose2, deform, identity2, two_morphism, two_object
-from arrowcat.generators import Bounds, random_base_morphism, random_square, random_two_object
+from arrowcat.generators import Bounds, random_base_morphism, random_complex, random_square, random_two_object
+from arrowcat.limits2 import cokernel2, factor_cokernel2, factor_kernel2, kernel2, sequence_of
+from arrowcat.puppe import puppe
+from arrowcat.selftest import z_counterexample
+from arrowcat.sequences import exactness
+
+RINGS = (GF(2), GF(3), GF(5), ZZ)
 
 
 def z_counter_square():
@@ -96,3 +111,56 @@ def test_split_source_tracks_boundary(rng, bounds):
         got_nonsplit |= not expected
     assert got_split  # both branches exercised on this seed
     assert got_nonsplit
+
+
+def _assert_flag_predicates(u):
+    fl = classify2(u)
+    seq = sequence_of(u)
+    assert _fully_faithful(seq) == fl.fully_faithful
+    assert _fully_cofaithful(seq) == fl.fully_cofaithful
+    assert _equivalence(seq) == fl.equivalence
+    return fl
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_flag_predicates_match_classify2(ring, bounds):
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(30):
+        a = random_two_object(rng, ring, bounds)
+        b = random_two_object(rng, ring, bounds)
+        for u in (random_square(rng, a, b), identity2(a)):
+            fl = _assert_flag_predicates(u)
+            seen.add((fl.fully_faithful, fl.fully_cofaithful))
+    assert {(True, True), (False, False)} <= seen
+
+
+def test_flag_predicates_on_the_counterexample():
+    # fully faithful and fully cofaithful, yet no equivalence
+    fl = _assert_flag_predicates(z_counterexample())
+    assert fl.fully_faithful and fl.fully_cofaithful and not fl.equivalence
+
+
+def _exact_at_by_classification(a, alpha, b):
+    """The exactness oracle reading both routes off full classifications."""
+    b_prime = factor_cokernel2(cokernel2(a), b, alpha)
+    a_prime = factor_kernel2(kernel2(b), a, alpha)
+    via_coker = classify2(b_prime).fully_faithful
+    assert via_coker == classify2(a_prime).fully_cofaithful
+    return via_coker
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_exactness_matches_full_classification(ring, bounds):
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(4):
+        ci = random_complex(rng, ring, 4, bounds)
+        ps = puppe(random_square(rng, random_two_object(rng, ring, bounds), random_two_object(rng, ring, bounds)))
+        for maps, cells in ((ci.diffs, ci.cells), (ps.maps, ps.cells[:8])):
+            expected = [
+                _exact_at_by_classification(maps[k], cells[k], maps[k + 1]) for k in range(len(cells))
+            ]
+            assert exactness(maps, cells) == expected
+            seen.update(expected)
+    assert seen == {True, False}
