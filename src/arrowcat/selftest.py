@@ -512,38 +512,49 @@ def suite_matrix_calculus(rng, ring, k, bounds):
 
 
 def suite_regularity_goodness(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    rng = random.Random(seed)
-    fails = 0
-    total = 0
-    notes = []
-    z_viol = 0
-    per_ring = max(1, -(-cases // len(FIELD_RINGS)))
-    for ring in FIELD_RINGS:
-        for _ in range(per_ring):
-            total += 1
-            a = random_two_object(rng, ring, bounds)
-            b = random_two_object(rng, ring, bounds)
-            c = random_two_object(rng, ring, bounds)
-            f = random_square(rng, a, c)
-            g = random_square(rng, b, c)
-            ok = True
-            flg = classify2(g)
-            if flg.cofaithful:
-                pb = pullback2(f, g)
-                ok = classify2(pb.p1).cofaithful
-                if flg.fully_cofaithful:
-                    ok = ok and classify2(pb.p1).fully_cofaithful
-            rep = goodness_comparisons(random_square(rng, a, b))
-            ok = ok and rep.a_epi and rep.b_mono
-            fails += not ok
-    for _ in range(max(1, cases // 8)):
-        a = random_two_object(rng, ZZ, bounds)
-        b = random_two_object(rng, ZZ, bounds)
+    """Regularity and goodness over the fields; then max(1, cases // 8) Z
+    squares, on the same random stream, whose goodness violations are
+    recorded in a note but not counted; an internal error there counts as
+    one more failure."""
+    field_rng = None
+
+    @suite("regularity-goodness", FIELD_RINGS)
+    def run(rng, ring, k, bounds):
+        nonlocal field_rng
+        field_rng = rng
+        a = random_two_object(rng, ring, bounds)
+        b = random_two_object(rng, ring, bounds)
+        c = random_two_object(rng, ring, bounds)
+        f = random_square(rng, a, c)
+        g = random_square(rng, b, c)
+        ok = True
+        flg = classify2(g)
+        if flg.cofaithful:
+            fl_p1 = classify2(pullback2(f, g).p1)
+            ok = fl_p1.cofaithful
+            if flg.fully_cofaithful:
+                ok = ok and fl_p1.fully_cofaithful
         rep = goodness_comparisons(random_square(rng, a, b))
+        return ok and rep.a_epi and rep.b_mono
+
+    result = run(seed, cases, bounds)
+    # with no field case drawn, the stream is still random.Random(seed)
+    rng = field_rng or random.Random(seed)
+    z_viol = 0
+    for _ in range(max(1, cases // 8)):
+        try:
+            a = random_two_object(rng, ZZ, bounds)
+            b = random_two_object(rng, ZZ, bounds)
+            rep = goodness_comparisons(random_square(rng, a, b))
+        except AssertionError as e:
+            result.failures += 1
+            if not result.notes:
+                result.notes.append(f"internal error: {e}")
+            continue
         if not (rep.a_epi and rep.b_mono):
             z_viol += 1
-    notes.append(f"goodness violations over Z (recorded): {z_viol}")
-    return SuiteResult("regularity-goodness", total, fails, notes)
+    result.notes.append(f"goodness violations over Z (recorded): {z_viol}")
+    return result
 
 
 @suite("sigma-omega", ALL_RINGS)

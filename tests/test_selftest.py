@@ -32,3 +32,19 @@ def test_every_ring_gets_every_variant(monkeypatch, bounds):
     _recorder(monkeypatch, "check_3x3_part2", part2, lambda d: d.f[0].top.ring)
     selftest.suite_3x3(1, 4, bounds)
     assert part2 == set(selftest.FIELD_RINGS)
+
+
+def test_regularity_goodness_runs_the_cases_asked(monkeypatch, bounds):
+    for n in (1, 4):
+        result = selftest.suite_regularity_goodness(3, n, bounds)
+        assert (result.cases, result.failures) == (n, 0)
+        assert result.notes == ["goodness violations over Z (recorded): 0"]
+
+    def broken(*args):
+        raise AssertionError("invariant broken")
+
+    # the four field cases fail through the driver, the one Z square on its own
+    monkeypatch.setattr(selftest, "goodness_comparisons", broken)
+    result = selftest.suite_regularity_goodness(3, 4, bounds)
+    assert (result.cases, result.failures) == (4, 5)
+    assert result.notes == ["internal error: invariant broken", "goodness violations over Z (recorded): 0"]
