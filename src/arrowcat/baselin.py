@@ -39,7 +39,6 @@ def _memo(fn):
         return cached(*[tuple(a) if isinstance(a, list) else a for a in args])
 
     memoized.cache_info = cached.cache_info
-    memoized.cache_clear = cached.cache_clear
     return memoized
 
 
