@@ -102,12 +102,12 @@ class BaseMorphism:
 
 def base_morphism(src: BaseObject, dst: BaseObject, entries) -> BaseMorphism:
     """Build a morphism, reducing entries into canonical range first."""
+    if len(entries) != dst.ngens:
+        raise ValueError("matrix row count does not match target")
     reduced = tuple([
         tuple([int(x) % e for x in row] if e else [int(x) for x in row])
         for row, e in zip(entries, dst.orders)
     ])
-    if len(reduced) != dst.ngens:
-        raise ValueError("matrix row count does not match target")
     return BaseMorphism(src, dst, reduced)
 
 

@@ -401,6 +401,9 @@ class TestMorphismValues:
             BaseMorphism(v2, v1, ((1,),))
         with pytest.raises(ValueError, match="row count"):
             base_morphism(v1, v2, [[1]])
+        # an extra row is an error, not silently dropped
+        with pytest.raises(ValueError, match="row count"):
+            base_morphism(v1, v1, [[1], [2]])
 
     def test_z_well_definedness(self):
         with pytest.raises(ValueError, match="hits a free generator"):
