@@ -109,8 +109,7 @@ def quotient(ambient: BaseObject, kill_cols: Matrix, ncols: int):
     rel = intmat.hstack([kill_cols, relation_columns(ambient)], ambient.ngens)
     ntors = sum(1 for d in ambient.orders if d != 0)
     pres = canonicalize(ambient.ring, ambient.ngens, rel, ncols + ntors)
-    proj = base_morphism(ambient, pres.obj, pres.to_canon)
-    return pres.obj, proj, pres
+    return pres.obj, base_morphism(ambient, pres.obj, pres.to_canon)
 
 
 @_memo
@@ -131,16 +130,16 @@ def cokernel_base(f: BaseMorphism):
     """(Q, q) with q epi, q.f = 0, universal among such."""
     if f.is_zero_mor():
         return f.dst, identity_mor(f.dst)
-    q_obj, proj, _ = quotient(f.dst, f.mat, f.src.ngens)
-    return q_obj, proj
+    return quotient(f.dst, f.mat, f.src.ngens)
 
 
 def image_comparison(f: BaseMorphism):
     """(I, m, e) with m mono, e epi and m.e = f."""
     i_obj, incl, pres = subgroup(f.dst, f.mat, f.src.ngens)
-    # express each generator image of f in the canonical subgroup basis
-    e = solve_base(incl, f)
-    if e is None:
+    # the subgroup is presented on the generator images of f, so to_canon
+    # expresses each of them in the canonical subgroup basis
+    e = base_morphism(f.src, i_obj, pres.to_canon)
+    if compose(incl, e) != f:
         raise AssertionError("image factorization must exist")
     return i_obj, incl, e
 

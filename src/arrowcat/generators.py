@@ -36,17 +36,21 @@ from .limits2 import biproduct2
 from .rings import BaseRing
 
 
+# free entries of random morphisms lie in [-MAX_ENTRY, MAX_ENTRY]; a torsion
+# order that would pass MAX_TORSION becomes a free generator instead
+MAX_ENTRY = 4
+MAX_TORSION = 8
+# coefficient range of the homogeneous basis vectors added by _sample_system
+SAMPLE_SPREAD = 2
+
+
 @dataclass
 class Bounds:
     max_dim: int = 3
-    max_entry: int = 4
-    max_torsion: int = 8
 
     def __post_init__(self):
         if self.max_dim > 6:
             raise ValueError("max dimension is 6")
-        if self.max_entry > 9:
-            raise ValueError("entries are bounded by 9")
 
 
 def random_base_object(rng: random.Random, ring: BaseRing, bounds: Bounds) -> BaseObject:
@@ -61,7 +65,7 @@ def random_base_object(rng: random.Random, ring: BaseRing, bounds: Bounds) -> Ba
             free += 1
             continue
         d = rng.choice([2, 2, 3, 4]) if d == 1 else d * rng.choice([1, 1, 2])
-        if d > bounds.max_torsion:
+        if d > MAX_TORSION:
             free += 1
         else:
             tors.append(d)
@@ -92,8 +96,7 @@ def random_base_morphism(rng: random.Random, src: BaseObject, dst: BaseObject, b
         row = []
         for d in src.orders:
             if d == 0:
-                hi = e if e else 2 * bounds.max_entry + 1
-                x = rng.randrange(0, hi) if e else rng.randint(-bounds.max_entry, bounds.max_entry)
+                x = rng.randrange(0, e) if e else rng.randint(-MAX_ENTRY, MAX_ENTRY)
             elif e == 0:
                 x = 0
             else:
@@ -110,12 +113,12 @@ def random_two_object(rng: random.Random, ring: BaseRing, bounds: Bounds) -> Two
     return TwoObject(random_base_morphism(rng, top, bottom, bounds))
 
 
-def _sample_system(rng: random.Random, sys: LinearSystem, spread: int = 2) -> dict[str, BaseMorphism]:
+def _sample_system(rng: random.Random, sys: LinearSystem) -> dict[str, BaseMorphism]:
     sol = sys.solve()
     if sol is None:
         raise AssertionError("sampling system must be solvable")
     basis = sys.homogeneous_basis()
-    coeffs = [rng.randint(-spread, spread) for _ in basis]
+    coeffs = [rng.randint(-SAMPLE_SPREAD, SAMPLE_SPREAD) for _ in basis]
     picks = {}
     for name, m in sol.items():
         acc = [list(r) for r in m.mat]

@@ -37,28 +37,17 @@ def neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in r) for r in a)
 
 
-def scale(c: int, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in r) for r in a)
-
-
 def mul(a: Matrix, b: Matrix, inner: int | None = None) -> Matrix:
     """a @ b where a is m x k and b is k x n."""
     if inner is None:
         inner = len(b)
-    m = len(a)
-    n = len(b[0]) if b else (0 if inner else 0)
+    n = len(b[0]) if b else 0
     if inner == 0:
-        n = _cols_of(b, 0)
-        return zeros(m, n)
-    n = len(b[0])
+        return zeros(len(a), n)
     return tuple(
         tuple(sum(ra[k] * b[k][j] for k in range(inner)) for j in range(n))
         for ra in a
     )
-
-
-def _cols_of(b: Matrix, default: int) -> int:
-    return len(b[0]) if b else default
 
 
 def hstack(blocks: list[Matrix], nrows: int) -> Matrix:

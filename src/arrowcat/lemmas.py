@@ -130,17 +130,13 @@ def check_3x3_part2(d: ThreeByThree) -> Report:
         p1=d.a[0], p2=f1, pi=d.phi[0].inverse(),
         f=f2, g=d.b[0], y=y,
         phi_mat=compose(d.c[1].top, d.eta[1].mat),
-        psi_mat=_cell_sum(
-            [(1, compose(d.gamma.mat, g1.bottom)), (-1, compose(d.c[1].top, d.psi[0].mat))]
-        ),
+        psi_mat=compose(d.gamma.mat, g1.bottom) - compose(d.c[1].top, d.psi[0].mat),
     )
     # psi2 is a pushout of (g2, b2) relative to (c1 eta1 . psi1^{-1} f1, beta1 f1)
     conds["psi2 relative pushout"] = is_relative_pushout(
         i1=d.c[1], i2=g3, pi=d.psi[1],
         f=g2, g=d.b[1], x=compose2(d.b[0], f1),
-        phi_mat=_cell_sum(
-            [(1, compose(d.c[0].top, d.eta[0].mat)), (-1, compose(d.psi[0].mat, f1.bottom))]
-        ),
+        phi_mat=compose(d.c[0].top, d.eta[0].mat) - compose(d.psi[0].mat, f1.bottom),
         psi_mat=compose(d.beta.mat, f1.bottom),
     )
     conds["g1 eta1-fully 0-cofaithful"] = is_zero_equivalent(
@@ -160,14 +156,6 @@ def check_3x3_part2(d: ThreeByThree) -> Report:
         "all_rows_columns_extensions": lhs,
         **conds,
     })
-
-
-def _cell_sum(terms):
-    acc = None
-    for coef, m in terms:
-        t = m if coef == 1 else -m
-        acc = t if acc is None else acc + t
-    return acc
 
 
 def is_relative_pullback(p1, p2, pi: TwoCell, f, g, y, phi_mat, psi_mat) -> bool:

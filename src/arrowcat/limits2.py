@@ -197,36 +197,28 @@ def pi1_obj(x: TwoObject) -> UnitData:
     return UnitData(obj, eps)
 
 
-def omega_mor(u: TwoMorphism, om_src: LoopData | None = None, om_dst: LoopData | None = None) -> TwoMorphism:
-    om_src = om_src or omega_obj(u.src)
-    om_dst = om_dst or omega_obj(u.dst)
+def omega_mor(u: TwoMorphism, om_src: LoopData, om_dst: LoopData) -> TwoMorphism:
     restr = factor_through_mono(om_dst.loop.mat, compose(u.top, om_src.loop.mat))
     return two_morphism(
         om_src.obj, om_dst.obj, zero_mor(om_src.obj.top, om_dst.obj.top), restr
     )
 
 
-def sigma_mor(u: TwoMorphism, sg_src: LoopData | None = None, sg_dst: LoopData | None = None) -> TwoMorphism:
-    sg_src = sg_src or sigma_obj(u.src)
-    sg_dst = sg_dst or sigma_obj(u.dst)
+def sigma_mor(u: TwoMorphism, sg_src: LoopData, sg_dst: LoopData) -> TwoMorphism:
     ind = factor_through_epi(sg_src.loop.mat, compose(sg_dst.loop.mat, u.bottom))
     return two_morphism(
         sg_src.obj, sg_dst.obj, ind, zero_mor(sg_src.obj.bottom, sg_dst.obj.bottom)
     )
 
 
-def pi0_mor(u: TwoMorphism, p_src: UnitData | None = None, p_dst: UnitData | None = None) -> TwoMorphism:
-    p_src = p_src or pi0_obj(u.src)
-    p_dst = p_dst or pi0_obj(u.dst)
+def pi0_mor(u: TwoMorphism, p_src: UnitData, p_dst: UnitData) -> TwoMorphism:
     ind = factor_through_epi(p_src.unit.bottom, compose(p_dst.unit.bottom, u.bottom))
     return two_morphism(
         p_src.obj, p_dst.obj, zero_mor(p_src.obj.top, p_dst.obj.top), ind
     )
 
 
-def pi1_mor(u: TwoMorphism, p_src: UnitData | None = None, p_dst: UnitData | None = None) -> TwoMorphism:
-    p_src = p_src or pi1_obj(u.src)
-    p_dst = p_dst or pi1_obj(u.dst)
+def pi1_mor(u: TwoMorphism, p_src: UnitData, p_dst: UnitData) -> TwoMorphism:
     restr = factor_through_mono(p_dst.unit.top, compose(u.top, p_src.unit.top))
     return two_morphism(
         p_src.obj, p_dst.obj, restr, zero_mor(p_src.obj.bottom, p_dst.obj.bottom)

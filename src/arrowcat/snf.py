@@ -3,14 +3,20 @@
 The decomposition is D = U * M * V with U, V unimodular and the diagonal of D
 a nonnegative divisibility chain.  The pivot rule is fixed: among the nonzero
 entries of the remaining block, pick one of minimal absolute value, ties
-broken row-major.  This makes every decomposition reproducible.
+broken row-major.  Every caller, solve_int and kernel_lattice included,
+decomposes by this one rule, so every decomposition is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import Matrix, identity, mat, mul, zeros
+from .intmat import Matrix, identity, mul, zeros
+
+
+def _freeze(rows) -> Matrix:
+    """rows as a Matrix; the entries are ints already, so no int() pass."""
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -35,13 +41,9 @@ def _nearest_quotient(a: int, b: int) -> int:
     return q
 
 
-def smith_normal_form(
-    m: Matrix, nrows: int, ncols: int, pivot: str = "spec"
-) -> SnfDecomposition:
-    """pivot="spec" follows the documented rule (minimal absolute value, ties
-    row-major).  pivot="markowitz" refines the tie-break among minimal-value
-    entries by least fill-in, which keeps the big slack systems of the linear
-    solver from blowing up; it is equally deterministic."""
+def smith_normal_form(m: Matrix, nrows: int, ncols: int) -> SnfDecomposition:
+    """D = U * m * V for the nrows x ncols matrix m, by the pivot rule of the
+    module docstring."""
     a = [list(r) for r in m]
     u = [list(r) for r in identity(nrows)]
     ui = [list(r) for r in identity(nrows)]
@@ -93,24 +95,7 @@ def smith_normal_form(
                 x = a[i][j]
                 if x != 0 and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
-        if best is None or pivot != "markowitz":
-            return best
-        target = best[0]
-        row_nnz = [sum(1 for j in range(t, ncols) if a[i][j]) for i in range(nrows)]
-        col_nnz = [0] * ncols
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j]:
-                    col_nnz[j] += 1
-        ranked = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and abs(x) == target:
-                    cost = (row_nnz[i] - 1) * (col_nnz[j] - 1)
-                    if ranked is None or cost < ranked[0]:
-                        ranked = (cost, i, j)
-        return (target, ranked[1], ranked[2])
+        return best
 
     # Phase 1: diagonalize with minimal pivots and symmetric remainders.
     t = 0
@@ -178,7 +163,7 @@ def smith_normal_form(
                 changed = True
 
     return SnfDecomposition(
-        u=mat(u), d=mat(a), v=mat(v), u_inv=mat(ui), v_inv=mat(vi), rank=rank
+        u=_freeze(u), d=_freeze(a), v=_freeze(v), u_inv=_freeze(ui), v_inv=_freeze(vi), rank=rank
     )
 
 
@@ -227,8 +212,8 @@ def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
         live_cols.discard(pj)
     sub_rows = sorted(live_rows)
     sub_cols = sorted(live_cols)
-    core = mat([[rows[i][j] for j in sub_cols] for i in sub_rows])
-    core_b = mat([rows[i][ncols:] for i in sub_rows])
+    core = _freeze([[rows[i][j] for j in sub_cols] for i in sub_rows])
+    core_b = _freeze([rows[i][ncols:] for i in sub_rows])
     core_sol = _solve_int_snf(core, core_b, len(sub_rows), len(sub_cols), bcols)
     if core_sol is None:
         return None
@@ -243,13 +228,13 @@ def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
                 if j != pj and prow[j]:
                     acc -= prow[j] * x[j][col]
             x[pj][col] = acc
-    return mat(x)
+    return _freeze(x)
 
 
 def _solve_int_snf(a: Matrix, b: Matrix, nrows: int, ncols: int, bcols: int) -> Matrix | None:
     if nrows == 0:
         return zeros(ncols, bcols)
-    snf = smith_normal_form(a, nrows, ncols, pivot="markowitz")
+    snf = smith_normal_form(a, nrows, ncols)
     c = mul(snf.u, b, nrows)
     y = [[0] * bcols for _ in range(ncols)]
     for i in range(nrows):
@@ -264,7 +249,7 @@ def _solve_int_snf(a: Matrix, b: Matrix, nrows: int, ncols: int, bcols: int) -> 
                     return None
                 if i < ncols:
                     y[i][j] = q
-    return mul(snf.v, mat(y), ncols)
+    return mul(snf.v, _freeze(y), ncols)
 
 
 def kernel_lattice(a: Matrix, nrows: int, ncols: int) -> list[tuple[int, ...]]:
@@ -273,7 +258,7 @@ def kernel_lattice(a: Matrix, nrows: int, ncols: int) -> list[tuple[int, ...]]:
         return []
     if nrows == 0:
         return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-    snf = smith_normal_form(a, nrows, ncols, pivot="markowitz")
+    snf = smith_normal_form(a, nrows, ncols)
     basis = []
     for j in range(ncols):
         d = snf.d[j][j] if j < min(nrows, ncols) else 0

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from arrowcat.intmat import det, identity, mat, mul, zeros
 from arrowcat.snf import kernel_lattice, smith_normal_form, solve_int
 
@@ -56,3 +58,76 @@ def test_solve_and_kernel():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + 2 * v[1] == 0 and v != (0, 0)
+
+
+# Cross-checks against sympy's Smith normal form (a dev-only oracle; the
+# tests skip when sympy is absent).
+
+
+def _random_matrices(seed, count=150):
+    """Seeded integer matrices up to 6x6, sparse, some with zero rows or columns."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(r)] = [0] * c
+        if rng.random() < 0.3:
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = 0
+        yield rng, r, c, mat(rows)
+
+
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    for _, r, c, m in _random_matrices(101):
+        expected = tuple(abs(int(x)) for x in invariant_factors(sympy.Matrix(m), domain=sympy.ZZ))
+        assert smith_normal_form(m, r, c).diagonal() == expected, m
+
+
+def _sympy_solvable(sympy, m, b, r, c):
+    """Integer solvability of m @ x = b, decided from sympy's S = U * m * V."""
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    s, u, v = smith_normal_decomp(sympy.Matrix(m), domain=sympy.ZZ)
+    assert s == u * sympy.Matrix(m) * v
+    ub = u * sympy.Matrix(b)
+    for i in range(r):
+        d = abs(int(s[i, i])) if i < min(r, c) else 0
+        for x in ub.row(i):
+            if (x % d if d else x) != 0:
+                return False
+    return True
+
+
+def test_solve_int_solutions_satisfy_their_system():
+    sympy = pytest.importorskip("sympy")
+    found = infeasible = 0
+    for rng, r, c, m in _random_matrices(102):
+        bcols = rng.randint(1, 2)
+        x0 = mat([[rng.randint(-5, 5) for _ in range(bcols)] for _ in range(c)])
+        # b = m @ x0 is solvable; a random b may not be
+        random_b = mat([[rng.randint(-9, 9) for _ in range(bcols)] for _ in range(r)])
+        for b in (mul(m, x0, c), random_b):
+            x = solve_int(m, b, r, c)
+            assert (x is not None) == _sympy_solvable(sympy, m, b, r, c), (m, b)
+            if x is None:
+                infeasible += 1
+            else:
+                assert mul(m, x, c) == b, (m, b, x)
+                found += 1
+    assert found >= 150 and infeasible >= 20, (found, infeasible)
+
+
+def test_kernel_lattice_is_annihilated_and_has_full_rank():
+    sympy = pytest.importorskip("sympy")
+    for _, r, c, m in _random_matrices(103):
+        basis = kernel_lattice(m, r, c)
+        assert len(basis) == c - sympy.Matrix(m).rank(), m
+        if basis:
+            assert sympy.Matrix(basis).rank() == len(basis), m
+        for v in basis:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m), (m, v)
