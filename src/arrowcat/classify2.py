@@ -22,9 +22,11 @@ from .baselin import (
     kernel_base,
     split_data_base,
 )
-from .basemor import BaseMorphism, compose, identity_mor, zero_mor
-from .core2 import TwoMorphism, add_homotopy, add_square, identity2
+from .basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mor
+from .baseobj import z_object, zero_object
+from .core2 import TwoMorphism, add_homotopy, add_square, identity2, two_morphism, two_object
 from .limits2 import SequenceData, sequence_of
+from .rings import ZZ
 
 
 @dataclass(frozen=True)
@@ -210,3 +212,14 @@ def _verify_equivalence(u: TwoMorphism, d: EquivalenceData):
 def inverse_from_data(u: TwoMorphism, d: EquivalenceData) -> TwoMorphism:
     """The quasi-inverse square carried by an equivalence witness."""
     return TwoMorphism(u.dst, u.src, d.v1, d.v0)
+
+
+def z_counterexample() -> TwoMorphism:
+    """The nonsplit square (top Z->0, bottom q: Z->Z/2, left *2, right 0->Z/2):
+    fully faithful and fully cofaithful over Z, yet not an equivalence."""
+    z1 = z_object(1)
+    z2t = z_object(0, (2,))
+    zz = zero_object(ZZ)
+    a = two_object(base_morphism(z1, z1, [[2]]))
+    b = two_object(base_morphism(zz, z2t, [[]]))
+    return two_morphism(a, b, zero_mor(z1, zz), base_morphism(z1, z2t, [[1]]))

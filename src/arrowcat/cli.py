@@ -10,19 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .classify2 import classify2, equivalence_data2
-from .core2 import TwoMorphism
-from .factor2 import factor2
-from .les import les_full_sequence, les_homology
-from .lemmas import ShortFiveInput, ThreeByThree, check_3x3, check_3x3_part2, check_short_five
-from .limits2 import cokernel2, copip2, coroot2, kernel2, pip2, root2
-from .puppe import puppe
+# Library modules are imported inside each cmd_* handler, so a cold call
+# loads only what its subcommand runs.
 from .rings import ZZ
-from .selftest import SUITES, run_all, z_counterexample
-from .sequences import exact_at, exactness, homology_at, relative_exact_at
-from .snake import column_data, generalized_snake, plain_snake
-from .anaconda import anaconda, anaconda_full_sequence
 from .workspace import (
     Workspace,
     WorkspaceError,
@@ -31,6 +23,9 @@ from .workspace import (
     _matrix_to_json,
     _obj_to_json,
 )
+
+if TYPE_CHECKING:
+    from .core2 import TwoMorphism
 
 
 def _mor_json(u: TwoMorphism):
@@ -79,6 +74,8 @@ def _emit(args, command: str, ok: bool, result) -> int:
 
 
 def cmd_kernel(args):
+    from .limits2 import kernel2
+
     ws = _load(args)
     kd = kernel2(ws.morphism(args.morphism))
     return _emit(args, "kernel", True, {
@@ -89,6 +86,8 @@ def cmd_kernel(args):
 
 
 def cmd_cokernel(args):
+    from .limits2 import cokernel2
+
     ws = _load(args)
     cd = cokernel2(ws.morphism(args.morphism))
     return _emit(args, "cokernel", True, {
@@ -99,6 +98,8 @@ def cmd_cokernel(args):
 
 
 def cmd_pip(args):
+    from .limits2 import pip2
+
     ws = _load(args)
     pl = pip2(ws.morphism(args.morphism))
     return _emit(args, "pip", True, {
@@ -108,6 +109,8 @@ def cmd_pip(args):
 
 
 def cmd_copip(args):
+    from .limits2 import copip2
+
     ws = _load(args)
     pl = copip2(ws.morphism(args.morphism))
     return _emit(args, "copip", True, {
@@ -117,6 +120,8 @@ def cmd_copip(args):
 
 
 def cmd_root(args):
+    from .limits2 import root2
+
     ws = _load(args)
     rt = root2(ws.cell(args.cell))
     return _emit(args, "root", True, {
@@ -126,6 +131,8 @@ def cmd_root(args):
 
 
 def cmd_coroot(args):
+    from .limits2 import coroot2
+
     ws = _load(args)
     rt = coroot2(ws.cell(args.cell))
     return _emit(args, "coroot", True, {
@@ -135,12 +142,16 @@ def cmd_coroot(args):
 
 
 def cmd_classify(args):
+    from .classify2 import classify2
+
     ws = _load(args)
     fl = classify2(ws.morphism(args.morphism))
     return _emit(args, "classify", True, _flags_json(fl))
 
 
 def cmd_equivdata(args):
+    from .classify2 import equivalence_data2
+
     ws = _load(args)
     data = equivalence_data2(ws.morphism(args.morphism))
     if data is None:
@@ -157,6 +168,8 @@ def cmd_equivdata(args):
 
 
 def cmd_factor(args):
+    from .factor2 import factor2
+
     ws = _load(args)
     fz = factor2(ws.morphism(args.morphism))
     return _emit(args, "factor", True, {
@@ -177,6 +190,8 @@ def cmd_factor(args):
 
 
 def cmd_exactat(args):
+    from .sequences import exact_at
+
     ws = _load(args)
     ok = exact_at(ws.morphism(args.a), ws.cell(args.alpha), ws.morphism(args.b))
     return _emit(args, "exactat", True, {"exact": ok})
@@ -195,12 +210,16 @@ def _rel_args(ws, args):
 
 
 def cmd_relexactat(args):
+    from .sequences import relative_exact_at
+
     ws = _load(args)
     ok = relative_exact_at(*_rel_args(ws, args))
     return _emit(args, "relexactat", True, {"relativeExact": ok})
 
 
 def cmd_homology(args):
+    from .sequences import homology_at
+
     ws = _load(args)
     h = homology_at(*_rel_args(ws, args))
     return _emit(args, "homology", True, {
@@ -212,6 +231,9 @@ def cmd_homology(args):
 
 
 def cmd_puppe(args):
+    from .puppe import puppe
+    from .sequences import exactness
+
     ws = _load(args)
     ps = puppe(ws.morphism(args.morphism))
     exact = exactness(ps.maps, ps.cells)
@@ -225,6 +247,8 @@ def cmd_puppe(args):
 
 
 def _snake_parts(ws, args):
+    from .snake import column_data
+
     rows = (
         ws.morphism(args.f), ws.cell(args.eta), ws.morphism(args.g),
         ws.morphism(args.f2), ws.cell(args.eta2), ws.morphism(args.g2),
@@ -239,6 +263,9 @@ def _snake_parts(ws, args):
 
 
 def cmd_snake(args):
+    from .sequences import exactness
+    from .snake import generalized_snake, plain_snake
+
     ws = _load(args)
     rows, cols, cells = _snake_parts(ws, args)
     fn = generalized_snake if args.generalized else plain_snake
@@ -256,6 +283,9 @@ def cmd_snake(args):
 
 
 def cmd_anaconda(args):
+    from .anaconda import anaconda, anaconda_full_sequence
+    from .sequences import exactness
+
     ws = _load(args)
     rows, cols, cells = _snake_parts(ws, args)
     try:
@@ -271,6 +301,9 @@ def cmd_anaconda(args):
 
 
 def cmd_les(args):
+    from .les import les_full_sequence, les_homology
+    from .sequences import exactness
+
     ws = _load(args)
     fmap = ws.chainmap(args.f)
     gmap = ws.chainmap(args.g)
@@ -303,6 +336,8 @@ def _parse_roles(text: str) -> dict:
 
 
 def cmd_check3x3(args):
+    from .lemmas import ThreeByThree, check_3x3, check_3x3_part2
+
     ws = _load(args)
     r = _parse_roles(args.roles)
     try:
@@ -329,6 +364,8 @@ def cmd_check3x3(args):
 
 
 def cmd_shortfive(args):
+    from .lemmas import ShortFiveInput, check_short_five
+
     ws = _load(args)
     d = ShortFiveInput(
         ws.morphism(args.f), ws.cell(args.eta), ws.morphism(args.g),
@@ -351,6 +388,8 @@ def cmd_shortfive(args):
 
 def nonsplit_workspace() -> Workspace:
     """The shipped counterexample workspace."""
+    from .classify2 import z_counterexample
+
     u = z_counterexample()
     ws = Workspace(ZZ)
     ws.objects["doubling"] = u.src
@@ -360,12 +399,13 @@ def nonsplit_workspace() -> Workspace:
 
 
 def cmd_demo_nonsplit(args):
+    from .baselin import split_data_base
+    from .classify2 import classify2, equivalence_data2, z_counterexample
+    from .limits2 import sequence_of
+
     u = z_counterexample()
     fl = classify2(u)
     data = equivalence_data2(u)
-    from .baselin import split_data_base
-    from .limits2 import sequence_of
-
     witness = split_data_base(sequence_of(u).iota)
     return _emit(args, "demo-nonsplit", True, {
         "workspace": json.loads(serialize_workspace(nonsplit_workspace())),
@@ -376,6 +416,8 @@ def cmd_demo_nonsplit(args):
 
 
 def cmd_selftest(args):
+    from .selftest import SUITES, run_all
+
     only = set(args.suite.split(",")) if args.suite else None
     if only:
         unknown = only - set(SUITES)
@@ -398,6 +440,12 @@ def cmd_selftest(args):
         ],
     }
     return _emit(args, "selftest", ok, report)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest")
     out(sp)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--cases", type=int, default=None)
+    sp.add_argument("--cases", type=_positive_int, default=None)
     sp.add_argument("--ring", default=None, help="fp:<p> or Z: keep only that ring's suites")
     sp.add_argument("--suite", default=None, help="comma-separated suite names")
     sp.add_argument("--max-dim", type=int, default=2)

@@ -49,8 +49,8 @@ class Bounds:
     max_dim: int = 3
 
     def __post_init__(self):
-        if self.max_dim > 6:
-            raise ValueError("max dimension is 6")
+        if not 0 <= self.max_dim <= 6:
+            raise ValueError(f"max dimension must lie in 0..6, got {self.max_dim}")
 
 
 def random_base_object(rng: random.Random, ring: BaseRing, bounds: Bounds) -> BaseObject:

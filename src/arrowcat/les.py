@@ -58,6 +58,13 @@ def les_homology(fmap: ChainMap, omegas: tuple[TwoCell, ...], gmap: ChainMap) ->
     if gmap.src != bx:
         raise ValueError("chain maps do not compose")
     lo, n_objs = ax.lo, len(ax.objects)
+    if len(omegas) != n_objs:
+        raise ValueError(
+            f"need one cell g_n f_n => 0 per degree {lo}..{lo + n_objs - 1}, got {len(omegas)}"
+        )
+    for n, f_n, g_n, om in zip(range(lo, lo + n_objs), fmap.squares, gmap.squares, omegas):
+        if om.cfrom != compose2(g_n, f_n) or not om.cto.is_zero_mor():
+            raise ValueError(f"the cell at degree {n} is not g_{n} f_{n} => 0")
     degrees = list(range(lo - 1, lo + n_objs + 1))
     snake_degrees = degrees[:-1]
     complexes = (ax, bx, cx)

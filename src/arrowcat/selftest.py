@@ -22,9 +22,8 @@ from .baselin import (
     solve_base,
     split_data_base,
 )
-from .basemor import base_morphism, compose, identity_mor, zero_mor
-from .baseobj import z_object, zero_object
-from .classify2 import classify2, equivalence_data2
+from .basemor import compose, identity_mor, zero_mor
+from .classify2 import classify2, equivalence_data2, z_counterexample
 from .core2 import (
     add_cell,
     add_homotopy,
@@ -363,17 +362,6 @@ def _zero_psi(u):
     z = zero_two_object(u.top.ring)
     comp = compose2(zero2(u.dst, z), u)
     return cell_to_zero(comp, zero_mor(u.src.bottom, z.top))
-
-
-def z_counterexample():
-    """The nonsplit square (top Z->0, bottom q: Z->Z/2, left *2, right 0->Z/2)."""
-    z1 = z_object(1)
-    z2t = z_object(0, (2,))
-    zz = zero_object(ZZ)
-    a = two_object(base_morphism(z1, z1, [[2]]))
-    b = two_object(base_morphism(zz, z2t, [[]]))
-    u = two_morphism(a, b, zero_mor(z1, zz), base_morphism(z1, z2t, [[1]]))
-    return u
 
 
 def suite_counterexample(seed: int, cases: int, bounds: Bounds) -> SuiteResult:

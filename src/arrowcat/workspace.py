@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .baseobj import BaseObject, field_object, z_object
 from .basemor import BaseMorphism, base_morphism
 from .core2 import TwoCell, TwoMorphism, TwoObject, two_cell, two_morphism, two_object
 from .rings import GF, ZZ, BaseRing
-from .sequences import ChainMap, ComplexSequence
+
+if TYPE_CHECKING:
+    from .sequences import ChainMap, ComplexSequence
 
 
 class WorkspaceError(ValueError):
@@ -184,6 +187,10 @@ def parse_workspace(text: str) -> Workspace:
         cto = ws.morphism(_name(cd, "to", where))
         mat = _mor_from_json(cfrom.src.bottom, cfrom.dst.top, cd.get("matrix"), where)
         ws.cells[name] = _build(where, two_cell, cfrom, cto, mat)
+    if data.get("complexes") or data.get("chainmaps"):
+        # sequences pulls in limits2 and classify2: load it only for a
+        # workspace that holds complexes
+        from .sequences import ChainMap, ComplexSequence
     for name, where, xd in _entries(data, "complexes", "complex"):
         lo = _int(xd.get("lo", 0), f"{where}: lo")
         objs = tuple(ws.object(n) for n in _names(xd, "objects", where))

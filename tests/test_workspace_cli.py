@@ -182,12 +182,20 @@ class TestCli:
         [
             (["--ring", "fp:7"], "no suites over ring 'fp:7'; rings with suites: F2, F3, F5, Z"),
             (["--suite", "puppe-f2"], "unknown suites: ['puppe-f2']"),
+            (["--max-dim", "-1"], "max dimension must lie in 0..6, got -1"),
         ],
-        ids=["ring", "suite"],
+        ids=["ring", "suite", "max-dim"],
     )
     def test_selftest_rejects_unknown(self, option, message, capsys):
         assert main(["selftest", "--cases", "1", *option]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_selftest_cases_must_be_positive(self, cases, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--cases", cases])
+        assert exc.value.code == 2
+        assert f"argument --cases: must be a positive integer, got '{cases}'" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -211,21 +219,20 @@ class TestCli:
         assert "unknown morphism" in proc.stderr
 
     def test_internal_error_is_a_report(self, monkeypatch, capsys):
-        import arrowcat.cli
-
         def broken(*args):
             raise AssertionError("invariant broken")
 
         case = str(Path(__file__).parent / "golden_cli" / "f2-seed1" / "workspace.json")
         snake = [arg for key in SNAKE_KEYS for arg in (f"--{key}", f"p.{key}")]
+        # the handlers import these at call time, so patch the defining modules
         runs = [
-            ("classify2", ["classify", "--in", GOLDEN, "--morphism", "u"]),
-            ("plain_snake", ["snake", "--in", case, *snake]),
-            ("anaconda", ["anaconda", "--in", case, *snake]),
-            ("les_homology", ["les", "--in", case, "--f", "f", "--g", "g", "--omega", "omega0,omega1,omega2"]),
+            ("arrowcat.classify2.classify2", ["classify", "--in", GOLDEN, "--morphism", "u"]),
+            ("arrowcat.snake.plain_snake", ["snake", "--in", case, *snake]),
+            ("arrowcat.anaconda.anaconda", ["anaconda", "--in", case, *snake]),
+            ("arrowcat.les.les_homology", ["les", "--in", case, "--f", "f", "--g", "g", "--omega", "omega0,omega1,omega2"]),
         ]
-        for name, argv in runs:
-            monkeypatch.setattr(arrowcat.cli, name, broken)
+        for target, argv in runs:
+            monkeypatch.setattr(target, broken)
             assert main(argv) == 1
             out, err = capsys.readouterr()
             assert json.loads(out) == {
@@ -410,6 +417,20 @@ class TestDiagramCommands:
         assert rc == 0
         rep = json.loads(out.read_text())
         assert rep["ok"] and all(rep["result"]["exactness"])
+
+    @pytest.mark.parametrize(
+        "omega,message",
+        [
+            ("omega0,omega1", "need one cell g_n f_n => 0 per degree 0..2, got 2"),
+            ("omega0,omega1,omega2,omega0", "need one cell g_n f_n => 0 per degree 0..2, got 4"),
+            ("omega1,omega0,omega2", "the cell at degree 0 is not g_0 f_0 => 0"),
+        ],
+        ids=["missing", "extra", "permuted"],
+    )
+    def test_les_rejects_a_partial_extension(self, omega, message, capsys):
+        case = str(Path(__file__).parent / "golden_cli" / "f3-seed1" / "workspace.json")
+        assert main(["les", "--in", case, "--f", "f", "--g", "g", "--omega", omega]) == 1
+        assert json.loads(capsys.readouterr().out)["result"] == {"error": message}
 
     def test_check3x3_cli(self, rng, bounds, tmp_path):
         from arrowcat.generators import random_3x3_instance
