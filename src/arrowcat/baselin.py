@@ -9,37 +9,14 @@ re-expressed in the canonical generators.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import intmat
 from .baseobj import BaseObject, make_object
-from .basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mor
+from .basemor import BaseMorphism, _memo, base_morphism, compose, identity_mor, zero_mor
 from .intmat import Matrix
 from .rings import BaseRing
 from .snf import kernel_lattice, smith_normal_form, solve_int
-
-
-_MEMO_SIZE = 256
-
-
-def _memo(fn):
-    """fn behind a least-recently-used memo of _MEMO_SIZE entries.
-
-    For pure constructions on frozen values whose results are immutable: a
-    hit hands the same result to every caller.  List arguments are keyed as
-    tuples; exceptions are not cached.  The memoized name stays a plain
-    function, as the layer tracer wraps only functions; cache_info() counts
-    the hits and __wrapped__ is the construction itself.
-    """
-    cached = functools.lru_cache(maxsize=_MEMO_SIZE)(fn)
-
-    @functools.wraps(fn)
-    def memoized(*args):
-        return cached(*[tuple(a) if isinstance(a, list) else a for a in args])
-
-    memoized.cache_info = cached.cache_info
-    return memoized
 
 
 def relation_columns(x: BaseObject) -> Matrix:

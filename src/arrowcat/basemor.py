@@ -5,16 +5,47 @@ multiplication.  Entries are canonically reduced: the entry into a target
 generator of order e lives in [0, e).  Well-definedness over Z is checked at
 construction (a source generator of order d must map to an element killed by
 d) and invalid matrices are rejected rather than repaired.
+
+The check contract: every BaseMorphism that is built is validated.  One
+matrix kernel, _product and _difference, gives the canonically reduced
+matrices of composites and differences; compose and __sub__ wrap them, and
+the square and cell equations of core2 compare them directly, since two
+parallel morphisms are equal exactly when their reduced matrices are.  Zero
+and identity morphisms are interned: each is built and validated once per
+pair of objects while it stays in the bounded memo.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 
 from . import intmat
 from .baseobj import BaseObject
 from .intmat import Matrix
+
+
+_MEMO_SIZE = 256
+
+
+def _memo(fn):
+    """fn behind a least-recently-used memo of _MEMO_SIZE entries.
+
+    For pure constructions on frozen values whose results are immutable: a
+    hit hands the same result to every caller.  List arguments are keyed as
+    tuples; exceptions are not cached.  The memoized name stays a plain
+    function, as the layer tracer wraps only functions; cache_info() counts
+    the hits and __wrapped__ is the construction itself.
+    """
+    cached = functools.lru_cache(maxsize=_MEMO_SIZE)(fn)
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        return cached(*[tuple(a) if isinstance(a, list) else a for a in args])
+
+    memoized.cache_info = cached.cache_info
+    return memoized
 
 
 def _reduce_entry(x: int, order: int) -> int:
@@ -78,21 +109,23 @@ class BaseMorphism:
     def __add__(self, other: "BaseMorphism") -> "BaseMorphism":
         if self.src != other.src or self.dst != other.dst:
             raise ValueError("sum of non-parallel morphisms")
-        return base_morphism(self.src, self.dst, intmat.add(self.mat, other.mat))
+        return BaseMorphism(self.src, self.dst, _reduced(intmat.add(self.mat, other.mat), self.dst))
 
     def __sub__(self, other: "BaseMorphism") -> "BaseMorphism":
-        if self.src != other.src or self.dst != other.dst:
-            raise ValueError("difference of non-parallel morphisms")
-        return base_morphism(self.src, self.dst, intmat.sub(self.mat, other.mat))
+        return BaseMorphism(self.src, self.dst, _difference(self, other))
 
     def __neg__(self) -> "BaseMorphism":
-        return base_morphism(self.src, self.dst, intmat.neg(self.mat))
+        return BaseMorphism(self.src, self.dst, _reduced(intmat.neg(self.mat), self.dst))
 
     def is_zero_mor(self) -> bool:
         return intmat.is_zero(self.mat)
 
     def apply(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Image of an element given by coordinates in the source generators."""
+        if len(coords) != self.src.ngens:
+            raise ValueError(
+                f"{len(coords)} coordinates for a source with {self.src.ngens} generators"
+            )
         out = []
         for i, e in enumerate(self.dst.orders):
             s = sum(self.mat[i][j] * c for j, c in enumerate(coords))
@@ -100,31 +133,59 @@ class BaseMorphism:
         return tuple(out)
 
 
+def _reduced(rows, dst: BaseObject) -> Matrix:
+    """Rows of integers reduced into the canonical range of dst's generators."""
+    return tuple([
+        tuple([x % e for x in row]) if e else tuple(row)
+        for row, e in zip(rows, dst.orders)
+    ])
+
+
 def base_morphism(src: BaseObject, dst: BaseObject, entries) -> BaseMorphism:
-    """Build a morphism, reducing entries into canonical range first."""
+    """Build a morphism, reducing entries into canonical range first.
+
+    Entries must be integers (anything operator.index accepts); a float, a
+    string or a Fraction raises TypeError rather than being truncated.
+    """
     if len(entries) != dst.ngens:
         raise ValueError("matrix row count does not match target")
-    reduced = tuple([
-        tuple([int(x) % e for x in row] if e else [int(x) for x in row])
-        for row, e in zip(entries, dst.orders)
-    ])
-    return BaseMorphism(src, dst, reduced)
+    return BaseMorphism(src, dst, _reduced([list(map(index, row)) for row in entries], dst))
 
 
+@_memo
 def identity_mor(x: BaseObject) -> BaseMorphism:
     return BaseMorphism(x, x, intmat.identity(x.ngens))
 
 
+@_memo
 def zero_mor(src: BaseObject, dst: BaseObject) -> BaseMorphism:
     return BaseMorphism(src, dst, intmat.zeros(dst.ngens, src.ngens))
 
 
-def compose(g: BaseMorphism, f: BaseMorphism) -> BaseMorphism:
-    """g after f."""
+def _product(g: BaseMorphism, f: BaseMorphism) -> Matrix:
+    """The canonically reduced matrix of g after f."""
     if f.dst != g.src:
         raise ValueError("non-composable morphisms")
-    if g.src.ngens == 0:
-        return zero_mor(f.src, g.dst)
+    if not f.mat:
+        return intmat.zeros(g.dst.ngens, f.src.ngens)
     cols = tuple(zip(*f.mat))
-    prod = [[sum(map(mul, row, col)) for col in cols] for row in g.mat]
-    return base_morphism(f.src, g.dst, prod)
+    return tuple([
+        tuple([sum(map(mul, row, col)) % e for col in cols]) if e
+        else tuple([sum(map(mul, row, col)) for col in cols])
+        for row, e in zip(g.mat, g.dst.orders)
+    ])
+
+
+def _difference(a: BaseMorphism, b: BaseMorphism) -> Matrix:
+    """The canonically reduced matrix of a - b."""
+    if a.src != b.src or a.dst != b.dst:
+        raise ValueError("difference of non-parallel morphisms")
+    return _reduced(intmat.sub(a.mat, b.mat), a.dst)
+
+
+def compose(g: BaseMorphism, f: BaseMorphism) -> BaseMorphism:
+    """g after f."""
+    mat = _product(g, f)
+    if not f.mat:
+        return zero_mor(f.src, g.dst)
+    return BaseMorphism(f.src, g.dst, mat)

@@ -10,6 +10,12 @@ exactly.  Vertical composition adds the matrices, horizontal composition is
 beta * alpha = v1' . alpha + beta . u0 (the alternative formula is asserted
 equal), and identities/zeros are strict.
 
+Every square and every cell that is built is checked.  The commutativity of
+a square and the two homotopy equations of a cell are compared as
+canonically reduced matrices (basemor._product and basemor._difference),
+without building the composites as morphisms; the components themselves are
+validated BaseMorphisms, and zero and identity components are interned.
+
 The same two layouts - the commutativity of a square and the two homotopy
 equations of a cell - are what every "there is a square or a cell such
 that ..." question solves for.  add_square, add_cell and add_homotopy
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 from .baselin import LinearSystem
 from .baseobj import BaseObject, zero_object
-from .basemor import BaseMorphism, compose, identity_mor, zero_mor
+from .basemor import BaseMorphism, _difference, _product, compose, identity_mor, zero_mor
 from .rings import BaseRing
 
 
@@ -75,7 +81,7 @@ class TwoMorphism:
             raise ValueError("top component has the wrong endpoints")
         if self.bottom.src != self.src.bottom or self.bottom.dst != self.dst.bottom:
             raise ValueError("bottom component has the wrong endpoints")
-        if compose(self.dst.boundary, self.top) != compose(self.bottom, self.src.boundary):
+        if _product(self.dst.boundary, self.top) != _product(self.bottom, self.src.boundary):
             raise ValueError("square does not commute")
 
     def __add__(self, other: "TwoMorphism") -> "TwoMorphism":
@@ -126,9 +132,9 @@ class TwoCell:
             raise ValueError("cell between non-parallel squares")
         if self.mat.src != f.src.bottom or self.mat.dst != f.dst.top:
             raise ValueError("cell matrix has the wrong endpoints")
-        if f.top - t.top != compose(self.mat, f.src.boundary):
+        if _difference(f.top, t.top) != _product(self.mat, f.src.boundary):
             raise ValueError("cell fails the top homotopy equation")
-        if f.bottom - t.bottom != compose(f.dst.boundary, self.mat):
+        if _difference(f.bottom, t.bottom) != _product(f.dst.boundary, self.mat):
             raise ValueError("cell fails the bottom homotopy equation")
 
     @property

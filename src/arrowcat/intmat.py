@@ -14,7 +14,7 @@ def mat(rows) -> Matrix:
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
-    return tuple((0,) * ncols for _ in range(nrows))
+    return ((0,) * ncols,) * nrows
 
 
 def identity(n: int) -> Matrix:

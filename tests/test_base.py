@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -442,3 +443,82 @@ class TestMorphismValues:
         assert repr(f) == text
         assert list(dataclasses.asdict(f)) == ["src", "dst", "mat"]
         assert dataclasses.asdict(f) == dataclasses.asdict(quotient_mod2())
+
+
+class TestIntegerEntries:
+    @pytest.mark.parametrize(
+        "ring, entry",
+        [(GF(3), 1.7), (ZZ, 2.9), (ZZ, "2"), (GF(5), "1"), (ZZ, Fraction(4, 2)), (GF(3), Fraction(1, 2))],
+        ids=["F3-float", "Z-float", "Z-str", "F5-str", "Z-fraction", "F3-fraction"],
+    )
+    def test_non_integer_entry_raises(self, ring, entry):
+        x = field_object(ring, 1) if ring.is_field else z_object(1)
+        with pytest.raises(TypeError):
+            base_morphism(x, x, [[entry]])
+
+    def test_integer_like_entries_are_plain_ints(self):
+        v = field_object(GF(3), 2)
+        f = base_morphism(v, v, [[True, 4], [-1, 0]])
+        assert f.mat == ((1, 1), (2, 0))
+        assert all(type(x) is int for row in f.mat for x in row)
+
+
+class TestApply:
+    def test_coordinate_count_must_match_source(self):
+        x = z_object(1, (2,))
+        f = identity_mor(x)
+        assert f.apply((1, 3)) == (1, 3)
+        for coords in [(1,), (1, 1, 1), ()]:
+            with pytest.raises(ValueError, match="coordinates for a source with 2 generators"):
+                f.apply(coords)
+
+
+INTERNED = (zero_mor, identity_mor)
+
+
+class TestInterning:
+    @staticmethod
+    def _objects(n):
+        """n distinct objects over Z with at most three generators."""
+        return [z_object(k % 3, (2 + k // 3,)) for k in range(n)]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_same_value_as_a_fresh_build(self, ring):
+        rng = random.Random(31)
+        for _ in range(8):
+            a = random_base_object(rng, ring, Bounds())
+            b = random_base_object(rng, ring, Bounds())
+            z = zero_mor(a, b)
+            assert z is zero_mor(a, b)
+            fresh = BaseMorphism(a, b, tuple((0,) * a.ngens for _ in range(b.ngens)))
+            assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
+            one = identity_mor(a)
+            assert one is identity_mor(a)
+            eye = tuple(tuple(int(i == j) for j in range(a.ngens)) for i in range(a.ngens))
+            fresh = BaseMorphism(a, a, eye)
+            assert one == fresh and hash(one) == hash(fresh) and repr(one) == repr(fresh)
+
+    def test_size_is_bounded(self):
+        objs = self._objects(300)
+        for k, x in enumerate(objs):
+            zero_mor(x, objs[(7 * k + 3) % len(objs)])
+            identity_mor(x)
+        for fn in INTERNED:
+            assert fn.cache_info().maxsize == 256
+            assert fn.cache_info().currsize == 256
+
+    def test_ring_mismatch_is_not_cached(self):
+        a, b = field_object(GF(2), 1), field_object(GF(3), 1)
+        before = zero_mor.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="different rings"):
+                zero_mor(a, b)
+        after = zero_mor.cache_info()
+        assert after.misses == before.misses + 3
+        assert after.currsize == before.currsize
+
+    @pytest.mark.parametrize("fn", INTERNED, ids=lambda fn: fn.__name__)
+    def test_stays_a_plain_function(self, fn):
+        assert inspect.isfunction(fn)
+        assert fn.__module__ == "arrowcat.basemor"
+        assert inspect.isfunction(fn.__wrapped__)

@@ -1,9 +1,13 @@
 import random
+from math import gcd
 
 import pytest
 
-from arrowcat import GF, ZZ
+from arrowcat import GF, ZZ, base_morphism, two_object
+from arrowcat.basemor import _difference, _product, compose, zero_mor
 from arrowcat.core2 import (
+    TwoCell,
+    TwoMorphism,
     cells_equal,
     compose2,
     hcomp2,
@@ -14,7 +18,14 @@ from arrowcat.core2 import (
     whisker_right,
     zero2,
 )
-from arrowcat.generators import Bounds, random_cell_on, random_square, random_two_object
+from arrowcat.generators import (
+    Bounds,
+    random_base_morphism,
+    random_base_object,
+    random_cell_on,
+    random_square,
+    random_two_object,
+)
 
 
 @pytest.fixture
@@ -113,3 +124,160 @@ def test_square_must_commute(setup):
             base_morphism(z_object(1), z_object(1), [[1]]),
             base_morphism(z_object(1), z_object(1), [[2]]),
         )
+
+
+# ---------------------------------------------------------------------------
+# The square and cell equations, against schoolbook integer arithmetic
+# ---------------------------------------------------------------------------
+
+EQUATION_RINGS = (GF(2), GF(3), GF(5), ZZ)
+
+
+def _red(x, e):
+    return x % e if e else x
+
+
+def _oracle_product(g, f):
+    """Matrix of g after f by plain integer sums, reduced into g.dst."""
+    return tuple(
+        tuple(_red(sum(g.mat[i][k] * f.mat[k][j] for k in range(f.dst.ngens)), e) for j in range(f.src.ngens))
+        for i, e in enumerate(g.dst.orders)
+    )
+
+
+def _oracle_difference(a, b):
+    return tuple(
+        tuple(_red(x - y, e) for x, y in zip(ra, rb)) for ra, rb, e in zip(a.mat, b.mat, a.dst.orders)
+    )
+
+
+def _oracle_square_fails(src, dst, top, bottom):
+    return _oracle_product(dst.boundary, top) != _oracle_product(bottom, src.boundary)
+
+
+def _oracle_cell_fails(cfrom, cto, mat):
+    """None when the cell equations hold, else the first one that fails."""
+    if _oracle_difference(cfrom.top, cto.top) != _oracle_product(mat, cfrom.src.boundary):
+        return "top"
+    if _oracle_difference(cfrom.bottom, cto.bottom) != _oracle_product(cfrom.dst.boundary, mat):
+        return "bottom"
+    return None
+
+
+def _bumps(m):
+    """Every morphism that differs from m in one entry by the smallest
+    well-defined nonzero step."""
+    for i, e in enumerate(m.dst.orders):
+        for j, d in enumerate(m.src.orders):
+            if d and not e:
+                continue  # a torsion generator cannot reach a free one
+            step = e // gcd(e, d) if d else 1
+            if e and step % e == 0:
+                continue
+            rows = [list(r) for r in m.mat]
+            rows[i][j] += step
+            yield base_morphism(m.src, m.dst, rows)
+
+
+def _pair(rng, ring, zero_source):
+    """Two random objects; the first has a zero boundary when zero_source."""
+    b = Bounds(max_dim=3)
+    if zero_source:
+        a = two_object(zero_mor(random_base_object(rng, ring, b), random_base_object(rng, ring, b)))
+    else:
+        a = random_two_object(rng, ring, b)
+    return a, random_two_object(rng, ring, b)
+
+
+@pytest.mark.parametrize("ring", EQUATION_RINGS, ids=str)
+def test_perturbed_square_does_not_commute(ring):
+    rng = random.Random(8100 + (ring.p or 0))
+    failing = 0
+    for _ in range(30):
+        a, b = _pair(rng, ring, zero_source=False)
+        u = random_square(rng, a, b)
+        perturbed = [(t, u.bottom) for t in _bumps(u.top)] + [(u.top, m) for m in _bumps(u.bottom)]
+        for top, bottom in perturbed:
+            if _oracle_square_fails(a, b, top, bottom):
+                failing += 1
+                with pytest.raises(ValueError, match="square does not commute"):
+                    TwoMorphism(a, b, top, bottom)
+            else:
+                TwoMorphism(a, b, top, bottom)
+    assert failing >= 10
+
+
+@pytest.mark.parametrize("ring", EQUATION_RINGS, ids=str)
+def test_perturbed_cell_fails_its_homotopy_equation(ring):
+    rng = random.Random(8200 + (ring.p or 0))
+    failing = {"top": 0, "bottom": 0}
+    for k in range(30):
+        # a zero source boundary leaves the top equation blind to the matrix,
+        # so perturbing the matrix there can only break the bottom equation
+        a, b = _pair(rng, ring, zero_source=k % 2 == 1)
+        u = random_square(rng, a, b)
+        cell = random_cell_on(rng, u, Bounds(max_dim=2))
+        perturbed = [(u, cell.cto, m) for m in _bumps(cell.mat)]
+        # moving the target square along a kernel of the boundary keeps it
+        # a square but breaks one equation
+        for t in _bumps(cell.cto.top):
+            if not _oracle_square_fails(a, b, t, cell.cto.bottom):
+                perturbed.append((u, TwoMorphism(a, b, t, cell.cto.bottom), cell.mat))
+        for m in _bumps(cell.cto.bottom):
+            if not _oracle_square_fails(a, b, cell.cto.top, m):
+                perturbed.append((u, TwoMorphism(a, b, cell.cto.top, m), cell.mat))
+        for cfrom, cto, mat in perturbed:
+            which = _oracle_cell_fails(cfrom, cto, mat)
+            if which is None:
+                TwoCell(cfrom, cto, mat)
+                continue
+            failing[which] += 1
+            with pytest.raises(ValueError, match=f"cell fails the {which} homotopy equation"):
+                TwoCell(cfrom, cto, mat)
+    assert failing["top"] >= 10 and failing["bottom"] >= 10, failing
+
+
+@pytest.mark.parametrize("ring", EQUATION_RINGS, ids=str)
+def test_matrix_verdict_equals_composed_verdict(ring):
+    """The reduced-matrix checks decide exactly as comparing the composed
+    morphisms does, on valid and on non-commuting instances alike."""
+    rng = random.Random(8300 + (ring.p or 0))
+    b2 = Bounds(max_dim=2)
+    seen = {True: 0, False: 0}
+    for k in range(25):
+        a, b = _pair(rng, ring, zero_source=k % 3 == 2)
+        u = random_square(rng, a, b)
+        # a random pair of components usually does not commute
+        top = random_base_morphism(rng, a.top, b.top, b2) if k % 2 else u.top
+        bottom = random_base_morphism(rng, a.bottom, b.bottom, b2)
+        composed = compose(b.boundary, top) != compose(bottom, a.boundary)
+        assert (_product(b.boundary, top) != _product(bottom, a.boundary)) == composed
+        seen[composed] += 1
+        try:
+            TwoMorphism(a, b, top, bottom)
+            raised = False
+        except ValueError as exc:
+            assert str(exc) == "square does not commute"
+            raised = True
+        assert raised == composed
+
+        v = random_square(rng, a, b)
+        mat = random_cell_on(rng, u, b2).mat if k % 2 else random_base_morphism(rng, a.bottom, b.top, b2)
+        for cto in (v, u, random_cell_on(rng, u, b2).cto):
+            top_bad = u.top - cto.top != compose(mat, a.boundary)
+            bottom_bad = u.bottom - cto.bottom != compose(b.boundary, mat)
+            assert (_difference(u.top, cto.top) != _product(mat, a.boundary)) == top_bad
+            assert (_difference(u.bottom, cto.bottom) != _product(b.boundary, mat)) == bottom_bad
+            seen[top_bad or bottom_bad] += 1
+            try:
+                TwoCell(u, cto, mat)
+                msg = None
+            except ValueError as exc:
+                msg = str(exc)
+            expected = (
+                "cell fails the top homotopy equation" if top_bad
+                else "cell fails the bottom homotopy equation" if bottom_bad
+                else None
+            )
+            assert msg == expected
+    assert seen[True] >= 10 and seen[False] >= 10, seen
