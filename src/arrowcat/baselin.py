@@ -1,10 +1,16 @@
 """Exact computational abelian category over F_p and Z.
 
-Everything here reduces to integer congruence solving through the Smith
-normal form: kernels, cokernels, biproducts, pullbacks/pushouts, morphism
-solving, von Neumann splitting and arrow classification.  Objects are kept
-in invariant-factor form at all times; morphisms produced here are always
-re-expressed in the canonical generators.
+Kernels, cokernels, images, biproducts, pullbacks/pushouts, morphism
+solving, von Neumann splitting and arrow classification all reduce to
+linear algebra in one of two engines.  Over F_p it is row reduction mod p
+(modsolve): a kernel is the reduced-row-echelon nullspace basis, an image
+the nonzero rows of the reduced row echelon form of the transpose, a
+cokernel the complement of their pivot columns, and a biproduct the block
+identities.  These bases depend only on the subspaces, not on the order of
+elimination.  Over Z it is integer congruence solving through the Smith
+normal form (snf), with objects kept in invariant-factor form.  Either
+way, morphisms produced here are always expressed in the canonical
+generators.
 """
 
 from __future__ import annotations
@@ -12,33 +18,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intmat
-from .baseobj import BaseObject, make_object
-from .basemor import BaseMorphism, _memo, base_morphism, compose, identity_mor, zero_mor
+from .baseobj import BaseObject, field_object, make_object
+from .basemor import BaseMorphism, _memo, _product, base_morphism, compose, identity_mor
 from .intmat import Matrix
-from .rings import BaseRing
+from .modsolve import nullspace_mod_p, row_space_mod_p, solve_mod_p
+from .rings import ZZ, BaseRing
 from .snf import kernel_lattice, smith_normal_form, solve_int
 
 
-def relation_columns(x: BaseObject) -> Matrix:
-    """Columns d_i * e_i for every torsion generator (n x ntors)."""
-    cols = [(i, d) for i, d in enumerate(x.orders) if d != 0]
-    m = [[0] * len(cols) for _ in range(x.ngens)]
+# ---------------------------------------------------------------------------
+# Over Z: presentations by generators and relation columns, put into
+# invariant-factor form by the Smith normal form.
+# ---------------------------------------------------------------------------
+
+
+def relation_columns(orders) -> tuple[Matrix, int]:
+    """(columns d_i * e_i for every torsion order d_i, their count), over Z."""
+    cols = [(i, d) for i, d in enumerate(orders) if d != 0]
+    m = [[0] * len(cols) for _ in orders]
     for j, (i, d) in enumerate(cols):
         m[i][j] = d
-    return intmat.mat(m)
-
-
-def _presentation_orders(ring: BaseRing, diag: list[int], ngens: int):
-    """Orders of the canonical form given the SNF diagonal of the relations."""
-    orders = []
-    kept = []
-    for i in range(ngens):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        kept.append(i)
-        orders.append(d)
-    return tuple(orders), kept
+    return intmat.mat(m), len(cols)
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,14 @@ class Presentation:
     from_canon: Matrix
 
 
-def canonicalize(ring: BaseRing, ngens: int, relations: Matrix, nrel: int) -> Presentation:
+def canonicalize(ngens: int, relations: Matrix, nrel: int) -> Presentation:
+    """The invariant-factor form over Z of <ngens generators | relations>."""
     snf = smith_normal_form(relations, ngens, nrel)
-    diag = [snf.d[i][i] for i in range(min(ngens, nrel))]
-    orders, kept = _presentation_orders(ring, diag, ngens)
-    obj = make_object(ring, orders)
+    # generators whose invariant factor is 1 vanish; the others keep it as
+    # their order (0 past the diagonal: free)
+    kept = [i for i in range(ngens) if i >= nrel or snf.d[i][i] != 1]
+    orders = [snf.d[i][i] if i < nrel else 0 for i in kept]
+    obj = make_object(ZZ, orders)
     to_canon = tuple(
         tuple(_red(snf.u[i][j], orders[r]) for j in range(ngens))
         for r, i in enumerate(kept)
@@ -70,23 +73,43 @@ def _red(x: int, order: int) -> int:
 
 
 def subgroup(ambient: BaseObject, gen_cols: Matrix, ncols: int):
-    """The subgroup generated by columns of gen_cols, with its inclusion."""
-    stacked = intmat.hstack([gen_cols, relation_columns(ambient)], ambient.ngens)
-    ntors = sum(1 for d in ambient.orders if d != 0)
+    """The subgroup generated by columns of gen_cols, with its inclusion, over Z."""
+    rel, ntors = relation_columns(ambient.orders)
+    stacked = intmat.hstack([gen_cols, rel], ambient.ngens)
     basis = kernel_lattice(stacked, ambient.ngens, ncols + ntors)
     rel = tuple(tuple(v[j] for v in basis) for j in range(ncols))
-    pres = canonicalize(ambient.ring, ncols, rel, len(basis))
+    pres = canonicalize(ncols, rel, len(basis))
     incl_cols = intmat.mul(gen_cols, pres.from_canon, ncols)
     incl = base_morphism(pres.obj, ambient, incl_cols)
     return pres.obj, incl, pres
 
 
 def quotient(ambient: BaseObject, kill_cols: Matrix, ncols: int):
-    """The quotient by the subgroup generated by kill_cols, with its projection."""
-    rel = intmat.hstack([kill_cols, relation_columns(ambient)], ambient.ngens)
-    ntors = sum(1 for d in ambient.orders if d != 0)
-    pres = canonicalize(ambient.ring, ambient.ngens, rel, ncols + ntors)
+    """The quotient by the subgroup generated by kill_cols, with its projection, over Z."""
+    rel, ntors = relation_columns(ambient.orders)
+    pres = canonicalize(ambient.ngens, intmat.hstack([kill_cols, rel], ambient.ngens), ncols + ntors)
     return pres.obj, base_morphism(ambient, pres.obj, pres.to_canon)
+
+
+# ---------------------------------------------------------------------------
+# Over F_p: every vector space is F_p^n and a subspace is held by its reduced
+# row echelon basis.
+# ---------------------------------------------------------------------------
+
+
+def _transpose(f: BaseMorphism) -> list[tuple[int, ...]]:
+    """The columns of f's matrix, one per source generator."""
+    return [tuple(row[j] for row in f.mat) for j in range(f.src.ngens)]
+
+
+def _columns_mor(src: BaseObject, dst: BaseObject, cols) -> BaseMorphism:
+    """The morphism whose matrix has the given reduced columns."""
+    return BaseMorphism(src, dst, tuple(tuple(v[i] for v in cols) for i in range(dst.ngens)))
+
+
+# ---------------------------------------------------------------------------
+# The constructions
+# ---------------------------------------------------------------------------
 
 
 @_memo
@@ -94,8 +117,12 @@ def kernel_base(f: BaseMorphism):
     """(K, k) with k mono, f.k = 0, universal among such."""
     if f.is_zero_mor():
         return f.src, identity_mor(f.src)
-    stacked = intmat.hstack([f.mat, relation_columns(f.dst)], f.dst.ngens)
-    ntors = sum(1 for d in f.dst.orders if d != 0)
+    if f.ring.is_field:
+        basis = nullspace_mod_p(f.mat, f.dst.ngens, f.src.ngens, f.ring.p)
+        k_obj = field_object(f.ring, len(basis))
+        return k_obj, _columns_mor(k_obj, f.src, basis)
+    rel, ntors = relation_columns(f.dst.orders)
+    stacked = intmat.hstack([f.mat, rel], f.dst.ngens)
     basis = kernel_lattice(stacked, f.dst.ngens, f.src.ngens + ntors)
     gen_cols = tuple(tuple(v[i] for v in basis) for i in range(f.src.ngens))
     k_obj, incl, _ = subgroup(f.src, gen_cols, len(basis))
@@ -107,15 +134,29 @@ def cokernel_base(f: BaseMorphism):
     """(Q, q) with q epi, q.f = 0, universal among such."""
     if f.is_zero_mor():
         return f.dst, identity_mor(f.dst)
+    if f.ring.is_field:
+        # the rows of q annihilate the image: row a is e_N[a] minus the
+        # reduced image basis at the pivots, N the non-pivot coordinates
+        rows = nullspace_mod_p(_transpose(f), f.src.ngens, f.dst.ngens, f.ring.p)
+        q_obj = field_object(f.ring, len(rows))
+        return q_obj, BaseMorphism(f.dst, q_obj, tuple(rows))
     return quotient(f.dst, f.mat, f.src.ngens)
 
 
 def image_comparison(f: BaseMorphism):
     """(I, m, e) with m mono, e epi and m.e = f."""
-    i_obj, incl, pres = subgroup(f.dst, f.mat, f.src.ngens)
-    # the subgroup is presented on the generator images of f, so to_canon
-    # expresses each of them in the canonical subgroup basis
-    e = base_morphism(f.src, i_obj, pres.to_canon)
+    if f.ring.is_field:
+        # m includes the reduced row echelon basis of the column space; a
+        # column of f has the coordinates it reads at the pivots
+        basis, pivots = row_space_mod_p(_transpose(f), f.src.ngens, f.dst.ngens, f.ring.p)
+        i_obj = field_object(f.ring, len(basis))
+        incl = _columns_mor(i_obj, f.dst, basis)
+        e = BaseMorphism(f.src, i_obj, tuple(f.mat[c] for c in pivots))
+    else:
+        i_obj, incl, pres = subgroup(f.dst, f.mat, f.src.ngens)
+        # the subgroup is presented on the generator images of f, so to_canon
+        # expresses each of them in the canonical subgroup basis
+        e = base_morphism(f.src, i_obj, pres.to_canon)
     if compose(incl, e) != f:
         raise AssertionError("image factorization must exist")
     return i_obj, incl, e
@@ -132,21 +173,22 @@ def biproduct_base(parts: tuple[BaseObject, ...]):
         raise ValueError("biproduct across rings")
     orders = [d for p in parts for d in p.orders]
     n = len(orders)
-    rel_cols = [(i, d) for i, d in enumerate(orders) if d != 0]
-    m = [[0] * len(rel_cols) for _ in range(n)]
-    for j, (i, d) in enumerate(rel_cols):
-        m[i][j] = d
-    pres = canonicalize(ring, n, intmat.mat(m), len(rel_cols))
+    if ring.is_field:
+        # F_p^n with the block identities
+        obj, to_canon, from_canon = make_object(ring, orders), intmat.identity(n), intmat.identity(n)
+    else:
+        pres = canonicalize(n, *relation_columns(orders))
+        obj, to_canon, from_canon = pres.obj, pres.to_canon, pres.from_canon
     injections = []
     projections = []
     off = 0
     for p in parts:
-        cols = tuple(tuple(row[off + j] for j in range(p.ngens)) for row in pres.to_canon)
-        injections.append(base_morphism(p, pres.obj, cols))
-        rows = tuple(pres.from_canon[off + i] for i in range(p.ngens))
-        projections.append(base_morphism(pres.obj, p, rows))
+        cols = tuple(tuple(row[off + j] for j in range(p.ngens)) for row in to_canon)
+        injections.append(base_morphism(p, obj, cols))
+        rows = tuple(from_canon[off + i] for i in range(p.ngens))
+        projections.append(base_morphism(obj, p, rows))
         off += p.ngens
-    return pres.obj, tuple(injections), tuple(projections)
+    return obj, tuple(injections), tuple(projections)
 
 
 def pullback_base(f: BaseMorphism, g: BaseMorphism):
@@ -293,8 +335,6 @@ class LinearSystem:
 
     def solve(self) -> dict[str, BaseMorphism] | None:
         if self.ring.is_field:
-            from .modsolve import solve_mod_p
-
             rows, rhs, _ = self._layout()
             x = solve_mod_p(rows, rhs, len(rows), self._ncols, self.ring.p)
             return None if x is None else self._extract(tuple(x))
@@ -322,8 +362,6 @@ class LinearSystem:
         """Basis of the solution lattice of the homogeneous system, projected
         to the unknowns (raw integer matrices, not reduced)."""
         if self.ring.is_field:
-            from .modsolve import nullspace_mod_p
-
             rows, _, _ = self._layout()
             basis = nullspace_mod_p(rows, len(rows), self._ncols, self.ring.p)
         else:
@@ -425,7 +463,7 @@ def classify_base(f: BaseMorphism) -> BaseFlags:
 @_memo
 def exact_at_base(f: BaseMorphism, g: BaseMorphism) -> bool:
     """Exactness of X -f-> Y -g-> Z at Y (requires g.f = 0)."""
-    if compose(g, f).mat != zero_mor(f.src, g.dst).mat:
+    if not intmat.is_zero(_product(g, f)):
         raise ValueError("composite is not zero")
     k_obj, k = kernel_base(g)
     induced = solve_base(k, f)

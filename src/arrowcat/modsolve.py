@@ -1,4 +1,10 @@
-"""Linear solving modulo a prime: the fast path for field-ring systems."""
+"""Linear algebra modulo a prime: the whole of the field-ring path.
+
+Solving, nullspaces and row spaces all come from one reduced row echelon
+form.  The nonzero rows of a reduced row echelon form, and hence the
+nullspace basis read off its free columns, depend only on the row space of
+the input, not on the order of its rows.
+"""
 
 from __future__ import annotations
 
@@ -43,18 +49,27 @@ def solve_mod_p(a, b, nrows: int, ncols: int, p: int):
     return x
 
 
-def nullspace_mod_p(a, nrows: int, ncols: int, p: int):
-    """Basis of the nullspace of a (mod p)."""
+def row_space_mod_p(a, nrows: int, ncols: int, p: int):
+    """(rows, pivots): the nonzero rows of the reduced row echelon form of a
+    (mod p), as tuples with entries in [0, p), and the pivot column of each,
+    increasing.  Row k is 1 at pivots[k] and 0 at every other pivot."""
     rows = [[a[i][j] % p for j in range(ncols)] for i in range(nrows)]
     pivots = _rref_mod_p(rows, ncols, p)
-    pivot_cols = {c for _, c in pivots}
+    return tuple(tuple(rows[r]) for r, _ in pivots), tuple(c for _, c in pivots)
+
+
+def nullspace_mod_p(a, nrows: int, ncols: int, p: int):
+    """Basis of the nullspace of a (mod p), one vector per free column of
+    the reduced row echelon form: 1 there, minus that column at the pivots."""
+    rows, pivots = row_space_mod_p(a, nrows, ncols, p)
+    pivot_cols = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
         v = [0] * ncols
         v[free] = 1
-        for r, c in pivots:
-            v[c] = (-rows[r][free]) % p
+        for row, c in zip(rows, pivots):
+            v[c] = (-row[free]) % p
         basis.append(tuple(v))
     return basis
