@@ -14,7 +14,9 @@ Every square and every cell that is built is checked.  The commutativity of
 a square and the two homotopy equations of a cell are compared as
 canonically reduced matrices (basemor._product and basemor._difference),
 without building the composites as morphisms; the components themselves are
-validated BaseMorphisms, and zero and identity components are interned.
+validated BaseMorphisms, and zero and identity components are interned, as
+are zero squares (zero2): each is built and checked once per pair of
+objects while it stays in the bounded memo.
 
 The same two layouts - the commutativity of a square and the two homotopy
 equations of a cell - are what every "there is a square or a cell such
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 from .baselin import LinearSystem
 from .baseobj import BaseObject, zero_object
-from .basemor import BaseMorphism, _difference, _product, compose, identity_mor, zero_mor
+from .basemor import BaseMorphism, _difference, _memo, _product, compose, identity_mor, zero_mor
 from .rings import BaseRing
 
 
@@ -107,6 +109,7 @@ def identity2(x: TwoObject) -> TwoMorphism:
     return TwoMorphism(x, x, identity_mor(x.top), identity_mor(x.bottom))
 
 
+@_memo
 def zero2(src: TwoObject, dst: TwoObject) -> TwoMorphism:
     return TwoMorphism(src, dst, zero_mor(src.top, dst.top), zero_mor(src.bottom, dst.bottom))
 

@@ -10,27 +10,30 @@ from __future__ import annotations
 
 
 def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
-    """Row-reduce in place; returns list of (row_index, pivot_col)."""
+    """Row-reduce rows with entries in [0, p) in place; returns list of
+    (row_index, pivot_col)."""
     pivots = []
+    nrows = len(rows)
     r = 0
     for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] % p:
-                piv = i
-                break
-        if piv is None:
+        piv = r
+        while piv < nrows and not rows[piv][col]:
+            piv += 1
+        if piv == nrows:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                f = rows[i][col] % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        row = rows[piv]
+        rows[piv] = rows[r]
+        if row[col] != 1:
+            inv = pow(row[col], -1, p)
+            row = [x * inv % p for x in row]
+        rows[r] = row
+        for i in range(nrows):
+            f = rows[i][col]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
         pivots.append((r, col))
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return pivots
 

@@ -93,7 +93,7 @@ from .limits2 import (
     sigma_obj,
 )
 from .matrix2 import grid_product, matrix_assemble2, matrix_of2
-from .modsolve import _rref_mod_p
+from .modsolve import row_space_mod_p
 from .puppe import puppe
 from .rings import GF, ZZ, BaseRing
 from .sequences import (
@@ -443,7 +443,7 @@ def shadows_exact(maps, ring) -> bool:
     def rank(m, rows, cols):
         if rows == 0 or cols == 0:
             return 0
-        return len(_rref_mod_p([list(r) for r in m], cols, p))
+        return len(row_space_mod_p(m, rows, cols, p)[1])
 
     for shadow in ("pi0", "omega"):
         mats = []

@@ -13,6 +13,7 @@ from arrowcat.baselin import (
     classify_base,
     cokernel_base,
     exact_at_base,
+    image_comparison,
     kernel_base,
     pullback_base,
     pushout_base,
@@ -29,7 +30,21 @@ from arrowcat.core2 import (
     two_morphism,
     two_object,
 )
-from arrowcat.generators import Bounds, random_base_morphism, random_base_object, random_finite_object
+from arrowcat.generators import (
+    Bounds,
+    random_3x3_instance,
+    random_base_morphism,
+    random_base_object,
+    random_complex_extension,
+    random_finite_object,
+    random_snake_instance,
+    to_chain_maps,
+)
+from arrowcat.lemmas import ThreeByThree, check_3x3
+from arrowcat.les import les_full_sequence, les_homology
+from arrowcat.sequences import exact_at
+from arrowcat.snake import column_data, plain_snake
+from oracles import rank_mod_p
 
 Z1 = z_object(1)
 Z2T = z_object(0, (2,))
@@ -522,3 +537,148 @@ class TestInterning:
         assert inspect.isfunction(fn)
         assert fn.__module__ == "arrowcat.basemor"
         assert inspect.isfunction(fn.__wrapped__)
+
+
+class TestExactAtBase:
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_nonzero_composite_raises(self, ring):
+        rng = random.Random(808)
+        b = Bounds()
+        hits = 0
+        while hits < 5:
+            x, y, z = (random_base_object(rng, ring, b) for _ in range(3))
+            f = random_base_morphism(rng, x, y, b)
+            g = random_base_morphism(rng, y, z, b)
+            if compose(g, f).is_zero_mor():
+                continue
+            hits += 1
+            with pytest.raises(ValueError, match="composite is not zero"):
+                exact_at_base(f, g)
+
+
+# ---------------------------------------------------------------------------
+# The field path: row reduction mod p, no Smith normal form
+# ---------------------------------------------------------------------------
+
+FIELDS = (GF(2), GF(3), GF(5), GF(2**31 - 1))
+
+
+def _field_map(rng, ring, n, m, r):
+    """A map F_p^n -> F_p^m through F_p^r, so of rank at most r."""
+    b = Bounds()
+    x, mid, y = field_object(ring, n), field_object(ring, r), field_object(ring, m)
+    return compose(random_base_morphism(rng, mid, y, b), random_base_morphism(rng, x, mid, b))
+
+
+def _field_maps(ring, seed, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randrange(0, 5), rng.randrange(0, 5)
+        yield _field_map(rng, ring, n, m, rng.randrange(0, min(n, m) + 1))
+
+
+def _iso(rng, x):
+    """A random automorphism of the field object x."""
+    while True:
+        a = random_base_morphism(rng, x, x, Bounds())
+        if rank_mod_p(a.mat, x.ring.p) == x.ngens:
+            return a
+
+
+class TestFieldPath:
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_kernel(self, ring):
+        p = ring.p
+        for f in _field_maps(ring, 11):
+            k_obj, k = kernel_base(f)
+            assert compose(f, k).is_zero_mor()
+            assert rank_mod_p(k.mat, p) == k_obj.ngens  # mono
+            assert k_obj == field_object(ring, f.src.ngens - rank_mod_p(f.mat, p))
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_cokernel_and_image(self, ring):
+        p = ring.p
+        for f in _field_maps(ring, 12):
+            rank = rank_mod_p(f.mat, p)
+            q_obj, q = cokernel_base(f)
+            assert compose(q, f).is_zero_mor()
+            assert rank_mod_p(q.mat, p) == q_obj.ngens  # epi
+            assert q_obj == field_object(ring, f.dst.ngens - rank)
+            i_obj, m, e = image_comparison(f)
+            assert compose(m, e) == f
+            assert i_obj == field_object(ring, rank)
+            assert rank_mod_p(m.mat, p) == rank_mod_p(e.mat, p) == rank
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_biproduct_delta_identities(self, ring):
+        rng = random.Random(13)
+        for _ in range(10):
+            parts = [field_object(ring, rng.randrange(0, 4)) for _ in range(rng.randrange(1, 4))]
+            s, inj, proj = biproduct_base(parts)
+            assert s == field_object(ring, sum(x.ngens for x in parts))
+            total = zero_mor(s, s)
+            for i, x in enumerate(parts):
+                for j, y in enumerate(parts):
+                    expected = identity_mor(x) if i == j else zero_mor(y, x)
+                    assert compose(proj[i], inj[j]) == expected
+                total = total + compose(inj[i], proj[i])
+            assert total == identity_mor(s)
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_bases_depend_only_on_the_subspace(self, ring):
+        rng = random.Random(14)
+        for f in _field_maps(ring, 15):
+            a, b = _iso(rng, f.dst), _iso(rng, f.src)
+            # a.f has the kernel of f, f.b its image and so its cokernel
+            assert kernel_base(compose(a, f)) == kernel_base(f)
+            assert cokernel_base(compose(f, b)) == cokernel_base(f)
+            assert image_comparison(compose(f, b))[:2] == image_comparison(f)[:2]
+
+
+@pytest.fixture
+def no_snf(monkeypatch):
+    """Every arrowcat reference to smith_normal_form and kernel_lattice raises."""
+    import sys
+
+    from arrowcat import snf
+
+    def refuse(*args):
+        raise AssertionError("the Smith normal form was called")
+
+    for name in ("smith_normal_form", "kernel_lattice"):
+        orig = getattr(snf, name)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("arrowcat") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, refuse)
+
+
+class TestFieldPathAvoidsSnf:
+    RING = GF(3)
+
+    def test_plain_snake(self, no_snf):
+        rng = random.Random(9101)
+        for _ in range(2):
+            inst = random_snake_instance(rng, self.RING, Bounds(max_dim=2))
+            cols = [column_data(x) for x in inst.cols]
+            maps, cells = plain_snake(*inst.row1, *inst.row2, *cols, *inst.cells).sequence()
+            assert all(exact_at(maps[k], cells[k], maps[k + 1]) for k in range(len(cells)))
+
+    def test_les_homology(self, no_snf):
+        rng = random.Random(9102)
+        ce = random_complex_extension(rng, self.RING, 3, Bounds(max_dim=2))
+        maps, cells = les_full_sequence(les_homology(*to_chain_maps(ce)))
+        assert all(exact_at(maps[k], cells[k], maps[k + 1]) for k in range(len(maps) - 1))
+
+    def test_check_3x3(self, no_snf):
+        rng = random.Random(9103)
+        inst = random_3x3_instance(rng, self.RING, Bounds(max_dim=2))
+        d = ThreeByThree(
+            inst.f, inst.g, inst.eta, inst.a, inst.b, inst.c,
+            inst.alpha, inst.beta, inst.gamma, inst.phi, inst.psi,
+        )
+        rep = check_3x3(d)
+        assert rep.ok, rep.failed_condition
+
+    def test_the_guard_bites_over_z(self, no_snf):
+        with pytest.raises(AssertionError, match="Smith normal form"):
+            kernel_base.__wrapped__(quotient_mod2())

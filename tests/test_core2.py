@@ -1,10 +1,11 @@
+import inspect
 import random
 from math import gcd
 
 import pytest
 
 from arrowcat import GF, ZZ, base_morphism, two_object
-from arrowcat.basemor import _difference, _product, compose, zero_mor
+from arrowcat.basemor import BaseMorphism, _difference, _product, compose, zero_mor
 from arrowcat.core2 import (
     TwoCell,
     TwoMorphism,
@@ -281,3 +282,27 @@ def test_matrix_verdict_equals_composed_verdict(ring):
             )
             assert msg == expected
     assert seen[True] >= 10 and seen[False] >= 10, seen
+
+
+def _fresh_zero(x, y):
+    """The zero morphism x -> y, built without the interned zero_mor."""
+    return BaseMorphism(x, y, tuple((0,) * x.ngens for _ in range(y.ngens)))
+
+
+@pytest.mark.parametrize("ring", (GF(2), GF(3), GF(5), ZZ), ids=str)
+def test_zero2_is_interned(ring):
+    rng = random.Random(41)
+    for _ in range(8):
+        a = random_two_object(rng, ring, Bounds(max_dim=2))
+        b = random_two_object(rng, ring, Bounds(max_dim=2))
+        z = zero2(a, b)
+        assert z is zero2(a, b)
+        fresh = TwoMorphism(a, b, _fresh_zero(a.top, b.top), _fresh_zero(a.bottom, b.bottom))
+        assert z == fresh and hash(z) == hash(fresh) and repr(z) == repr(fresh)
+
+
+def test_zero2_stays_a_plain_function():
+    # the layer tracer wraps only what inspect.isfunction accepts
+    assert inspect.isfunction(zero2)
+    assert zero2.__module__ == "arrowcat.core2"
+    assert inspect.isfunction(zero2.__wrapped__)

@@ -1,0 +1,99 @@
+"""Property tests for the mod-p engine: solve_mod_p, nullspace_mod_p and
+row_space_mod_p, with shrinking.  Skipped when hypothesis is absent; it is a
+development tool, never a package dependency."""
+
+from itertools import product
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from arrowcat.modsolve import nullspace_mod_p, row_space_mod_p, solve_mod_p  # noqa: E402
+from oracles import rank_mod_p  # noqa: E402
+
+PRIMES = (2, 3, 5, 7, 2**31 - 1)
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def systems(draw, primes=PRIMES, max_rows=5, max_cols=5):
+    """(a, b, nrows, ncols, p): entries are any integers, reduced by the solver."""
+    p = draw(st.sampled_from(primes))
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    entry = st.integers(-3 * p, 3 * p)
+    a = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    b = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return a, b, nrows, ncols, p
+
+
+def _apply(a, x, p):
+    return [sum(r * v for r, v in zip(row, x)) % p for row in a]
+
+
+@SETTINGS
+@given(systems())
+def test_solution_satisfies_the_system(sys_):
+    a, b, nrows, ncols, p = sys_
+    x = solve_mod_p(a, b, nrows, ncols, p)
+    if x is not None:
+        assert len(x) == ncols and all(0 <= v < p for v in x)
+        assert _apply(a, x, p) == [v % p for v in b]
+
+
+@SETTINGS
+@given(systems(primes=(2, 3), max_rows=4, max_cols=4))
+def test_none_means_infeasible(sys_):
+    a, b, nrows, ncols, p = sys_
+    target = [v % p for v in b]
+    feasible = any(_apply(a, x, p) == target for x in product(range(p), repeat=ncols))
+    assert (solve_mod_p(a, b, nrows, ncols, p) is not None) == feasible
+
+
+@SETTINGS
+@given(systems())
+def test_nullspace_basis(sys_):
+    a, _, nrows, ncols, p = sys_
+    basis = nullspace_mod_p(a, nrows, ncols, p)
+    for v in basis:
+        assert _apply(a, v, p) == [0] * nrows
+    assert len(basis) == ncols - rank_mod_p(a, p)
+    assert rank_mod_p(basis, p) == len(basis)  # independent
+
+
+@SETTINGS
+@given(systems(primes=(2, 3), max_rows=4, max_cols=4))
+def test_nullspace_spans_every_solution(sys_):
+    a, _, nrows, ncols, p = sys_
+    solutions = sum(1 for x in product(range(p), repeat=ncols) if not any(_apply(a, x, p)))
+    assert solutions == p ** len(nullspace_mod_p(a, nrows, ncols, p))
+
+
+@SETTINGS
+@given(systems())
+def test_row_space_is_reduced_row_echelon(sys_):
+    a, _, nrows, ncols, p = sys_
+    rows, pivots = row_space_mod_p(a, nrows, ncols, p)
+    assert len(rows) == len(pivots) == rank_mod_p(a, p)
+    assert list(pivots) == sorted(set(pivots))
+    for k, (row, c) in enumerate(zip(rows, pivots)):
+        assert len(row) == ncols and all(0 <= v < p for v in row)
+        assert not any(row[:c]) and row[c] == 1
+        assert all(rows[j][c] == 0 for j in range(len(rows)) if j != k)
+    # the rows span the row space of a
+    assert rank_mod_p(list(rows) + [list(r) for r in a], p) == len(rows)
+
+
+@SETTINGS
+@given(systems(), st.randoms(use_true_random=False))
+def test_row_space_depends_only_on_the_subspace(sys_, rnd):
+    a, _, nrows, ncols, p = sys_
+    # the same row space, presented by shuffled rows plus a combination of them
+    other = [list(r) for r in a]
+    rnd.shuffle(other)
+    coefs = [rnd.randrange(p) for _ in a]
+    other.append([sum(c * r[j] for c, r in zip(coefs, a)) for j in range(ncols)])
+    expected = row_space_mod_p(a, nrows, ncols, p)
+    assert row_space_mod_p(other, len(other), ncols, p) == expected
