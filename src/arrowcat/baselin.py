@@ -107,11 +107,6 @@ def _columns_mor(src: BaseObject, dst: BaseObject, cols) -> BaseMorphism:
     return BaseMorphism(src, dst, tuple(tuple(v[i] for v in cols) for i in range(dst.ngens)))
 
 
-# ---------------------------------------------------------------------------
-# The constructions
-# ---------------------------------------------------------------------------
-
-
 @_memo
 def kernel_base(f: BaseMorphism):
     """(K, k) with k mono, f.k = 0, universal among such."""
