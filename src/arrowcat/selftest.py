@@ -441,8 +441,6 @@ def shadows_exact(maps, ring) -> bool:
     p = ring.p
 
     def rank(m, rows, cols):
-        if rows == 0 or cols == 0:
-            return 0
         return len(row_space_mod_p(m, rows, cols, p)[1])
 
     for shadow in ("pi0", "omega"):

@@ -1,11 +1,13 @@
 import dataclasses
 import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from arrowcat import GF, ZZ, base_morphism, compose, field_object, identity_mor, z_object, zero_mor, zero_object
+from arrowcat import snf
 from arrowcat.basemor import BaseMorphism
 from arrowcat.baselin import (
     LinearSystem,
@@ -638,10 +640,6 @@ class TestFieldPath:
 @pytest.fixture
 def no_snf(monkeypatch):
     """Every arrowcat reference to smith_normal_form and kernel_lattice raises."""
-    import sys
-
-    from arrowcat import snf
-
     def refuse(*args):
         raise AssertionError("the Smith normal form was called")
 
