@@ -1,8 +1,8 @@
 """Exact computational abelian category over F_p and Z.
 
 Kernels, cokernels, images, biproducts, pullbacks/pushouts, morphism
-solving, von Neumann splitting and arrow classification all reduce to
-linear algebra in one of two engines.  Over F_p it is row reduction mod p
+solving and von Neumann splitting all reduce to linear algebra in one of
+two engines.  Over F_p it is row reduction mod p
 (modsolve): a kernel is the reduced-row-echelon nullspace basis, an image
 the nonzero rows of the reduced row echelon form of the transpose, a
 cokernel the complement of their pivot columns, and a biproduct the block
@@ -391,12 +391,34 @@ def solve_base(a: BaseMorphism, b: BaseMorphism) -> BaseMorphism | None:
 
 
 @_memo
+def splits_base(f: BaseMorphism) -> bool:
+    """Whether f has a von Neumann inverse g (f.g.f = f), without building one.
+
+    f = m.e through its image I splits exactly when 0 -> ker f -> src -> I -> 0
+    and 0 -> I -> dst -> coker f -> 0 split, and a short exact sequence
+    0 -> A -> B -> C -> 0 of finitely generated modules splits iff B and
+    A (+) C are isomorphic (Miyata 1967).  Objects are in invariant-factor
+    form, so isomorphic objects compare equal.  Over F_p every map splits.
+    """
+    if f.ring.is_field:
+        return True
+    k_obj, k = kernel_base(f)
+    i_obj = cokernel_base(k)[0]  # the coimage src / ker f, isomorphic to the image
+    q_obj = cokernel_base(f)[0]
+    return (
+        biproduct_base((k_obj, i_obj))[0] == f.src
+        and biproduct_base((i_obj, q_obj))[0] == f.dst
+    )
+
+
+@_memo
 def split_data_base(f: BaseMorphism) -> BaseMorphism | None:
     """g with f.g.f = f and g.f.g = g, when f splits.
 
     f = m.e through its image splits exactly when m is a split mono and e a
     split epi; then g = section(e) . retraction(m).  The two one-sided
-    inverse problems stay linear in f's entries.
+    inverse problems stay linear in f's entries.  splits_base decides the
+    same question without the solves; this builds the witness.
     """
     i_obj, m, e = image_comparison(f)
     r = left_inverse(m)
@@ -424,35 +446,6 @@ def right_inverse(f: BaseMorphism) -> BaseMorphism | None:
     sys.add_equation([(1, f, "h", None)], identity_mor(f.dst))
     sol = sys.solve()
     return None if sol is None else sol["h"]
-
-
-@dataclass(frozen=True)
-class BaseFlags:
-    mono: bool
-    epi: bool
-    iso: bool
-    zero: bool
-    split_mono: bool
-    split_epi: bool
-
-
-def classify_base(f: BaseMorphism) -> BaseFlags:
-    mono = kernel_base(f)[0].is_zero
-    epi = cokernel_base(f)[0].is_zero
-    iso = mono and epi
-    split_mono = left_inverse(f) is not None
-    split_epi = right_inverse(f) is not None
-    flags = BaseFlags(
-        mono=mono,
-        epi=epi,
-        iso=iso,
-        zero=f.is_zero_mor(),
-        split_mono=split_mono,
-        split_epi=split_epi,
-    )
-    if iso and not (split_mono and split_epi):
-        raise AssertionError("iso must split on both sides")
-    return flags
 
 
 @_memo

@@ -6,9 +6,12 @@ Every flag is computed from the three-term base sequence
 
 attached to a square: faithfulness is injectivity on the left, fullness is
 exactness in the middle, cofaithfulness surjectivity on the right; the
-normal variants add a splitting witness and equivalences are the split exact
-case.  Witness data for an equivalence is extracted from an actual splitting
-and all twelve equations are checked before returning.
+normal variants add that the map splits, and equivalences are the split
+exact case.  Splitting is a summand condition read off invariant factors
+(baselin.splits_base): ker f must be a summand of the source and im f of the
+target.  Witness data for an equivalence is decided first and then
+extracted from an actual splitting, and all twelve equations are checked
+before returning.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .baselin import (
     exact_at_base,
     kernel_base,
     split_data_base,
+    splits_base,
 )
 from .basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mor
 from .baseobj import z_object, zero_object
@@ -52,7 +56,7 @@ class ArrowClassification:
 
 
 def _split(f: BaseMorphism) -> bool:
-    return split_data_base(f) is not None
+    return splits_base(f)
 
 
 def _faithful(seq: SequenceData) -> bool:
@@ -131,27 +135,24 @@ class EquivalenceData:
 def equivalence_data2(u: TwoMorphism) -> EquivalenceData | None:
     """The twelve-equation witness, or None when u is not an equivalence.
 
-    Equivalence is decided by a splitting of [-d; u1] plus exactness.  The
-    witness prefers a strict inverse (epsilon = eta = 0, a linear solve) so
-    honest isomorphisms return their actual inverses; otherwise it is
-    extracted from the splitting, which forces all twelve equations.
+    Equivalence is decided first, as a split [-d; u1] plus exactness, and
+    only then is a witness built.  It prefers a strict inverse (epsilon =
+    eta = 0, a linear solve) so honest isomorphisms return their actual
+    inverses; otherwise it is extracted from the splitting, which forces
+    all twelve equations.
     """
     seq = sequence_of(u)
-    iota, pmap = seq.iota, seq.pmap
-    g = split_data_base(iota)
-    if g is None:
-        return None
-    if not (
-        kernel_base(iota)[0].is_zero
-        and cokernel_base(pmap)[0].is_zero
-        and exact_at_base(iota, pmap)
-    ):
+    if not _equivalence(seq):
         return None
     strict = _strict_witness(u)
     if strict is not None:
         _verify_equivalence(u, strict)
         return strict
-    r = g  # retraction: r . iota = 1 since iota is mono and iota.g.iota = iota
+    iota, pmap = seq.iota, seq.pmap
+    # retraction: r . iota = 1 since iota is mono and iota.r.iota = iota
+    r = split_data_base(iota)
+    if r is None:
+        raise AssertionError("a split map must have a von Neumann inverse")
     e = identity_mor(iota.dst) - compose(iota, r)
     # e factors through pmap: e = s~ . pmap, and then r . s~ = 0 automatically
     sys = LinearSystem(u.top.ring)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baselin import LinearSystem
+from .baselin import LinearSystem, cokernel_base, kernel_base
 from .baseobj import BaseObject, zero_object
 from .basemor import BaseMorphism, _difference, _memo, _product, compose, identity_mor, zero_mor
 from .rings import BaseRing
@@ -65,10 +65,9 @@ def zero_two_object(ring: BaseRing) -> TwoObject:
 
 
 def is_zero_equivalent(x: TwoObject) -> bool:
-    """An object is equivalent to 0 exactly when its boundary is invertible."""
-    from .baselin import classify_base
-
-    return classify_base(x.boundary).iso
+    """An object is equivalent to 0 exactly when its boundary is invertible,
+    that is mono and epi."""
+    return kernel_base(x.boundary)[0].is_zero and cokernel_base(x.boundary)[0].is_zero
 
 
 @dataclass(frozen=True)

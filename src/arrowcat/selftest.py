@@ -558,8 +558,10 @@ def suite_sigma_omega(rng, ring, k, bounds):
 
 
 def suite_split_source(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
-    """When the boundary splits, the object is equivalent to pi1 (+) pi0 via
-    an explicitly constructed comparison."""
+    """Two independent routes to splitting agree: the split_source flag,
+    decided from invariant factors, and the von Neumann witness of
+    split_data_base.  When the boundary splits, the object is equivalent to
+    pi1 (+) pi0 via a comparison built from that witness."""
     split_hits = 0
 
     @suite("split-source", ALL_RINGS)

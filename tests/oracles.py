@@ -1,5 +1,10 @@
 """Independent reference computations shared by the tests."""
 
+from dataclasses import dataclass
+
+from arrowcat.baselin import cokernel_base, kernel_base, left_inverse, right_inverse
+from arrowcat.basemor import BaseMorphism
+
 
 def rank_mod_p(mat, p: int) -> int:
     """Rank of an integer matrix mod p by plain forward elimination."""
@@ -16,3 +21,36 @@ def rank_mod_p(mat, p: int) -> int:
             rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+# The base classification by one-sided inverse solves; the package decides
+# iso from the kernel and cokernel alone.
+
+
+@dataclass(frozen=True)
+class BaseFlags:
+    mono: bool
+    epi: bool
+    iso: bool
+    zero: bool
+    split_mono: bool
+    split_epi: bool
+
+
+def classify_base(f: BaseMorphism) -> BaseFlags:
+    mono = kernel_base(f)[0].is_zero
+    epi = cokernel_base(f)[0].is_zero
+    iso = mono and epi
+    split_mono = left_inverse(f) is not None
+    split_epi = right_inverse(f) is not None
+    flags = BaseFlags(
+        mono=mono,
+        epi=epi,
+        iso=iso,
+        zero=f.is_zero_mor(),
+        split_mono=split_mono,
+        split_epi=split_epi,
+    )
+    if iso and not (split_mono and split_epi):
+        raise AssertionError("iso must split on both sides")
+    return flags

@@ -12,7 +12,6 @@ from arrowcat.basemor import BaseMorphism
 from arrowcat.baselin import (
     LinearSystem,
     biproduct_base,
-    classify_base,
     cokernel_base,
     exact_at_base,
     image_comparison,
@@ -21,6 +20,7 @@ from arrowcat.baselin import (
     pushout_base,
     solve_base,
     split_data_base,
+    splits_base,
 )
 from arrowcat.core2 import (
     TwoCell,
@@ -42,11 +42,13 @@ from arrowcat.generators import (
     random_snake_instance,
     to_chain_maps,
 )
+from arrowcat.classify2 import z_counterexample
 from arrowcat.lemmas import ThreeByThree, check_3x3
 from arrowcat.les import les_full_sequence, les_homology
+from arrowcat.limits2 import sequence_of
 from arrowcat.sequences import exact_at
 from arrowcat.snake import column_data, plain_snake
-from oracles import rank_mod_p
+from oracles import classify_base, rank_mod_p
 
 Z1 = z_object(1)
 Z2T = z_object(0, (2,))
@@ -281,14 +283,16 @@ class TestSplit:
     def test_fields_always_split(self):
         rng = random.Random(13)
         b = Bounds()
-        for _ in range(15):
-            x = random_base_object(rng, GF(5), b)
-            y = random_base_object(rng, GF(5), b)
-            f = random_base_morphism(rng, x, y, b)
-            g = split_data_base(f)
-            assert g is not None
-            assert compose(f, compose(g, f)) == f
-            assert compose(g, compose(f, g)) == g
+        for ring in (GF(5), GF(2), GF(3)):
+            for _ in range(15):
+                x = random_base_object(rng, ring, b)
+                y = random_base_object(rng, ring, b)
+                f = random_base_morphism(rng, x, y, b)
+                assert splits_base(f)
+                g = split_data_base(f)
+                assert g is not None
+                assert compose(f, compose(g, f)) == f
+                assert compose(g, compose(f, g)) == g
 
     def test_doubling_does_not_split(self):
         assert split_data_base(doubling()) is None
@@ -296,6 +300,39 @@ class TestSplit:
     def test_identity_splits_by_itself(self):
         one = identity_mor(z_object(2))
         assert split_data_base(one) == one
+
+
+def _z_morphisms(seed, count):
+    """Seeded maps over Z at max_dim 2..4; every third one is between
+    all-torsion objects."""
+    rng = random.Random(seed)
+    for k in range(count):
+        b = Bounds(max_dim=2 + k % 3)
+        if k % 3 == 2:
+            x, y = random_finite_object(rng, ZZ), random_finite_object(rng, ZZ)
+        else:
+            x, y = random_base_object(rng, ZZ, b), random_base_object(rng, ZZ, b)
+        yield random_base_morphism(rng, x, y, b)
+
+
+class TestSplitsBase:
+    def test_agrees_with_the_witness_over_z(self):
+        fixed = [doubling(), quotient_mod2(), sequence_of(z_counterexample()).iota]
+        nonsplit = 0
+        for f in fixed + list(_z_morphisms(1101, 300)):
+            split = splits_base(f)
+            assert split == (split_data_base(f) is not None), f
+            nonsplit += not split
+        assert nonsplit >= 50, nonsplit
+
+    def test_known_cases(self):
+        assert not splits_base(doubling())
+        assert not splits_base(quotient_mod2())
+        assert not splits_base(sequence_of(z_counterexample()).iota)
+        assert splits_base(identity_mor(z_object(1, (2, 4))))
+        assert splits_base(zero_mor(Z1, Z2T))
+        # Z/2 -> Z/4, 1 -> 2: a mono whose image is not a summand
+        assert not splits_base(base_morphism(Z2T, z_object(0, (4,)), [[2]]))
 
 
 class TestClassify:
@@ -325,7 +362,7 @@ class TestClassify:
             base_morphism(Z2T, Z1, [[1]])  # torsion cannot map to free
 
 
-MEMOIZED = (kernel_base, cokernel_base, biproduct_base, split_data_base, exact_at_base)
+MEMOIZED = (kernel_base, cokernel_base, biproduct_base, split_data_base, splits_base, exact_at_base)
 RINGS = (GF(2), GF(3), GF(5), ZZ)
 
 
@@ -341,6 +378,7 @@ def _memo_calls(rng, ring):
         (kernel_base, (f,)),
         (cokernel_base, (f,)),
         (split_data_base, (f,)),
+        (splits_base, (f,)),
         (biproduct_base, ([x, y],)),
         (exact_at_base, (k, f)),
         (exact_at_base, (f, q)),

@@ -1,8 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
+import arrowcat.classify2 as classify2_module
 from arrowcat import GF, ZZ, base_morphism, z_object, zero_mor, zero_object
+from arrowcat.baselin import split_data_base
 from arrowcat.classify2 import (
     _equivalence,
     _fully_cofaithful,
@@ -103,8 +106,6 @@ def test_split_source_tracks_boundary(rng, bounds):
     for _ in range(20):
         x = random_two_object(rng, ZZ, bounds)
         fl = classify2(identity2(x))
-        from arrowcat.baselin import split_data_base
-
         expected = split_data_base(x.boundary) is not None
         assert fl.split_source == expected
         got_split |= expected
@@ -164,3 +165,24 @@ def test_exactness_matches_full_classification(ring, bounds):
             assert exactness(maps, cells) == expected
             seen.update(expected)
     assert seen == {True, False}
+
+
+def test_invariant_splitting_matches_the_witness_search(monkeypatch):
+    """classify2 deciding splitting from invariant factors equals classify2
+    deciding it by searching for a von Neumann witness, flag by flag."""
+    rng = random.Random(5150)
+    squares = []
+    for k in range(60):
+        b = Bounds(max_dim=2 + k % 3)
+        a, c = random_two_object(rng, ZZ, b), random_two_object(rng, ZZ, b)
+        squares.append(random_square(rng, a, c))
+    squares.append(z_counterexample())
+    got = [classify2(u) for u in squares]
+    monkeypatch.setattr(classify2_module, "_split", lambda f: split_data_base(f) is not None)
+    nonsplit = 0
+    for u, fl in zip(squares, got):
+        ref = classify2(u)
+        for field in dataclasses.fields(fl):
+            assert getattr(fl, field.name) == getattr(ref, field.name), (field.name, u)
+        nonsplit += (fl.faithful and not fl.normal_faithful) + (not fl.split_source)
+    assert nonsplit >= 10, nonsplit

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import product
 
 import pytest
 
@@ -131,3 +133,98 @@ def test_kernel_lattice_is_annihilated_and_has_full_rank():
             assert sympy.Matrix(basis).rank() == len(basis), m
         for v in basis:
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m), (m, v)
+
+
+# Property tests with shrinking (hypothesis, a dev-only tool: each test skips
+# when it is absent, and the example tests above still run).
+
+
+def _hypothesis():
+    """(given, settings, strategies), or a skip when hypothesis is absent."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    return given, settings(max_examples=120, deadline=None), st
+
+
+def _matrices(st):
+    """(m, nrows, ncols) up to 5x5 with entries in -9..9, zero entries favoured."""
+
+    @st.composite
+    def matrices(draw):
+        r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        entry = st.one_of(st.just(0), st.integers(-9, 9))
+        return mat([[draw(entry) for _ in range(c)] for _ in range(r)]), r, c
+
+    return matrices()
+
+
+def test_smith_normal_form_property():
+    given, settings, st = _hypothesis()
+
+    @settings
+    @given(_matrices(st))
+    def check(case):
+        m, r, c = case
+        s = smith_normal_form(m, r, c)
+        assert mul(mul(s.u, m, r), s.v, c) == s.d
+        assert all(s.d[i][j] == 0 for i in range(r) for j in range(c) if i != j)
+        diag = s.diagonal()
+        assert all(x >= 0 for x in diag)
+        for x, y in zip(diag, diag[1:]):
+            assert (y % x == 0) if x else y == 0
+
+    check()
+
+
+def test_solve_int_solution_property():
+    given, settings, st = _hypothesis()
+
+    @settings
+    @given(_matrices(st), st.data())
+    def check(case, data):
+        m, r, c = case
+        x0 = mat([[data.draw(st.integers(-5, 5))] for _ in range(c)])
+        # m @ x0 is solvable; an arbitrary b may not be
+        b_any = mat([[data.draw(st.integers(-9, 9))] for _ in range(r)])
+        for b in (mul(m, x0, c), b_any):
+            x = solve_int(m, b, r, c)
+            if x is not None:
+                assert mul(m, x, c) == b
+            else:
+                assert b is b_any
+
+    check()
+
+
+def test_solve_int_none_means_no_solution():
+    """Congruences a.x = b (mod m_i) in at most 3 unknowns with moduli up to 6,
+    posed to solve_int with one slack column per row, against brute force over
+    one period of the solution set."""
+    given, settings, st = _hypothesis()
+
+    @st.composite
+    def congruences(draw):
+        n = draw(st.integers(1, 3))
+        nrows = draw(st.integers(1, 3))
+        mods = [draw(st.integers(2, 6)) for _ in range(nrows)]
+        rows = [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(nrows)]
+        rhs = [draw(st.integers(-6, 6)) for _ in range(nrows)]
+        return rows, rhs, mods, n
+
+    @settings
+    @given(congruences())
+    def check(case):
+        rows, rhs, mods, n = case
+        nrows = len(rows)
+        a = mat([row + [mods[i] if j == i else 0 for j in range(nrows)] for i, row in enumerate(rows)])
+        x = solve_int(a, mat([[v] for v in rhs]), nrows, n + nrows)
+        period = math.lcm(*mods)
+        feasible = any(
+            all((sum(c * v for c, v in zip(row, xs)) - t) % m == 0 for row, t, m in zip(rows, rhs, mods))
+            for xs in product(range(period), repeat=n)
+        )
+        assert (x is not None) == feasible
+
+    check()
