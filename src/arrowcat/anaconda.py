@@ -58,15 +58,17 @@ def anaconda(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnDat
     # d': Pip c -> Ker a with cells, pinned by omega_{Kc} = gbar*dtil . etabar^{-1}*d'
     dprime, dtil = _connect_left(sn.fbar, sn.etabar, sn.gbar, om_kc)
     # eps~: d'.om_g => 0 pinned by dtil*om_g - fbar*eps = omega_{Kb}
-    eps = _cell_to_zero_pinned(
+    eps = solve_cell(
         compose2(dprime, om_g),
-        (-1, sn.fbar.top, None, om_kb.loop.mat - _wh(dtil, om_g)),
+        zero2(om_g.src, dprime.dst),
+        [(-1, sn.fbar.top, None, om_kb.loop.mat - _wh(dtil, om_g))],
     )
     # d'': Coker c -> Copip a, dual
     dsec, dhat = _connect_right(sn.fbar2, sn.etabar2, sn.gbar2, sg_qa)
-    epsp = _cell_to_zero_pinned(
+    epsp = solve_cell(
         compose2(sg_f, dsec),
-        (-1, None, sn.gbar2.bottom, -(sg_qb.loop.mat + compose(sg_f.top, dhat.mat))),
+        zero2(dsec.src, sg_f.dst),
+        [(-1, None, sn.gbar2.bottom, -(sg_qb.loop.mat + compose(sg_f.top, dhat.mat)))],
     )
 
     objects = (
@@ -129,14 +131,6 @@ def _connect_right(fbar2, etabar2, gbar2, sg_qa: LoopData):
     dsec = solved_square(sol, d)
     dhat = TwoCell(compose2(dsec, gbar2), zero2(qb, sg_qa.obj), sol[dh.name])
     return dsec, dhat
-
-
-def _cell_to_zero_pinned(u: TwoMorphism, pin) -> TwoCell:
-    """A cell u => 0 with a pinned whisker (see solve_cell)."""
-    cell = solve_cell(u, zero2(u.src, u.dst), (pin,))
-    if cell is None:
-        raise AssertionError("anaconda pinned cell does not exist")
-    return cell
 
 
 def _composite_signs(objects, maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb, sg_qc, a, b, c):

@@ -1,16 +1,17 @@
 """Exact computational abelian category over F_p and Z.
 
-Kernels, cokernels, images, biproducts, pullbacks/pushouts, morphism
-solving and von Neumann splitting all reduce to linear algebra in one of
-two engines.  Over F_p it is row reduction mod p
+Kernels, cokernels, images, biproducts, pullbacks/pushouts, factoring a
+morphism (factor_base) and von Neumann splitting all reduce to linear
+algebra in one of two engines.  Over F_p it is row reduction mod p
 (modsolve): a kernel is the reduced-row-echelon nullspace basis, an image
 the nonzero rows of the reduced row echelon form of the transpose, a
 cokernel the complement of their pivot columns, and a biproduct the block
 identities.  These bases depend only on the subspaces, not on the order of
 elimination.  Over Z it is integer congruence solving through the Smith
-normal form (snf), with objects kept in invariant-factor form.  Either
-way, morphisms produced here are always expressed in the canonical
-generators.
+normal form (snf), with objects kept in invariant-factor form, so that
+isomorphic objects compare equal: splitting and exactness are decided by
+comparing objects, without a solve.  Either way, morphisms produced here
+are always expressed in the canonical generators.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def pushout_base(f: BaseMorphism, g: BaseMorphism):
 
 
 # ---------------------------------------------------------------------------
-# Linear systems over the base: the workhorse behind solveBase, splitting and
+# Linear systems over the base: the workhorse behind factor_base, splitting and
 # every universal-property factorization of the 2-dimensional layer.
 # ---------------------------------------------------------------------------
 
@@ -379,15 +380,20 @@ class LinearSystem:
         return out
 
 
-def solve_base(a: BaseMorphism, b: BaseMorphism) -> BaseMorphism | None:
-    """A morphism s with a.s = b, or None; unique when a is mono."""
-    if a.dst != b.dst:
-        raise ValueError("solveBase needs a common target")
-    sys = LinearSystem(a.ring)
-    sys.add_unknown("s", b.src, a.src)
-    sys.add_equation([(1, a, "s", None)], b)
+def factor_base(
+    h: BaseMorphism, left: BaseMorphism | None = None, right: BaseMorphism | None = None
+) -> BaseMorphism | None:
+    """Some x with left.x.right = h, None standing for an identity side, or None.
+
+    One LinearSystem in the unknown x; mismatched endpoints raise ValueError.
+    """
+    sys = LinearSystem(h.ring)
+    sys.add_unknown(
+        "x", h.src if right is None else right.dst, h.dst if left is None else left.src
+    )
+    sys.add_equation([(1, left, "x", right)], h)
     sol = sys.solve()
-    return None if sol is None else sol["s"]
+    return None if sol is None else sol["x"]
 
 
 @_memo
@@ -421,10 +427,10 @@ def split_data_base(f: BaseMorphism) -> BaseMorphism | None:
     same question without the solves; this builds the witness.
     """
     i_obj, m, e = image_comparison(f)
-    r = left_inverse(m)
+    r = factor_base(identity_mor(i_obj), right=m)
     if r is None:
         return None
-    s = right_inverse(e)
+    s = factor_base(identity_mor(i_obj), left=e)
     if s is None:
         return None
     g = compose(s, r)
@@ -432,29 +438,11 @@ def split_data_base(f: BaseMorphism) -> BaseMorphism | None:
     return g
 
 
-def left_inverse(f: BaseMorphism) -> BaseMorphism | None:
-    sys = LinearSystem(f.ring)
-    sys.add_unknown("h", f.dst, f.src)
-    sys.add_equation([(1, None, "h", f)], identity_mor(f.src))
-    sol = sys.solve()
-    return None if sol is None else sol["h"]
-
-
-def right_inverse(f: BaseMorphism) -> BaseMorphism | None:
-    sys = LinearSystem(f.ring)
-    sys.add_unknown("h", f.dst, f.src)
-    sys.add_equation([(1, f, "h", None)], identity_mor(f.dst))
-    sol = sys.solve()
-    return None if sol is None else sol["h"]
-
-
 @_memo
 def exact_at_base(f: BaseMorphism, g: BaseMorphism) -> bool:
     """Exactness of X -f-> Y -g-> Z at Y (requires g.f = 0)."""
     if not intmat.is_zero(_product(g, f)):
         raise ValueError("composite is not zero")
-    k_obj, k = kernel_base(g)
-    induced = solve_base(k, f)
-    if induced is None:
-        raise AssertionError("image must land in the kernel")
-    return cokernel_base(induced)[0].is_zero
+    # im f <= ker g makes coker f -> Y / ker g onto, and a surjection between
+    # isomorphic finitely generated modules is an iso (they are Hopfian)
+    return cokernel_base(f)[0] == cokernel_base(kernel_base(g)[1])[0]

@@ -29,7 +29,7 @@ from .baselin import (
 from .basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mor
 from .baseobj import z_object, zero_object
 from .core2 import TwoMorphism, add_homotopy, add_square, identity2, two_morphism, two_object
-from .limits2 import SequenceData, sequence_of
+from .limits2 import SequenceData, factor_through, sequence_of
 from .rings import ZZ
 
 
@@ -155,13 +155,7 @@ def equivalence_data2(u: TwoMorphism) -> EquivalenceData | None:
         raise AssertionError("a split map must have a von Neumann inverse")
     e = identity_mor(iota.dst) - compose(iota, r)
     # e factors through pmap: e = s~ . pmap, and then r . s~ = 0 automatically
-    sys = LinearSystem(u.top.ring)
-    sys.add_unknown("s", pmap.dst, iota.dst)
-    sys.add_equation([(1, None, "s", pmap)], e)
-    sol = sys.solve()
-    if sol is None:
-        raise AssertionError("split exact sequence must provide a section")
-    s = sol["s"]
+    s = factor_through(e, right=pmap)
     data = EquivalenceData(
         v1=compose(r, seq.i1),
         v0=compose(seq.p0, s),

@@ -8,7 +8,10 @@ is an identity); factorizations through abstractly-given (co)kernel data and
 cells between parallel squares are solved for: each is one LinearSystem
 whose unknown squares and cells are declared with core2's add_square,
 add_cell and add_homotopy, so only the extra pasting or pinning equations
-are written here.
+are written here.  Base factorizations go through factor_through
+(baselin.factor_base).  Every solve here is for something that must exist,
+so factor_through, solve_cell and the other factorizations raise
+AssertionError when it does not.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .baselin import (
     LinearSystem,
     biproduct_base,
     cokernel_base,
+    factor_base,
     kernel_base,
-    solve_base,
 )
 from .basemor import BaseMorphism, compose, identity_mor, zero_mor
 from .baseobj import zero_object
@@ -40,21 +43,13 @@ from .core2 import (
 )
 
 
-def factor_through_epi(e: BaseMorphism, h: BaseMorphism) -> BaseMorphism:
-    """x with x.e = h (e epi onto its image containing what h needs)."""
-    sys = LinearSystem(e.ring)
-    sys.add_unknown("x", e.dst, h.dst)
-    sys.add_equation([(1, None, "x", e)], h)
-    sol = sys.solve()
-    if sol is None:
-        raise AssertionError("factorization through quotient does not exist")
-    return sol["x"]
-
-
-def factor_through_mono(m: BaseMorphism, h: BaseMorphism) -> BaseMorphism:
-    x = solve_base(m, h)
+def factor_through(
+    h: BaseMorphism, left: BaseMorphism | None = None, right: BaseMorphism | None = None
+) -> BaseMorphism:
+    """x with left.x.right = h (baselin.factor_base), which must exist."""
+    x = factor_base(h, left, right)
     if x is None:
-        raise AssertionError("factorization through subobject does not exist")
+        raise AssertionError("factorization does not exist")
     return x
 
 
@@ -140,7 +135,7 @@ def cokernel2(u: TwoMorphism) -> CokernelData:
     q_obj, qfull = cokernel_base(seq.iota)
     zeta_m = compose(qfull, seq.i0)
     q_m = compose(qfull, seq.i1)
-    qprime = factor_through_epi(qfull, seq.pmap)
+    qprime = factor_through(seq.pmap, right=qfull)
     obj = TwoObject(qprime)
     qmor = two_morphism(b, obj, q_m, identity_mor(b.bottom))
     zeta = cell_to_zero(compose2(qmor, u), zeta_m)
@@ -150,7 +145,7 @@ def cokernel2(u: TwoMorphism) -> CokernelData:
 def factor_cokernel2(cd: CokernelData, w: TwoMorphism, theta: TwoCell) -> TwoMorphism:
     """The strict factorization w' with w' . qmor = w and w' transporting zeta to theta."""
     h = compose(theta.mat, cd.p0) + compose(w.top, cd.p1)
-    top = factor_through_epi(cd.qfull, h)
+    top = factor_through(h, right=cd.qfull)
     return two_morphism(cd.obj, w.dst, top, w.bottom)
 
 
@@ -198,28 +193,28 @@ def pi1_obj(x: TwoObject) -> UnitData:
 
 
 def omega_mor(u: TwoMorphism, om_src: LoopData, om_dst: LoopData) -> TwoMorphism:
-    restr = factor_through_mono(om_dst.loop.mat, compose(u.top, om_src.loop.mat))
+    restr = factor_through(compose(u.top, om_src.loop.mat), left=om_dst.loop.mat)
     return two_morphism(
         om_src.obj, om_dst.obj, zero_mor(om_src.obj.top, om_dst.obj.top), restr
     )
 
 
 def sigma_mor(u: TwoMorphism, sg_src: LoopData, sg_dst: LoopData) -> TwoMorphism:
-    ind = factor_through_epi(sg_src.loop.mat, compose(sg_dst.loop.mat, u.bottom))
+    ind = factor_through(compose(sg_dst.loop.mat, u.bottom), right=sg_src.loop.mat)
     return two_morphism(
         sg_src.obj, sg_dst.obj, ind, zero_mor(sg_src.obj.bottom, sg_dst.obj.bottom)
     )
 
 
 def pi0_mor(u: TwoMorphism, p_src: UnitData, p_dst: UnitData) -> TwoMorphism:
-    ind = factor_through_epi(p_src.unit.bottom, compose(p_dst.unit.bottom, u.bottom))
+    ind = factor_through(compose(p_dst.unit.bottom, u.bottom), right=p_src.unit.bottom)
     return two_morphism(
         p_src.obj, p_dst.obj, zero_mor(p_src.obj.top, p_dst.obj.top), ind
     )
 
 
 def pi1_mor(u: TwoMorphism, p_src: UnitData, p_dst: UnitData) -> TwoMorphism:
-    restr = factor_through_mono(p_dst.unit.top, compose(u.top, p_src.unit.top))
+    restr = factor_through(compose(u.top, p_src.unit.top), left=p_dst.unit.top)
     return two_morphism(
         p_src.obj, p_dst.obj, restr, zero_mor(p_src.obj.bottom, p_dst.obj.bottom)
     )
@@ -252,7 +247,7 @@ def root2(alpha: TwoCell) -> RootData:
         raise ValueError("root needs a loop 0 => 0")
     a = alpha.src
     ka, incl = kernel_base(alpha.mat)
-    fprime = factor_through_mono(incl, a.boundary)
+    fprime = factor_through(a.boundary, left=incl)
     obj = TwoObject(fprime)
     rmor = two_morphism(obj, a, identity_mor(a.top), incl)
     return RootData(obj, rmor, incl)
@@ -260,7 +255,7 @@ def root2(alpha: TwoCell) -> RootData:
 
 def factor_root2(rt: RootData, t: TwoMorphism) -> TwoMorphism:
     """Factor t: X -> A through the root R -> A (needs loop * t = 0)."""
-    bottom = factor_through_mono(rt.kalpha, t.bottom)
+    bottom = factor_through(t.bottom, left=rt.kalpha)
     return two_morphism(t.src, rt.obj, t.top, bottom)
 
 
@@ -269,7 +264,7 @@ def coroot2(alpha: TwoCell) -> RootData:
         raise ValueError("coroot needs a loop 0 => 0")
     b = alpha.dst
     qa, proj = cokernel_base(alpha.mat)
-    gbar = factor_through_epi(proj, b.boundary)
+    gbar = factor_through(b.boundary, right=proj)
     obj = TwoObject(gbar)
     rmor = two_morphism(b, obj, proj, identity_mor(b.bottom))
     return RootData(obj, rmor, proj)
@@ -277,7 +272,7 @@ def coroot2(alpha: TwoCell) -> RootData:
 
 def factor_coroot2(rt: RootData, t: TwoMorphism) -> TwoMorphism:
     """Factor t: B -> X through the coroot B -> R (needs t * loop = 0)."""
-    top = factor_through_epi(rt.kalpha, t.top)
+    top = factor_through(t.top, right=rt.kalpha)
     return two_morphism(rt.obj, t.dst, top, t.bottom)
 
 
@@ -472,8 +467,8 @@ def factor_through_cokernel_data(
     return mor, TwoCell(w, compose2(mor, qmor), ps_mat)
 
 
-def solve_cell(u: TwoMorphism, v: TwoMorphism, pins=()) -> TwoCell | None:
-    """Some cell u => v between parallel squares, or None.
+def solve_cell(u: TwoMorphism, v: TwoMorphism, pins=()) -> TwoCell:
+    """Some cell u => v between parallel squares; AssertionError when none exists.
 
     Each pin (coef, left, right, rhs) adds the equation
     coef * left . alpha . right = rhs on the cell matrix alpha, with left and
@@ -485,4 +480,6 @@ def solve_cell(u: TwoMorphism, v: TwoMorphism, pins=()) -> TwoCell | None:
     for coef, left, right, rhs in pins:
         sys.add_equation([(coef, left, al.name, right)], rhs)
     sol = sys.solve()
-    return None if sol is None else TwoCell(u, v, sol[al.name])
+    if sol is None:
+        raise AssertionError("no cell between the squares exists")
+    return TwoCell(u, v, sol[al.name])

@@ -25,8 +25,7 @@ from .core2 import (
 )
 from .limits2 import (
     cokernel2,
-    factor_through_epi,
-    factor_through_mono,
+    factor_through,
     joint_factor_pullback,
     kernel2,
     omega_obj,
@@ -55,7 +54,7 @@ def puppe(u: TwoMorphism) -> PuppeSequence:
     sg_q = sigma_obj(cd.obj)
 
     # m1: Pip u -> Omega A restricts the pip inclusion
-    j1 = factor_through_mono(om_a.loop.mat, pp.loop.mat)
+    j1 = factor_through(pp.loop.mat, left=om_a.loop.mat)
     m1 = two_morphism(pp.obj, om_a.obj, zero_mor(pp.obj.top, om_a.obj.top), j1)
     m2 = omega_mor(u, om_a, om_b)
     # m3: Omega B -> Ker u with kappa . d0 = -incl(Ker dB)
@@ -71,7 +70,7 @@ def puppe(u: TwoMorphism) -> PuppeSequence:
     m6 = cd.qmor
     # m7: Coker u -> Sigma A collapses the A0 part
     w7 = compose(sg_a.loop.mat, cd.p0)
-    d7 = factor_through_epi(cd.qfull, w7)
+    d7 = factor_through(w7, right=cd.qfull)
     m7 = two_morphism(cd.obj, sg_a.obj, d7, zero_mor(cd.obj.bottom, sg_a.obj.bottom))
     m8 = sigma_mor(u, sg_a, sg_b)
     m9 = sigma_mor(cd.qmor, sg_b, sg_q)

@@ -44,8 +44,7 @@ from .limits2 import (
     factor_kernel2,
     factor_rel_cokernel2,
     factor_rel_kernel2,
-    factor_through_epi,
-    factor_through_mono,
+    factor_through,
     kernel2,
     omega_obj,
     rel_cokernel2,
@@ -134,14 +133,14 @@ def loop_exact(pi: TwoCell) -> bool:
 def loop_bar(pi: TwoCell) -> TwoMorphism:
     """pi_bar: Sigma A -> B with pi = pi_bar * sigma_A."""
     sg = sigma_obj(pi.src)
-    top = factor_through_epi(sg.loop.mat, pi.mat)
+    top = factor_through(pi.mat, right=sg.loop.mat)
     return TwoMorphism(sg.obj, pi.dst, top, zero_mor(sg.obj.bottom, pi.dst.bottom))
 
 
 def loop_tilde(pi: TwoCell) -> TwoMorphism:
     """pi_tilde: A -> Omega B with pi = omega_B * pi_tilde."""
     om = omega_obj(pi.dst)
-    bottom = factor_through_mono(om.loop.mat, pi.mat)
+    bottom = factor_through(pi.mat, left=om.loop.mat)
     return TwoMorphism(pi.src, om.obj, zero_mor(pi.src.top, om.obj.top), bottom)
 
 

@@ -5,10 +5,12 @@ is built through the pushout of the left square (two-square lemma) and the
 triangle construction d = q'_a . k'_c.  The generalized snake only expects
 (g, eta) = Coker f in the top row and (f', eta') = Ker g' in the bottom one;
 it reduces to the plain snake on the kernel/cokernel rows as in the proof.
-All connecting 2-cells are produced by linear solves - limits2.solve_cell
-with pinned whiskers, or a LinearSystem whose unknown squares and cells are
+The two-square comparison cell is written down and checked by TwoCell.
+Every other connecting 2-cell is produced by a linear solve:
+limits2.solve_cell with pinned whiskers, which raises AssertionError when no
+such cell exists, or a LinearSystem whose unknown squares and cells are
 declared with core2's add_square, add_cell and add_homotopy, plus the
-pasting equations - and the three mu-identities are asserted exactly.
+pasting equations.  The three mu-identities are asserted exactly.
 """
 
 from __future__ import annotations
@@ -179,13 +181,7 @@ def plain_snake(
     chi = compose(eta2.mat, po.biprod.projections[1].bottom) - compose(
         psi.mat, po.biprod.projections[0].bottom
     )
-    try:
-        psi2 = TwoCell(compose2(g2, cprime), compose2(c.mor, j), chi)
-    except ValueError:
-        got = solve_cell(compose2(g2, cprime), compose2(c.mor, j))
-        if got is None:
-            raise AssertionError("two-square comparison cell does not exist")
-        psi2 = got
+    psi2 = TwoCell(compose2(g2, cprime), compose2(c.mor, j), chi)
 
     # k'_c: Kc -> I with cells xi and kappa'_c
     iobj = po.obj
@@ -241,10 +237,10 @@ def plain_snake(
     d = compose2(qprime_a, kprime_c)
 
     # mu2: k'_c . gbar => i1 . kb_mor pinned by kappa_b = kappa'_c*gbar . c'*mu2
-    mu2 = _pinned_cell(
+    mu2 = solve_cell(
         compose2(kprime_c, gbar),
         compose2(i1, b.ker.kmor),
-        (1, cprime.top, None, compose(kappa_pc, gbar.bottom) - b.ker.kappa.mat),
+        [(1, cprime.top, None, compose(kappa_pc, gbar.bottom) - b.ker.kappa.mat)],
     )
 
     delta = cell_to_zero(
@@ -253,10 +249,10 @@ def plain_snake(
     )
 
     # nu1: fbar2 . q'_a => qb . c' pinned by fbar2*zeta'_a + nu1*i1 = zeta_b
-    nu1 = _pinned_cell(
+    nu1 = solve_cell(
         compose2(fbar2, qprime_a),
         compose2(b.coker.qmor, cprime),
-        (1, None, i1.bottom, compose(fbar2.top, zeta_pa) - b.coker.zeta.mat),
+        [(1, None, i1.bottom, compose(fbar2.top, zeta_pa) - b.coker.zeta.mat)],
     )
 
     delta_prime = cell_to_zero(
@@ -266,16 +262,16 @@ def plain_snake(
 
     # the triangle lemma's own kernel/cokernel cells, pinned as in its proof
     kappa_1 = compose(i2.top, a.ker.kappa.mat) + compose(phi1.mat, a.ker.kmor.bottom)
-    etabar = _pinned_cell(
+    etabar = solve_cell(
         compose2(gbar, fbar),
         zero2(fbar.src, gbar.dst),
-        (1, kprime_c.top, None, kappa_1 + compose(mu2.mat, fbar.bottom)),
+        [(1, kprime_c.top, None, kappa_1 + compose(mu2.mat, fbar.bottom))],
     )
     zeta_3 = compose(c.coker.qmor.top, psi2.mat) + compose(c.coker.zeta.mat, j.bottom)
-    etabar2 = _pinned_cell(
+    etabar2 = solve_cell(
         compose2(gbar2, fbar2),
         zero2(fbar2.src, gbar2.dst),
-        (1, None, qprime_a.bottom, zeta_3 + compose(gbar2.top, nu1.mat)),
+        [(1, None, qprime_a.bottom, zeta_3 + compose(gbar2.top, nu1.mat))],
     )
 
     mu_a, mu_b, mu_c = mu_loop(a), mu_loop(b), mu_loop(c)
@@ -286,14 +282,6 @@ def plain_snake(
         fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2,
         mu_a, mu_b, mu_c, a, b, c,
     )
-
-
-def _pinned_cell(u: TwoMorphism, v: TwoMorphism, pin) -> TwoCell:
-    """A cell u => v whose left or right whisker is pinned (see solve_cell)."""
-    cell = solve_cell(u, v, (pin,))
-    if cell is None:
-        raise AssertionError("pinned connecting cell does not exist")
-    return cell
 
 
 def _assert_mu_identities(fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2, mu_a, mu_b, mu_c):
@@ -345,29 +333,29 @@ def generalized_snake(
 
     # present Ker(chat) on Kc: solve nu: c => n'.chat with nu*g pinned,
     # then kappa_chat with n'*kappa_chat . nu*kc = kappa_c
-    nu = _pinned_cell(
+    nu = solve_cell(
         c.mor,
         compose2(nprime, chat),
-        (1, None, g.bottom, compose(nprime.top, theta_c.mat) + psi.mat),
+        [(1, None, g.bottom, compose(nprime.top, theta_c.mat) + psi.mat)],
     )
-    kappa_chat = _pinned_cell(
+    kappa_chat = solve_cell(
         compose2(chat, c.ker.kmor),
         zero2(c.ker.obj, chat.dst),
-        (1, nprime.top, None, c.ker.kappa.mat - compose(nu.mat, c.ker.kmor.bottom)),
+        [(1, nprime.top, None, c.ker.kappa.mat - compose(nu.mat, c.ker.kmor.bottom))],
     )
     kc_side = KernelSide(c.ker.obj, c.ker.kmor, kappa_chat, None)
 
     # present Coker(ahat) on Qa: mu_m: a => ahat.m with f2-whisker pinned,
     # then zeta_ahat with zeta_ahat*m + qa*mu_m = zeta_a
-    mu_m = _pinned_cell(
+    mu_m = solve_cell(
         a.mor,
         compose2(ahat, m),
-        (1, f2.top, None, compose(theta_a.mat, m.bottom) - phi.mat),
+        [(1, f2.top, None, compose(theta_a.mat, m.bottom) - phi.mat)],
     )
-    zeta_ahat = _pinned_cell(
+    zeta_ahat = solve_cell(
         compose2(a.coker.qmor, ahat),
         zero2(ahat.src, a.coker.obj),
-        (1, None, m.bottom, a.coker.zeta.mat - compose(a.coker.qmor.top, mu_m.mat)),
+        [(1, None, m.bottom, a.coker.zeta.mat - compose(a.coker.qmor.top, mu_m.mat))],
     )
     qa_side = CokernelSide(a.coker.obj, a.coker.qmor, zeta_ahat, None)
 

@@ -2,8 +2,8 @@
 
 from dataclasses import dataclass
 
-from arrowcat.baselin import cokernel_base, kernel_base, left_inverse, right_inverse
-from arrowcat.basemor import BaseMorphism
+from arrowcat.baselin import cokernel_base, factor_base, kernel_base
+from arrowcat.basemor import BaseMorphism, identity_mor
 
 
 def rank_mod_p(mat, p: int) -> int:
@@ -41,8 +41,8 @@ def classify_base(f: BaseMorphism) -> BaseFlags:
     mono = kernel_base(f)[0].is_zero
     epi = cokernel_base(f)[0].is_zero
     iso = mono and epi
-    split_mono = left_inverse(f) is not None
-    split_epi = right_inverse(f) is not None
+    split_mono = factor_base(identity_mor(f.src), right=f) is not None
+    split_epi = factor_base(identity_mor(f.dst), left=f) is not None
     flags = BaseFlags(
         mono=mono,
         epi=epi,
@@ -54,3 +54,11 @@ def classify_base(f: BaseMorphism) -> BaseFlags:
     if iso and not (split_mono and split_epi):
         raise AssertionError("iso must split on both sides")
     return flags
+
+
+def exact_by_induced_map(f: BaseMorphism, g: BaseMorphism) -> bool:
+    """Exactness of X -f-> Y -g-> Z at Y by solving for the map X -> ker g."""
+    induced = factor_base(f, left=kernel_base(g)[1])
+    if induced is None:
+        raise AssertionError("image must land in the kernel")
+    return cokernel_base(induced)[0].is_zero

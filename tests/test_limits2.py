@@ -30,6 +30,7 @@ from arrowcat.limits2 import (
     copip2,
     coroot2,
     factor_kernel2,
+    factor_through,
     factor_rel_kernel2,
     kernel2,
     omega_obj,
@@ -40,6 +41,7 @@ from arrowcat.limits2 import (
     rel_kernel2,
     root2,
     sigma_obj,
+    solve_cell,
 )
 from arrowcat.basemor import compose, identity_mor
 
@@ -227,3 +229,21 @@ class TestRelativeKernel:
         beta = cell_to_zero(compose2(ext.m, t), whisker_right(rk.kappa, r).mat)
         tp = factor_rel_kernel2(rk, t, beta)
         assert compose2(rk.kmor, tp) == t
+
+
+class TestSolveRaises:
+    def test_factor_through_without_factorization(self):
+        z1 = z_object(1)
+        doubling = base_morphism(z1, z1, [[2]])
+        assert factor_through(base_morphism(z1, z1, [[4]]), left=doubling) == doubling
+        with pytest.raises(AssertionError):
+            factor_through(base_morphism(z1, z1, [[3]]), left=doubling)
+        with pytest.raises(AssertionError):
+            factor_through(identity_mor(z1), right=doubling)
+
+    def test_solve_cell_without_cell(self):
+        f1 = field_object(GF(2), 1)
+        x = two_object(zero_mor(f1, f1))
+        assert solve_cell(identity2(x), identity2(x)).mat.is_zero_mor()
+        with pytest.raises(AssertionError):
+            solve_cell(identity2(x), zero2(x, x))
