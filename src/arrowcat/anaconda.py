@@ -6,28 +6,27 @@ For a map of extensions the snake extends to the exact sequence
       -> Coker a -> Coker b -> Coker c -> Copip a -> Copip b -> Copip c -> 0
 
 with three extra connecting maps; the composites of adjacent nullhomotopies
-are the canonical loops omega/mu/sigma up to recorded signs.
+are the canonical loops omega/mu/sigma up to recorded signs.  The connectors
+d': Pip c -> Ker a and d'': Coker c -> Copip a are limits2's factorizations
+through the snake's own kernel data (fbar, etabar) of gbar and cokernel data
+(gbar', etabar') of fbar', which prefer a strict solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baselin import LinearSystem
 from .basemor import compose, zero_mor
-from .core2 import (
-    TwoCell,
-    TwoMorphism,
-    TwoObject,
-    add_cell,
-    add_homotopy,
-    add_square,
-    cell_to_zero,
-    compose2,
-    solved_square,
-    zero2,
+from .core2 import TwoCell, TwoMorphism, TwoObject, cell_to_zero, compose2, zero2
+from .limits2 import (
+    factor_through_cokernel_data,
+    factor_through_kernel_data,
+    omega_mor,
+    omega_obj,
+    sigma_mor,
+    sigma_obj,
+    solve_cell,
 )
-from .limits2 import LoopData, omega_mor, omega_obj, sigma_mor, sigma_obj, solve_cell
 from .sequences import zero_capped
 from .snake import ColumnData, SnakeResult, plain_snake
 
@@ -55,16 +54,25 @@ def anaconda(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnDat
     sg_f = sigma_mor(sn.fbar2, sg_qa, sg_qb)
     sg_g = sigma_mor(sn.gbar2, sg_qb, sg_qc)
 
-    # d': Pip c -> Ker a with cells, pinned by omega_{Kc} = gbar*dtil . etabar^{-1}*d'
-    dprime, dtil = _connect_left(sn.fbar, sn.etabar, sn.gbar, om_kc)
+    # d': Pip c -> Ker a and dtil: fbar.d' => 0 with gbar_1.dtil - etabar*d'_0 =
+    # omega_{Kc}: the zero square with the loop -omega_{Kc} through (fbar, etabar)
+    dprime, theta = factor_through_kernel_data(
+        sn.gbar, sn.fbar, sn.etabar, zero2(om_kc.obj, sn.fbar.dst), om_kc.loop.inverse()
+    )
+    dtil = theta.inverse()
     # eps~: d'.om_g => 0 pinned by dtil*om_g - fbar*eps = omega_{Kb}
     eps = solve_cell(
         compose2(dprime, om_g),
         zero2(om_g.src, dprime.dst),
         [(-1, sn.fbar.top, None, om_kb.loop.mat - _wh(dtil, om_g))],
     )
-    # d'': Coker c -> Copip a, dual
-    dsec, dhat = _connect_right(sn.fbar2, sn.etabar2, sn.gbar2, sg_qa)
+    # d'': Coker c -> Copip a and dhat: d''.gbar2 => 0 with dhat*fbar2_0 -
+    # d''_1.etabar2 = -sigma_{Qa}: the zero square with the loop sigma_{Qa}
+    # through the cokernel data (gbar2, etabar2) of fbar2
+    dsec, psi = factor_through_cokernel_data(
+        sn.fbar2, sn.gbar2, sn.etabar2, zero2(sn.fbar2.dst, sg_qa.obj), sg_qa.loop
+    )
+    dhat = psi.inverse()
     epsp = solve_cell(
         compose2(sg_f, dsec),
         zero2(dsec.src, sg_f.dst),
@@ -91,46 +99,6 @@ def anaconda(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnDat
 
 def _wh(cell: TwoCell, u: TwoMorphism):
     return compose(cell.mat, u.bottom)
-
-
-def _connect_left(fbar, etabar, gbar, om_kc: LoopData):
-    """(d', dtil) with dtil: fbar.d' => 0 and gbar_1.dtil - etabar*d'_0 = omega_{Kc}."""
-    ka, kb = fbar.src, fbar.dst
-    sys = LinearSystem(fbar.top.ring)
-    d = add_square(sys, "d", om_kc.obj, ka)
-    dt = add_cell(sys, "dt", om_kc.obj, kb)
-    # dt: fbar.d' => 0
-    add_homotopy(sys, dt, [(1, fbar, d, None)], [])
-    # pinning: gbar_1.dt - etabar.d0 = omega_{Kc} (inclusion matrix)
-    sys.add_equation(
-        [(1, gbar.top, dt.name, None), (-1, etabar.mat, d.bottom, None)], om_kc.loop.mat
-    )
-    sol = sys.solve()
-    if sol is None:
-        raise AssertionError("left anaconda connector does not exist")
-    dprime = solved_square(sol, d)
-    dtil = TwoCell(compose2(fbar, dprime), zero2(om_kc.obj, kb), sol[dt.name])
-    return dprime, dtil
-
-
-def _connect_right(fbar2, etabar2, gbar2, sg_qa: LoopData):
-    """(d'', dhat) with dhat: d''.gbar2 => 0 and dhat*fbar2 - d''_1.etabar2 = -sigma_{Qa}."""
-    qb, qc = fbar2.dst, gbar2.dst
-    sys = LinearSystem(fbar2.top.ring)
-    d = add_square(sys, "d", qc, sg_qa.obj)
-    dh = add_cell(sys, "dh", qb, sg_qa.obj)
-    # dh: d''.gbar2 => 0
-    add_homotopy(sys, dh, [(1, None, d, gbar2)], [])
-    # pinning: dh*fbar2_0 - d''_1.etabar2 = -sigma_{Qa}
-    sys.add_equation(
-        [(1, None, dh.name, fbar2.bottom), (-1, None, d.top, etabar2.mat)], -sg_qa.loop.mat
-    )
-    sol = sys.solve()
-    if sol is None:
-        raise AssertionError("right anaconda connector does not exist")
-    dsec = solved_square(sol, d)
-    dhat = TwoCell(compose2(dsec, gbar2), zero2(qb, sg_qa.obj), sol[dh.name])
-    return dsec, dhat
 
 
 def _composite_signs(objects, maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb, sg_qc, a, b, c):

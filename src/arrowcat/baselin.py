@@ -313,21 +313,10 @@ class LinearSystem:
     def _assemble(self):
         rows, rhs, mods = self._layout()
         nrows = len(rows)
-        slack = [i for i in range(nrows) if mods[i] != 0]
-        ncols = self._ncols + len(slack)
-        a = []
-        self._reduced_rhs = list(rhs)
-        for i in range(nrows):
-            row = rows[i]
-            m = mods[i]
-            if m:
-                row = [x % m for x in row]
-                self._reduced_rhs[i] = rhs[i] % m
-            row += [0] * len(slack)
-            a.append(row)
-        for s_idx, i in enumerate(slack):
-            a[i][self._ncols + s_idx] = mods[i]
-        return intmat.mat(a), nrows, ncols
+        self._reduced_rhs = [x % m if m else x for x, m in zip(rhs, mods)]
+        reduced = [[x % m for x in row] if m else row for row, m in zip(rows, mods)]
+        rel, nslack = relation_columns(mods)
+        return intmat.hstack([reduced, rel], nrows), nrows, self._ncols + nslack
 
     def solve(self) -> dict[str, BaseMorphism] | None:
         if self.ring.is_field:

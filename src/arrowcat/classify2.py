@@ -55,10 +55,6 @@ class ArrowClassification:
 # read.  Repeated base constructions are served by the baselin memo.
 
 
-def _split(f: BaseMorphism) -> bool:
-    return splits_base(f)
-
-
 def _faithful(seq: SequenceData) -> bool:
     return kernel_base(seq.iota)[0].is_zero
 
@@ -80,7 +76,7 @@ def _fully_cofaithful(seq: SequenceData) -> bool:
 
 
 def _equivalence(seq: SequenceData) -> bool:
-    return _fully_faithful(seq) and _cofaithful(seq) and _split(seq.iota)
+    return _fully_faithful(seq) and _cofaithful(seq) and splits_base(seq.iota)
 
 
 def classify2(u: TwoMorphism) -> ArrowClassification:
@@ -90,8 +86,8 @@ def classify2(u: TwoMorphism) -> ArrowClassification:
     full = _full(seq)
     fully_faithful = _fully_faithful(seq)
     fully_cofaithful = _fully_cofaithful(seq)
-    split_iota = _split(seq.iota)
-    split_p = _split(seq.pmap)
+    split_iota = splits_base(seq.iota)
+    split_p = splits_base(seq.pmap)
     equivalence = _equivalence(seq)
     d = u.src.boundary
     flags = ArrowClassification(
@@ -107,7 +103,7 @@ def classify2(u: TwoMorphism) -> ArrowClassification:
         equivalence=equivalence,
         discrete_source=kernel_base(d)[0].is_zero,
         connected_source=cokernel_base(d)[0].is_zero,
-        split_source=_split(d),
+        split_source=splits_base(d),
     )
     if flags.equivalence and not (
         flags.faithful

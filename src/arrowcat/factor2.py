@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baselin import LinearSystem
-from .basemor import BaseMorphism, zero_mor
+from .baselin import LinearSystem, cokernel_base, kernel_base
+from .basemor import BaseMorphism, base_morphism, zero_mor
 from .classify2 import ArrowClassification, classify2
 from .core2 import (
     TwoMorphism,
@@ -34,7 +34,9 @@ from .limits2 import (
     factor_kernel2,
     factor_root2,
     kernel2,
+    pi0_mor,
     pi0_obj,
+    pi1_mor,
     pi1_obj,
     pip2,
     root2,
@@ -182,8 +184,6 @@ def _fillers_unique(e, m) -> bool:
     add_homotopy(sys, g, [], [])
     sys.add_equation([(1, None, g.name, e.bottom)])
     sys.add_equation([(1, m.top, g.name, None)])
-    from .basemor import base_morphism
-
     for entry in sys.homogeneous_basis():
         gm = base_morphism(x.bottom, y.top, entry[g.name])
         if not gm.is_zero_mor():
@@ -201,9 +201,6 @@ class GoodnessReport:
 
 def goodness_comparisons(u: TwoMorphism) -> GoodnessReport:
     """The comparisons pi0(Ker u) -> Ker(pi0 u) and Coker(pi1 u) -> pi1(Coker u)."""
-    from .baselin import cokernel_base, kernel_base
-    from .limits2 import pi0_mor, pi0_obj, pi1_mor, pi1_obj
-
     kd = kernel2(u)
     p0_ker = pi0_obj(kd.obj)
     p0_src, p0_dst = pi0_obj(u.src), pi0_obj(u.dst)

@@ -26,6 +26,7 @@ from .core2 import (
     cell_to_zero,
     compose2,
     deform,
+    identity2,
     identity_cell,
     solved_square,
     vcomp2,
@@ -146,8 +147,6 @@ def random_cell_on(rng: random.Random, u: TwoMorphism, bounds: Bounds) -> TwoCel
 
 def random_self_equivalence(rng: random.Random, x: TwoObject, bounds: Bounds) -> TwoMorphism:
     """A square x -> x homotopic to the identity (hence an equivalence)."""
-    from .core2 import identity2
-
     alpha = random_base_morphism(rng, x.bottom, x.top, bounds)
     return deform(identity2(x), alpha).cto
 
@@ -360,8 +359,6 @@ def random_generalized_snake_instance(rng, ring, bounds) -> SnakeInstance:
     phi, psi = inst.cells
     # top row: precompose f with the projection that collapses a connected
     # summand (projections along connected objects are fully cofaithful)
-    from .baseobj import zero_object
-
     w = random_base_object(rng, ring, bounds)
     pad = TwoObject(zero_mor(w, zero_object(ring)))
     bp = biproduct2([pad, f.src])
@@ -439,8 +436,6 @@ def random_3x3_instance(rng: random.Random, ring: BaseRing, bounds: Bounds) -> T
     """A commuting 3x3 grid with extension rows and columns: a block-diagonal
     skeleton on four random objects, deformed edgewise by homotopies with
     all ten cells transported along the whiskers."""
-    from .core2 import identity2
-
     x = random_two_object(rng, ring, bounds)
     y = random_two_object(rng, ring, bounds)
     p = random_two_object(rng, ring, bounds)

@@ -20,6 +20,7 @@ from .core2 import (
 )
 from .limits2 import (
     biproduct2,
+    factor_rel_cokernel2,
     factor_rel_kernel2,
     rel_cokernel2,
     rel_kernel2,
@@ -192,8 +193,6 @@ def is_relative_pushout(i1, i2, pi: TwoCell, f, g, x, phi_mat, psi_mat) -> bool:
     rc = rel_cokernel2(diff, x, rel_cell)
     w = compose2(i1, bp.projections[0]) + compose2(i2, bp.projections[1])
     theta = cell_to_zero(compose2(w, diff), pi.mat)
-    from .limits2 import factor_rel_cokernel2
-
     m = factor_rel_cokernel2(rc, w, theta)
     return classify2(m).equivalence
 

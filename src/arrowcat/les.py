@@ -83,13 +83,11 @@ def les_homology(fmap: ChainMap, omegas: tuple[TwoCell, ...], gmap: ChainMap) ->
                 hr[n].obj,
                 hr[n].kprime,
                 cell_to_zero(compose2(hn, hr[n].kprime), hr[n].kappa_prime.mat),
-                None,
             )
             coker_side = CokernelSide(
                 hr[n + 1].obj,
                 hr[n + 1].qprime,
                 cell_to_zero(compose2(hr[n + 1].qprime, hn), hr[n + 1].zeta_prime.mat),
-                None,
             )
             cols.append(ColumnData(hn, ker_side, coker_side))
         f_r = _coker_induced(fmap, hrs[0][n], hrs[1][n], n)

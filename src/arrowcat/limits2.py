@@ -4,11 +4,13 @@ All constructions are the canonical ones: the kernel of a square is built on
 the pullback of (u0, boundary) with the A0 block first, the cokernel on the
 dual pushout, loops/suspensions on base kernels/cokernels of the boundary.
 Factorizations through canonical (co)kernels are strict (the connecting cell
-is an identity); factorizations through abstractly-given (co)kernel data and
-cells between parallel squares are solved for: each is one LinearSystem
-whose unknown squares and cells are declared with core2's add_square,
-add_cell and add_homotopy, so only the extra pasting or pinning equations
-are written here.  Base factorizations go through factor_through
+is an identity).  Factorizations through (co)kernel data given as a square
+with a 2-cell are solved for, strictly when a strict solution exists; on
+kernel2/cokernel2 data that strict solution is unique and is the canonical
+one.  Cells between parallel squares are solved for too.  Each solve is a
+LinearSystem whose unknown squares and cells are declared with core2's
+add_square, add_cell and add_homotopy, so only the extra pasting or pinning
+equations are written here.  Base factorizations go through factor_through
 (baselin.factor_base).  Every solve here is for something that must exist,
 so factor_through, solve_cell and the other factorizations raise
 AssertionError when it does not.
@@ -24,6 +26,7 @@ from .baselin import (
     cokernel_base,
     factor_base,
     kernel_base,
+    pullback_base,
 )
 from .basemor import BaseMorphism, compose, identity_mor, zero_mor
 from .baseobj import zero_object
@@ -103,8 +106,6 @@ class KernelData:
 
 def kernel2(u: TwoMorphism) -> KernelData:
     a, b = u.src, u.dst
-    from .baselin import pullback_base
-
     p_obj, k, kap = pullback_base(u.bottom, b.boundary)
     kprime = joint_factor_pullback(k, kap, a.boundary, u.top)
     obj = TwoObject(kprime)

@@ -5,11 +5,17 @@ is built through the pushout of the left square (two-square lemma) and the
 triangle construction d = q'_a . k'_c.  The generalized snake only expects
 (g, eta) = Coker f in the top row and (f', eta') = Ker g' in the bottom one;
 it reduces to the plain snake on the kernel/cokernel rows as in the proof.
-The two-square comparison cell is written down and checked by TwoCell.
-Every other connecting 2-cell is produced by a linear solve:
-limits2.solve_cell with pinned whiskers, which raises AssertionError when no
-such cell exists, or a LinearSystem whose unknown squares and cells are
-declared with core2's add_square, add_cell and add_homotopy, plus the
+A column's kernel and cokernel are data: a square with a 2-cell, canonical
+(kernel2, cokernel2) or presented (the generalized snake's inner columns,
+the homology presentations of les).  The induced maps on them come from one
+factorization through that data, limits2.factor_through_kernel_data and
+factor_through_cokernel_data, which prefers a strict solution; on canonical
+data the strict solution is unique and is factor_kernel2's or
+factor_cokernel2's.  The two-square comparison cell is written down and
+checked by TwoCell.  Every other connecting 2-cell is produced by a linear
+solve: limits2.solve_cell with pinned whiskers, which raises AssertionError
+when no such cell exists, or a LinearSystem whose unknown squares and cells
+are declared with core2's add_square, add_cell and add_homotopy, plus the
 pasting equations.  The three mu-identities are asserted exactly.
 """
 
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .baselin import LinearSystem
-from .basemor import compose, zero_mor
+from .basemor import compose
 from .core2 import (
     TwoCell,
     TwoMorphism,
@@ -36,8 +42,6 @@ from .core2 import (
     zero2,
 )
 from .limits2 import (
-    CokernelData,
-    KernelData,
     cokernel2,
     factor_cokernel2,
     factor_kernel2,
@@ -55,7 +59,6 @@ class KernelSide:
     obj: TwoObject
     kmor: TwoMorphism
     kappa: TwoCell
-    canonical: KernelData | None = None
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class CokernelSide:
     obj: TwoObject
     qmor: TwoMorphism
     zeta: TwoCell
-    canonical: CokernelData | None = None
 
 
 @dataclass(frozen=True)
@@ -76,27 +78,11 @@ class ColumnData:
 def column_data(col: TwoMorphism, ker: KernelSide | None = None, coker: CokernelSide | None = None) -> ColumnData:
     if ker is None:
         kd = kernel2(col)
-        ker = KernelSide(kd.obj, kd.kmor, kd.kappa, kd)
+        ker = KernelSide(kd.obj, kd.kmor, kd.kappa)
     if coker is None:
         cd = cokernel2(col)
-        coker = CokernelSide(cd.obj, cd.qmor, cd.zeta, cd)
+        coker = CokernelSide(cd.obj, cd.qmor, cd.zeta)
     return ColumnData(col, ker, coker)
-
-
-def _factor_ker(side: KernelSide, col: TwoMorphism, t: TwoMorphism, beta: TwoCell):
-    if side.canonical is not None:
-        m = factor_kernel2(side.canonical, t, beta)
-        theta = TwoCell(t, compose2(side.kmor, m), zero_mor(t.src.bottom, col.src.top))
-        return m, theta
-    return factor_through_kernel_data(col, side.kmor, side.kappa, t, beta)
-
-
-def _factor_coker(side: CokernelSide, col: TwoMorphism, w: TwoMorphism, theta: TwoCell):
-    if side.canonical is not None:
-        m = factor_cokernel2(side.canonical, w, theta)
-        psi = TwoCell(w, compose2(m, side.qmor), zero_mor(w.src.bottom, w.dst.top))
-        return m, psi
-    return factor_through_cokernel_data(col, side.qmor, side.zeta, w, theta)
 
 
 def mu_loop(cdata: ColumnData) -> TwoCell:
@@ -141,13 +127,21 @@ def _induced_maps(f, g, f2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi
     """fbar: Ka -> Kb and gbar: Kb -> Kc on the kernels, fbar2: Qa -> Qb and
     gbar2: Qb -> Qc on the cokernels of the columns."""
     beta_f = vcomp2(whisker_left(f2, a.ker.kappa), whisker_right(phi, a.ker.kmor))
-    fbar, _ = _factor_ker(b.ker, b.mor, compose2(f, a.ker.kmor), beta_f)
+    fbar, _ = factor_through_kernel_data(
+        b.mor, b.ker.kmor, b.ker.kappa, compose2(f, a.ker.kmor), beta_f
+    )
     beta_g = vcomp2(whisker_left(g2, b.ker.kappa), whisker_right(psi, b.ker.kmor))
-    gbar, _ = _factor_ker(c.ker, c.mor, compose2(g, b.ker.kmor), beta_g)
+    gbar, _ = factor_through_kernel_data(
+        c.mor, c.ker.kmor, c.ker.kappa, compose2(g, b.ker.kmor), beta_g
+    )
     theta_f = vcomp2(whisker_right(b.coker.zeta, f), whisker_left(b.coker.qmor, phi.inverse()))
-    fbar2, _ = _factor_coker(a.coker, a.mor, compose2(b.coker.qmor, f2), theta_f)
+    fbar2, _ = factor_through_cokernel_data(
+        a.mor, a.coker.qmor, a.coker.zeta, compose2(b.coker.qmor, f2), theta_f
+    )
     theta_g = vcomp2(whisker_right(c.coker.zeta, g), whisker_left(c.coker.qmor, psi.inverse()))
-    gbar2, _ = _factor_coker(b.coker, b.mor, compose2(c.coker.qmor, g2), theta_g)
+    gbar2, _ = factor_through_cokernel_data(
+        b.mor, b.coker.qmor, b.coker.zeta, compose2(c.coker.qmor, g2), theta_g
+    )
     return fbar, gbar, fbar2, gbar2
 
 
@@ -343,7 +337,7 @@ def generalized_snake(
         zero2(c.ker.obj, chat.dst),
         [(1, nprime.top, None, c.ker.kappa.mat - compose(nu.mat, c.ker.kmor.bottom))],
     )
-    kc_side = KernelSide(c.ker.obj, c.ker.kmor, kappa_chat, None)
+    kc_side = KernelSide(c.ker.obj, c.ker.kmor, kappa_chat)
 
     # present Coker(ahat) on Qa: mu_m: a => ahat.m with f2-whisker pinned,
     # then zeta_ahat with zeta_ahat*m + qa*mu_m = zeta_a
@@ -357,7 +351,7 @@ def generalized_snake(
         zero2(ahat.src, a.coker.obj),
         [(1, None, m.bottom, a.coker.zeta.mat - compose(a.coker.qmor.top, mu_m.mat))],
     )
-    qa_side = CokernelSide(a.coker.obj, a.coker.qmor, zeta_ahat, None)
+    qa_side = CokernelSide(a.coker.obj, a.coker.qmor, zeta_ahat)
 
     inner = plain_snake(
         fhat,

@@ -25,8 +25,6 @@ class SnfDecomposition:
     d: Matrix
     v: Matrix
     u_inv: Matrix
-    v_inv: Matrix
-    rank: int  # number of nonzero diagonal entries
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(len(self.d), len(self.d[0]) if self.d else 0)
@@ -48,7 +46,6 @@ def smith_normal_form(m: Matrix, nrows: int, ncols: int) -> SnfDecomposition:
     u = [list(r) for r in identity(nrows)]
     ui = [list(r) for r in identity(nrows)]
     v = [list(r) for r in identity(ncols)]
-    vi = [list(r) for r in identity(ncols)]
 
     def row_swap(i, j):
         if i == j:
@@ -78,7 +75,6 @@ def smith_normal_form(m: Matrix, nrows: int, ncols: int) -> SnfDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def col_add(i, j, c):
         # col i += c * col j
@@ -86,7 +82,6 @@ def smith_normal_form(m: Matrix, nrows: int, ncols: int) -> SnfDecomposition:
             r[i] += c * r[j]
         for r in v:
             r[i] += c * r[j]
-        vi[j] = [x - c * y for x, y in zip(vi[j], vi[i])]
 
     def pick_pivot(t):
         best = None
@@ -162,9 +157,7 @@ def smith_normal_form(m: Matrix, nrows: int, ncols: int) -> SnfDecomposition:
                 fix_pair(i, i + 1)
                 changed = True
 
-    return SnfDecomposition(
-        u=_freeze(u), d=_freeze(a), v=_freeze(v), u_inv=_freeze(ui), v_inv=_freeze(vi), rank=rank
-    )
+    return SnfDecomposition(u=_freeze(u), d=_freeze(a), v=_freeze(v), u_inv=_freeze(ui))
 
 
 def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:

@@ -178,7 +178,7 @@ def test_invariant_splitting_matches_the_witness_search(monkeypatch):
         squares.append(random_square(rng, a, c))
     squares.append(z_counterexample())
     got = [classify2(u) for u in squares]
-    monkeypatch.setattr(classify2_module, "_split", lambda f: split_data_base(f) is not None)
+    monkeypatch.setattr(classify2_module, "splits_base", lambda f: split_data_base(f) is not None)
     nonsplit = 0
     for u, fl in zip(squares, got):
         ref = classify2(u)

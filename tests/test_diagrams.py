@@ -39,6 +39,7 @@ from arrowcat.lemmas import (
     check_short_five,
 )
 from arrowcat.les import les_full_sequence, les_homology
+from arrowcat.limits2 import omega_obj, sigma_obj
 from arrowcat.puppe import puppe
 from arrowcat.selftest import _random_loop
 from arrowcat.sequences import ChainMap, exact_at, loop_exact
@@ -226,6 +227,26 @@ class TestAnaconda:
             for k in range(len(maps) - 1):
                 assert exact_at(maps[k], cells[k], maps[k + 1])
             assert len(res.composite_signs) == 9
+
+    def test_connectors_meet_their_pins(self, bounds):
+        """gbar_1.dtil - etabar*d'_0 = omega_{Kc} and
+        dhat*fbar2_0 - d''_1.etabar2 = -sigma_{Qa}, with nonzero loops seen."""
+        rng = random.Random(4242)
+        nonzero = [0, 0]
+        for k in range(16):
+            ring = (GF(3), ZZ)[k % 2]
+            inst = random_snake_instance(rng, ring, bounds)
+            cols = [column_data(x) for x in inst.cols]
+            res = anaconda(*inst.row1, *inst.row2, *cols, *inst.cells)
+            sn, (kc, qa) = res.snake, (res.objects[5], res.objects[6])
+            omega, sigma = omega_obj(kc).loop.mat, sigma_obj(qa).loop.mat
+            dprime, dtil, dsec, dhat = res.maps[2], res.cells[2], res.maps[8], res.cells[7]
+            left = compose(sn.gbar.top, dtil.mat) - compose(sn.etabar.mat, dprime.bottom)
+            right = compose(dhat.mat, sn.fbar2.bottom) - compose(dsec.top, sn.etabar2.mat)
+            assert left == omega and right == -sigma
+            nonzero[0] += not omega.is_zero_mor()
+            nonzero[1] += not sigma.is_zero_mor()
+        assert min(nonzero) > 0, nonzero
 
 
 class TestLes:

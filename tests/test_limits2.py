@@ -14,6 +14,7 @@ from arrowcat.core2 import (
     loop_cell,
     two_morphism,
     two_object,
+    whisker_left,
     whisker_right,
     zero2,
     zero_two_object,
@@ -29,8 +30,11 @@ from arrowcat.limits2 import (
     cokernel2,
     copip2,
     coroot2,
+    factor_cokernel2,
     factor_kernel2,
     factor_through,
+    factor_through_cokernel_data,
+    factor_through_kernel_data,
     factor_rel_kernel2,
     kernel2,
     omega_obj,
@@ -90,8 +94,6 @@ class TestKernelCokernel:
         cd = cokernel2(zero2(z, g))
         cmp_ = cokernel2(zero2(z, g))
         # the comparison g -> Coker(0) is an equivalence
-        from arrowcat.limits2 import factor_cokernel2
-
         w = factor_cokernel2(
             cd, identity2(g), cell_to_zero(zero2(z, g), zero_mor(z.bottom, g.top))
         )
@@ -247,3 +249,32 @@ class TestSolveRaises:
         assert solve_cell(identity2(x), identity2(x)).mat.is_zero_mor()
         with pytest.raises(AssertionError):
             solve_cell(identity2(x), zero2(x, x))
+
+
+class TestFactorThroughCanonicalData:
+    """On kernel2/cokernel2 data the strict factorization is unique: (k, kap)
+    is jointly mono and qfull is epi.  So the factorization through data
+    returns the canonical factorization with a zero cell."""
+
+    @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
+    def test_agrees_with_the_canonical_factorization(self, ring, bounds):
+        rng = random.Random(1313)
+        for _ in range(6):
+            a = random_two_object(rng, ring, bounds)
+            b = random_two_object(rng, ring, bounds)
+            u = random_square(rng, a, b)
+            kd, cd = kernel2(u), cokernel2(u)
+            for _ in range(3):
+                x = random_two_object(rng, ring, bounds)
+                r = random_square(rng, x, kd.obj)
+                t = compose2(kd.kmor, r)
+                beta = cell_to_zero(compose2(u, t), whisker_right(kd.kappa, r).mat)
+                m, theta = factor_through_kernel_data(u, kd.kmor, kd.kappa, t, beta)
+                assert m == factor_kernel2(kd, t, beta)
+                assert theta.cfrom == t and theta.mat.is_zero_mor()
+                s = random_square(rng, cd.obj, x)
+                w = compose2(s, cd.qmor)
+                theta_w = cell_to_zero(compose2(w, u), whisker_left(s, cd.zeta).mat)
+                m, psi = factor_through_cokernel_data(u, cd.qmor, cd.zeta, w, theta_w)
+                assert m == factor_cokernel2(cd, w, theta_w)
+                assert psi.cfrom == w and psi.mat.is_zero_mor()
