@@ -5,8 +5,9 @@ morphism (factor_base) and von Neumann splitting all reduce to linear
 algebra in one of two engines.  Over F_p it is row reduction mod p
 (modsolve): a kernel is the reduced-row-echelon nullspace basis, an image
 the nonzero rows of the reduced row echelon form of the transpose, a
-cokernel the complement of their pivot columns, and a biproduct the block
-identities.  These bases depend only on the subspaces, not on the order of
+cokernel the complement of their pivot columns, a biproduct the block
+identities, and factoring h through L on one side one row reduction of
+[L | H].  These bases depend only on the subspaces, not on the order of
 elimination.  Over Z it is integer congruence solving through the Smith
 normal form (snf), with objects kept in invariant-factor form, so that
 isomorphic objects compare equal: splitting and exactness are decided by
@@ -208,8 +209,9 @@ def pushout_base(f: BaseMorphism, g: BaseMorphism):
 
 
 # ---------------------------------------------------------------------------
-# Linear systems over the base: the workhorse behind factor_base, splitting and
-# every universal-property factorization of the 2-dimensional layer.
+# Linear systems over the base: the workhorse behind factor_base over Z,
+# splitting and every universal-property factorization of the 2-dimensional
+# layer.
 # ---------------------------------------------------------------------------
 
 
@@ -321,8 +323,8 @@ class LinearSystem:
     def solve(self) -> dict[str, BaseMorphism] | None:
         if self.ring.is_field:
             rows, rhs, _ = self._layout()
-            x = solve_mod_p(rows, rhs, len(rows), self._ncols, self.ring.p)
-            return None if x is None else self._extract(tuple(x))
+            x = solve_mod_p(rows, [(v,) for v in rhs], len(rows), self._ncols, 1, self.ring.p)
+            return None if x is None else self._extract(tuple(r[0] for r in x))
         a, nrows, ncols = self._assemble()
         b = tuple((x,) for x in self._reduced_rhs)
         if nrows == 0:
@@ -374,9 +376,23 @@ def factor_base(
 ) -> BaseMorphism | None:
     """Some x with left.x.right = h, None standing for an identity side, or None.
 
-    One LinearSystem in the unknown x; mismatched endpoints raise ValueError.
+    Over F_p with one side given it is one row reduction of [L | H], or of
+    [R^T | h^T] since x.R = h iff R^T.x^T = h^T, and gives the same x as the
+    LinearSystem would; otherwise it is one LinearSystem in the unknown x.
+    Mismatched endpoints raise ValueError.
     """
-    sys = LinearSystem(h.ring)
+    ring = h.ring
+    if ring.is_field and (left is None) != (right is None):
+        if left is not None:
+            if left.dst != h.dst:
+                raise ValueError("right-hand side has the wrong endpoints")
+            x = solve_mod_p(left.mat, h.mat, h.dst.ngens, left.src.ngens, h.src.ngens, ring.p)
+            return None if x is None else BaseMorphism(h.src, left.src, x)
+        if right.src != h.src:
+            raise ValueError("right-hand side has the wrong endpoints")
+        xt = solve_mod_p(_transpose(right), _transpose(h), h.src.ngens, right.dst.ngens, h.dst.ngens, ring.p)
+        return None if xt is None else _columns_mor(right.dst, h.dst, xt)
+    sys = LinearSystem(ring)
     sys.add_unknown(
         "x", h.src if right is None else right.dst, h.dst if left is None else left.src
     )

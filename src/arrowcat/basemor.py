@@ -12,7 +12,11 @@ matrices of composites and differences; compose and __sub__ wrap them, and
 the square and cell equations of core2 compare them directly, since two
 parallel morphisms are equal exactly when their reduced matrices are.  Zero
 and identity morphisms are interned: each is built and validated once per
-pair of objects while it stays in the bounded memo.
+pair of objects while it stays in the bounded memo.  A zero or identity
+factor needs no arithmetic: compose returns the interned zero morphism or
+the other factor, both validated already, and _product their matrices.  A
+matrix is an identity only on an endomorphism: over Z, [[1]]: Z/4 -> Z/2 is
+not one.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ def _memo(fn):
 
     memoized.cache_info = cached.cache_info
     return memoized
+
+
+_GENERAL, _ZERO, _IDENTITY = range(3)
 
 
 def _reduce_entry(x: int, order: int) -> int:
@@ -162,13 +169,43 @@ def zero_mor(src: BaseObject, dst: BaseObject) -> BaseMorphism:
     return BaseMorphism(src, dst, intmat.zeros(dst.ngens, src.ngens))
 
 
+def _kind(m: BaseMorphism) -> int:
+    """_ZERO, _IDENTITY or _GENERAL, computed once per morphism and kept in
+    its __dict__ like the hash: compose and _product skip the arithmetic for
+    the first two."""
+    try:
+        return m.__dict__["_kind"]
+    except KeyError:
+        if intmat.is_zero(m.mat):
+            kind = _ZERO
+        elif m.src == m.dst and m.mat == intmat.identity(len(m.mat)):
+            kind = _IDENTITY
+        else:
+            kind = _GENERAL
+        object.__setattr__(m, "_kind", kind)
+        return kind
+
+
 def _product(g: BaseMorphism, f: BaseMorphism) -> Matrix:
     """The canonically reduced matrix of g after f."""
     if f.dst != g.src:
         raise ValueError("non-composable morphisms")
-    if not f.mat:
+    kf, kg = _kind(f), _kind(g)
+    if kf == _ZERO or kg == _ZERO:
         return intmat.zeros(g.dst.ngens, f.src.ngens)
+    if kf == _IDENTITY:
+        return g.mat
+    if kg == _IDENTITY:
+        return f.mat
+    return _multiply(g, f)
+
+
+def _multiply(g: BaseMorphism, f: BaseMorphism) -> Matrix:
+    """The arithmetic of _product, for composable g and f."""
     cols = tuple(zip(*f.mat))
+    p = g.ring.p
+    if p is not None:
+        return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in g.mat])
     return tuple([
         tuple([sum(map(mul, row, col)) % e for col in cols]) if e
         else tuple([sum(map(mul, row, col)) for col in cols])
@@ -185,7 +222,13 @@ def _difference(a: BaseMorphism, b: BaseMorphism) -> Matrix:
 
 def compose(g: BaseMorphism, f: BaseMorphism) -> BaseMorphism:
     """g after f."""
-    mat = _product(g, f)
-    if not f.mat:
+    if f.dst != g.src:
+        raise ValueError("non-composable morphisms")
+    kf, kg = _kind(f), _kind(g)
+    if kf == _ZERO or kg == _ZERO:
         return zero_mor(f.src, g.dst)
-    return BaseMorphism(f.src, g.dst, mat)
+    if kf == _IDENTITY:
+        return g
+    if kg == _IDENTITY:
+        return f
+    return BaseMorphism(f.src, g.dst, _multiply(g, f))

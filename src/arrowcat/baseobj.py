@@ -21,6 +21,9 @@ class BaseObject:
 
     def __post_init__(self):
         o = self.orders
+        # the generator count, read on every morphism check: set once, and
+        # not a field, so equality, hashing and asdict see ring and orders only
+        object.__setattr__(self, "ngens", len(o))
         if self.ring.is_field:
             if any(x != self.ring.p for x in o):
                 raise ValueError("field object generators must all have order p")
@@ -36,10 +39,6 @@ class BaseObject:
             for a, b in zip(tors, tors[1:]):
                 if b % a != 0:
                     raise ValueError(f"orders not a divisibility chain: {o}")
-
-    @property
-    def ngens(self) -> int:
-        return len(self.orders)
 
     @property
     def free_rank(self) -> int:

@@ -61,7 +61,7 @@ def hstack(blocks: list[Matrix], nrows: int) -> Matrix:
 
 
 def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for r in a for x in r)
+    return not any(map(any, a))
 
 
 def det(a: Matrix) -> int:

@@ -57,15 +57,29 @@ def factor_through(
 
 
 def joint_factor_pullback(k: BaseMorphism, kappa: BaseMorphism, a: BaseMorphism, b: BaseMorphism) -> BaseMorphism:
-    """The unique s with k.s = a and kappa.s = b ((k, kappa) jointly mono)."""
-    sys = LinearSystem(k.ring)
-    sys.add_unknown("s", a.src, k.src)
-    sys.add_equation([(1, k, "s", None)], a)
-    sys.add_equation([(1, kappa, "s", None)], b)
-    sol = sys.solve()
-    if sol is None:
+    """The unique s with k.s = a and kappa.s = b ((k, kappa) jointly mono).
+
+    Over F_p the biproduct of the targets is F_p^(m1+m2) with block-identity
+    injections, so the two equations are one: the stacked k and kappa
+    factoring the stacked a and b.  Over Z the canonical biproduct
+    re-presents generators, so the two equations stay one LinearSystem.
+    """
+    if k.ring.is_field:
+        s_obj = biproduct_base((k.dst, kappa.dst))[0]
+        s = factor_base(
+            BaseMorphism(a.src, s_obj, a.mat + b.mat),
+            left=BaseMorphism(k.src, s_obj, k.mat + kappa.mat),
+        )
+    else:
+        sys = LinearSystem(k.ring)
+        sys.add_unknown("s", a.src, k.src)
+        sys.add_equation([(1, k, "s", None)], a)
+        sys.add_equation([(1, kappa, "s", None)], b)
+        sol = sys.solve()
+        s = None if sol is None else sol["s"]
+    if s is None:
         raise AssertionError("pullback factorization does not exist")
-    return sol["s"]
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Linear algebra modulo a prime: the whole of the field-ring path.
 
 Solving, nullspaces and row spaces all come from one reduced row echelon
-form.  The nonzero rows of a reduced row echelon form, and hence the
-nullspace basis read off its free columns, depend only on the row space of
-the input, not on the order of its rows.
+form.  The solver takes a matrix right-hand side and solves all its columns
+in that one row reduction.  The nonzero rows of a reduced row echelon form,
+and hence the nullspace basis read off its free columns, depend only on the
+row space of the input, not on the order of its rows.
 """
 
 from __future__ import annotations
@@ -38,18 +39,27 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
     return pivots
 
 
-def solve_mod_p(a, b, nrows: int, ncols: int, p: int):
-    """One solution of a x = b (mod p), or None."""
-    aug = [[a[i][j] % p for j in range(ncols)] + [b[i] % p] for i in range(nrows)]
+def solve_mod_p(a, b, nrows: int, ncols: int, nrhs: int, p: int):
+    """One solution X of a X = b (mod p), or None.
+
+    b is nrows x nrhs, and X is ncols x nrhs with entries in [0, p), from one
+    row reduction of [a | b]; the rows of X at the free columns of a are
+    zero.  So each column of X is the solution its column of b gets alone,
+    and for L X = H, X is the solution of the Kronecker system (L (x) I) x =
+    vec H, whose pivot columns are the pivots of L times every column of H.
+    """
+    aug = [
+        [a[i][j] % p for j in range(ncols)] + [b[i][j] % p for j in range(nrhs)]
+        for i in range(nrows)
+    ]
     pivots = _rref_mod_p(aug, ncols, p)
-    rank = len(pivots)
-    for i in range(rank, nrows):
-        if aug[i][ncols] % p:
+    for row in aug[len(pivots):]:
+        if any(row[ncols:]):
             return None
-    x = [0] * ncols
+    x = [(0,) * nrhs] * ncols
     for r, c in pivots:
-        x[c] = aug[r][ncols] % p
-    return x
+        x[c] = tuple(aug[r][ncols:])
+    return tuple(x)
 
 
 def row_space_mod_p(a, nrows: int, ncols: int, p: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import Matrix, identity, mul, zeros
+from .intmat import Matrix, mul, zeros
 
 
 def _freeze(rows) -> Matrix:
@@ -31,6 +31,14 @@ class SnfDecomposition:
         return tuple(self.d[i][i] for i in range(n))
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    """The n x n identity as mutable rows."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
 def _nearest_quotient(a: int, b: int) -> int:
     """Quotient minimizing |a - q*b| (b > 0), ties toward the floor."""
     q, r = divmod(a, b)
@@ -43,9 +51,9 @@ def smith_normal_form(m: Matrix, nrows: int, ncols: int) -> SnfDecomposition:
     """D = U * m * V for the nrows x ncols matrix m, by the pivot rule of the
     module docstring."""
     a = [list(r) for r in m]
-    u = [list(r) for r in identity(nrows)]
-    ui = [list(r) for r in identity(nrows)]
-    v = [list(r) for r in identity(ncols)]
+    u = _identity_rows(nrows)
+    ui = _identity_rows(nrows)
+    v = _identity_rows(ncols)
 
     def row_swap(i, j):
         if i == j:

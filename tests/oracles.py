@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from arrowcat.baselin import cokernel_base, factor_base, kernel_base
+from arrowcat.baselin import LinearSystem, cokernel_base, factor_base, kernel_base
 from arrowcat.basemor import BaseMorphism, identity_mor
 
 
@@ -62,3 +62,27 @@ def exact_by_induced_map(f: BaseMorphism, g: BaseMorphism) -> bool:
     if induced is None:
         raise AssertionError("image must land in the kernel")
     return cokernel_base(induced)[0].is_zero
+
+
+# Factorizations as one Kronecker-sized LinearSystem, the way the package
+# solved them before one-sided factoring over F_p became one row reduction.
+
+
+def factor_by_linear_system(h: BaseMorphism, left=None, right=None) -> BaseMorphism | None:
+    """Some x with left.x.right = h, or None, from one LinearSystem in x."""
+    sys = LinearSystem(h.ring)
+    sys.add_unknown("x", h.src if right is None else right.dst, h.dst if left is None else left.src)
+    sys.add_equation([(1, left, "x", right)], h)
+    sol = sys.solve()
+    return None if sol is None else sol["x"]
+
+
+def joint_factor_by_linear_system(k, kappa, a, b) -> BaseMorphism | None:
+    """Some s with k.s = a and kappa.s = b, or None, from one LinearSystem
+    with the two equations."""
+    sys = LinearSystem(k.ring)
+    sys.add_unknown("s", a.src, k.src)
+    sys.add_equation([(1, k, "s", None)], a)
+    sys.add_equation([(1, kappa, "s", None)], b)
+    sol = sys.solve()
+    return None if sol is None else sol["s"]

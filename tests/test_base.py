@@ -8,7 +8,7 @@ import pytest
 
 from arrowcat import GF, ZZ, base_morphism, compose, field_object, identity_mor, z_object, zero_mor, zero_object
 from arrowcat import snf
-from arrowcat.basemor import BaseMorphism
+from arrowcat.basemor import BaseMorphism, _product
 from arrowcat.baselin import (
     LinearSystem,
     biproduct_base,
@@ -45,10 +45,16 @@ from arrowcat.generators import (
 from arrowcat.classify2 import z_counterexample
 from arrowcat.lemmas import ThreeByThree, check_3x3
 from arrowcat.les import les_full_sequence, les_homology
-from arrowcat.limits2 import sequence_of
+from arrowcat.limits2 import joint_factor_pullback, sequence_of
 from arrowcat.sequences import exact_at
 from arrowcat.snake import column_data, plain_snake
-from oracles import classify_base, exact_by_induced_map, rank_mod_p
+from oracles import (
+    classify_base,
+    exact_by_induced_map,
+    factor_by_linear_system,
+    joint_factor_by_linear_system,
+    rank_mod_p,
+)
 
 Z1 = z_object(1)
 Z2T = z_object(0, (2,))
@@ -510,6 +516,8 @@ class TestMorphismValues:
 
     def test_fields_and_repr_unchanged(self):
         assert [fl.name for fl in dataclasses.fields(BaseMorphism)] == ["src", "dst", "mat"]
+        assert [fl.name for fl in dataclasses.fields(Z1)] == ["ring", "orders"]
+        assert Z1.ngens == 1 and z_object(2, (2, 4)).ngens == 4
         f = quotient_mod2()
         text = f"BaseMorphism(src={Z1!r}, dst={Z2T!r}, mat=((1,),))"
         assert repr(f) == text
@@ -596,6 +604,50 @@ class TestInterning:
         assert inspect.isfunction(fn)
         assert fn.__module__ == "arrowcat.basemor"
         assert inspect.isfunction(fn.__wrapped__)
+
+
+class TestCompositionShortcuts:
+    """compose and _product skip the arithmetic for a zero factor or an
+    identity endomorphism, and only for those."""
+
+    def test_identity_shaped_matrix_between_different_objects(self):
+        z4 = z_object(0, (4,))
+        g = base_morphism(z4, Z2T, [[1]])  # the matrix [[1]], but Z/4 -> Z/2 is no identity
+        f = base_morphism(Z1, z4, [[3]])
+        gf = compose(g, f)
+        assert gf == base_morphism(Z1, Z2T, [[1]])
+        assert gf.src == Z1 and gf.dst == Z2T
+        assert _product(g, f) == ((1,),)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_zero_factor_gives_the_interned_zero(self, ring):
+        rng = random.Random(41)
+        for _ in range(10):
+            x, y, z = (random_base_object(rng, ring, Bounds()) for _ in range(3))
+            f = random_base_morphism(rng, x, y, Bounds())
+            g = random_base_morphism(rng, y, z, Bounds())
+            fresh_zero = BaseMorphism(y, z, tuple((0,) * y.ngens for _ in range(z.ngens)))
+            assert compose(zero_mor(y, z), f) is zero_mor(x, z)
+            assert compose(fresh_zero, f) is zero_mor(x, z)
+            assert compose(g, zero_mor(x, y)) is zero_mor(x, z)
+            assert _product(fresh_zero, f) == zero_mor(x, z).mat
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_identity_factor_gives_the_other_operand(self, ring):
+        rng = random.Random(42)
+        hits = 0
+        while hits < 10:
+            x, y = (random_base_object(rng, ring, Bounds()) for _ in range(2))
+            f = random_base_morphism(rng, x, y, Bounds())
+            if f.is_zero_mor() or (x == y and f == identity_mor(x)):
+                continue  # only the identity factor may be one
+            hits += 1
+            eye = tuple(tuple(int(i == j) for j in range(y.ngens)) for i in range(y.ngens))
+            assert compose(f, identity_mor(x)) is f
+            assert compose(identity_mor(y), f) is f
+            assert compose(BaseMorphism(y, y, eye), f) is f
+            assert _product(identity_mor(y), f) is f.mat
+            assert _product(f, identity_mor(x)) is f.mat
 
 
 def _zero_composite_pair(rng, ring, k):
@@ -729,6 +781,96 @@ class TestFieldPath:
             assert kernel_base(compose(a, f)) == kernel_base(f)
             assert cokernel_base(compose(f, b)) == cokernel_base(f)
             assert image_comparison(compose(f, b))[:2] == image_comparison(f)[:2]
+
+
+FACTOR_FIELDS = (GF(2), GF(3), GF(5), GF(7))
+
+
+def _factor_instances(ring, seed, count=150):
+    """(rng, dims, consistent): seeded shapes for one-sided factoring, every
+    other instance built to be consistent."""
+    rng = random.Random(seed)
+    for k in range(count):
+        dims = [rng.randrange(0, 5) for _ in range(4)]
+        yield rng, dims, k % 2 == 0
+
+
+class TestFieldFactoring:
+    """Over F_p one-sided factoring is one row reduction of [L | H]; it must
+    give exactly what the Kronecker-sized LinearSystem gives, None included."""
+
+    @staticmethod
+    def _outcomes(results):
+        found = sum(1 for x in results if x is not None)
+        assert found >= 30 and len(results) - found >= 30, (found, len(results))
+
+    @pytest.mark.parametrize("ring", FACTOR_FIELDS, ids=str)
+    def test_left(self, ring):
+        b = Bounds()
+        results = []
+        for rng, (n, m, c, r), consistent in _factor_instances(ring, 1401):
+            x, y, w = field_object(ring, n), field_object(ring, m), field_object(ring, c)
+            left = _field_map(rng, ring, n, m, min(r, n, m))
+            if consistent:
+                h = compose(left, random_base_morphism(rng, w, x, b))
+            else:
+                h = random_base_morphism(rng, w, y, b)
+            got = factor_base(h, left=left)
+            assert got == factor_by_linear_system(h, left=left)
+            if got is not None:
+                assert got.src == w and got.dst == x and compose(left, got) == h
+            results.append(got)
+        self._outcomes(results)
+
+    @pytest.mark.parametrize("ring", FACTOR_FIELDS, ids=str)
+    def test_right(self, ring):
+        b = Bounds()
+        results = []
+        for rng, (n, m, c, r), consistent in _factor_instances(ring, 1402):
+            x, y, w = field_object(ring, n), field_object(ring, m), field_object(ring, c)
+            right = _field_map(rng, ring, c, n, min(r, c, n))
+            if consistent:
+                h = compose(random_base_morphism(rng, x, y, b), right)
+            else:
+                h = random_base_morphism(rng, w, y, b)
+            got = factor_base(h, right=right)
+            assert got == factor_by_linear_system(h, right=right)
+            if got is not None:
+                assert got.src == x and got.dst == y and compose(got, right) == h
+            results.append(got)
+        self._outcomes(results)
+
+    @pytest.mark.parametrize("ring", FACTOR_FIELDS, ids=str)
+    def test_joint_factor_pullback(self, ring):
+        b = Bounds()
+        results = []
+        for rng, (n, m1, m2, c), consistent in _factor_instances(ring, 1403):
+            x, w = field_object(ring, n), field_object(ring, c)
+            y1, y2 = field_object(ring, m1), field_object(ring, m2)
+            k = random_base_morphism(rng, x, y1, b)
+            kappa = random_base_morphism(rng, x, y2, b)
+            if consistent:
+                s0 = random_base_morphism(rng, w, x, b)
+                a, bb = compose(k, s0), compose(kappa, s0)
+            else:
+                a, bb = random_base_morphism(rng, w, y1, b), random_base_morphism(rng, w, y2, b)
+            expected = joint_factor_by_linear_system(k, kappa, a, bb)
+            if expected is None:
+                with pytest.raises(AssertionError, match="pullback factorization does not exist"):
+                    joint_factor_pullback(k, kappa, a, bb)
+            else:
+                assert joint_factor_pullback(k, kappa, a, bb) == expected
+            results.append(expected)
+        self._outcomes(results)
+
+    def test_mismatched_endpoints_raise(self):
+        f2 = GF(2)
+        h = identity_mor(field_object(f2, 2))
+        other = identity_mor(field_object(f2, 3))
+        with pytest.raises(ValueError):
+            factor_base(h, left=other)
+        with pytest.raises(ValueError):
+            factor_base(h, right=other)
 
 
 @pytest.fixture

@@ -33,11 +33,22 @@ def _apply(a, x, p):
     return [sum(r * v for r, v in zip(row, x)) % p for row in a]
 
 
+def _solve_column(a, b, nrows, ncols, p):
+    """solve_mod_p on the one-column right-hand side b, as a vector or None."""
+    x = solve_mod_p(a, [[v] for v in b], nrows, ncols, 1, p)
+    return None if x is None else [r[0] for r in x]
+
+
+def _feasible(a, b, ncols, p):
+    target = [v % p for v in b]
+    return any(_apply(a, x, p) == target for x in product(range(p), repeat=ncols))
+
+
 @SETTINGS
 @given(systems())
 def test_solution_satisfies_the_system(sys_):
     a, b, nrows, ncols, p = sys_
-    x = solve_mod_p(a, b, nrows, ncols, p)
+    x = _solve_column(a, b, nrows, ncols, p)
     if x is not None:
         assert len(x) == ncols and all(0 <= v < p for v in x)
         assert _apply(a, x, p) == [v % p for v in b]
@@ -47,9 +58,30 @@ def test_solution_satisfies_the_system(sys_):
 @given(systems(primes=(2, 3), max_rows=4, max_cols=4))
 def test_none_means_infeasible(sys_):
     a, b, nrows, ncols, p = sys_
-    target = [v % p for v in b]
-    feasible = any(_apply(a, x, p) == target for x in product(range(p), repeat=ncols))
-    assert (solve_mod_p(a, b, nrows, ncols, p) is not None) == feasible
+    assert (_solve_column(a, b, nrows, ncols, p) is not None) == _feasible(a, b, ncols, p)
+
+
+@SETTINGS
+@given(systems(primes=(2, 3), max_rows=4, max_cols=3), st.integers(1, 3), st.data())
+def test_matrix_right_hand_side(sys_, nrhs, data):
+    """Each column of the solution is that column solved alone; X solves
+    a X = b, and None means some column is infeasible."""
+    a, b0, nrows, ncols, p = sys_
+    entry = st.integers(-3 * p, 3 * p)
+    extra = [data.draw(st.lists(entry, min_size=nrows, max_size=nrows)) for _ in range(nrhs - 1)]
+    columns = [b0] + extra
+    b = [[col[i] for col in columns] for i in range(nrows)]
+    x = solve_mod_p(a, b, nrows, ncols, nrhs, p)
+    alone = [_solve_column(a, col, nrows, ncols, p) for col in columns]
+    if x is None:
+        assert not all(_feasible(a, col, ncols, p) for col in columns)
+        assert None in alone
+        return
+    assert len(x) == ncols and all(len(r) == nrhs and all(0 <= v < p for v in r) for r in x)
+    for j, col in enumerate(columns):
+        xj = [r[j] for r in x]
+        assert _apply(a, xj, p) == [v % p for v in col]
+        assert xj == alone[j]
 
 
 @SETTINGS
