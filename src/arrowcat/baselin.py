@@ -192,7 +192,7 @@ def pullback_base(f: BaseMorphism, g: BaseMorphism):
     """(P, pA, pB) universal over the cospan f: A->C, g: B->C."""
     if f.dst != g.dst:
         raise ValueError("pullback needs a common target")
-    ab, (ia, ib), (pa, pb) = biproduct_base([f.src, g.src])
+    ab, (ia, ib), (pa, pb) = biproduct_base((f.src, g.src))
     diff = compose(f, pa) - compose(g, pb)
     p_obj, incl = kernel_base(diff)
     return p_obj, compose(pa, incl), compose(pb, incl)
@@ -202,7 +202,7 @@ def pushout_base(f: BaseMorphism, g: BaseMorphism):
     """(P, iA, iB) universal under the span f: C->A, g: C->B."""
     if f.src != g.src:
         raise ValueError("pushout needs a common source")
-    ab, (ia, ib), (pa, pb) = biproduct_base([f.dst, g.dst])
+    ab, (ia, ib), (pa, pb) = biproduct_base((f.dst, g.dst))
     diff = compose(ia, f) - compose(ib, g)
     q_obj, proj = cokernel_base(diff)
     return q_obj, compose(proj, ia), compose(proj, ib)
@@ -439,7 +439,8 @@ def split_data_base(f: BaseMorphism) -> BaseMorphism | None:
     if s is None:
         return None
     g = compose(s, r)
-    assert compose(f, compose(g, f)) == f and compose(g, compose(f, g)) == g
+    if compose(f, compose(g, f)) != f or compose(g, compose(f, g)) != g:
+        raise AssertionError("splitting witness fails its identities")
     return g
 
 

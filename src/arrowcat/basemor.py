@@ -37,16 +37,17 @@ def _memo(fn):
     """fn behind a least-recently-used memo of _MEMO_SIZE entries.
 
     For pure constructions on frozen values whose results are immutable: a
-    hit hands the same result to every caller.  List arguments are keyed as
-    tuples; exceptions are not cached.  The memoized name stays a plain
-    function, as the layer tracer wraps only functions; cache_info() counts
-    the hits and __wrapped__ is the construction itself.
+    hit hands the same result to every caller.  Arguments must be hashable,
+    so a sequence is passed as a tuple; exceptions are not cached.  The
+    memoized name stays a plain function, as the layer tracer wraps only
+    functions; cache_info() counts the hits and __wrapped__ is the
+    construction itself.
     """
     cached = functools.lru_cache(maxsize=_MEMO_SIZE)(fn)
 
     @functools.wraps(fn)
     def memoized(*args):
-        return cached(*[tuple(a) if isinstance(a, list) else a for a in args])
+        return cached(*args)
 
     memoized.cache_info = cached.cache_info
     return memoized

@@ -172,15 +172,9 @@ def extension_on(rng: random.Random, a: TwoObject, c: TwoObject, bounds: Bounds)
     # deform both legs, transporting the nullhomotopy along the whiskers
     chi = random_base_morphism(rng, a.bottom, bp.obj.top, bounds)
     dm = deform(m, chi)
-    m2 = dm.cto
     xi = random_base_morphism(rng, bp.obj.bottom, c.top, bounds)
     de = deform(e, xi)
-    e2 = de.cto
-    # e2.m2 => e2.m => e.m => 0
-    c1 = whisker_left(e2, dm.inverse())
-    c2 = whisker_right(de.inverse(), m)
-    total = vcomp2(cell, vcomp2(c2, c1))
-    return ExtensionInstance(m2, total, e2)
+    return ExtensionInstance(dm.cto, _transport_null_cell(cell, de, dm), de.cto)
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,21 @@
 All constructions are the canonical ones: the kernel of a square is built on
 the pullback of (u0, boundary) with the A0 block first, the cokernel on the
 dual pushout, loops/suspensions on base kernels/cokernels of the boundary.
-Factorizations through canonical (co)kernels are strict (the connecting cell
-is an identity).  Factorizations through (co)kernel data given as a square
-with a 2-cell are solved for, strictly when a strict solution exists; on
-kernel2/cokernel2 data that strict solution is unique and is the canonical
-one.  Cells between parallel squares are solved for too.  Each solve is a
-LinearSystem whose unknown squares and cells are declared with core2's
-add_square, add_cell and add_homotopy, so only the extra pasting or pinning
-equations are written here.  Base factorizations go through factor_through
-(baselin.factor_base).  Every solve here is for something that must exist,
-so factor_through, solve_cell and the other factorizations raise
-AssertionError when it does not.
+Kernel data mirrors cokernel data: kernel2 keeps the base kernel
+kfull: P -> A0 (+) B1 of the pullback difference with the biproduct
+injections, cokernel2 the base cokernel qfull: A0 (+) B1 -> Q with the
+projections.  Factorizations through canonical (co)kernels are strict (the
+connecting cell is an identity), and each is one one-sided factor_base
+through kfull or qfull.  Factorizations through (co)kernel data given as a
+square with a 2-cell are solved for, strictly when a strict solution exists;
+on kernel2/cokernel2 data that strict solution is unique and is the
+canonical one.  Cells between parallel squares are solved for too.  Each
+solve is a LinearSystem whose unknown squares and cells are declared with
+core2's add_square, add_cell and add_homotopy, so only the extra pasting or
+pinning equations are written here.  Base factorizations go through
+factor_through (baselin.factor_base).  Every solve here is for something
+that must exist, so factor_through, solve_cell and the other factorizations
+raise AssertionError when it does not.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .baselin import (
     cokernel_base,
     factor_base,
     kernel_base,
-    pullback_base,
 )
 from .basemor import BaseMorphism, compose, identity_mor, zero_mor
 from .baseobj import zero_object
@@ -56,32 +59,6 @@ def factor_through(
     return x
 
 
-def joint_factor_pullback(k: BaseMorphism, kappa: BaseMorphism, a: BaseMorphism, b: BaseMorphism) -> BaseMorphism:
-    """The unique s with k.s = a and kappa.s = b ((k, kappa) jointly mono).
-
-    Over F_p the biproduct of the targets is F_p^(m1+m2) with block-identity
-    injections, so the two equations are one: the stacked k and kappa
-    factoring the stacked a and b.  Over Z the canonical biproduct
-    re-presents generators, so the two equations stay one LinearSystem.
-    """
-    if k.ring.is_field:
-        s_obj = biproduct_base((k.dst, kappa.dst))[0]
-        s = factor_base(
-            BaseMorphism(a.src, s_obj, a.mat + b.mat),
-            left=BaseMorphism(k.src, s_obj, k.mat + kappa.mat),
-        )
-    else:
-        sys = LinearSystem(k.ring)
-        sys.add_unknown("s", a.src, k.src)
-        sys.add_equation([(1, k, "s", None)], a)
-        sys.add_equation([(1, kappa, "s", None)], b)
-        sol = sys.solve()
-        s = None if sol is None else sol["s"]
-    if s is None:
-        raise AssertionError("pullback factorization does not exist")
-    return s
-
-
 # ---------------------------------------------------------------------------
 # Kernel and cokernel
 # ---------------------------------------------------------------------------
@@ -102,7 +79,7 @@ class SequenceData:
 def sequence_of(u: TwoMorphism) -> SequenceData:
     """The base sequence A1 --[-d; u1]--> A0 (+) B1 --(u0 d')--> B0 of u."""
     a, b = u.src, u.dst
-    _, (i0, i1), (p0, p1) = biproduct_base([a.bottom, b.top])
+    _, (i0, i1), (p0, p1) = biproduct_base((a.bottom, b.top))
     iota = compose(i0, -a.boundary) + compose(i1, u.top)
     pmap = compose(u.bottom, p0) + compose(b.boundary, p1)
     return SequenceData(iota, pmap, i0, i1, p0, p1)
@@ -113,24 +90,26 @@ class KernelData:
     obj: TwoObject
     kmor: TwoMorphism  # obj -> src(u)
     kappa: TwoCell  # u . kmor => 0
-    # base-level pieces of the pullback presentation
-    k: BaseMorphism  # P -> A0
-    kap: BaseMorphism  # P -> B1
+    kfull: BaseMorphism  # P -> A0 (+) B1
+    i0: BaseMorphism  # A0 -> A0 (+) B1
+    i1: BaseMorphism  # B1 -> A0 (+) B1
 
 
 def kernel2(u: TwoMorphism) -> KernelData:
     a, b = u.src, u.dst
-    p_obj, k, kap = pullback_base(u.bottom, b.boundary)
-    kprime = joint_factor_pullback(k, kap, a.boundary, u.top)
+    _, (i0, i1), (p0, p1) = biproduct_base((a.bottom, b.top))
+    _, kfull = kernel_base(compose(u.bottom, p0) - compose(b.boundary, p1))
+    kprime = factor_through(compose(i0, a.boundary) + compose(i1, u.top), left=kfull)
     obj = TwoObject(kprime)
-    kmor = two_morphism(obj, a, identity_mor(a.top), k)
-    kappa = cell_to_zero(compose2(u, kmor), kap)
-    return KernelData(obj, kmor, kappa, k, kap)
+    kmor = two_morphism(obj, a, identity_mor(a.top), compose(p0, kfull))
+    kappa = cell_to_zero(compose2(u, kmor), compose(p1, kfull))
+    return KernelData(obj, kmor, kappa, kfull, i0, i1)
 
 
 def factor_kernel2(kd: KernelData, t: TwoMorphism, beta: TwoCell) -> TwoMorphism:
     """The strict factorization t' with kmor . t' = t and kappa . t' = beta."""
-    bottom = joint_factor_pullback(kd.k, kd.kap, t.bottom, beta.mat)
+    h = compose(kd.i0, t.bottom) + compose(kd.i1, beta.mat)
+    bottom = factor_through(h, left=kd.kfull)
     return two_morphism(t.src, kd.obj, t.top, bottom)
 
 
@@ -358,10 +337,8 @@ class Biproduct2:
 
 
 def biproduct2(parts: list[TwoObject]) -> Biproduct2:
-    tops = [p.top for p in parts]
-    bottoms = [p.bottom for p in parts]
-    t_obj, t_inj, t_proj = biproduct_base(tops)
-    b_obj, b_inj, b_proj = biproduct_base(bottoms)
+    t_obj, t_inj, t_proj = biproduct_base(tuple(p.top for p in parts))
+    b_obj, b_inj, b_proj = biproduct_base(tuple(p.bottom for p in parts))
     boundary = None
     for part, pt, ib in zip(parts, t_proj, b_inj):
         term = compose(ib, compose(part.boundary, pt))

@@ -22,11 +22,12 @@ from .core2 import (
     compose2,
     loop_cell,
     two_morphism,
+    zero2,
 )
 from .limits2 import (
     cokernel2,
+    factor_kernel2,
     factor_through,
-    joint_factor_pullback,
     kernel2,
     omega_obj,
     omega_mor,
@@ -57,14 +58,8 @@ def puppe(u: TwoMorphism) -> PuppeSequence:
     j1 = factor_through(pp.loop.mat, left=om_a.loop.mat)
     m1 = two_morphism(pp.obj, om_a.obj, zero_mor(pp.obj.top, om_a.obj.top), j1)
     m2 = omega_mor(u, om_a, om_b)
-    # m3: Omega B -> Ker u with kappa . d0 = -incl(Ker dB)
-    d0 = joint_factor_pullback(
-        kd.k,
-        kd.kap,
-        zero_mor(om_b.obj.bottom, a.bottom),
-        -om_b.loop.mat,
-    )
-    m3 = two_morphism(om_b.obj, kd.obj, zero_mor(om_b.obj.top, kd.obj.top), d0)
+    # m3: Omega B -> Ker u with kappa . m3 = -incl(Ker dB)
+    m3 = factor_kernel2(kd, zero2(om_b.obj, a), cell_to_zero(zero2(om_b.obj, b), -om_b.loop.mat))
     m4 = kd.kmor
     m5 = u
     m6 = cd.qmor
@@ -87,7 +82,7 @@ def puppe(u: TwoMorphism) -> PuppeSequence:
     mu_mat = compose(cd.zeta.mat, kd.kmor.bottom) - compose(cd.qmor.top, kd.kappa.mat)
     mu = loop_cell(kd.obj, cd.obj, mu_mat)
 
-    _assert_identities(u, kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m9, c2, d0, d7)
+    _assert_identities(u, kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m3, m9, c2, d7)
 
     return PuppeSequence(
         objects=(pp.obj, om_a.obj, om_b.obj, kd.obj, a, b, cd.obj, sg_a.obj, sg_b.obj, sg_q.obj),
@@ -97,7 +92,7 @@ def puppe(u: TwoMorphism) -> PuppeSequence:
     )
 
 
-def _assert_identities(u, kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m9, c2, d0, d7):
+def _assert_identities(u, kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m3, m9, c2, d7):
     # 1. eps * (Pip -> OmegaA) is the negative of the pip loop
     if compose(c2.mat, m1.bottom) != -pp.loop.mat:
         raise AssertionError("Puppe identity 1 fails")
@@ -105,7 +100,7 @@ def _assert_identities(u, kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m9, c2, 
     if -c2.mat != om_a.loop.mat:
         raise AssertionError("Puppe identity 2 fails")
     # 3. kappa * d = -omega_B
-    if compose(kd.kap, d0) != -om_b.loop.mat:
+    if compose(kd.kappa.mat, m3.bottom) != -om_b.loop.mat:
         raise AssertionError("Puppe identity 3 fails")
     # 5. d' * zeta = sigma_A
     if compose(d7, cd.zeta.mat) != sg_a.loop.mat:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .baselin import (
     LinearSystem,
+    biproduct_base,
     cokernel_base,
     exact_at_base,
     factor_base,
@@ -80,7 +81,6 @@ from .limits2 import (
     factor_rel_kernel2,
     factor_root2,
     factor_through,
-    joint_factor_pullback,
     kernel2,
     omega_obj,
     pi0_mor,
@@ -242,11 +242,13 @@ def suite_base_pullback(rng, ring, k, bounds):
     f = random_base_morphism(rng, a, c, bounds)
     g = random_base_morphism(rng, b, c, bounds)
     p_obj, pa, pb = pullback_base(f, g)
+    _, (ia, ib), _ = biproduct_base((a, b))
+    incl = compose(ia, pa) + compose(ib, pb)
     ok = compose(f, pa) == compose(g, pb)
     for _ in range(5):
         w = random_base_object(rng, ring, bounds)
         r = random_base_morphism(rng, w, p_obj, bounds)
-        s = joint_factor_pullback(pa, pb, compose(pa, r), compose(pb, r))
+        s = factor_base(compose(ia, compose(pa, r)) + compose(ib, compose(pb, r)), left=incl)
         ok = ok and s == r
     return ok
 

@@ -1,12 +1,17 @@
 import dataclasses
 import inspect
+import os
+import pathlib
 import random
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from arrowcat import GF, ZZ, base_morphism, compose, field_object, identity_mor, z_object, zero_mor, zero_object
+import arrowcat
 from arrowcat import snf
 from arrowcat.basemor import BaseMorphism, _product
 from arrowcat.baselin import (
@@ -45,14 +50,13 @@ from arrowcat.generators import (
 from arrowcat.classify2 import z_counterexample
 from arrowcat.lemmas import ThreeByThree, check_3x3
 from arrowcat.les import les_full_sequence, les_homology
-from arrowcat.limits2 import joint_factor_pullback, sequence_of
+from arrowcat.limits2 import sequence_of
 from arrowcat.sequences import exact_at
 from arrowcat.snake import column_data, plain_snake
 from oracles import (
     classify_base,
     exact_by_induced_map,
     factor_by_linear_system,
-    joint_factor_by_linear_system,
     rank_mod_p,
 )
 
@@ -141,7 +145,7 @@ class TestBiproduct:
     def test_field_blocks(self):
         f3 = GF(3)
         a, bb = field_object(f3, 2), field_object(f3, 1)
-        s, (i1, i2), (p1, p2) = biproduct_base([a, bb])
+        s, (i1, i2), (p1, p2) = biproduct_base((a, bb))
         assert s == field_object(f3, 3)
         assert i1.mat == ((1, 0), (0, 1), (0, 0))
         assert compose(p1, i1) == identity_mor(a)
@@ -150,17 +154,17 @@ class TestBiproduct:
         assert compose(i1, p1) + compose(i2, p2) == identity_mor(s)
 
     def test_z_plus_torsion(self):
-        s, _, _ = biproduct_base([Z1, Z2T])
+        s, _, _ = biproduct_base((Z1, Z2T))
         assert s.free_rank == 1 and s.torsion == (2,)
 
     def test_zero_unit_is_strict(self):
         bb = z_object(1, (4,))
-        s, (i1, i2), _ = biproduct_base([zero_object(ZZ), bb])
+        s, (i1, i2), _ = biproduct_base((zero_object(ZZ), bb))
         assert s == bb
         assert i2 == identity_mor(bb)
 
     def test_canonicalization_merges_coprime_torsion(self):
-        s, (i1, i2), (p1, p2) = biproduct_base([Z2T, z_object(0, (3,))])
+        s, (i1, i2), (p1, p2) = biproduct_base((Z2T, z_object(0, (3,))))
         assert s == z_object(0, (6,))
         assert compose(p1, i1) == identity_mor(Z2T)
         assert compose(i1, p1) + compose(i2, p2) == identity_mor(s)
@@ -326,6 +330,27 @@ class TestSplit:
         one = identity_mor(z_object(2))
         assert split_data_base(one) == one
 
+    def test_witness_check_survives_optimization(self):
+        # under python -O a bare assert would let the zero witness through
+        code = textwrap.dedent(
+            """
+            from arrowcat import baselin, field_object, identity_mor, zero_mor, GF
+
+            def zero_factor(h, left=None, right=None):
+                return zero_mor(h.src if right is None else right.dst, h.dst if left is None else left.src)
+
+            baselin.factor_base = zero_factor
+            try:
+                baselin.split_data_base.__wrapped__(identity_mor(field_object(GF(2), 1)))
+            except AssertionError as exc:
+                print("AssertionError:", exc)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(arrowcat.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("AssertionError:"), proc.stdout
+
 
 def _z_morphisms(seed, count):
     """Seeded maps over Z at max_dim 2..4; every third one is between
@@ -404,7 +429,7 @@ def _memo_calls(rng, ring):
         (cokernel_base, (f,)),
         (split_data_base, (f,)),
         (splits_base, (f,)),
-        (biproduct_base, ([x, y],)),
+        (biproduct_base, ((x, y),)),
         (exact_at_base, (k, f)),
         (exact_at_base, (f, q)),
     ]
@@ -433,14 +458,6 @@ class TestMemo:
                     mor = out[1] if fn is not biproduct_base else out[1][0]
                     with pytest.raises(dataclasses.FrozenInstanceError):
                         mor.mat = ()
-
-    def test_list_argument_is_copied_into_the_key(self):
-        a, b = z_object(1), z_object(0, (2,))
-        parts = [a, b]
-        first = biproduct_base(parts)
-        parts.append(a)
-        assert biproduct_base(parts) == biproduct_base.__wrapped__([a, b, a])
-        assert biproduct_base([a, b]) == first
 
     def test_exceptions_are_not_cached(self):
         f = identity_mor(z_object(1))
@@ -761,7 +778,7 @@ class TestFieldPath:
     def test_biproduct_delta_identities(self, ring):
         rng = random.Random(13)
         for _ in range(10):
-            parts = [field_object(ring, rng.randrange(0, 4)) for _ in range(rng.randrange(1, 4))]
+            parts = tuple(field_object(ring, rng.randrange(0, 4)) for _ in range(rng.randrange(1, 4)))
             s, inj, proj = biproduct_base(parts)
             assert s == field_object(ring, sum(x.ngens for x in parts))
             total = zero_mor(s, s)
@@ -838,29 +855,6 @@ class TestFieldFactoring:
             if got is not None:
                 assert got.src == x and got.dst == y and compose(got, right) == h
             results.append(got)
-        self._outcomes(results)
-
-    @pytest.mark.parametrize("ring", FACTOR_FIELDS, ids=str)
-    def test_joint_factor_pullback(self, ring):
-        b = Bounds()
-        results = []
-        for rng, (n, m1, m2, c), consistent in _factor_instances(ring, 1403):
-            x, w = field_object(ring, n), field_object(ring, c)
-            y1, y2 = field_object(ring, m1), field_object(ring, m2)
-            k = random_base_morphism(rng, x, y1, b)
-            kappa = random_base_morphism(rng, x, y2, b)
-            if consistent:
-                s0 = random_base_morphism(rng, w, x, b)
-                a, bb = compose(k, s0), compose(kappa, s0)
-            else:
-                a, bb = random_base_morphism(rng, w, y1, b), random_base_morphism(rng, w, y2, b)
-            expected = joint_factor_by_linear_system(k, kappa, a, bb)
-            if expected is None:
-                with pytest.raises(AssertionError, match="pullback factorization does not exist"):
-                    joint_factor_pullback(k, kappa, a, bb)
-            else:
-                assert joint_factor_pullback(k, kappa, a, bb) == expected
-            results.append(expected)
         self._outcomes(results)
 
     def test_mismatched_endpoints_raise(self):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arrowcat import GF, ZZ, base_morphism, field_object, z_object, zero_mor, zero_object
-from arrowcat.baselin import kernel_base
+from arrowcat.baselin import biproduct_base, kernel_base
 from arrowcat.classify2 import classify2
 from arrowcat.core2 import (
     cell_to_zero,
@@ -48,6 +48,7 @@ from arrowcat.limits2 import (
     solve_cell,
 )
 from arrowcat.basemor import compose, identity_mor
+from oracles import joint_factor_by_linear_system
 
 
 def z_counter_square():
@@ -98,6 +99,48 @@ class TestKernelCokernel:
             cd, identity2(g), cell_to_zero(zero2(z, g), zero_mor(z.bottom, g.top))
         )
         assert classify2(w).equivalence
+
+
+class TestKernelData:
+    """kernel2 keeps the base kernel kfull: P -> A0 (+) B1 and factors through
+    it on one side; the result is the unique s with k.s = t.bottom and
+    kap.s = beta, k and kap the two legs, as the two-equation LinearSystem
+    finds it."""
+
+    @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), GF(7), ZZ], ids=str)
+    def test_factor_kernel2(self, ring):
+        rng = random.Random(1501)
+        bounds = Bounds(max_dim=3)
+        raised = 0
+        for _ in range(20):
+            a = random_two_object(rng, ring, bounds)
+            b = random_two_object(rng, ring, bounds)
+            u = random_square(rng, a, b)
+            kd = kernel2(u)
+            _, (i0, i1), (p0, p1) = biproduct_base((a.bottom, b.top))
+            assert (kd.i0, kd.i1) == (i0, i1)
+            assert kd.kmor.bottom == compose(p0, kd.kfull)
+            assert kd.kappa.mat == compose(p1, kd.kfull)
+            for _ in range(3):
+                x = random_two_object(rng, ring, bounds)
+                r = random_square(rng, x, kd.obj)
+                t = compose2(kd.kmor, r)
+                beta = cell_to_zero(compose2(u, t), whisker_right(kd.kappa, r).mat)
+                got = factor_kernel2(kd, t, beta)
+                assert got == r
+                assert got.bottom == joint_factor_by_linear_system(
+                    kd.kmor.bottom, kd.kappa.mat, t.bottom, beta.mat
+                )
+                # a rival square with the same cell matrix: where the legs
+                # do not factor it, neither does kfull
+                rival = random_square(rng, x, a)
+                if joint_factor_by_linear_system(
+                    kd.kmor.bottom, kd.kappa.mat, rival.bottom, beta.mat
+                ) is None:
+                    raised += 1
+                    with pytest.raises(AssertionError, match="factorization does not exist"):
+                        factor_kernel2(kd, rival, beta)
+        assert raised >= 5, raised
 
 
 class TestLoopSuspension:
@@ -252,8 +295,8 @@ class TestSolveRaises:
 
 
 class TestFactorThroughCanonicalData:
-    """On kernel2/cokernel2 data the strict factorization is unique: (k, kap)
-    is jointly mono and qfull is epi.  So the factorization through data
+    """On kernel2/cokernel2 data the strict factorization is unique: kfull
+    is mono and qfull is epi.  So the factorization through data
     returns the canonical factorization with a zero cell."""
 
     @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
