@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basemor import compose, zero_mor
-from .core2 import TwoCell, TwoMorphism, TwoObject, cell_to_zero, compose2, zero2
+from .basemor import compose
+from .core2 import TwoCell, TwoMorphism, TwoObject, compose2, null_cell, zero2
 from .limits2 import (
     factor_through_cokernel_data,
     factor_through_kernel_data,
@@ -64,7 +64,7 @@ def anaconda(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnDat
     eps = solve_cell(
         compose2(dprime, om_g),
         zero2(om_g.src, dprime.dst),
-        [(-1, sn.fbar.top, None, om_kb.loop.mat - _wh(dtil, om_g))],
+        [(-1, sn.fbar.top, None, om_kb.loop.mat - compose(dtil.mat, om_g.bottom))],
     )
     # d'': Coker c -> Copip a and dhat: d''.gbar2 => 0 with dhat*fbar2_0 -
     # d''_1.etabar2 = -sigma_{Qa}: the zero square with the loop sigma_{Qa}
@@ -88,17 +88,13 @@ def anaconda(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnDat
     maps = (
         om_f, om_g, dprime, sn.fbar, sn.gbar, sn.d, sn.fbar2, sn.gbar2, dsec, sg_f, sg_g,
     )
-    zc0 = cell_to_zero(compose2(om_g, om_f), zero_mor(om_ka.obj.bottom, om_kc.obj.top))
-    zc9 = cell_to_zero(compose2(sg_g, sg_f), zero_mor(sg_qa.obj.bottom, sg_qc.obj.top))
+    zc0 = null_cell(compose2(om_g, om_f))
+    zc9 = null_cell(compose2(sg_g, sg_f))
     cells = (
         zc0, eps, dtil, sn.etabar, sn.delta, sn.delta_prime, sn.etabar2, dhat, epsp, zc9,
     )
     signs = _composite_signs(objects, maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb, sg_qc, a, b, c)
     return AnacondaResult(objects, maps, cells, sn, signs)
-
-
-def _wh(cell: TwoCell, u: TwoMorphism):
-    return compose(cell.mat, u.bottom)
 
 
 def _composite_signs(objects, maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb, sg_qc, a, b, c):

@@ -98,44 +98,24 @@ def cmd_cokernel(args):
 
 
 def cmd_pip(args):
-    from .limits2 import pip2
+    from .limits2 import copip2, pip2
 
     ws = _load(args)
-    pl = pip2(ws.morphism(args.morphism))
-    return _emit(args, "pip", True, {
-        "object": _obj_to_json(pl.obj),
-        "loop": _matrix_to_json(pl.loop.mat),
-    })
-
-
-def cmd_copip(args):
-    from .limits2 import copip2
-
-    ws = _load(args)
-    pl = copip2(ws.morphism(args.morphism))
-    return _emit(args, "copip", True, {
+    fn = pip2 if args.command == "pip" else copip2
+    pl = fn(ws.morphism(args.morphism))
+    return _emit(args, args.command, True, {
         "object": _obj_to_json(pl.obj),
         "loop": _matrix_to_json(pl.loop.mat),
     })
 
 
 def cmd_root(args):
-    from .limits2 import root2
+    from .limits2 import coroot2, root2
 
     ws = _load(args)
-    rt = root2(ws.cell(args.cell))
-    return _emit(args, "root", True, {
-        "object": _obj_to_json(rt.obj),
-        "morphism": _mor_json(rt.rmor),
-    })
-
-
-def cmd_coroot(args):
-    from .limits2 import coroot2
-
-    ws = _load(args)
-    rt = coroot2(ws.cell(args.cell))
-    return _emit(args, "coroot", True, {
+    fn = root2 if args.command == "root" else coroot2
+    rt = fn(ws.cell(args.cell))
+    return _emit(args, args.command, True, {
         "object": _obj_to_json(rt.obj),
         "morphism": _mor_json(rt.rmor),
     })
@@ -465,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in [
         ("kernel", cmd_kernel), ("cokernel", cmd_cokernel),
-        ("pip", cmd_pip), ("copip", cmd_copip),
+        ("pip", cmd_pip), ("copip", cmd_pip),
         ("classify", cmd_classify), ("equivdata", cmd_equivdata),
         ("factor", cmd_factor), ("puppe", cmd_puppe),
     ]:
@@ -474,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--morphism", required=True)
         sp.set_defaults(fn=fn)
 
-    for name, fn in [("root", cmd_root), ("coroot", cmd_coroot)]:
+    for name in ("root", "coroot"):
         sp = sub.add_parser(name)
         common(sp)
         sp.add_argument("--cell", required=True)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=cmd_root)
 
     sp = sub.add_parser("exactat")
     common(sp)

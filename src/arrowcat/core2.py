@@ -8,7 +8,8 @@ morphism bottom(source) -> top(target) with
 
 exactly.  Vertical composition adds the matrices, horizontal composition is
 beta * alpha = v1' . alpha + beta . u0 (the alternative formula is asserted
-equal), and identities/zeros are strict.
+equal), and identities/zeros are strict: a strictly zero square is
+nullhomotopic by the zero cell (null_cell).  Cells compare by ==.
 
 Every square and every cell that is built is checked.  The commutativity of
 a square and the two homotopy equations of a cell are compared as
@@ -164,6 +165,11 @@ def cell_to_zero(u: TwoMorphism, mat: BaseMorphism) -> TwoCell:
     return TwoCell(u, zero2(u.src, u.dst), mat)
 
 
+def null_cell(u: TwoMorphism) -> TwoCell:
+    """The zero cell u => 0; TwoCell rejects it unless u is strictly zero."""
+    return TwoCell(u, zero2(u.src, u.dst), zero_mor(u.src.bottom, u.dst.top))
+
+
 def deform(u: TwoMorphism, mat: BaseMorphism) -> TwoCell:
     """The cell u => u' obtained by pushing u along an arbitrary matrix."""
     top = u.top - compose(mat, u.src.boundary)
@@ -212,10 +218,6 @@ def hcomp2(beta: TwoCell, alpha: TwoCell) -> TwoCell:
 def loop_cell(src: TwoObject, dst: TwoObject, mat: BaseMorphism) -> TwoCell:
     """A cell 0 => 0 given by a matrix with alpha.d = 0 and d.alpha = 0."""
     return TwoCell(zero2(src, dst), zero2(src, dst), mat)
-
-
-def cells_equal(a: TwoCell, b: TwoCell) -> bool:
-    return a.cfrom == b.cfrom and a.cto == b.cto and a.mat == b.mat
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .baselin import LinearSystem, cokernel_base, kernel_base
-from .basemor import BaseMorphism, base_morphism, zero_mor
+from .basemor import BaseMorphism, base_morphism
 from .classify2 import ArrowClassification, classify2
 from .core2 import (
     TwoMorphism,
@@ -21,8 +21,8 @@ from .core2 import (
     add_cell,
     add_homotopy,
     add_square,
-    cell_to_zero,
     compose2,
+    null_cell,
     solved_square,
 )
 from .limits2 import (
@@ -67,16 +67,13 @@ class Factorization:
 
 
 def factor2(u: TwoMorphism) -> Factorization:
-    a, b = u.src, u.dst
     # fully cofaithful stage: cokernel of kmor . (counit of pi1 on Ker u)
     kd = kernel2(u)
     p1k = pi1_obj(kd.obj)
     into_a = compose2(kd.kmor, p1k.unit)
     ecd = cokernel2(into_a)
     e = ecd.qmor
-    theta_m = cell_to_zero(
-        compose2(u, into_a), zero_mor(into_a.src.bottom, b.top)
-    )
+    theta_m = null_cell(compose2(u, into_a))
     m = factor_cokernel2(ecd, u, theta_m)
     # fully faithful stage: kernel of (unit of pi0 on Coker u) . qmor
     cd = cokernel2(u)
@@ -84,14 +81,10 @@ def factor2(u: TwoMorphism) -> Factorization:
     onto_pi0 = compose2(p0q.unit, cd.qmor)
     mkd = kernel2(onto_pi0)
     mhat = mkd.kmor
-    beta_e = cell_to_zero(
-        compose2(onto_pi0, u), zero_mor(a.bottom, p0q.obj.top)
-    )
+    beta_e = null_cell(compose2(onto_pi0, u))
     ehat = factor_kernel2(mkd, u, beta_e)
     # connecting stage: factor ehat through the fully cofaithful e
-    theta_l = cell_to_zero(
-        compose2(ehat, into_a), zero_mor(into_a.src.bottom, mkd.obj.top)
-    )
+    theta_l = null_cell(compose2(ehat, into_a))
     l = factor_cokernel2(ecd, ehat, theta_l)
     if compose2(mhat, compose2(l, e)) != u:
         raise AssertionError("three-stage factorization is not strict")
@@ -207,9 +200,7 @@ def goodness_comparisons(u: TwoMorphism) -> GoodnessReport:
     p0_u = pi0_mor(u, p0_src, p0_dst)
     kd0 = kernel2(p0_u)
     rival = pi0_mor(kd.kmor, p0_ker, p0_src)
-    beta = cell_to_zero(
-        compose2(p0_u, rival), zero_mor(p0_ker.obj.bottom, p0_dst.obj.top)
-    )
+    beta = null_cell(compose2(p0_u, rival))
     a_cmp = factor_kernel2(kd0, rival, beta)
 
     cd = cokernel2(u)
@@ -218,9 +209,7 @@ def goodness_comparisons(u: TwoMorphism) -> GoodnessReport:
     p1_u = pi1_mor(u, p1_src, p1_dst)
     cd1 = cokernel2(p1_u)
     rival2 = pi1_mor(cd.qmor, p1_dst, p1_coker)
-    theta = cell_to_zero(
-        compose2(rival2, p1_u), zero_mor(p1_src.obj.bottom, p1_coker.obj.top)
-    )
+    theta = null_cell(compose2(rival2, p1_u))
     b_cmp = factor_cokernel2(cd1, rival2, theta)
 
     a_epi = cokernel_base(a_cmp.bottom)[0].is_zero

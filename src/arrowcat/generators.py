@@ -28,6 +28,7 @@ from .core2 import (
     deform,
     identity2,
     identity_cell,
+    null_cell,
     solved_square,
     vcomp2,
     whisker_left,
@@ -168,7 +169,7 @@ def extension_on(rng: random.Random, a: TwoObject, c: TwoObject, bounds: Bounds)
     bp = biproduct2([a, c])
     m = bp.injections[0]
     e = bp.projections[1]
-    cell = cell_to_zero(compose2(e, m), zero_mor(a.bottom, c.top))
+    cell = null_cell(compose2(e, m))
     # deform both legs, transporting the nullhomotopy along the whiskers
     chi = random_base_morphism(rng, a.bottom, bp.obj.top, bounds)
     dm = deform(m, chi)
@@ -269,7 +270,7 @@ def random_complex_extension(rng, ring, length, bounds) -> ComplexExtensionInsta
     out_cells = []
     omegas = []
     for i in range(length):
-        omegas.append(cell_to_zero(compose2(maps_out[i], maps_in[i]), zero_mor(sub.objects[i].bottom, quot.objects[i].top)))
+        omegas.append(null_cell(compose2(maps_out[i], maps_in[i])))
         if i < length - 1:
             in_cells.append(
                 identity_like_cell(compose2(total.diffs[i], maps_in[i]), compose2(maps_in[i + 1], sub.diffs[i]))
@@ -470,32 +471,23 @@ def random_3x3_instance(rng: random.Random, ring: BaseRing, bounds: Bounds) -> T
         defs[name] = deform(e, alpha)
     new = {k: d.cto for k, d in defs.items()}
 
-    def zero_null(gm, fm):
-        return cell_to_zero(compose2(gm, fm), zero_mor(fm.src.bottom, gm.dst.top))
+    def transported_null(f_, g_):
+        null = null_cell(compose2(edges[g_], edges[f_]))
+        return _transport_null_cell(null, defs[g_], defs[f_])
 
-    def zero_sq(vm, um, wm, xm):
-        return TwoCell(compose2(vm, um), compose2(wm, xm), zero_mor(um.src.bottom, vm.dst.top))
+    def transported_square(v, u, w, xx):
+        strict = identity_like_cell(compose2(edges[v], edges[u]), compose2(edges[w], edges[xx]))
+        return _transport_square_cell(strict, defs[v], defs[u], defs[w], defs[xx])
 
-    eta = tuple(
-        _transport_null_cell(zero_null(edges[g_], edges[f_]), defs[g_], defs[f_])
-        for f_, g_ in (("f1", "g1"), ("f2", "g2"), ("f3", "g3"))
-    )
-    alpha = _transport_null_cell(zero_null(edges["a2"], edges["a1"]), defs["a2"], defs["a1"])
-    beta = _transport_null_cell(zero_null(edges["b2"], edges["b1"]), defs["b2"], defs["b1"])
-    gamma = _transport_null_cell(zero_null(edges["c2"], edges["c1"]), defs["c2"], defs["c1"])
+    eta = tuple(transported_null(f_, g_) for f_, g_ in (("f1", "g1"), ("f2", "g2"), ("f3", "g3")))
+    alpha = transported_null("a1", "a2")
+    beta = transported_null("b1", "b2")
+    gamma = transported_null("c1", "c2")
     phi = tuple(
-        _transport_square_cell(
-            zero_sq(edges[v], edges[u], edges[w], edges[xx]),
-            defs[v], defs[u], defs[w], defs[xx],
-        )
-        for v, u, w, xx in (("b1", "f1", "f2", "a1"), ("b2", "f2", "f3", "a2"))
+        transported_square(*names) for names in (("b1", "f1", "f2", "a1"), ("b2", "f2", "f3", "a2"))
     )
     psi = tuple(
-        _transport_square_cell(
-            zero_sq(edges[v], edges[u], edges[w], edges[xx]),
-            defs[v], defs[u], defs[w], defs[xx],
-        )
-        for v, u, w, xx in (("c1", "g1", "g2", "b1"), ("c2", "g2", "g3", "b2"))
+        transported_square(*names) for names in (("c1", "g1", "g2", "b1"), ("c2", "g2", "g3", "b2"))
     )
     return ThreeByThreeInstance(
         f=(new["f1"], new["f2"], new["f3"]),

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basemor import compose, zero_mor
+from .basemor import compose
 from .core2 import (
     TwoCell,
     TwoMorphism,
     cell_to_zero,
     compose2,
+    null_cell,
     vcomp2,
     whisker_left,
     whisker_right,
@@ -151,8 +152,7 @@ def _padded_omega(fmap: ChainMap, gmap: ChainMap, omegas, n: int) -> TwoCell:
     idx = n - fmap.src.lo
     if 0 <= idx < len(omegas):
         return omegas[idx]
-    comp = compose2(gmap.padded_square(n), fmap.padded_square(n))
-    return cell_to_zero(comp, zero_mor(comp.src.bottom, comp.dst.top))
+    return null_cell(compose2(gmap.padded_square(n), fmap.padded_square(n)))
 
 
 def _coker_induced(cmap: ChainMap, hr_src: HomologyResult, hr_dst: HomologyResult, n: int):

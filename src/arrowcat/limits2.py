@@ -2,13 +2,15 @@
 
 All constructions are the canonical ones: the kernel of a square is built on
 the pullback of (u0, boundary) with the A0 block first, the cokernel on the
-dual pushout, loops/suspensions on base kernels/cokernels of the boundary.
-Kernel data mirrors cokernel data: kernel2 keeps the base kernel
-kfull: P -> A0 (+) B1 of the pullback difference with the biproduct
-injections, cokernel2 the base cokernel qfull: A0 (+) B1 -> Q with the
-projections.  Factorizations through canonical (co)kernels are strict (the
-connecting cell is an identity), and each is one one-sided factor_base
-through kfull or qfull.  Factorizations through (co)kernel data given as a
+dual pushout, loops/suspensions on base kernels/cokernels of the boundary;
+loop_bar and loop_tilde factor a loop through a suspension and a loop
+object.  Kernel data mirrors cokernel data: kernel2 keeps the base kernel
+kfull: P -> A0 (+) B1 of the pullback difference, cokernel2 the base
+cokernel qfull: A0 (+) B1 -> Q, and neither keeps the biproduct glue.
+Factorizations through canonical (co)kernels are strict (the connecting
+cell is an identity), and each is one one-sided factor_base through kfull
+or qfull, with the injections or projections read back from the memoized
+biproduct_base.  Factorizations through (co)kernel data given as a
 square with a 2-cell are solved for, strictly when a strict solution exists;
 on kernel2/cokernel2 data that strict solution is unique and is the
 canonical one.  Cells between parallel squares are solved for too.  Each
@@ -91,8 +93,6 @@ class KernelData:
     kmor: TwoMorphism  # obj -> src(u)
     kappa: TwoCell  # u . kmor => 0
     kfull: BaseMorphism  # P -> A0 (+) B1
-    i0: BaseMorphism  # A0 -> A0 (+) B1
-    i1: BaseMorphism  # B1 -> A0 (+) B1
 
 
 def kernel2(u: TwoMorphism) -> KernelData:
@@ -103,12 +103,13 @@ def kernel2(u: TwoMorphism) -> KernelData:
     obj = TwoObject(kprime)
     kmor = two_morphism(obj, a, identity_mor(a.top), compose(p0, kfull))
     kappa = cell_to_zero(compose2(u, kmor), compose(p1, kfull))
-    return KernelData(obj, kmor, kappa, kfull, i0, i1)
+    return KernelData(obj, kmor, kappa, kfull)
 
 
 def factor_kernel2(kd: KernelData, t: TwoMorphism, beta: TwoCell) -> TwoMorphism:
     """The strict factorization t' with kmor . t' = t and kappa . t' = beta."""
-    h = compose(kd.i0, t.bottom) + compose(kd.i1, beta.mat)
+    _, (i0, i1), _ = biproduct_base((kd.kmor.dst.bottom, kd.kappa.dst.top))
+    h = compose(i0, t.bottom) + compose(i1, beta.mat)
     bottom = factor_through(h, left=kd.kfull)
     return two_morphism(t.src, kd.obj, t.top, bottom)
 
@@ -119,8 +120,6 @@ class CokernelData:
     qmor: TwoMorphism  # dst(u) -> obj
     zeta: TwoCell  # qmor . u => 0
     qfull: BaseMorphism  # A0 (+) B1 -> Q
-    p0: BaseMorphism  # A0 (+) B1 -> A0
-    p1: BaseMorphism  # A0 (+) B1 -> B1
 
 
 def cokernel2(u: TwoMorphism) -> CokernelData:
@@ -133,12 +132,13 @@ def cokernel2(u: TwoMorphism) -> CokernelData:
     obj = TwoObject(qprime)
     qmor = two_morphism(b, obj, q_m, identity_mor(b.bottom))
     zeta = cell_to_zero(compose2(qmor, u), zeta_m)
-    return CokernelData(obj, qmor, zeta, qfull, seq.p0, seq.p1)
+    return CokernelData(obj, qmor, zeta, qfull)
 
 
 def factor_cokernel2(cd: CokernelData, w: TwoMorphism, theta: TwoCell) -> TwoMorphism:
     """The strict factorization w' with w' . qmor = w and w' transporting zeta to theta."""
-    h = compose(theta.mat, cd.p0) + compose(w.top, cd.p1)
+    _, _, (p0, p1) = biproduct_base((cd.zeta.src.bottom, cd.qmor.src.top))
+    h = compose(theta.mat, p0) + compose(w.top, p1)
     top = factor_through(h, right=cd.qfull)
     return two_morphism(cd.obj, w.dst, top, w.bottom)
 
@@ -164,6 +164,20 @@ def sigma_obj(x: TwoObject) -> LoopData:
     qd, proj = cokernel_base(x.boundary)
     obj = TwoObject(zero_mor(qd, zero_object(x.ring)))
     return LoopData(obj, loop_cell(x, obj, proj))
+
+
+def loop_bar(pi: TwoCell) -> TwoMorphism:
+    """pi_bar: Sigma A -> B with pi = pi_bar * sigma_A."""
+    sg = sigma_obj(pi.src)
+    top = factor_through(pi.mat, right=sg.loop.mat)
+    return TwoMorphism(sg.obj, pi.dst, top, zero_mor(sg.obj.bottom, pi.dst.bottom))
+
+
+def loop_tilde(pi: TwoCell) -> TwoMorphism:
+    """pi_tilde: A -> Omega B with pi = omega_B * pi_tilde."""
+    om = omega_obj(pi.dst)
+    bottom = factor_through(pi.mat, left=om.loop.mat)
+    return TwoMorphism(pi.src, om.obj, zero_mor(pi.src.top, om.obj.top), bottom)
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,14 @@ def matrix_assemble2(
         raise ValueError("empty grid needs an explicit ring")
     src_bp = _bp(sources, ring)
     dst_bp = _bp(targets, ring)
+    if len(grid) != len(targets):
+        raise ValueError("grid height does not match the targets")
     for j, row in enumerate(grid):
         if len(row) != len(sources):
             raise ValueError("grid row length does not match the sources")
         for k, f in enumerate(row):
             if f.src != sources[k] or f.dst != targets[j]:
                 raise ValueError(f"grid entry ({j},{k}) has wrong endpoints")
-    if len(grid) != len(targets):
-        raise ValueError("grid height does not match the targets")
     total = zero2(src_bp.obj, dst_bp.obj)
     for j, row in enumerate(grid):
         for k, f in enumerate(row):

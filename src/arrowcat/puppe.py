@@ -4,16 +4,20 @@
       -> Coker u -> Sigma A -> Sigma B -> Copip u -> 0
 
 Each arrow left of u is the kernel of the next one, each arrow right of u
-the cokernel of the previous one; the seven connecting identities and the
-loop mu_u = zeta*k . q*kappa^{-1} are produced with strict matrices and
-asserted exactly.
+the cokernel of the previous one, and each connecting arrow is built as the
+universal factorization it is: Pip u -> Omega A is loop_tilde of the pip
+loop, Omega B -> Ker u and Coker u -> Sigma A factor the loops of B and A
+through the kernel and cokernel data of u.  Strictly zero composites are
+nullhomotopic by null_cell.  The seven connecting identities and the loop
+mu_u = zeta*k . q*kappa^{-1} are produced with strict matrices and asserted
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basemor import compose, zero_mor
+from .basemor import compose
 from .core2 import (
     TwoCell,
     TwoMorphism,
@@ -21,16 +25,17 @@ from .core2 import (
     cell_to_zero,
     compose2,
     loop_cell,
-    two_morphism,
+    null_cell,
     zero2,
 )
 from .limits2 import (
     cokernel2,
+    factor_cokernel2,
     factor_kernel2,
-    factor_through,
     kernel2,
-    omega_obj,
+    loop_tilde,
     omega_mor,
+    omega_obj,
     pip2,
     sigma_mor,
     sigma_obj,
@@ -55,34 +60,31 @@ def puppe(u: TwoMorphism) -> PuppeSequence:
     sg_q = sigma_obj(cd.obj)
 
     # m1: Pip u -> Omega A restricts the pip inclusion
-    j1 = factor_through(pp.loop.mat, left=om_a.loop.mat)
-    m1 = two_morphism(pp.obj, om_a.obj, zero_mor(pp.obj.top, om_a.obj.top), j1)
+    m1 = loop_tilde(pp.loop)
     m2 = omega_mor(u, om_a, om_b)
     # m3: Omega B -> Ker u with kappa . m3 = -incl(Ker dB)
-    m3 = factor_kernel2(kd, zero2(om_b.obj, a), cell_to_zero(zero2(om_b.obj, b), -om_b.loop.mat))
+    m3 = factor_kernel2(kd, zero2(om_b.obj, a), om_b.loop.inverse())
     m4 = kd.kmor
     m5 = u
     m6 = cd.qmor
-    # m7: Coker u -> Sigma A collapses the A0 part
-    w7 = compose(sg_a.loop.mat, cd.p0)
-    d7 = factor_through(w7, right=cd.qfull)
-    m7 = two_morphism(cd.obj, sg_a.obj, d7, zero_mor(cd.obj.bottom, sg_a.obj.bottom))
+    # m7: Coker u -> Sigma A with m7 . zeta = proj(Coker dA)
+    m7 = factor_cokernel2(cd, zero2(b, sg_a.obj), sg_a.loop)
     m8 = sigma_mor(u, sg_a, sg_b)
     m9 = sigma_mor(cd.qmor, sg_b, sg_q)
 
-    c1 = cell_to_zero(compose2(m2, m1), zero_mor(pp.obj.bottom, om_b.obj.top))
+    c1 = null_cell(compose2(m2, m1))
     c2 = cell_to_zero(compose2(m3, m2), -om_a.loop.mat)
-    c3 = cell_to_zero(compose2(m4, m3), zero_mor(om_b.obj.bottom, a.top))
+    c3 = null_cell(compose2(m4, m3))
     c4 = kd.kappa
     c5 = cd.zeta
-    c6 = cell_to_zero(compose2(m7, m6), zero_mor(b.bottom, sg_a.obj.top))
+    c6 = null_cell(compose2(m7, m6))
     c7 = cell_to_zero(compose2(m8, m7), sg_b.loop.mat)
-    c8 = cell_to_zero(compose2(m9, m8), zero_mor(sg_a.obj.bottom, sg_q.obj.top))
+    c8 = null_cell(compose2(m9, m8))
 
     mu_mat = compose(cd.zeta.mat, kd.kmor.bottom) - compose(cd.qmor.top, kd.kappa.mat)
     mu = loop_cell(kd.obj, cd.obj, mu_mat)
 
-    _assert_identities(u, kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m3, m9, c2, d7)
+    _assert_identities(kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m3, m7, m9, c2)
 
     return PuppeSequence(
         objects=(pp.obj, om_a.obj, om_b.obj, kd.obj, a, b, cd.obj, sg_a.obj, sg_b.obj, sg_q.obj),
@@ -92,7 +94,7 @@ def puppe(u: TwoMorphism) -> PuppeSequence:
     )
 
 
-def _assert_identities(u, kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m3, m9, c2, d7):
+def _assert_identities(kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m3, m7, m9, c2):
     # 1. eps * (Pip -> OmegaA) is the negative of the pip loop
     if compose(c2.mat, m1.bottom) != -pp.loop.mat:
         raise AssertionError("Puppe identity 1 fails")
@@ -103,7 +105,7 @@ def _assert_identities(u, kd, cd, om_a, om_b, sg_a, sg_b, sg_q, pp, m1, m3, m9, 
     if compose(kd.kappa.mat, m3.bottom) != -om_b.loop.mat:
         raise AssertionError("Puppe identity 3 fails")
     # 5. d' * zeta = sigma_A
-    if compose(d7, cd.zeta.mat) != sg_a.loop.mat:
+    if compose(m7.top, cd.zeta.mat) != sg_a.loop.mat:
         raise AssertionError("Puppe identity 5 fails")
     # 6. eps' = sigma_B (built as such); 4 defines mu; 7. Sigma(q) * eps' = sigma_{Coker}
     if compose(m9.top, sg_b.loop.mat) != sg_q.loop.mat:

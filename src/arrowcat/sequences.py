@@ -33,6 +33,7 @@ from .core2 import (
     compose2,
     identity_cell,
     is_zero_equivalent,
+    null_cell,
     zero2,
     zero_two_object,
 )
@@ -44,13 +45,10 @@ from .limits2 import (
     factor_kernel2,
     factor_rel_cokernel2,
     factor_rel_kernel2,
-    factor_through,
     kernel2,
-    omega_obj,
     rel_cokernel2,
     rel_kernel2,
     sequence_of,
-    sigma_obj,
 )
 
 
@@ -109,8 +107,8 @@ def zero_capped(maps, cells):
     z = zero_two_object(maps[0].top.ring)
     first = zero2(z, maps[0].src)
     last = zero2(maps[-1].dst, z)
-    head = cell_to_zero(compose2(maps[0], first), zero_mor(z.bottom, maps[0].dst.top))
-    tail = cell_to_zero(compose2(last, maps[-1]), zero_mor(maps[-1].src.bottom, z.top))
+    head = null_cell(compose2(maps[0], first))
+    tail = null_cell(compose2(last, maps[-1]))
     return (first, *maps, last), (head, *cells, tail)
 
 
@@ -128,20 +126,6 @@ def loop_exact(pi: TwoCell) -> bool:
     b = zero2(z, pi.dst)
     alpha = cell_to_zero(compose2(b, a), pi.mat)
     return exact_at(a, alpha, b)
-
-
-def loop_bar(pi: TwoCell) -> TwoMorphism:
-    """pi_bar: Sigma A -> B with pi = pi_bar * sigma_A."""
-    sg = sigma_obj(pi.src)
-    top = factor_through(pi.mat, right=sg.loop.mat)
-    return TwoMorphism(sg.obj, pi.dst, top, zero_mor(sg.obj.bottom, pi.dst.bottom))
-
-
-def loop_tilde(pi: TwoCell) -> TwoMorphism:
-    """pi_tilde: A -> Omega B with pi = omega_B * pi_tilde."""
-    om = omega_obj(pi.dst)
-    bottom = factor_through(pi.mat, left=om.loop.mat)
-    return TwoMorphism(pi.src, om.obj, zero_mor(pi.src.top, om.obj.top), bottom)
 
 
 def is_extension(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism) -> bool:
@@ -240,12 +224,7 @@ def relative_exact_at(
 
 def pad_exact_at(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism) -> bool:
     """Plain exactness embedded as relative exactness with zero ends."""
-    z_src = zero_two_object(a.top.ring)
-    z_dst = zero_two_object(a.top.ring)
-    x = zero2(z_src, a.src)
-    y = zero2(b.dst, z_dst)
-    phi = identity_cell(compose2(a, x))
-    psi = identity_cell(compose2(y, b))
+    (x, _, _, y), (phi, _, psi) = zero_capped((a, b), (alpha,))
     return relative_exact_at(x, phi, a, alpha, b, psi, y)
 
 
@@ -303,10 +282,7 @@ class ComplexSequence:
         """The nullhomotopy diff(k+1) . diff(k) => 0."""
         if self.lo <= k <= self.hi - 2:
             return self.cells[k - self.lo]
-        return cell_to_zero(
-            compose2(self.diff(k + 1), self.diff(k)),
-            zero_mor(self.obj(k).bottom, self.obj(k + 2).top),
-        )
+        return null_cell(compose2(self.diff(k + 1), self.diff(k)))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ class WorkspaceError(ValueError):
     pass
 
 
+# a base object with more generators than this is refused before it is built
+MAX_GENERATORS = 1000
+
+
 @dataclass
 class Workspace:
     ring: BaseRing
@@ -87,12 +91,21 @@ def _base_obj_from_json(ring: BaseRing, data, where: str) -> BaseObject:
     if ring.is_field:
         if "dim" not in data:
             raise WorkspaceError(f"{where}: field objects need a dim")
-        return _build(where, field_object, ring, _int(data["dim"], f"{where}: dim"))
+        dim = _int(data["dim"], f"{where}: dim")
+        _check_generators(dim, where)
+        return _build(where, field_object, ring, dim)
     torsion = data.get("torsion", [])
     if not isinstance(torsion, list):
         raise WorkspaceError(f"{where}: torsion must be a list")
     orders = tuple(_int(d, f"{where}: torsion order") for d in torsion)
-    return _build(where, z_object, _int(data.get("free", 0), f"{where}: free"), orders)
+    free = _int(data.get("free", 0), f"{where}: free")
+    _check_generators(free + len(orders), where)
+    return _build(where, z_object, free, orders)
+
+
+def _check_generators(count: int, where: str):
+    if count > MAX_GENERATORS:
+        raise WorkspaceError(f"{where}: more than {MAX_GENERATORS} generators")
 
 
 def _obj_to_json(x: TwoObject):

@@ -9,11 +9,12 @@ from arrowcat.basemor import BaseMorphism, _difference, _product, compose, zero_
 from arrowcat.core2 import (
     TwoCell,
     TwoMorphism,
-    cells_equal,
+    cell_to_zero,
     compose2,
     hcomp2,
     identity2,
     identity_cell,
+    null_cell,
     vcomp2,
     whisker_left,
     whisker_right,
@@ -21,6 +22,7 @@ from arrowcat.core2 import (
 )
 from arrowcat.generators import (
     Bounds,
+    extension_on,
     random_base_morphism,
     random_base_object,
     random_cell_on,
@@ -61,7 +63,7 @@ def test_vertical_composition(setup, rng, bounds):
     a, b, _ = setup
     u = random_square(rng, a, b)
     cell = random_cell_on(rng, u, bounds)
-    assert cells_equal(vcomp2(cell, identity_cell(u)), cell)
+    assert vcomp2(cell, identity_cell(u)) == cell
     inv = vcomp2(cell.inverse(), cell)
     assert inv.mat.is_zero_mor() and inv.cfrom == u and inv.cto == u
     c2 = random_cell_on(rng, cell.cto, bounds)
@@ -76,8 +78,8 @@ def test_horizontal_composition_and_whiskers(setup, rng, bounds):
     alpha = random_cell_on(rng, u, bounds)
     beta = random_cell_on(rng, v, bounds)
     # whiskering by identities changes nothing
-    assert cells_equal(whisker_left(identity2(b), alpha), alpha)
-    assert cells_equal(whisker_right(beta, identity2(b)), beta)
+    assert whisker_left(identity2(b), alpha) == alpha
+    assert whisker_right(beta, identity2(b)) == beta
     # identity cells compose to the identity cell
     h = hcomp2(identity_cell(v), identity_cell(u))
     assert h.mat.is_zero_mor() and h.cfrom == compose2(v, u)
@@ -104,7 +106,36 @@ def test_interchange_random():
             b2 = random_cell_on(rng, b1.cto, b)
             lhs = hcomp2(vcomp2(b2, b1), vcomp2(a2, a1))
             rhs = vcomp2(hcomp2(b2, a2), hcomp2(b1, a1))
-            assert cells_equal(lhs, rhs)
+            assert lhs == rhs
+
+
+@pytest.mark.parametrize("ring", (GF(2), GF(3), GF(5), ZZ), ids=str)
+def test_null_cell(ring):
+    """null_cell(u) is the zero-matrix cell u => 0 exactly when u is strictly
+    zero; a square that is only nullhomotopic is refused."""
+    from arrowcat.limits2 import biproduct2
+
+    rng = random.Random(1600 + (ring.p or 0))
+    b = Bounds(max_dim=3)
+    refused = 0
+    for _ in range(15):
+        x, y, z = (random_two_object(rng, ring, b) for _ in range(3))
+        bp = biproduct2([x, y])
+        strict = (
+            zero2(x, y),
+            compose2(bp.projections[1], bp.injections[0]),
+            compose2(random_square(rng, y, z), zero2(x, y)),
+        )
+        for u in strict:
+            assert null_cell(u) == cell_to_zero(u, zero_mor(u.src.bottom, u.dst.top))
+        # a deformed extension: e.m => 0 by its cell, but e.m is not zero
+        ext = extension_on(rng, x, y, b)
+        for u in (compose2(ext.e, ext.m), random_square(rng, x, y)):
+            if not u.is_zero_mor():
+                refused += 1
+                with pytest.raises(ValueError):
+                    null_cell(u)
+    assert refused >= 5
 
 
 def test_square_must_commute(setup):

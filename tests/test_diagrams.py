@@ -74,6 +74,31 @@ class TestPuppe:
             if ring.is_field:
                 assert loop_exact(ps.mu)
 
+    @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
+    def test_outer_maps_match_inline_factorizations(self, ring):
+        """Pip u -> Omega A and Coker u -> Sigma A, built as loop_tilde and
+        factor_cokernel2, equal the direct base factorizations through the
+        loop inclusion of A and through qfull."""
+        from arrowcat.baselin import biproduct_base
+        from arrowcat.limits2 import cokernel2, factor_through, pip2
+
+        rng = random.Random(1602 + (ring.p or 0))
+        bounds = Bounds(max_dim=3)
+        for _ in range(10):
+            a = random_two_object(rng, ring, bounds)
+            b = random_two_object(rng, ring, bounds)
+            u = random_square(rng, a, b)
+            ps = puppe(u)
+            pp, cd = pip2(u), cokernel2(u)
+            om_a, sg_a = omega_obj(a), sigma_obj(a)
+            j1 = factor_through(pp.loop.mat, left=om_a.loop.mat)
+            m1 = two_morphism(pp.obj, om_a.obj, zero_mor(pp.obj.top, om_a.obj.top), j1)
+            _, _, (p0, _) = biproduct_base((a.bottom, b.top))
+            d7 = factor_through(compose(sg_a.loop.mat, p0), right=cd.qfull)
+            m7 = two_morphism(cd.obj, sg_a.obj, d7, zero_mor(cd.obj.bottom, sg_a.obj.bottom))
+            assert ps.maps[0] == m1
+            assert ps.maps[6] == m7
+
 
 class TestSnake:
     def test_identity_columns_collapse(self, rng, bounds):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from arrowcat import GF, ZZ, base_morphism, z_object, zero_mor, zero_object
 from arrowcat.classify2 import classify2
 from arrowcat.core2 import compose2, identity2, identity_cell, is_zero_equivalent, two_morphism, two_object, zero2
@@ -133,6 +135,11 @@ class TestMatrixCalculus:
         am = matrix_assemble2([], [], [], ring=GF(2))
         assert am.mor.is_zero_mor()
         assert am.mor.src.top == zero_object(GF(2))
+
+    def test_grid_taller_than_targets(self, rng, bounds):
+        x = random_two_object(rng, GF(3), bounds)
+        with pytest.raises(ValueError, match="grid height"):
+            matrix_assemble2([[identity2(x)], [identity2(x)]], [x], [x])
 
 
 class TestRegularityGoodness:

@@ -118,7 +118,6 @@ class TestKernelData:
             u = random_square(rng, a, b)
             kd = kernel2(u)
             _, (i0, i1), (p0, p1) = biproduct_base((a.bottom, b.top))
-            assert (kd.i0, kd.i1) == (i0, i1)
             assert kd.kmor.bottom == compose(p0, kd.kfull)
             assert kd.kappa.mat == compose(p1, kd.kfull)
             for _ in range(3):

@@ -8,7 +8,13 @@ import pytest
 from arrowcat import GF, ZZ
 from arrowcat.cli import main, nonsplit_workspace
 from arrowcat.generators import Bounds, random_cell_on, random_square, random_two_object
-from arrowcat.workspace import Workspace, WorkspaceError, parse_workspace, serialize_workspace
+from arrowcat.workspace import (
+    MAX_GENERATORS,
+    Workspace,
+    WorkspaceError,
+    parse_workspace,
+    serialize_workspace,
+)
 
 GOLDEN = "golden/nonsplit.json"
 SNAKE_KEYS = ("f", "eta", "g", "f2", "eta2", "g2", "a", "b", "c", "phi", "psi")
@@ -100,6 +106,42 @@ class TestWorkspace:
         with pytest.raises(WorkspaceError) as exc:
             parse_workspace('{"ring": {"field": 2}, "objects": {"x": {"top": {}}}}')
         assert str(exc.value) == "object 'x': field objects need a dim"
+
+    @staticmethod
+    def _one_object(ring, top):
+        return json.dumps({"ring": ring, "objects": {"x": {
+            "top": top, "bottom": {"dim": 0} if "dim" in top else {"free": 0}, "boundary": [],
+        }}})
+
+    @pytest.mark.parametrize(
+        "ring,top",
+        [
+            ({"ring": "Z"}, {"free": 10**30, "torsion": []}),
+            ({"field": 3}, {"dim": 10**30}),
+            ({"field": 2}, {"dim": MAX_GENERATORS + 1}),
+            ({"ring": "Z"}, {"free": MAX_GENERATORS - 1, "torsion": [2, 2]}),
+        ],
+        ids=["free-1e30", "dim-1e30", "dim-over-bound", "torsion-over-bound"],
+    )
+    def test_oversized_object_is_a_clean_error(self, ring, top, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(self._one_object(ring, top))
+        proc = run_cli(["classify", "--in", str(path), "--morphism", "u"])
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: object 'x': more than {MAX_GENERATORS} generators\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "ring,top",
+        [
+            ({"field": 2}, {"dim": MAX_GENERATORS}),
+            ({"ring": "Z"}, {"free": MAX_GENERATORS - 2, "torsion": [2, 2]}),
+        ],
+        ids=["dim", "free-and-torsion"],
+    )
+    def test_object_at_the_bound_parses(self, ring, top):
+        ws = parse_workspace(self._one_object(ring, top))
+        assert ws.object("x").top.ngens == MAX_GENERATORS
 
     def test_parse_error_has_position(self):
         with pytest.raises(WorkspaceError) as exc:
