@@ -5,23 +5,28 @@ morphism (factor_base) and von Neumann splitting all reduce to linear
 algebra in one of two engines.  Over F_p it is row reduction mod p
 (modsolve): a kernel is the reduced-row-echelon nullspace basis, an image
 the nonzero rows of the reduced row echelon form of the transpose, a
-cokernel the complement of their pivot columns, a biproduct the block
-identities, and factoring h through L on one side one row reduction of
-[L | H].  These bases depend only on the subspaces, not on the order of
-elimination.  Over Z it is integer congruence solving through the Smith
-normal form (snf), with objects kept in invariant-factor form, so that
-isomorphic objects compare equal: splitting and exactness are decided by
-comparing objects, without a solve.  Either way, morphisms produced here
-are always expressed in the canonical generators.
+cokernel the complement of their pivot columns, and factoring h through L
+on one side one row reduction of [L | H].  These bases depend only on the
+subspaces, not on the order of elimination.  Over Z it is integer
+congruence solving through the Smith normal form (snf), with objects kept
+in invariant-factor form, so that isomorphic objects compare equal:
+splitting and exactness are decided by comparing objects, without a solve.
+A biproduct keeps the concatenated orders of its parts, with block
+identities, whenever they are already in that form (always over F_p); a map
+into or out of it (pair_base, copair_base) is then its stacked rows or
+joined columns.  Either way, morphisms produced here are always expressed
+in the canonical generators.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from . import intmat
 from .baseobj import BaseObject, field_object, make_object
-from .basemor import BaseMorphism, _memo, _product, base_morphism, compose, identity_mor
+from .basemor import BaseMorphism, _memo, _product, _reduced, base_morphism, compose, identity_mor
 from .intmat import Matrix
 from .modsolve import nullspace_mod_p, row_space_mod_p, solve_mod_p
 from .rings import ZZ, BaseRing
@@ -162,49 +167,65 @@ def image_comparison(f: BaseMorphism):
 @_memo
 def biproduct_base(parts: tuple[BaseObject, ...]):
     """(sum, injections, projections) with strict delta identities; the
-    injections and projections are tuples in the order of parts."""
+    injections and projections are tuples in the order of parts.  The sum
+    keeps the concatenated orders, with block identities, exactly when they
+    are in invariant-factor form already; otherwise it is their Smith form."""
     if not parts:
         raise ValueError("empty biproduct")
     ring = parts[0].ring
     if any(p.ring != ring for p in parts):
         raise ValueError("biproduct across rings")
-    orders = [d for p in parts for d in p.orders]
+    orders = tuple(d for p in parts for d in p.orders)
     n = len(orders)
-    if ring.is_field:
-        # F_p^n with the block identities
-        obj, to_canon, from_canon = make_object(ring, orders), intmat.identity(n), intmat.identity(n)
-    else:
+    try:  # BaseObject rejects orders that are not in invariant-factor form
+        obj, to_canon, from_canon = BaseObject(ring, orders), intmat.identity(n), intmat.identity(n)
+    except ValueError:
         pres = canonicalize(n, *relation_columns(orders))
         obj, to_canon, from_canon = pres.obj, pres.to_canon, pres.from_canon
-    injections = []
-    projections = []
-    off = 0
-    for p in parts:
-        cols = tuple(tuple(row[off + j] for j in range(p.ngens)) for row in to_canon)
-        injections.append(base_morphism(p, obj, cols))
-        rows = tuple(from_canon[off + i] for i in range(p.ngens))
-        projections.append(base_morphism(obj, p, rows))
-        off += p.ngens
-    return obj, tuple(injections), tuple(projections)
+    blocks = list(zip(parts, itertools.accumulate((p.ngens for p in parts), initial=0)))
+    injections = tuple(base_morphism(p, obj, [r[o : o + p.ngens] for r in to_canon]) for p, o in blocks)
+    projections = tuple(base_morphism(obj, p, from_canon[o : o + p.ngens]) for p, o in blocks)
+    return obj, injections, projections
+
+
+def pair_base(*maps: BaseMorphism) -> BaseMorphism:
+    """sum_k i_k . f_k: X -> Y_1 (+) ... (+) Y_n of maps f_k: X -> Y_k: their
+    stacked rows over block identities, else one reduced sum of products."""
+    obj, injections, _ = biproduct_base(tuple(f.dst for f in maps))
+    if any(f.src != maps[0].src for f in maps):
+        raise ValueError("pairing needs a common source")
+    if obj.orders == sum((f.dst.orders for f in maps), ()):
+        mat = tuple(row for f in maps for row in f.mat)
+    else:
+        mat = _reduced(functools.reduce(intmat.add, map(_product, injections, maps)), obj)
+    return BaseMorphism(maps[0].src, obj, mat)
+
+
+def copair_base(*maps: BaseMorphism) -> BaseMorphism:
+    """sum_k f_k . p_k: X_1 (+) ... (+) X_n -> Y of maps f_k: X_k -> Y: their
+    joined columns over block identities, else one reduced sum of products."""
+    obj, _, projections = biproduct_base(tuple(f.src for f in maps))
+    dst = maps[0].dst
+    if any(f.dst != dst for f in maps):
+        raise ValueError("copairing needs a common target")
+    if obj.orders == sum((f.src.orders for f in maps), ()):
+        mat = intmat.hstack([f.mat for f in maps], dst.ngens)
+    else:
+        mat = _reduced(functools.reduce(intmat.add, map(_product, maps, projections)), dst)
+    return BaseMorphism(obj, dst, mat)
 
 
 def pullback_base(f: BaseMorphism, g: BaseMorphism):
     """(P, pA, pB) universal over the cospan f: A->C, g: B->C."""
-    if f.dst != g.dst:
-        raise ValueError("pullback needs a common target")
-    ab, (ia, ib), (pa, pb) = biproduct_base((f.src, g.src))
-    diff = compose(f, pa) - compose(g, pb)
-    p_obj, incl = kernel_base(diff)
+    p_obj, incl = kernel_base(copair_base(f, -g))
+    _, _, (pa, pb) = biproduct_base((f.src, g.src))
     return p_obj, compose(pa, incl), compose(pb, incl)
 
 
 def pushout_base(f: BaseMorphism, g: BaseMorphism):
     """(P, iA, iB) universal under the span f: C->A, g: C->B."""
-    if f.src != g.src:
-        raise ValueError("pushout needs a common source")
-    ab, (ia, ib), (pa, pb) = biproduct_base((f.dst, g.dst))
-    diff = compose(ia, f) - compose(ib, g)
-    q_obj, proj = cokernel_base(diff)
+    q_obj, proj = cokernel_base(pair_base(f, -g))
+    _, (ia, ib), _ = biproduct_base((f.dst, g.dst))
     return q_obj, compose(proj, ia), compose(proj, ib)
 
 

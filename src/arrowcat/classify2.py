@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .baselin import (
     LinearSystem,
+    biproduct_base,
     cokernel_base,
     exact_at_base,
     kernel_base,
@@ -152,11 +153,12 @@ def equivalence_data2(u: TwoMorphism) -> EquivalenceData | None:
     e = identity_mor(iota.dst) - compose(iota, r)
     # e factors through pmap: e = s~ . pmap, and then r . s~ = 0 automatically
     s = factor_through(e, right=pmap)
+    _, (i0, i1), (p0, p1) = biproduct_base((u.src.bottom, u.dst.top))
     data = EquivalenceData(
-        v1=compose(r, seq.i1),
-        v0=compose(seq.p0, s),
-        epsilon=compose(seq.p1, s),
-        eta=-(compose(r, seq.i0)),
+        v1=compose(r, i1),
+        v0=compose(p0, s),
+        epsilon=compose(p1, s),
+        eta=-(compose(r, i0)),
     )
     _verify_equivalence(u, data)
     return data

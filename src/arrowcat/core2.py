@@ -160,6 +160,11 @@ def identity_cell(u: TwoMorphism) -> TwoCell:
     return TwoCell(u, u, zero_mor(u.src.bottom, u.dst.top))
 
 
+def identity_like_cell(u: TwoMorphism, v: TwoMorphism) -> TwoCell:
+    """The zero cell u => v; TwoCell rejects it unless u and v are strictly equal."""
+    return TwoCell(u, v, zero_mor(u.src.bottom, u.dst.top))
+
+
 def cell_to_zero(u: TwoMorphism, mat: BaseMorphism) -> TwoCell:
     """The cell u => 0 with the given matrix."""
     return TwoCell(u, zero2(u.src, u.dst), mat)

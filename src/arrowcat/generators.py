@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .baselin import LinearSystem
+from .baselin import LinearSystem, copair_base
 from .baseobj import BaseObject, field_object, make_object, zero_object
 from .basemor import BaseMorphism, base_morphism, compose, zero_mor
 from .core2 import (
@@ -27,14 +27,14 @@ from .core2 import (
     compose2,
     deform,
     identity2,
-    identity_cell,
+    identity_like_cell,
     null_cell,
     solved_square,
     vcomp2,
     whisker_left,
     whisker_right,
 )
-from .limits2 import biproduct2
+from .limits2 import biproduct2, copair2, pair2
 from .rings import BaseRing
 
 
@@ -237,55 +237,29 @@ class ComplexExtensionInstance:
 def random_complex_extension(rng, ring, length, bounds) -> ComplexExtensionInstance:
     sub = random_complex(rng, ring, length, bounds)
     quot = random_complex(rng, ring, length, bounds)
-    objs = []
-    injs = []
-    projs = []
-    for an, cn in zip(sub.objects, quot.objects):
-        bp = biproduct2([an, cn])
-        objs.append(bp.obj)
-        injs.append(bp.injections)
-        projs.append(bp.projections)
-    diffs = []
-    cells = []
-    for i in range(length - 1):
-        bi = compose2(injs[i + 1][0], compose2(sub.diffs[i], projs[i][0])) + compose2(
-            injs[i + 1][1], compose2(quot.diffs[i], projs[i][1])
-        )
-        diffs.append(bi)
-    for i in range(length - 2):
-        comp = compose2(diffs[i + 1], diffs[i])
-        mat = (
-            compose(
-                compose(injs[i + 2][0].top, sub.cells[i].mat), projs[i][0].bottom
-            )
-            + compose(
-                compose(injs[i + 2][1].top, quot.cells[i].mat), projs[i][1].bottom
-            )
-        )
-        cells.append(cell_to_zero(comp, mat))
-    total = ComplexInstance(0, length - 1, objs, diffs, cells)
-    maps_in = [injs[i][0] for i in range(length)]
-    maps_out = [projs[i][1] for i in range(length)]
-    in_cells = []
-    out_cells = []
-    omegas = []
-    for i in range(length):
-        omegas.append(null_cell(compose2(maps_out[i], maps_in[i])))
-        if i < length - 1:
-            in_cells.append(
-                identity_like_cell(compose2(total.diffs[i], maps_in[i]), compose2(maps_in[i + 1], sub.diffs[i]))
-            )
-            out_cells.append(
-                identity_like_cell(compose2(quot.diffs[i], maps_out[i]), compose2(maps_out[i + 1], total.diffs[i]))
-            )
+    bps = [biproduct2([an, cn]) for an, cn in zip(sub.objects, quot.objects)]
+    maps_in = [bp.injections[0] for bp in bps]
+    maps_out = [bp.projections[1] for bp in bps]
+    quot_in = [bp.injections[1] for bp in bps]
+    diffs = [
+        copair2(compose2(maps_in[i + 1], sub.diffs[i]), compose2(quot_in[i + 1], quot.diffs[i]))
+        for i in range(length - 1)
+    ]
+    cells = [
+        cell_to_zero(compose2(d1, d0), copair_base(compose(fa.top, ca.mat), compose(fc.top, cc.mat)))
+        for d0, d1, fa, fc, ca, cc in zip(diffs, diffs[1:], maps_in[2:], quot_in[2:], sub.cells, quot.cells)
+    ]
+    total = ComplexInstance(0, length - 1, [bp.obj for bp in bps], diffs, cells)
+    omegas = [null_cell(compose2(g, f)) for f, g in zip(maps_in, maps_out)]
+    in_cells = [
+        identity_like_cell(compose2(diffs[i], maps_in[i]), compose2(maps_in[i + 1], sub.diffs[i]))
+        for i in range(length - 1)
+    ]
+    out_cells = [
+        identity_like_cell(compose2(quot.diffs[i], maps_out[i]), compose2(maps_out[i + 1], diffs[i]))
+        for i in range(length - 1)
+    ]
     return ComplexExtensionInstance(sub, total, quot, maps_in, in_cells, maps_out, out_cells, omegas)
-
-
-def identity_like_cell(u: TwoMorphism, v: TwoMorphism) -> TwoCell:
-    """The zero cell between two squares that are strictly equal."""
-    if u != v:
-        raise AssertionError("expected strictly equal composites")
-    return identity_cell(u)
 
 
 @dataclass(frozen=True)
@@ -440,24 +414,18 @@ def random_3x3_instance(rng: random.Random, ring: BaseRing, bounds: Bounds) -> T
     c2 = biproduct2([y, q])
     b3 = biproduct2([p, q])
     b2 = biproduct2([x, y, p, q])
-
-    def blocks(src_bp, dst_bp, pairs):
-        total = None
-        for si, di in pairs:
-            term = compose2(dst_bp.injections[di], src_bp.projections[si])
-            total = term if total is None else total + term
-        return total
-
+    i_x, i_y, i_p, _ = b2.injections
+    _, p_y, p_p, p_q = b2.projections
     f1 = b1.injections[0]
     g1 = b1.projections[1]
-    f2 = blocks(a2, b2, [(0, 0), (1, 2)])
-    g2 = blocks(b2, c2, [(1, 0), (3, 1)])
+    f2 = copair2(i_x, i_p)
+    g2 = pair2(p_y, p_q)
     f3 = b3.injections[0]
     g3 = b3.projections[1]
     a1 = a2.injections[0]
     a2m = a2.projections[1]
-    b1m = blocks(b1, b2, [(0, 0), (1, 1)])
-    b2m = blocks(b2, b3, [(2, 0), (3, 1)])
+    b1m = copair2(i_x, i_y)
+    b2m = pair2(p_p, p_q)
     c1m = c2.injections[0]
     c2m = c2.projections[1]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .baselin import copair_base, pair_base
 from .basemor import compose
 from .classify2 import classify2
 from .core2 import (
@@ -19,9 +20,10 @@ from .core2 import (
     is_zero_equivalent,
 )
 from .limits2 import (
-    biproduct2,
+    copair2,
     factor_rel_cokernel2,
     factor_rel_kernel2,
+    pair2,
     rel_cokernel2,
     rel_kernel2,
 )
@@ -166,15 +168,10 @@ def is_relative_pullback(p1, p2, pi: TwoCell, f, g, y, phi_mat, psi_mat) -> bool
     phi_mat and psi_mat are the matrices of the relative cells y.f => 0 and
     y.g => 0.
     """
-    bp = biproduct2([f.src, g.src])
-    diff = compose2(f, bp.projections[0]) - compose2(g, bp.projections[1])
-    rel_cell = cell_to_zero(
-        compose2(y, diff),
-        compose(phi_mat, bp.projections[0].bottom)
-        - compose(psi_mat, bp.projections[1].bottom),
-    )
+    diff = copair2(f, -g)
+    rel_cell = cell_to_zero(compose2(y, diff), copair_base(phi_mat, -psi_mat))
     rk = rel_kernel2(diff, y, rel_cell)
-    t = compose2(bp.injections[0], p1) + compose2(bp.injections[1], p2)
+    t = pair2(p1, p2)
     beta = cell_to_zero(compose2(diff, t), pi.mat)
     m = factor_rel_kernel2(rk, t, beta)
     return classify2(m).equivalence
@@ -183,15 +180,10 @@ def is_relative_pullback(p1, p2, pi: TwoCell, f, g, y, phi_mat, psi_mat) -> bool
 def is_relative_pushout(i1, i2, pi: TwoCell, f, g, x, phi_mat, psi_mat) -> bool:
     """Dual test: (R; i1: A->R, i2: B->R, pi: i1.f => i2.g) a pushout of
     (f: X->A, g: X->B) relative to the given cells."""
-    bp = biproduct2([i1.src, i2.src])
-    diff = compose2(bp.injections[0], f) - compose2(bp.injections[1], g)
-    rel_cell = cell_to_zero(
-        compose2(diff, x),
-        compose(bp.injections[0].top, phi_mat)
-        - compose(bp.injections[1].top, psi_mat),
-    )
+    diff = pair2(f, -g)
+    rel_cell = cell_to_zero(compose2(diff, x), pair_base(phi_mat, -psi_mat))
     rc = rel_cokernel2(diff, x, rel_cell)
-    w = compose2(i1, bp.projections[0]) + compose2(i2, bp.projections[1])
+    w = copair2(i1, i2)
     theta = cell_to_zero(compose2(w, diff), pi.mat)
     m = factor_rel_cokernel2(rc, w, theta)
     return classify2(m).equivalence

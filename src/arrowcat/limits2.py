@@ -4,19 +4,23 @@ All constructions are the canonical ones: the kernel of a square is built on
 the pullback of (u0, boundary) with the A0 block first, the cokernel on the
 dual pushout, loops/suspensions on base kernels/cokernels of the boundary;
 loop_bar and loop_tilde factor a loop through a suspension and a loop
-object.  Kernel data mirrors cokernel data: kernel2 keeps the base kernel
-kfull: P -> A0 (+) B1 of the pullback difference, cokernel2 the base
-cokernel qfull: A0 (+) B1 -> Q, and neither keeps the biproduct glue.
-Factorizations through canonical (co)kernels are strict (the connecting
-cell is an identity), and each is one one-sided factor_base through kfull
-or qfull, with the injections or projections read back from the memoized
-biproduct_base.  Factorizations through (co)kernel data given as a
-square with a 2-cell are solved for, strictly when a strict solution exists;
-on kernel2/cokernel2 data that strict solution is unique and is the
-canonical one.  Cells between parallel squares are solved for too.  Each
-solve is a LinearSystem whose unknown squares and cells are declared with
-core2's add_square, add_cell and add_homotopy, so only the extra pasting or
-pinning equations are written here.  Base factorizations go through
+object.  A map into or out of a biproduct is its column or row of
+components: pair2 and copair2 apply baselin's pair_base and copair_base to
+the top and bottom components and build only the biproduct object, never
+biproduct2's injection and projection squares; every pairing here goes
+through one of the four.  Kernel data mirrors cokernel data: kernel2 keeps
+the base kernel kfull: P -> A0 (+) B1 of the pullback difference, cokernel2
+the base cokernel qfull: A0 (+) B1 -> Q, and neither keeps the biproduct
+glue, which is read back from the memoized biproduct_base.  Factorizations
+through canonical (co)kernels are strict (the connecting cell is an
+identity), and each is one one-sided factor_base of a pairing through kfull
+or of a copairing through qfull.  Factorizations through (co)kernel data
+given as a square with a 2-cell are solved for, strictly when a strict
+solution exists; on kernel2/cokernel2 data that strict solution is unique
+and is the canonical one.  Cells between parallel squares are solved for
+too.  Each solve is a LinearSystem whose unknown squares and cells are
+declared with core2's add_square, add_cell and add_homotopy, so only the
+extra pasting or pinning equations are written here.  Base factorizations go through
 factor_through (baselin.factor_base).  Every solve here is for something
 that must exist, so factor_through, solve_cell and the other factorizations
 raise AssertionError when it does not.
@@ -30,8 +34,10 @@ from .baselin import (
     LinearSystem,
     biproduct_base,
     cokernel_base,
+    copair_base,
     factor_base,
     kernel_base,
+    pair_base,
 )
 from .basemor import BaseMorphism, compose, identity_mor, zero_mor
 from .baseobj import zero_object
@@ -68,23 +74,17 @@ def factor_through(
 
 @dataclass(frozen=True)
 class SequenceData:
-    """The three-term sequence of a square, with the biproduct glue."""
+    """The three-term sequence of a square; the injections and projections of
+    A0 (+) B1 are read from the memoized biproduct_base."""
 
     iota: BaseMorphism  # A1 -> A0 (+) B1
     pmap: BaseMorphism  # A0 (+) B1 -> B0
-    i0: BaseMorphism
-    i1: BaseMorphism
-    p0: BaseMorphism
-    p1: BaseMorphism
 
 
 def sequence_of(u: TwoMorphism) -> SequenceData:
     """The base sequence A1 --[-d; u1]--> A0 (+) B1 --(u0 d')--> B0 of u."""
     a, b = u.src, u.dst
-    _, (i0, i1), (p0, p1) = biproduct_base((a.bottom, b.top))
-    iota = compose(i0, -a.boundary) + compose(i1, u.top)
-    pmap = compose(u.bottom, p0) + compose(b.boundary, p1)
-    return SequenceData(iota, pmap, i0, i1, p0, p1)
+    return SequenceData(pair_base(-a.boundary, u.top), copair_base(u.bottom, b.boundary))
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,10 @@ class KernelData:
 
 def kernel2(u: TwoMorphism) -> KernelData:
     a, b = u.src, u.dst
-    _, (i0, i1), (p0, p1) = biproduct_base((a.bottom, b.top))
-    _, kfull = kernel_base(compose(u.bottom, p0) - compose(b.boundary, p1))
-    kprime = factor_through(compose(i0, a.boundary) + compose(i1, u.top), left=kfull)
+    _, kfull = kernel_base(copair_base(u.bottom, -b.boundary))
+    kprime = factor_through(pair_base(a.boundary, u.top), left=kfull)
     obj = TwoObject(kprime)
+    _, _, (p0, p1) = biproduct_base((a.bottom, b.top))
     kmor = two_morphism(obj, a, identity_mor(a.top), compose(p0, kfull))
     kappa = cell_to_zero(compose2(u, kmor), compose(p1, kfull))
     return KernelData(obj, kmor, kappa, kfull)
@@ -108,9 +108,7 @@ def kernel2(u: TwoMorphism) -> KernelData:
 
 def factor_kernel2(kd: KernelData, t: TwoMorphism, beta: TwoCell) -> TwoMorphism:
     """The strict factorization t' with kmor . t' = t and kappa . t' = beta."""
-    _, (i0, i1), _ = biproduct_base((kd.kmor.dst.bottom, kd.kappa.dst.top))
-    h = compose(i0, t.bottom) + compose(i1, beta.mat)
-    bottom = factor_through(h, left=kd.kfull)
+    bottom = factor_through(pair_base(t.bottom, beta.mat), left=kd.kfull)
     return two_morphism(t.src, kd.obj, t.top, bottom)
 
 
@@ -126,20 +124,17 @@ def cokernel2(u: TwoMorphism) -> CokernelData:
     b = u.dst
     seq = sequence_of(u)
     q_obj, qfull = cokernel_base(seq.iota)
-    zeta_m = compose(qfull, seq.i0)
-    q_m = compose(qfull, seq.i1)
     qprime = factor_through(seq.pmap, right=qfull)
     obj = TwoObject(qprime)
-    qmor = two_morphism(b, obj, q_m, identity_mor(b.bottom))
-    zeta = cell_to_zero(compose2(qmor, u), zeta_m)
+    _, (i0, i1), _ = biproduct_base((u.src.bottom, b.top))
+    qmor = two_morphism(b, obj, compose(qfull, i1), identity_mor(b.bottom))
+    zeta = cell_to_zero(compose2(qmor, u), compose(qfull, i0))
     return CokernelData(obj, qmor, zeta, qfull)
 
 
 def factor_cokernel2(cd: CokernelData, w: TwoMorphism, theta: TwoCell) -> TwoMorphism:
     """The strict factorization w' with w' . qmor = w and w' transporting zeta to theta."""
-    _, _, (p0, p1) = biproduct_base((cd.zeta.src.bottom, cd.qmor.src.top))
-    h = compose(theta.mat, p0) + compose(w.top, p1)
-    top = factor_through(h, right=cd.qfull)
+    top = factor_through(copair_base(theta.mat, w.top), right=cd.qfull)
     return two_morphism(cd.obj, w.dst, top, w.bottom)
 
 
@@ -350,21 +345,39 @@ class Biproduct2:
     projections: tuple[TwoMorphism, ...]
 
 
+def _sum2(parts) -> TwoObject:
+    """The biproduct object of parts: its boundary is the block diagonal of theirs."""
+    _, b_inj, _ = biproduct_base(tuple(p.bottom for p in parts))
+    return TwoObject(copair_base(*(compose(i, p.boundary) for i, p in zip(b_inj, parts))))
+
+
 def biproduct2(parts: list[TwoObject]) -> Biproduct2:
-    t_obj, t_inj, t_proj = biproduct_base(tuple(p.top for p in parts))
-    b_obj, b_inj, b_proj = biproduct_base(tuple(p.bottom for p in parts))
-    boundary = None
-    for part, pt, ib in zip(parts, t_proj, b_inj):
-        term = compose(ib, compose(part.boundary, pt))
-        boundary = term if boundary is None else boundary + term
-    obj = TwoObject(boundary)
-    injections = tuple(
-        two_morphism(p, obj, it, ib) for p, it, ib in zip(parts, t_inj, b_inj)
-    )
-    projections = tuple(
-        two_morphism(obj, p, pt, pb) for p, pt, pb in zip(parts, t_proj, b_proj)
-    )
+    _, t_inj, t_proj = biproduct_base(tuple(p.top for p in parts))
+    _, b_inj, b_proj = biproduct_base(tuple(p.bottom for p in parts))
+    obj = _sum2(parts)
+    injections = tuple(two_morphism(p, obj, it, ib) for p, it, ib in zip(parts, t_inj, b_inj))
+    projections = tuple(two_morphism(obj, p, pt, pb) for p, pt, pb in zip(parts, t_proj, b_proj))
     return Biproduct2(obj, injections, projections)
+
+
+def pair2(*maps: TwoMorphism) -> TwoMorphism:
+    """sum_k i_k . u_k: X -> Y_1 (+) ... (+) Y_n of squares u_k: X -> Y_k,
+    pair_base on the top and on the bottom components."""
+    dst = _sum2([u.dst for u in maps])
+    if any(u.src != maps[0].src for u in maps):
+        raise ValueError("pairing needs a common source")
+    top, bottom = pair_base(*(u.top for u in maps)), pair_base(*(u.bottom for u in maps))
+    return TwoMorphism(maps[0].src, dst, top, bottom)
+
+
+def copair2(*maps: TwoMorphism) -> TwoMorphism:
+    """sum_k u_k . p_k: X_1 (+) ... (+) X_n -> Y of squares u_k: X_k -> Y,
+    copair_base on the top and on the bottom components."""
+    src = _sum2([u.src for u in maps])
+    if any(u.dst != maps[0].dst for u in maps):
+        raise ValueError("copairing needs a common target")
+    top, bottom = copair_base(*(u.top for u in maps)), copair_base(*(u.bottom for u in maps))
+    return TwoMorphism(src, maps[0].dst, top, bottom)
 
 
 @dataclass(frozen=True)
@@ -373,20 +386,13 @@ class Pullback2:
     p1: TwoMorphism
     p2: TwoMorphism
     cell: TwoCell  # f.p1 => g.p2
-    kernel: KernelData
-    biprod: Biproduct2
 
 
 def pullback2(f: TwoMorphism, g: TwoMorphism) -> Pullback2:
-    if f.dst != g.dst:
-        raise ValueError("pullback needs a common target")
-    bp = biproduct2([f.src, g.src])
-    diff = compose2(f, bp.projections[0]) - compose2(g, bp.projections[1])
-    kd = kernel2(diff)
-    p1 = compose2(bp.projections[0], kd.kmor)
-    p2 = compose2(bp.projections[1], kd.kmor)
+    kd = kernel2(copair2(f, -g))
+    p1, p2 = (compose2(p, kd.kmor) for p in biproduct2([f.src, g.src]).projections)
     cell = TwoCell(compose2(f, p1), compose2(g, p2), kd.kappa.mat)
-    return Pullback2(kd.obj, p1, p2, cell, kd, bp)
+    return Pullback2(kd.obj, p1, p2, cell)
 
 
 @dataclass(frozen=True)
@@ -396,19 +402,13 @@ class Pushout2:
     i2: TwoMorphism
     cell: TwoCell  # i1.f => i2.g
     cokernel: CokernelData
-    biprod: Biproduct2
 
 
 def pushout2(f: TwoMorphism, g: TwoMorphism) -> Pushout2:
-    if f.src != g.src:
-        raise ValueError("pushout needs a common source")
-    bp = biproduct2([f.dst, g.dst])
-    diff = compose2(bp.injections[0], f) - compose2(bp.injections[1], g)
-    cd = cokernel2(diff)
-    i1 = compose2(cd.qmor, bp.injections[0])
-    i2 = compose2(cd.qmor, bp.injections[1])
+    cd = cokernel2(pair2(f, -g))
+    i1, i2 = (compose2(cd.qmor, i) for i in biproduct2([f.dst, g.dst]).injections)
     cell = TwoCell(compose2(i1, f), compose2(i2, g), cd.zeta.mat)
-    return Pushout2(cd.obj, i1, i2, cell, cd, bp)
+    return Pushout2(cd.obj, i1, i2, cell, cd)
 
 
 # ---------------------------------------------------------------------------

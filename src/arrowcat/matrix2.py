@@ -1,9 +1,12 @@
 """Matrix calculus on biproducts of squares.
 
 A grid (f_jk): A_k -> B_j assembles to sum_jk i_j . f_jk . p_k between the
-biproducts; reading matrix entries back is p_j . u . i_k.  In this strict
-model composition of assembled morphisms equals assembly of the matrix
-product on the nose.
+biproducts, built as the pairing (limits2.pair2) of the copairings
+(limits2.copair2) of its rows; reading matrix entries back is p_j . u . i_k,
+through biproduct2's injection and projection squares, so matrix_of2 and
+grid_product check assembly by an independent route.  In this strict model
+composition of assembled morphisms equals assembly of the matrix product on
+the nose.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core2 import TwoMorphism, TwoObject, compose2, zero2, zero_two_object
-from .limits2 import Biproduct2, biproduct2
+from .limits2 import Biproduct2, biproduct2, copair2, pair2
 
 
 @dataclass(frozen=True)
@@ -28,10 +31,7 @@ def matrix_assemble2(
     ring=None,
 ) -> AssembledMorphism:
     """grid[j][k]: sources[k] -> targets[j]; empty rows/columns are allowed."""
-    if targets:
-        ring = targets[0].ring
-    elif sources:
-        ring = sources[0].ring
+    ring = next((x.ring for x in [*targets, *sources]), ring)
     if ring is None:
         raise ValueError("empty grid needs an explicit ring")
     src_bp = _bp(sources, ring)
@@ -44,20 +44,13 @@ def matrix_assemble2(
         for k, f in enumerate(row):
             if f.src != sources[k] or f.dst != targets[j]:
                 raise ValueError(f"grid entry ({j},{k}) has wrong endpoints")
-    total = zero2(src_bp.obj, dst_bp.obj)
-    for j, row in enumerate(grid):
-        for k, f in enumerate(row):
-            total = total + compose2(
-                dst_bp.injections[j], compose2(f, src_bp.projections[k])
-            )
-    return AssembledMorphism(total, src_bp, dst_bp)
+    if not (sources and targets):
+        return AssembledMorphism(zero2(src_bp.obj, dst_bp.obj), src_bp, dst_bp)
+    return AssembledMorphism(pair2(*(copair2(*row) for row in grid)), src_bp, dst_bp)
 
 
 def _bp(parts: list[TwoObject], ring) -> Biproduct2:
-    if not parts:
-        z = zero_two_object(ring)
-        return Biproduct2(z, (), ())
-    return biproduct2(parts)
+    return biproduct2(parts) if parts else Biproduct2(zero_two_object(ring), (), ())
 
 
 def matrix_of2(u: TwoMorphism, src_bp: Biproduct2, dst_bp: Biproduct2):

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 from .baselin import (
     LinearSystem,
-    biproduct_base,
     cokernel_base,
     exact_at_base,
     factor_base,
     kernel_base,
+    pair_base,
     pullback_base,
     split_data_base,
 )
@@ -85,6 +85,7 @@ from .limits2 import (
     loop_bar,
     loop_tilde,
     omega_obj,
+    pair2,
     pi0_mor,
     pi0_obj,
     pi1_mor,
@@ -242,13 +243,12 @@ def suite_base_pullback(rng, ring, k, bounds):
     f = random_base_morphism(rng, a, c, bounds)
     g = random_base_morphism(rng, b, c, bounds)
     p_obj, pa, pb = pullback_base(f, g)
-    _, (ia, ib), _ = biproduct_base((a, b))
-    incl = compose(ia, pa) + compose(ib, pb)
+    incl = pair_base(pa, pb)
     ok = compose(f, pa) == compose(g, pb)
     for _ in range(5):
         w = random_base_object(rng, ring, bounds)
         r = random_base_morphism(rng, w, p_obj, bounds)
-        s = factor_base(compose(ia, compose(pa, r)) + compose(ib, compose(pb, r)), left=incl)
+        s = factor_base(pair_base(compose(pa, r), compose(pb, r)), left=incl)
         ok = ok and s == r
     return ok
 
@@ -563,8 +563,7 @@ def suite_split_source(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
         f = x.boundary
         u1 = factor_through(identity_mor(x.top) - compose(g, f), left=p1.unit.top)
         to_p1 = two_morphism(x, p1.obj, u1, zero_mor(x.bottom, p1.obj.bottom))
-        bp = biproduct2([p1.obj, p0.obj])
-        u = compose2(bp.injections[0], to_p1) + compose2(bp.injections[1], p0.unit)
+        u = pair2(to_p1, p0.unit)
         return classify2(u).equivalence
 
     result = run(seed, cases, bounds)
@@ -756,8 +755,21 @@ def _classification_case(rng, ring, k, bounds):
         if u.bottom.apply(xx) == b.boundary.apply(yy)
     }
     images = {(a.boundary.apply(el), u.top.apply(el)) for el in a.top.elements()}
-    bij = inj and images == pullback_pairs
-    return ok and fl.fully_faithful == bij
+    # negating the A0 coordinate carries these to the image of iota = [-d; u1]
+    # and the kernel of pmap = (u0 d'): full is exactness at A0 (+) B1, and
+    # cofaithful is pmap onto B0
+    exact = images == pullback_pairs
+    onto = {
+        tuple((x + y) % e for x, y, e in zip(u.bottom.apply(xx), b.boundary.apply(yy), b.bottom.orders))
+        for xx in a.bottom.elements()
+        for yy in b.top.elements()
+    }
+    return (
+        ok
+        and fl.full == exact
+        and fl.fully_faithful == (inj and exact)
+        and fl.cofaithful == (len(onto) == b.bottom.total_order())
+    )
 
 
 def suite_classification_ring(ring: BaseRing):

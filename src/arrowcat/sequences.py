@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basemor import compose, zero_mor
+from .basemor import compose
 from .classify2 import (
     ArrowClassification,
     _equivalence,
@@ -32,6 +32,7 @@ from .core2 import (
     cell_to_zero,
     compose2,
     identity_cell,
+    identity_like_cell,
     is_zero_equivalent,
     null_cell,
     zero2,
@@ -334,9 +335,10 @@ class ChainMap:
         idx = n - self.src.lo
         if 0 <= idx < len(self.cells):
             return self.cells[idx]
-        lhs = compose2(self.dst.diff(n), self.padded_square(n))
-        rhs = compose2(self.padded_square(n + 1), self.src.diff(n))
-        return TwoCell(lhs, rhs, zero_mor(lhs.src.bottom, lhs.dst.top))
+        return identity_like_cell(
+            compose2(self.dst.diff(n), self.padded_square(n)),
+            compose2(self.padded_square(n + 1), self.src.diff(n)),
+        )
 
 
 def padded_window(cx: ComplexSequence, n: int):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baselin import LinearSystem
+from .baselin import LinearSystem, copair_base
 from .basemor import compose
 from .core2 import (
     TwoCell,
@@ -43,11 +43,13 @@ from .core2 import (
 )
 from .limits2 import (
     cokernel2,
+    copair2,
     factor_cokernel2,
     factor_kernel2,
     factor_through_cokernel_data,
     factor_through_kernel_data,
     kernel2,
+    pair2,
     pushout2,
     solve_cell,
 )
@@ -167,14 +169,12 @@ def plain_snake(
     # two-square construction on the left square (f, a; f2, b)
     po = pushout2(f, a.mor)
     i1, i2, phi1 = po.i1, po.i2, po.cell
-    diff = compose2(po.biprod.injections[0], f) - compose2(po.biprod.injections[1], a.mor)
-    w_j = compose2(g, po.biprod.projections[0])
+    diff = pair2(f, -a.mor)
+    w_j = copair2(g, zero2(a.mor.dst, g.dst))
     j = factor_cokernel2(po.cokernel, w_j, cell_to_zero(compose2(w_j, diff), eta.mat))
-    w_c = compose2(b.mor, po.biprod.projections[0]) + compose2(f2, po.biprod.projections[1])
+    w_c = copair2(b.mor, f2)
     cprime = factor_cokernel2(po.cokernel, w_c, cell_to_zero(compose2(w_c, diff), phi.mat))
-    chi = compose(eta2.mat, po.biprod.projections[1].bottom) - compose(
-        psi.mat, po.biprod.projections[0].bottom
-    )
+    chi = copair_base(-psi.mat, eta2.mat)
     psi2 = TwoCell(compose2(g2, cprime), compose2(c.mor, j), chi)
 
     # k'_c: Kc -> I with cells xi and kappa'_c

@@ -27,6 +27,10 @@ class WorkspaceError(ValueError):
 
 # a base object with more generators than this is refused before it is built
 MAX_GENERATORS = 1000
+# so is a matrix entry or torsion order of more bits than this: results
+# computed from larger entries can pass Python's 4,300-digit limit on
+# converting an integer to text, and a report could not be written
+MAX_ENTRY_BITS = 256
 
 
 @dataclass
@@ -98,6 +102,8 @@ def _base_obj_from_json(ring: BaseRing, data, where: str) -> BaseObject:
     if not isinstance(torsion, list):
         raise WorkspaceError(f"{where}: torsion must be a list")
     orders = tuple(_int(d, f"{where}: torsion order") for d in torsion)
+    for k, d in enumerate(orders):
+        _check_bits(d, f"torsion order [{k}]", where)
     free = _int(data.get("free", 0), f"{where}: free")
     _check_generators(free + len(orders), where)
     return _build(where, z_object, free, orders)
@@ -106,6 +112,11 @@ def _base_obj_from_json(ring: BaseRing, data, where: str) -> BaseObject:
 def _check_generators(count: int, where: str):
     if count > MAX_GENERATORS:
         raise WorkspaceError(f"{where}: more than {MAX_GENERATORS} generators")
+
+
+def _check_bits(x: int, what: str, where: str):
+    if x.bit_length() > MAX_ENTRY_BITS:
+        raise WorkspaceError(f"{where}: {what} has more than {MAX_ENTRY_BITS} bits")
 
 
 def _obj_to_json(x: TwoObject):
@@ -123,9 +134,9 @@ def _matrix_to_json(m: BaseMorphism):
 def _check_matrix(data, where: str):
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise WorkspaceError(f"{where}: matrix must be a list of rows")
-    for r in data:
-        for x in r:
-            _int(x, f"{where}: matrix entry")
+    for i, r in enumerate(data):
+        for j, x in enumerate(r):
+            _check_bits(_int(x, f"{where}: matrix entry"), f"matrix entry [{i}][{j}]", where)
     widths = {len(r) for r in data}
     if len(widths) > 1:
         raise WorkspaceError(f"{where}: ragged matrix")

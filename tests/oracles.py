@@ -1,9 +1,11 @@
 """Independent reference computations shared by the tests."""
 
+import functools
+import operator
 from dataclasses import dataclass
 
-from arrowcat.baselin import LinearSystem, cokernel_base, factor_base, kernel_base
-from arrowcat.basemor import BaseMorphism, identity_mor
+from arrowcat.baselin import LinearSystem, biproduct_base, cokernel_base, factor_base, kernel_base
+from arrowcat.basemor import BaseMorphism, compose, identity_mor
 
 
 def rank_mod_p(mat, p: int) -> int:
@@ -75,6 +77,23 @@ def factor_by_linear_system(h: BaseMorphism, left=None, right=None) -> BaseMorph
     sys.add_equation([(1, left, "x", right)], h)
     sol = sys.solve()
     return None if sol is None else sol["x"]
+
+
+# Maps into and out of a biproduct as validated composites through its
+# injections or projections and a validated sum, the way the package built
+# them before pair_base and copair_base.
+
+
+def pair_by_injections(*maps: BaseMorphism) -> BaseMorphism:
+    """sum_k i_k . f_k into the biproduct of the targets."""
+    _, injections, _ = biproduct_base(tuple(f.dst for f in maps))
+    return functools.reduce(operator.add, (compose(i, f) for i, f in zip(injections, maps)))
+
+
+def copair_by_projections(*maps: BaseMorphism) -> BaseMorphism:
+    """sum_k f_k . p_k out of the biproduct of the sources."""
+    _, _, projections = biproduct_base(tuple(f.src for f in maps))
+    return functools.reduce(operator.add, (compose(f, p) for f, p in zip(maps, projections)))
 
 
 def joint_factor_by_linear_system(k, kappa, a, b) -> BaseMorphism | None:

@@ -17,13 +17,17 @@ from arrowcat.basemor import BaseMorphism, _product
 from arrowcat.baselin import (
     LinearSystem,
     biproduct_base,
+    canonicalize,
     cokernel_base,
+    copair_base,
     exact_at_base,
     factor_base,
     image_comparison,
     kernel_base,
+    pair_base,
     pullback_base,
     pushout_base,
+    relation_columns,
     split_data_base,
     splits_base,
 )
@@ -55,8 +59,10 @@ from arrowcat.sequences import exact_at
 from arrowcat.snake import column_data, plain_snake
 from oracles import (
     classify_base,
+    copair_by_projections,
     exact_by_induced_map,
     factor_by_linear_system,
+    pair_by_injections,
     rank_mod_p,
 )
 
@@ -168,6 +174,93 @@ class TestBiproduct:
         assert s == z_object(0, (6,))
         assert compose(p1, i1) == identity_mor(Z2T)
         assert compose(i1, p1) + compose(i2, p2) == identity_mor(s)
+
+
+class TestPairing:
+    """pair_base and copair_base against the sums through injections and
+    projections (oracles), on random maps and on the edge cases."""
+
+    @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
+    def test_random_maps_match_the_sums(self, ring):
+        rng = random.Random(17)
+        bounds = Bounds(max_dim=3)
+        for _ in range(40):
+            x = random_base_object(rng, ring, bounds)
+            parts = [random_base_object(rng, ring, bounds) for _ in range(rng.randrange(1, 4))]
+            into = [random_base_morphism(rng, x, y, bounds) for y in parts]
+            out = [random_base_morphism(rng, y, x, bounds) for y in parts]
+            assert pair_base(*into) == pair_by_injections(*into)
+            assert copair_base(*out) == copair_by_projections(*out)
+
+    def test_coprime_torsion_changes_basis(self):
+        # Z/2 (+) Z/3 = Z/6: the injections are not block identities
+        z3 = z_object(0, (3,))
+        s, (i1, i2), (p1, p2) = biproduct_base((Z2T, z3))
+        assert s == z_object(0, (6,)) and i1.mat != ((1,),)
+        f, g = base_morphism(Z1, Z2T, [[1]]), base_morphism(Z1, z3, [[2]])
+        fg = pair_base(f, g)
+        assert fg == pair_by_injections(f, g)
+        assert compose(p1, fg) == f and compose(p2, fg) == g
+        h, k = base_morphism(Z2T, Z2T, [[1]]), base_morphism(z3, Z2T, [[0]])
+        hk = copair_base(h, k)
+        assert hk == copair_by_projections(h, k)
+        assert compose(hk, i1) == h and compose(hk, i2) == k
+
+    @pytest.mark.parametrize("ring", [GF(3), ZZ], ids=str)
+    def test_zero_objects(self, ring):
+        zero = zero_object(ring)
+        y = field_object(ring, 2) if ring.is_field else z_object(1, (4,))
+        f = identity_mor(y)
+        for maps in ([f, zero_mor(y, zero)], [zero_mor(y, zero), f]):
+            assert pair_base(*maps) == pair_by_injections(*maps)
+            assert pair_base(*maps) == f
+        for maps in ([f, zero_mor(zero, y)], [zero_mor(zero, y), f]):
+            assert copair_base(*maps) == copair_by_projections(*maps)
+            assert copair_base(*maps) == f
+        nothing = zero_mor(zero, zero)
+        assert pair_base(nothing, nothing) == copair_base(nothing, nothing) == nothing
+        # maps out of or into the zero object
+        assert pair_base(zero_mor(zero, y), zero_mor(zero, y)) == pair_by_injections(
+            zero_mor(zero, y), zero_mor(zero, y)
+        )
+        assert copair_base(zero_mor(y, zero), zero_mor(y, zero)) == copair_by_projections(
+            zero_mor(y, zero), zero_mor(y, zero)
+        )
+
+    def test_mismatched_endpoints_raise(self):
+        f3 = GF(3)
+        one, two = field_object(f3, 1), field_object(f3, 2)
+        with pytest.raises(ValueError, match="common source"):
+            pair_base(zero_mor(one, one), zero_mor(two, one))
+        with pytest.raises(ValueError, match="common target"):
+            copair_base(zero_mor(one, one), zero_mor(one, two))
+        # Z against Z/2: the same number of generators, different objects
+        with pytest.raises(ValueError, match="common source"):
+            pair_base(identity_mor(Z1), base_morphism(Z2T, Z2T, [[1]]))
+        with pytest.raises(ValueError, match="common target"):
+            copair_base(identity_mor(Z1), base_morphism(Z2T, Z2T, [[1]]))
+        with pytest.raises(ValueError, match="empty biproduct"):
+            pair_base()
+
+    def test_biproduct_matches_the_canonicalize_route(self):
+        """Parts whose concatenated orders are already canonical get block
+        identities without a Smith normal form; the Smith route agrees."""
+        rng = random.Random(19)
+        bounds = Bounds(max_dim=3)
+        blockwise = 0
+        for _ in range(300):
+            parts = tuple(random_base_object(rng, ZZ, bounds) for _ in range(rng.randrange(1, 4)))
+            orders = [d for p in parts for d in p.orders]
+            pres = canonicalize(len(orders), *relation_columns(orders))
+            s, inj, proj = biproduct_base(parts)
+            assert s == pres.obj
+            off = 0
+            for p, i, q in zip(parts, inj, proj):
+                assert i == base_morphism(p, s, [row[off : off + p.ngens] for row in pres.to_canon])
+                assert q == base_morphism(s, p, pres.from_canon[off : off + p.ngens])
+                off += p.ngens
+            blockwise += s.orders == tuple(orders)
+        assert 50 < blockwise < 300
 
 
 class TestPullbackPushout:

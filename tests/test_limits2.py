@@ -27,7 +27,9 @@ from arrowcat.generators import (
     random_two_object,
 )
 from arrowcat.limits2 import (
+    biproduct2,
     cokernel2,
+    copair2,
     copip2,
     coroot2,
     factor_cokernel2,
@@ -38,6 +40,7 @@ from arrowcat.limits2 import (
     factor_rel_kernel2,
     kernel2,
     omega_obj,
+    pair2,
     pi0_obj,
     pi1_obj,
     pip2,
@@ -140,6 +143,36 @@ class TestKernelData:
                     with pytest.raises(AssertionError, match="factorization does not exist"):
                         factor_kernel2(kd, rival, beta)
         assert raised >= 5, raised
+
+
+class TestPairing2:
+    """pair2 and copair2 against the sums through biproduct2's injection and
+    projection squares."""
+
+    @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
+    def test_match_the_biproduct2_sums(self, ring):
+        rng = random.Random(1701)
+        bounds = Bounds(max_dim=2)
+        for _ in range(15):
+            x = random_two_object(rng, ring, bounds)
+            parts = [random_two_object(rng, ring, bounds) for _ in range(rng.randrange(1, 4))]
+            bp = biproduct2(parts)
+            into = [random_square(rng, x, y) for y in parts]
+            out = [random_square(rng, y, x) for y in parts]
+            terms = [compose2(i, u) for i, u in zip(bp.injections, into)]
+            assert pair2(*into) == sum(terms[1:], terms[0])
+            terms = [compose2(u, p) for u, p in zip(out, bp.projections)]
+            assert copair2(*out) == sum(terms[1:], terms[0])
+
+    def test_mismatched_endpoints_raise(self):
+        f2 = GF(2)
+        one = field_object(f2, 1)
+        x, y = two_object(zero_mor(one, one)), two_object(identity_mor(one))
+        # the same top and bottom, different boundaries
+        with pytest.raises(ValueError, match="common source"):
+            pair2(zero2(x, x), zero2(y, x))
+        with pytest.raises(ValueError, match="common target"):
+            copair2(zero2(x, x), zero2(x, y))
 
 
 class TestLoopSuspension:

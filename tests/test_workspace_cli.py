@@ -9,6 +9,7 @@ from arrowcat import GF, ZZ
 from arrowcat.cli import main, nonsplit_workspace
 from arrowcat.generators import Bounds, random_cell_on, random_square, random_two_object
 from arrowcat.workspace import (
+    MAX_ENTRY_BITS,
     MAX_GENERATORS,
     Workspace,
     WorkspaceError,
@@ -142,6 +143,58 @@ class TestWorkspace:
     def test_object_at_the_bound_parses(self, ring, top):
         ws = parse_workspace(self._one_object(ring, top))
         assert ws.object("x").top.ngens == MAX_GENERATORS
+
+    @staticmethod
+    def _entry_workspace(entry, torsion=()):
+        """A Z object with one free generator over one torsion order and one
+        matrix entry: the boundary Z -> Z (+) Z/d is [[entry], [0]] or, with
+        no torsion, [[entry]]."""
+        bottom = {"free": 1, "torsion": list(torsion)}
+        boundary = [[0] for _ in torsion] + [[entry]]
+        return json.dumps({"ring": {"ring": "Z"}, "objects": {"x": {
+            "top": {"free": 1}, "bottom": bottom, "boundary": boundary,
+        }}})
+
+    @pytest.mark.parametrize(
+        "entry,torsion,message",
+        [
+            (2**MAX_ENTRY_BITS, (), "matrix entry [0][0]"),
+            (-(2**MAX_ENTRY_BITS), (), "matrix entry [0][0]"),
+            (1, (2**MAX_ENTRY_BITS,), "torsion order [0]"),
+        ],
+        ids=["entry", "negative-entry", "torsion-order"],
+    )
+    def test_oversized_entry_is_a_clean_error(self, entry, torsion, message, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(self._entry_workspace(entry, torsion))
+        proc = run_cli(["classify", "--in", str(path), "--morphism", "u"])
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: object 'x': {message} has more than {MAX_ENTRY_BITS} bits\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "entry,torsion",
+        [(2**MAX_ENTRY_BITS - 1, ()), (-(2**MAX_ENTRY_BITS - 1), ()), (0, (2**MAX_ENTRY_BITS - 1,))],
+        ids=["entry", "negative-entry", "torsion-order"],
+    )
+    def test_entry_at_the_bound_parses(self, entry, torsion):
+        x = parse_workspace(self._entry_workspace(entry, torsion)).object("x")
+        assert x.bottom.torsion == torsion
+        assert x.boundary.mat[-1] == (entry,)
+
+    def test_golden_entries_are_under_the_bound(self):
+        def entries(node):
+            if isinstance(node, bool):
+                return
+            if isinstance(node, int):
+                yield node
+            elif isinstance(node, (list, dict)):
+                for child in node.values() if isinstance(node, dict) else node:
+                    yield from entries(child)
+
+        paths = [GOLDEN, *Path("tests/golden_cli").rglob("*.json")]
+        largest = max(abs(x).bit_length() for p in paths for x in entries(json.loads(Path(p).read_text())))
+        assert largest <= MAX_ENTRY_BITS
 
     def test_parse_error_has_position(self):
         with pytest.raises(WorkspaceError) as exc:
