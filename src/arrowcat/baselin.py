@@ -5,12 +5,13 @@ morphism (factor_base) and von Neumann splitting all reduce to linear
 algebra in one of two engines.  Over F_p it is row reduction mod p
 (modsolve): a kernel is the reduced-row-echelon nullspace basis, an image
 the nonzero rows of the reduced row echelon form of the transpose, a
-cokernel the complement of their pivot columns, and factoring h through L
-on one side one row reduction of [L | H].  These bases depend only on the
-subspaces, not on the order of elimination.  Over Z it is integer
+cokernel the complement of their pivot columns.  These bases depend only
+on the subspaces, not on the order of elimination.  Over Z it is integer
 congruence solving through the Smith normal form (snf), with objects kept
 in invariant-factor form, so that isomorphic objects compare equal:
 splitting and exactness are decided by comparing objects, without a solve.
+Factoring through a map on one side is one solve per generator order, with
+a matrix right-hand side: one row reduction of [L | H] over F_p.
 A biproduct keeps the concatenated orders of its parts, with block
 identities, whenever they are already in that form (always over F_p); a map
 into or out of it (pair_base, copair_base) is then its stacked rows or
@@ -230,9 +231,9 @@ def pushout_base(f: BaseMorphism, g: BaseMorphism):
 
 
 # ---------------------------------------------------------------------------
-# Linear systems over the base: the workhorse behind factor_base over Z,
-# splitting and every universal-property factorization of the 2-dimensional
-# layer.
+# Linear systems over the base: every system in unknown squares and cells
+# of the 2-dimensional layer, the generators' draws, and factor_base with
+# both sides given.
 # ---------------------------------------------------------------------------
 
 
@@ -392,34 +393,71 @@ class LinearSystem:
         return out
 
 
+def _solve_by_order(ring, a, b, orders, x_orders, row_orders):
+    """Y with a.Y = b, or None, one solve per distinct order d of the columns
+    of b and Y (orders).  Over F_p that is one row reduction of [a | b].
+    Over Z the unknowns have orders x_orders, and a row of a is taken modulo
+    its row_orders entry, or modulo d if row_orders is None (Y is x^T): the
+    well-definedness congruences of Y go first, then relation columns and
+    one solve_int."""
+    nrows, ncols = len(a), len(x_orders)
+    if ring.is_field:
+        return solve_mod_p(a, b, nrows, ncols, len(orders), ring.p)
+    groups: dict[int, list[int]] = {}
+    for k, d in enumerate(orders):
+        groups.setdefault(d, []).append(k)
+    y = [[0] * len(orders) for _ in range(ncols)]
+    for d, cols in groups.items():
+        part = [[row[k] for k in cols] for row in b]
+        if not any(map(any, part)):  # solve_int would give 0 too
+            continue
+        if row_orders is None:  # d is the order of the row of x
+            wd, mods = [(o, d) for o in x_orders], (d,) * nrows
+        else:  # d is the order of the column of x
+            wd, mods = [(d, o) for o in x_orders], row_orders
+        # a congruence that is identically zero (m divides c) is not written
+        kept = [(i, _red(c, m), m) for i, (c, m) in enumerate(wd) if _red(c, m)]
+        rows = [[c if j == i else 0 for j in range(ncols)] for i, c, _ in kept]
+        rows += [[_red(x, m) for x in row] for row, m in zip(a, mods)]
+        rhs = [(0,) * len(cols)] * len(kept) + [[_red(x, m) for x in v] for v, m in zip(part, mods)]
+        rel, nslack = relation_columns([m for _, _, m in kept] + list(mods))
+        sol = solve_int(intmat.hstack([rows, rel], len(rows)), rhs, len(rows), ncols + nslack)
+        if sol is None:
+            return None
+        for y_row, sol_row, (_, m) in zip(y, sol, wd):
+            for k, v in zip(cols, sol_row):
+                y_row[k] = _red(v, m)
+    return tuple(map(tuple, y))
+
+
 def factor_base(
     h: BaseMorphism, left: BaseMorphism | None = None, right: BaseMorphism | None = None
 ) -> BaseMorphism | None:
     """Some x with left.x.right = h, None standing for an identity side, or None.
 
-    Over F_p with one side given it is one row reduction of [L | H], or of
-    [R^T | h^T] since x.R = h iff R^T.x^T = h^T, and gives the same x as the
-    LinearSystem would; otherwise it is one LinearSystem in the unknown x.
-    Mismatched endpoints raise ValueError.
+    With one side it splits by column of x (left.x = h: column c solves
+    L.x_c = h_c with d_c.x_c = 0, d_c the order of source generator c) or
+    by row (x.right = h: row r solves R^T.x_r^T = h_r^T with d_j.x_rj = 0,
+    all modulo the order of target generator r), one solve per order.
+    With both sides or neither it is one LinearSystem in x.  Mismatched
+    endpoints raise ValueError.
     """
     ring = h.ring
-    if ring.is_field and (left is None) != (right is None):
-        if left is not None:
-            if left.dst != h.dst:
-                raise ValueError("right-hand side has the wrong endpoints")
-            x = solve_mod_p(left.mat, h.mat, h.dst.ngens, left.src.ngens, h.src.ngens, ring.p)
-            return None if x is None else BaseMorphism(h.src, left.src, x)
-        if right.src != h.src:
+    if (left is None) == (right is None):
+        sys = LinearSystem(ring)
+        sys.add_unknown("x", h.src if right is None else right.dst, h.dst if left is None else left.src)
+        sys.add_equation([(1, left, "x", right)], h)
+        sol = sys.solve()
+        return None if sol is None else sol["x"]
+    if left is not None:
+        if left.dst != h.dst:
             raise ValueError("right-hand side has the wrong endpoints")
-        xt = solve_mod_p(_transpose(right), _transpose(h), h.src.ngens, right.dst.ngens, h.dst.ngens, ring.p)
-        return None if xt is None else _columns_mor(right.dst, h.dst, xt)
-    sys = LinearSystem(ring)
-    sys.add_unknown(
-        "x", h.src if right is None else right.dst, h.dst if left is None else left.src
-    )
-    sys.add_equation([(1, left, "x", right)], h)
-    sol = sys.solve()
-    return None if sol is None else sol["x"]
+        y = _solve_by_order(ring, left.mat, h.mat, h.src.orders, left.src.orders, h.dst.orders)
+        return None if y is None else BaseMorphism(h.src, left.src, y)
+    if right.src != h.src:
+        raise ValueError("right-hand side has the wrong endpoints")
+    y = _solve_by_order(ring, _transpose(right), _transpose(h), h.dst.orders, right.dst.orders, None)
+    return None if y is None else _columns_mor(right.dst, h.dst, y)
 
 
 @_memo

@@ -390,7 +390,9 @@ class Pullback2:
 
 def pullback2(f: TwoMorphism, g: TwoMorphism) -> Pullback2:
     kd = kernel2(copair2(f, -g))
-    p1, p2 = (compose2(p, kd.kmor) for p in biproduct2([f.src, g.src]).projections)
+    tops, bottoms = (biproduct_base((f.src.top, g.src.top))[2], biproduct_base((f.src.bottom, g.src.bottom))[2])
+    p1, p2 = (two_morphism(kd.obj, x, compose(pt, kd.kmor.top), compose(pb, kd.kmor.bottom))
+              for x, pt, pb in zip((f.src, g.src), tops, bottoms))
     cell = TwoCell(compose2(f, p1), compose2(g, p2), kd.kappa.mat)
     return Pullback2(kd.obj, p1, p2, cell)
 
@@ -402,13 +404,16 @@ class Pushout2:
     i2: TwoMorphism
     cell: TwoCell  # i1.f => i2.g
     cokernel: CokernelData
+    diff: TwoMorphism  # pair2(f, -g), of which cokernel is the cokernel
 
 
 def pushout2(f: TwoMorphism, g: TwoMorphism) -> Pushout2:
-    cd = cokernel2(pair2(f, -g))
-    i1, i2 = (compose2(cd.qmor, i) for i in biproduct2([f.dst, g.dst]).injections)
+    cd = cokernel2(diff := pair2(f, -g))
+    tops, bottoms = (biproduct_base((f.dst.top, g.dst.top))[1], biproduct_base((f.dst.bottom, g.dst.bottom))[1])
+    i1, i2 = (two_morphism(x, cd.obj, compose(cd.qmor.top, it), compose(cd.qmor.bottom, ib))
+              for x, it, ib in zip((f.dst, g.dst), tops, bottoms))
     cell = TwoCell(compose2(i1, f), compose2(i2, g), cd.zeta.mat)
-    return Pushout2(cd.obj, i1, i2, cell, cd)
+    return Pushout2(cd.obj, i1, i2, cell, cd, diff)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .limits2 import (
     factor_through_cokernel_data,
     factor_through_kernel_data,
     kernel2,
-    pair2,
     pushout2,
     solve_cell,
 )
@@ -168,8 +167,7 @@ def plain_snake(
 
     # two-square construction on the left square (f, a; f2, b)
     po = pushout2(f, a.mor)
-    i1, i2, phi1 = po.i1, po.i2, po.cell
-    diff = pair2(f, -a.mor)
+    i1, i2, phi1, diff = po.i1, po.i2, po.cell, po.diff
     w_j = copair2(g, zero2(a.mor.dst, g.dst))
     j = factor_cokernel2(po.cokernel, w_j, cell_to_zero(compose2(w_j, diff), eta.mat))
     w_c = copair2(b.mor, f2)

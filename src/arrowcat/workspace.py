@@ -31,6 +31,8 @@ MAX_GENERATORS = 1000
 # computed from larger entries can pass Python's 4,300-digit limit on
 # converting an integer to text, and a report could not be written
 MAX_ENTRY_BITS = 256
+# and an integer literal longer than such an entry, as it is read
+MAX_ENTRY_DIGITS = len(str(2**MAX_ENTRY_BITS - 1))
 
 
 @dataclass
@@ -187,9 +189,15 @@ def _names(entry: dict, key: str, where: str) -> list[str]:
     return names
 
 
+def _parse_int(literal: str) -> int:
+    if len(literal.lstrip("-")) > MAX_ENTRY_DIGITS:
+        raise WorkspaceError(f"integer literal of more than {MAX_ENTRY_DIGITS} digits")
+    return int(literal)
+
+
 def parse_workspace(text: str) -> Workspace:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as e:
         raise WorkspaceError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(data, dict) or "ring" not in data:

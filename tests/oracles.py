@@ -66,8 +66,9 @@ def exact_by_induced_map(f: BaseMorphism, g: BaseMorphism) -> bool:
     return cokernel_base(induced)[0].is_zero
 
 
-# Factorizations as one Kronecker-sized LinearSystem, the way the package
-# solved them before one-sided factoring over F_p became one row reduction.
+# Factorizations as one Kronecker-sized LinearSystem in every entry of x, the
+# way the package solved them before one-sided factoring became one solve per
+# generator order.
 
 
 def factor_by_linear_system(h: BaseMorphism, left=None, right=None) -> BaseMorphism | None:

@@ -960,6 +960,90 @@ class TestFieldFactoring:
             factor_base(h, right=other)
 
 
+def _mixed_z_object(rng):
+    """A Z object with torsion and free generators, so of two or more orders."""
+    orders = [rng.choice([2, 3, 4, 6])]
+    if rng.random() < 0.5:
+        orders.append(orders[0] * rng.choice([1, 2, 3]))
+    return z_object(rng.randrange(1, 3), tuple(orders))
+
+
+def _well_defined(x):
+    """d.x_ij = 0 modulo e_i for every source order d and target order e."""
+    return all(
+        (d * v) % e == 0 if e else d * v == 0
+        for row, e in zip(x.mat, x.dst.orders)
+        for v, d in zip(row, x.src.orders)
+    )
+
+
+class TestIntegerFactoring:
+    """Over Z one-sided factoring is one solve per generator order of the
+    columns (left) or rows (right) of x: None exactly when the Kronecker-sized
+    LinearSystem gives None, a well-defined solution otherwise, and the
+    LinearSystem's own x whenever the solution is unique."""
+
+    @staticmethod
+    def _outcomes(results, unique):
+        found = sum(1 for x in results if x is not None)
+        assert found >= 30 and len(results) - found >= 30, (found, len(results))
+        assert unique >= 30, unique
+
+    def test_left(self):
+        b = Bounds()
+        results, unique = [], 0
+        for rng, _dims, consistent in _factor_instances(ZZ, 1801):
+            x, y, w = random_base_object(rng, ZZ, b), random_base_object(rng, ZZ, b), _mixed_z_object(rng)
+            left = random_base_morphism(rng, x, y, b)
+            if consistent:
+                h = compose(left, random_base_morphism(rng, w, x, b))
+            else:
+                h = random_base_morphism(rng, w, y, b)
+            got = factor_base(h, left=left)
+            expected = factor_by_linear_system(h, left=left)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.src == w and got.dst == x and _well_defined(got) and compose(left, got) == h
+            if kernel_base(left)[0].is_zero:
+                assert got == expected
+                unique += 1
+            results.append(got)
+        self._outcomes(results, unique)
+
+    def test_right(self):
+        b = Bounds()
+        results, unique = [], 0
+        for rng, _dims, consistent in _factor_instances(ZZ, 1802):
+            x, y, w = random_base_object(rng, ZZ, b), _mixed_z_object(rng), random_base_object(rng, ZZ, b)
+            right = random_base_morphism(rng, w, x, b)
+            if consistent:
+                h = compose(random_base_morphism(rng, x, y, b), right)
+            else:
+                h = random_base_morphism(rng, w, y, b)
+            got = factor_base(h, right=right)
+            expected = factor_by_linear_system(h, right=right)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.src == x and got.dst == y and _well_defined(got) and compose(got, right) == h
+            if cokernel_base(right)[0].is_zero:
+                assert got == expected
+                unique += 1
+            results.append(got)
+        self._outcomes(results, unique)
+
+    def test_left_well_definedness_decides(self):
+        # 1 -> 1 would satisfy the equation, but Z/2 -> Z must be zero
+        z2 = z_object(0, (2,))
+        left = base_morphism(Z1, z2, [[1]])
+        assert factor_base(identity_mor(z2), left=left) is None
+
+    def test_right_well_definedness_decides(self):
+        # x(1) = 1 in Z/4 would satisfy the equation, but Z/2 -> Z/4 hits only 0 and 2
+        h = base_morphism(Z1, z_object(0, (4,)), [[1]])
+        right = base_morphism(Z1, z_object(0, (2,)), [[1]])
+        assert factor_base(h, right=right) is None
+
+
 @pytest.fixture
 def no_snf(monkeypatch):
     """Every arrowcat reference to smith_normal_form and kernel_lattice raises."""

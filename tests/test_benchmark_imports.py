@@ -33,7 +33,8 @@ finally:
     tracer.uninstall()
 calls = tracer.calls
 assert sum(n for name, n in calls.items() if name.startswith("snf.")) > 0, calls
-assert calls["baselin.LinearSystem.solve"] > 0, calls
+assert calls["baselin.factor_base"] > 0, calls
+assert calls["snf.solve_int"] > 0, calls
 """
 
 

@@ -44,6 +44,8 @@ from arrowcat.limits2 import (
     pi0_obj,
     pi1_obj,
     pip2,
+    pullback2,
+    pushout2,
     rel_cokernel2,
     rel_kernel2,
     root2,
@@ -163,6 +165,21 @@ class TestPairing2:
             assert pair2(*into) == sum(terms[1:], terms[0])
             terms = [compose2(u, p) for u, p in zip(out, bp.projections)]
             assert copair2(*out) == sum(terms[1:], terms[0])
+
+    @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
+    def test_pullback_and_pushout_match_biproduct2(self, ring):
+        rng = random.Random(1801)
+        bounds = Bounds(max_dim=2)
+        for _ in range(10):
+            x, y, z = (random_two_object(rng, ring, bounds) for _ in range(3))
+            f, g = random_square(rng, x, z), random_square(rng, y, z)
+            pb = pullback2(f, g)
+            kmor = kernel2(copair2(f, -g)).kmor
+            assert (pb.p1, pb.p2) == tuple(compose2(p, kmor) for p in biproduct2([x, y]).projections)
+            f, g = random_square(rng, z, x), random_square(rng, z, y)
+            po = pushout2(f, g)
+            assert po.diff == pair2(f, -g)
+            assert (po.i1, po.i2) == tuple(compose2(po.cokernel.qmor, i) for i in biproduct2([x, y]).injections)
 
     def test_mismatched_endpoints_raise(self):
         f2 = GF(2)

@@ -10,6 +10,7 @@ from arrowcat.cli import main, nonsplit_workspace
 from arrowcat.generators import Bounds, random_cell_on, random_square, random_two_object
 from arrowcat.workspace import (
     MAX_ENTRY_BITS,
+    MAX_ENTRY_DIGITS,
     MAX_GENERATORS,
     Workspace,
     WorkspaceError,
@@ -161,8 +162,9 @@ class TestWorkspace:
             (2**MAX_ENTRY_BITS, (), "matrix entry [0][0]"),
             (-(2**MAX_ENTRY_BITS), (), "matrix entry [0][0]"),
             (1, (2**MAX_ENTRY_BITS,), "torsion order [0]"),
+            (10**MAX_ENTRY_DIGITS - 1, (), "matrix entry [0][0]"),
         ],
-        ids=["entry", "negative-entry", "torsion-order"],
+        ids=["entry", "negative-entry", "torsion-order", "most-digits"],
     )
     def test_oversized_entry_is_a_clean_error(self, entry, torsion, message, tmp_path):
         path = tmp_path / "big.json"
@@ -170,6 +172,16 @@ class TestWorkspace:
         proc = run_cli(["classify", "--in", str(path), "--morphism", "u"])
         assert proc.returncode == 1
         assert proc.stderr == f"error: object 'x': {message} has more than {MAX_ENTRY_BITS} bits\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_overlong_literal_is_a_clean_error(self, sign, tmp_path):
+        # 5,000 digits: past Python's own 4,300-digit limit on reading an int
+        path = tmp_path / "long.json"
+        path.write_text(self._entry_workspace(0, ()).replace("[[0]]", f"[[{sign}{'1' * 5000}]]"))
+        proc = run_cli(["classify", "--in", str(path), "--morphism", "u"])
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: integer literal of more than {MAX_ENTRY_DIGITS} digits\n"
         assert proc.stdout == ""
 
     @pytest.mark.parametrize(
