@@ -10,8 +10,9 @@ on the subspaces, not on the order of elimination.  Over Z it is integer
 congruence solving through the Smith normal form (snf), with objects kept
 in invariant-factor form, so that isomorphic objects compare equal:
 splitting and exactness are decided by comparing objects, without a solve.
-Factoring through a map on one side is one solve per generator order, with
-a matrix right-hand side: one row reduction of [L | H] over F_p.
+Factoring through a map (factor_base) takes exactly one side and is one
+solve per generator order, with a matrix right-hand side: one row reduction
+of [L | H] over F_p.
 A biproduct keeps the concatenated orders of its parts, with block
 identities, whenever they are already in that form (always over F_p); a map
 into or out of it (pair_base, copair_base) is then its stacked rows or
@@ -231,9 +232,8 @@ def pushout_base(f: BaseMorphism, g: BaseMorphism):
 
 
 # ---------------------------------------------------------------------------
-# Linear systems over the base: every system in unknown squares and cells
-# of the 2-dimensional layer, the generators' draws, and factor_base with
-# both sides given.
+# Linear systems over the base: the systems in unknown squares and cells of
+# the 2-dimensional layer that couple them, and the generators' draws.
 # ---------------------------------------------------------------------------
 
 
@@ -433,22 +433,17 @@ def _solve_by_order(ring, a, b, orders, x_orders, row_orders):
 def factor_base(
     h: BaseMorphism, left: BaseMorphism | None = None, right: BaseMorphism | None = None
 ) -> BaseMorphism | None:
-    """Some x with left.x.right = h, None standing for an identity side, or None.
+    """Some x with left.x = h or x.right = h, or None; exactly one side is given.
 
-    With one side it splits by column of x (left.x = h: column c solves
-    L.x_c = h_c with d_c.x_c = 0, d_c the order of source generator c) or
-    by row (x.right = h: row r solves R^T.x_r^T = h_r^T with d_j.x_rj = 0,
-    all modulo the order of target generator r), one solve per order.
-    With both sides or neither it is one LinearSystem in x.  Mismatched
-    endpoints raise ValueError.
+    With a left side it splits by column of x (column c solves L.x_c = h_c
+    with d_c.x_c = 0, d_c the order of source generator c), with a right
+    side by row (row r solves R^T.x_r^T = h_r^T with d_j.x_rj = 0, all
+    modulo the order of target generator r), one solve per order.  Both
+    sides or neither, and mismatched endpoints, raise ValueError.
     """
     ring = h.ring
     if (left is None) == (right is None):
-        sys = LinearSystem(ring)
-        sys.add_unknown("x", h.src if right is None else right.dst, h.dst if left is None else left.src)
-        sys.add_equation([(1, left, "x", right)], h)
-        sol = sys.solve()
-        return None if sol is None else sol["x"]
+        raise ValueError("factor_base takes exactly one side")
     if left is not None:
         if left.dst != h.dst:
             raise ValueError("right-hand side has the wrong endpoints")

@@ -9,9 +9,10 @@ exactness in the middle, cofaithfulness surjectivity on the right; the
 normal variants add that the map splits, and equivalences are the split
 exact case.  Splitting is a summand condition read off invariant factors
 (baselin.splits_base): ker f must be a summand of the source and im f of the
-target.  Witness data for an equivalence is decided first and then
-extracted from an actual splitting, and all twelve equations are checked
-before returning.
+target.  Witness data for an equivalence is decided first, then taken to be
+the componentwise inverses of the square when both components are
+isomorphisms, else extracted from an actual splitting; all twelve equations
+are checked before returning.  No system is solved for a whole square.
 """
 
 from __future__ import annotations
@@ -19,17 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .baselin import (
-    LinearSystem,
     biproduct_base,
     cokernel_base,
     exact_at_base,
+    factor_base,
     kernel_base,
     split_data_base,
     splits_base,
 )
 from .basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mor
 from .baseobj import z_object, zero_object
-from .core2 import TwoMorphism, add_homotopy, add_square, identity2, two_morphism, two_object
+from .core2 import TwoMorphism, two_morphism, two_object
 from .limits2 import SequenceData, factor_through, sequence_of
 from .rings import ZZ
 
@@ -134,9 +135,9 @@ def equivalence_data2(u: TwoMorphism) -> EquivalenceData | None:
 
     Equivalence is decided first, as a split [-d; u1] plus exactness, and
     only then is a witness built.  It prefers a strict inverse (epsilon =
-    eta = 0, a linear solve) so honest isomorphisms return their actual
-    inverses; otherwise it is extracted from the splitting, which forces
-    all twelve equations.
+    eta = 0, the componentwise inverses) so honest isomorphisms return their
+    actual inverses; otherwise it is extracted from the splitting, which
+    forces all twelve equations.
     """
     seq = sequence_of(u)
     if not _equivalence(seq):
@@ -165,22 +166,20 @@ def equivalence_data2(u: TwoMorphism) -> EquivalenceData | None:
 
 
 def _strict_witness(u: TwoMorphism) -> EquivalenceData | None:
-    """A strict quasi-inverse (epsilon = eta = 0) when one exists."""
+    """A strict quasi-inverse (epsilon = eta = 0) when one exists.
+
+    v.u = 1 and u.v = 1 strictly say v1 = u1^-1 and v0 = u0^-1, and v then
+    commutes because u does: the witness is the componentwise inverses.
+    """
     a, b = u.src, u.dst
-    sys = LinearSystem(u.top.ring)
-    v = add_square(sys, "v", b, a)
-    # v.u = 1 and u.v = 1 strictly
-    add_homotopy(sys, None, identity2(a), [(1, None, v, u)])
-    add_homotopy(sys, None, identity2(b), [(1, u, v, None)])
-    sol = sys.solve()
-    if sol is None:
+    # right inverses first; each is the inverse exactly when it is also a left one
+    v1 = factor_base(identity_mor(b.top), left=u.top)
+    v0 = factor_base(identity_mor(b.bottom), left=u.bottom)
+    if v1 is None or v0 is None:
         return None
-    return EquivalenceData(
-        v1=sol[v.top],
-        v0=sol[v.bottom],
-        epsilon=zero_mor(b.bottom, b.top),
-        eta=zero_mor(a.bottom, a.top),
-    )
+    if compose(v1, u.top) != identity_mor(a.top) or compose(v0, u.bottom) != identity_mor(a.bottom):
+        return None
+    return EquivalenceData(v1=v1, v0=v0, epsilon=zero_mor(b.bottom, b.top), eta=zero_mor(a.bottom, a.top))
 
 
 def _verify_equivalence(u: TwoMorphism, d: EquivalenceData):

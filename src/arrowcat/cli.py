@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -38,21 +39,13 @@ def _mor_json(u: TwoMorphism):
 
 
 def _flags_json(fl):
-    return {
-        "faithful": fl.faithful,
-        "full": fl.full,
-        "fullyFaithful": fl.fully_faithful,
-        "cofaithful": fl.cofaithful,
-        "fullyCofaithful": fl.fully_cofaithful,
-        "normalFaithful": fl.normal_faithful,
-        "normalFullyFaithful": fl.normal_fully_faithful,
-        "normalCofaithful": fl.normal_cofaithful,
-        "normalFullyCofaithful": fl.normal_fully_cofaithful,
-        "equivalence": fl.equivalence,
-        "discreteSource": fl.discrete_source,
-        "connectedSource": fl.connected_source,
-        "splitSource": fl.split_source,
-    }
+    """The flags of an ArrowClassification in field order, keyed by the
+    camelCase of their field names."""
+    out = {}
+    for f in dataclasses.fields(fl):
+        head, *rest = f.name.split("_")
+        out[head + "".join(w.capitalize() for w in rest)] = getattr(fl, f.name)
+    return out
 
 
 def _load(args) -> Workspace:

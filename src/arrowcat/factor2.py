@@ -11,9 +11,10 @@ Ker(Coker u) witness 2-Puppe-exactness when they are equivalences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .baselin import LinearSystem, cokernel_base, kernel_base
-from .basemor import BaseMorphism, base_morphism
+from .baselin import LinearSystem, cokernel_base, copair_base, kernel_base, pair_base
+from .basemor import BaseMorphism
 from .classify2 import ArrowClassification, classify2
 from .core2 import (
     TwoMorphism,
@@ -137,8 +138,10 @@ def orthogonal2(e: TwoMorphism, m: TwoMorphism, rivals) -> OrthogonalityReport:
 
     A rival is (a, psi, b) with a: dom(e) -> dom(m), b: cod(e) -> cod(m) and
     psi: m.a => b.e.  For each rival a diagonal filler c with cells nu:
-    c.e => a and mu: m.c => b is solved for; uniqueness of fillers is the
-    triviality of the loop-cell system.
+    c.e => a and mu: m.c => b is solved for.  Fillers are unique when no
+    nonzero loop cell is killed by both whiskers, that is when Hom(Q, K) = 0
+    for Q the cokernel of (d_X e0) and K the kernel of (d_Y; m1), read off
+    their invariant factors (_fillers_unique).
     """
     fillers = []
     holds = True
@@ -170,18 +173,15 @@ def _solve_filler(e, m, a, psi, b):
 
 
 def _fillers_unique(e, m) -> bool:
-    """No nonzero loop cell gamma on cod(e) -> dom(m) is killed by both whiskers."""
+    """No nonzero loop cell gamma: X0 -> Y1 on cod(e) -> dom(m) is killed by
+    both whiskers.  Those gamma kill the image of (d_X e0): X1 (+) E0 -> X0
+    and land in the kernel of (d_Y; m1): Y1 -> Y0 (+) M1, so they are
+    Hom(Q, K) for Q that cokernel and K that kernel; Hom(Z/a, Z/b) is
+    Z/gcd(a, b), Hom(Z, Z/b) is Z/b and Hom(Z/a, Z) is 0 for a != 0."""
     x, y = e.dst, m.src
-    sys = LinearSystem(e.top.ring)
-    g = add_cell(sys, "g", x, y)
-    add_homotopy(sys, g, [], [])
-    sys.add_equation([(1, None, g.name, e.bottom)])
-    sys.add_equation([(1, m.top, g.name, None)])
-    for entry in sys.homogeneous_basis():
-        gm = base_morphism(x.bottom, y.top, entry[g.name])
-        if not gm.is_zero_mor():
-            return False
-    return True
+    q = cokernel_base(copair_base(x.boundary, e.bottom))[0]
+    k = kernel_base(pair_base(y.boundary, m.top))[0]
+    return not any(a == 0 or (b != 0 and gcd(a, b) > 1) for a in q.orders for b in k.orders)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from .core2 import (
 def factor_through(
     h: BaseMorphism, left: BaseMorphism | None = None, right: BaseMorphism | None = None
 ) -> BaseMorphism:
-    """x with left.x.right = h (baselin.factor_base), which must exist."""
+    """x with left.x = h or x.right = h (baselin.factor_base), which must exist."""
     x = factor_base(h, left, right)
     if x is None:
         raise AssertionError("factorization does not exist")

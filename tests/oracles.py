@@ -5,7 +5,9 @@ import operator
 from dataclasses import dataclass
 
 from arrowcat.baselin import LinearSystem, biproduct_base, cokernel_base, factor_base, kernel_base
-from arrowcat.basemor import BaseMorphism, compose, identity_mor
+from arrowcat.basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mor
+from arrowcat.classify2 import EquivalenceData
+from arrowcat.core2 import add_cell, add_homotopy, add_square, identity2
 
 
 def rank_mod_p(mat, p: int) -> int:
@@ -68,7 +70,7 @@ def exact_by_induced_map(f: BaseMorphism, g: BaseMorphism) -> bool:
 
 # Factorizations as one Kronecker-sized LinearSystem in every entry of x, the
 # way the package solved them before one-sided factoring became one solve per
-# generator order.
+# generator order.  It also takes both sides, which factor_base refuses.
 
 
 def factor_by_linear_system(h: BaseMorphism, left=None, right=None) -> BaseMorphism | None:
@@ -106,3 +108,39 @@ def joint_factor_by_linear_system(k, kappa, a, b) -> BaseMorphism | None:
     sys.add_equation([(1, kappa, "s", None)], b)
     sol = sys.solve()
     return None if sol is None else sol["s"]
+
+
+# A strict quasi-inverse and the uniqueness of orthogonality fillers as
+# LinearSystems in a whole square or cell, the way classify2 and factor2
+# decided them before reading them off componentwise inverses and invariant
+# factors.
+
+
+def strict_witness_by_linear_system(u) -> EquivalenceData | None:
+    """A square v with v.u = 1 and u.v = 1 strictly, with epsilon = eta = 0,
+    or None, from one LinearSystem in v."""
+    a, b = u.src, u.dst
+    sys = LinearSystem(u.top.ring)
+    v = add_square(sys, "v", b, a)
+    add_homotopy(sys, None, identity2(a), [(1, None, v, u)])
+    add_homotopy(sys, None, identity2(b), [(1, u, v, None)])
+    sol = sys.solve()
+    if sol is None:
+        return None
+    return EquivalenceData(
+        v1=sol[v.top], v0=sol[v.bottom], epsilon=zero_mor(b.bottom, b.top), eta=zero_mor(a.bottom, a.top)
+    )
+
+
+def fillers_unique_by_linear_system(e, m) -> bool:
+    """Whether no nonzero loop cell cod(e) -> dom(m) is killed by both
+    whiskers, from the homogeneous basis of one LinearSystem in the cell."""
+    x, y = e.dst, m.src
+    sys = LinearSystem(e.top.ring)
+    g = add_cell(sys, "g", x, y)
+    add_homotopy(sys, g, [], [])
+    sys.add_equation([(1, None, g.name, e.bottom)])
+    sys.add_equation([(1, m.top, g.name, None)])
+    return all(
+        base_morphism(x.bottom, y.top, entry[g.name]).is_zero_mor() for entry in sys.homogeneous_basis()
+    )

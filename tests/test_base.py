@@ -323,15 +323,18 @@ class TestSolve:
     def test_right_and_both_sides(self):
         triple = base_morphism(Z1, Z1, [[3]])
         assert factor_base(base_morphism(Z1, Z1, [[6]]), right=triple) == doubling()
-        both = factor_base(base_morphism(Z1, Z1, [[12]]), left=doubling(), right=triple)
-        assert both == doubling()
         # x: Z -> Z/2 with x . 2 = 0 and x != 0: left and right read off the unknown
         x = factor_base(zero_mor(Z1, Z2T), right=doubling())
         assert x is not None and x.src == Z1 and x.dst == Z2T
 
     def test_infeasible_is_none(self):
         assert factor_base(identity_mor(Z1), right=doubling()) is None
-        assert factor_base(identity_mor(Z1), left=doubling(), right=doubling()) is None
+
+    def test_exactly_one_side(self):
+        with pytest.raises(ValueError):
+            factor_base(base_morphism(Z1, Z1, [[12]]), left=doubling(), right=base_morphism(Z1, Z1, [[3]]))
+        with pytest.raises(ValueError):
+            factor_base(identity_mor(Z1))
 
     def test_mismatched_endpoints_raise(self):
         with pytest.raises(ValueError):

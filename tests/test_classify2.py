@@ -5,21 +5,31 @@ import pytest
 
 import arrowcat.classify2 as classify2_module
 from arrowcat import GF, ZZ, base_morphism, z_object, zero_mor, zero_object
-from arrowcat.baselin import split_data_base
+from arrowcat.baselin import factor_base, split_data_base
+from arrowcat.basemor import identity_mor
 from arrowcat.classify2 import (
     _equivalence,
     _fully_cofaithful,
     _fully_faithful,
+    _strict_witness,
     classify2,
     equivalence_data2,
     inverse_from_data,
 )
 from arrowcat.core2 import compose2, deform, identity2, two_morphism, two_object
-from arrowcat.generators import Bounds, random_base_morphism, random_complex, random_square, random_two_object
+from arrowcat.generators import (
+    Bounds,
+    random_base_morphism,
+    random_complex,
+    random_self_equivalence,
+    random_square,
+    random_two_object,
+)
 from arrowcat.limits2 import cokernel2, factor_cokernel2, factor_kernel2, kernel2, sequence_of
 from arrowcat.puppe import puppe
 from arrowcat.selftest import z_counterexample
 from arrowcat.sequences import exactness
+from oracles import strict_witness_by_linear_system
 
 RINGS = (GF(2), GF(3), GF(5), ZZ)
 
@@ -77,8 +87,6 @@ def test_identity_witness_is_identity(rng, bounds):
     x = random_two_object(rng, GF(3), bounds)
     u = identity2(x)
     d = equivalence_data2(u)
-    from arrowcat.basemor import identity_mor
-
     assert d.v1 == identity_mor(x.top)
     assert d.v0 == identity_mor(x.bottom)
     assert d.epsilon.is_zero_mor() and d.eta.is_zero_mor()
@@ -186,3 +194,30 @@ def test_invariant_splitting_matches_the_witness_search(monkeypatch):
             assert getattr(fl, field.name) == getattr(ref, field.name), (field.name, u)
         nonsplit += (fl.faithful and not fl.normal_faithful) + (not fl.split_source)
     assert nonsplit >= 10, nonsplit
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_strict_witness_matches_the_square_system(ring):
+    """The componentwise inverses are the strict quasi-inverse the square
+    system in v finds, and exist exactly when it does.  Self-equivalences
+    (the identity deformed by a cell) mostly have one; random squares mostly
+    do not, and some of them have one-sided inverses on both components."""
+    rng = random.Random(1919)
+    found = none = one_sided = draws = 0
+    while draws < 100 or min(found, none) < 25:
+        draws += 1
+        assert draws <= 1000, (found, none)
+        b = Bounds(max_dim=2 + draws % 2)
+        x = random_two_object(rng, ring, b)
+        if draws % 2:
+            u = random_self_equivalence(rng, x, b)
+        else:
+            u = random_square(rng, x, random_two_object(rng, ring, b))
+        got = _strict_witness(u)
+        assert got == strict_witness_by_linear_system(u)
+        found += got is not None
+        none += got is None
+        one_sided += got is None and all(
+            factor_base(identity_mor(c.dst), left=c) is not None for c in (u.top, u.bottom)
+        )
+    assert one_sided > 0

@@ -4,11 +4,21 @@ import pytest
 
 from arrowcat import GF, ZZ, base_morphism, z_object, zero_mor, zero_object
 from arrowcat.classify2 import classify2
-from arrowcat.core2 import compose2, identity2, identity_cell, is_zero_equivalent, two_morphism, two_object, zero2
-from arrowcat.factor2 import factor2, goodness_comparisons, orthogonal2
+from arrowcat.core2 import (
+    compose2,
+    identity2,
+    identity_cell,
+    is_zero_equivalent,
+    two_morphism,
+    two_object,
+    zero2,
+    zero_two_object,
+)
+from arrowcat.factor2 import _fillers_unique, factor2, goodness_comparisons, orthogonal2
 from arrowcat.generators import Bounds, random_square, random_two_object
 from arrowcat.limits2 import biproduct2, pullback2
 from arrowcat.matrix2 import grid_product, matrix_assemble2, matrix_of2
+from oracles import fillers_unique_by_linear_system
 
 
 def z_counter_square():
@@ -94,6 +104,33 @@ class TestOrthogonality:
         rival = (a, identity_cell(compose2(l, a)), b)
         rep = orthogonal2(l, l, [rival])
         assert rep.fillers[0] is not None
+
+    @pytest.mark.parametrize("ring", (GF(2), GF(3), GF(5), ZZ), ids=str)
+    def test_fillers_unique_matches_the_cell_system(self, ring):
+        """Hom(Q, K) = 0 read off invariant factors agrees with the homogeneous
+        loop-cell system.  Every third draw has e out of and m into the zero
+        object, so Q is the cokernel of d_X and K the kernel of d_Y alone."""
+        rng = random.Random(1931)
+        unique = not_unique = draws = 0
+        while draws < 100 or min(unique, not_unique) < 25:
+            draws += 1
+            assert draws <= 1000, (unique, not_unique)
+            b = Bounds(max_dim=2 + draws % 2)
+            x, y = random_two_object(rng, ring, b), random_two_object(rng, ring, b)
+            ends = [random_two_object(rng, ring, b) if draws % 3 else zero_two_object(ring) for _ in "em"]
+            e, m = random_square(rng, ends[0], x), random_square(rng, y, ends[1])
+            got = _fillers_unique(e, m)
+            assert got == fillers_unique_by_linear_system(e, m)
+            unique += got
+            not_unique += not got
+
+    def test_free_loop_cells_are_not_unique(self):
+        # X = (0 -> Z) and Y = (Z -> 0) with e and m zero: Q = K = Z, Hom(Z, Z) = Z
+        z1, zz = z_object(1), zero_object(ZZ)
+        x, y = two_object(zero_mor(zz, z1)), two_object(zero_mor(z1, zz))
+        e, m = zero2(zero_two_object(ZZ), x), zero2(y, zero_two_object(ZZ))
+        assert not _fillers_unique(e, m)
+        assert not fillers_unique_by_linear_system(e, m)
 
 
 class TestMatrixCalculus:
