@@ -8,8 +8,9 @@ the nonzero rows of the reduced row echelon form of the transpose, a
 cokernel the complement of their pivot columns.  These bases depend only
 on the subspaces, not on the order of elimination.  Over Z it is integer
 congruence solving through the Smith normal form (snf), with objects kept
-in invariant-factor form, so that isomorphic objects compare equal:
-splitting and exactness are decided by comparing objects, without a solve.
+in invariant-factor form and interned, so that isomorphic objects are one
+instance: splitting and exactness are decided by comparing objects, without
+a solve.
 Factoring through a map (factor_base) takes exactly one side and is one
 solve per generator order, with a matrix right-hand side: one row reduction
 of [L | H] over F_p.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from . import intmat
 from .baseobj import BaseObject, field_object, make_object
-from .basemor import BaseMorphism, _memo, _product, _reduced, base_morphism, compose, identity_mor
+from .basemor import BaseMorphism, _memo, _product, _reduced, base_morphism, compose, identity_mor, zero_mor
 from .intmat import Matrix
 from .modsolve import nullspace_mod_p, row_space_mod_p, solve_mod_p
 from .rings import ZZ, BaseRing
@@ -438,8 +439,10 @@ def factor_base(
     With a left side it splits by column of x (column c solves L.x_c = h_c
     with d_c.x_c = 0, d_c the order of source generator c), with a right
     side by row (row r solves R^T.x_r^T = h_r^T with d_j.x_rj = 0, all
-    modulo the order of target generator r), one solve per order.  Both
-    sides or neither, and mismatched endpoints, raise ValueError.
+    modulo the order of target generator r), one solve per order.  A zero h
+    gives the interned zero morphism, without a solve: x = 0 solves both
+    equations.  Both sides or neither, and mismatched endpoints, raise
+    ValueError.
     """
     ring = h.ring
     if (left is None) == (right is None):
@@ -447,10 +450,14 @@ def factor_base(
     if left is not None:
         if left.dst != h.dst:
             raise ValueError("right-hand side has the wrong endpoints")
+        if h.is_zero_mor():
+            return zero_mor(h.src, left.src)
         y = _solve_by_order(ring, left.mat, h.mat, h.src.orders, left.src.orders, h.dst.orders)
         return None if y is None else BaseMorphism(h.src, left.src, y)
     if right.src != h.src:
         raise ValueError("right-hand side has the wrong endpoints")
+    if h.is_zero_mor():
+        return zero_mor(right.dst, h.dst)
     y = _solve_by_order(ring, _transpose(right), _transpose(h), h.dst.orders, right.dst.orders, None)
     return None if y is None else _columns_mor(right.dst, h.dst, y)
 
@@ -463,7 +470,7 @@ def splits_base(f: BaseMorphism) -> bool:
     and 0 -> I -> dst -> coker f -> 0 split, and a short exact sequence
     0 -> A -> B -> C -> 0 of finitely generated modules splits iff B and
     A (+) C are isomorphic (Miyata 1967).  Objects are in invariant-factor
-    form, so isomorphic objects compare equal.  Over F_p every map splits.
+    form, so isomorphic objects are one instance.  Over F_p every map splits.
     """
     if f.ring.is_field:
         return True

@@ -10,7 +10,9 @@ The check contract: every BaseMorphism that is built is validated.  One
 matrix kernel, _product and _difference, gives the canonically reduced
 matrices of composites and differences; compose and __sub__ wrap them, and
 the square and cell equations of core2 compare them directly, since two
-parallel morphisms are equal exactly when their reduced matrices are.  Zero
+parallel morphisms are equal exactly when their reduced matrices are.
+Objects and rings are interned, so the endpoint checks (composable,
+parallel, one ring) are identity tests.  Zero
 and identity morphisms are interned: each is built and validated once per
 pair of objects while it stays in the bounded memo.  A zero or identity
 factor needs no arithmetic: compose returns the interned zero morphism or

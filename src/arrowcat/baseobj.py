@@ -4,7 +4,12 @@ A BaseObject is a finitely generated module presented by generator orders:
 order 0 means a free generator, order d > 1 a Z/d summand.  Torsion
 generators come first, in a divisibility chain, free generators last; over
 F_p every generator has order p.  This is the invariant-factor normal form,
-so isomorphic objects always compare equal.
+so isomorphic objects have the same orders.
+
+Objects are interned: BaseObject(ring, orders) returns one instance per
+(ring, orders), so isomorphic objects are the same instance, and equality
+and hashing are object identity.  Orders are validated before an object is
+registered, so an invalid one leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -14,31 +19,33 @@ from dataclasses import dataclass
 from .rings import BaseRing
 
 
-@dataclass(frozen=True)
+_OBJECTS: dict = {}  # (ring, orders) -> its one BaseObject
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class BaseObject:
     ring: BaseRing
     orders: tuple[int, ...]
 
-    def __post_init__(self):
-        o = self.orders
+    def __new__(cls, ring: BaseRing, orders: tuple[int, ...]):
+        key = (ring, orders)
+        try:
+            return _OBJECTS[key]
+        except KeyError:
+            pass
+        _validate(ring, orders)
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "orders", orders)
         # the generator count, read on every morphism check: set once, and
-        # not a field, so equality, hashing and asdict see ring and orders only
-        object.__setattr__(self, "ngens", len(o))
-        if self.ring.is_field:
-            if any(x != self.ring.p for x in o):
-                raise ValueError("field object generators must all have order p")
-        else:
-            k = 0
-            while k < len(o) and o[k] != 0:
-                k += 1
-            tors, free = o[:k], o[k:]
-            if any(x != 0 for x in free):
-                raise ValueError("free generators must come last")
-            if any(x < 2 for x in tors):
-                raise ValueError("torsion orders must exceed 1")
-            for a, b in zip(tors, tors[1:]):
-                if b % a != 0:
-                    raise ValueError(f"orders not a divisibility chain: {o}")
+        # not a field, so repr and asdict see ring and orders only
+        object.__setattr__(self, "ngens", len(orders))
+        _OBJECTS[key] = self
+        return self
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle go back through the table
+        return BaseObject, (self.ring, self.orders)
 
     @property
     def free_rank(self) -> int:
@@ -76,6 +83,24 @@ class BaseObject:
         parts = [f"Z/{d}" for d in self.torsion]
         parts += ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "0"
+
+
+def _validate(ring: BaseRing, o: tuple[int, ...]) -> None:
+    if ring.is_field:
+        if any(x != ring.p for x in o):
+            raise ValueError("field object generators must all have order p")
+    else:
+        k = 0
+        while k < len(o) and o[k] != 0:
+            k += 1
+        tors, free = o[:k], o[k:]
+        if any(x != 0 for x in free):
+            raise ValueError("free generators must come last")
+        if any(x < 2 for x in tors):
+            raise ValueError("torsion orders must exceed 1")
+        for a, b in zip(tors, tors[1:]):
+            if b % a != 0:
+                raise ValueError(f"orders not a divisibility chain: {o}")
 
 
 def field_object(ring: BaseRing, dim: int) -> BaseObject:

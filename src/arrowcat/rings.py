@@ -1,4 +1,8 @@
-"""Base rings: prime fields F_p and the integers."""
+"""Base rings: prime fields F_p and the integers.
+
+Rings are interned: BaseRing(p) returns one instance per p, so two equal
+rings are the same object, and equality and hashing are object identity.
+"""
 
 from __future__ import annotations
 
@@ -22,18 +26,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+_RINGS: dict = {}  # p -> its one BaseRing
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class BaseRing:
     """Either F_p (p a prime below 2**31) or Z (p is None)."""
 
     p: int | None = None
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not (2 <= self.p < _P_LIMIT):
-                raise ValueError(f"field characteristic out of range: {self.p}")
-            if not _is_prime(self.p):
-                raise ValueError(f"not a prime: {self.p}")
+    def __new__(cls, p: int | None = None):
+        try:
+            return _RINGS[p]
+        except KeyError:
+            pass
+        if p is not None:
+            if not (2 <= p < _P_LIMIT):
+                raise ValueError(f"field characteristic out of range: {p}")
+            if not _is_prime(p):
+                raise ValueError(f"not a prime: {p}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        _RINGS[p] = self
+        return self
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle go back through the table
+        return BaseRing, (self.p,)
 
     @property
     def is_field(self) -> bool:

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import inspect
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -12,8 +14,10 @@ import pytest
 
 from arrowcat import GF, ZZ, base_morphism, compose, field_object, identity_mor, z_object, zero_mor, zero_object
 import arrowcat
-from arrowcat import snf
+from arrowcat import baseobj, rings, snf
+from arrowcat.baseobj import BaseObject, make_object
 from arrowcat.basemor import BaseMorphism, _product
+from arrowcat.rings import BaseRing
 from arrowcat.baselin import (
     LinearSystem,
     biproduct_base,
@@ -719,6 +723,60 @@ class TestInterning:
         assert inspect.isfunction(fn.__wrapped__)
 
 
+class TestObjectInterning:
+    """Equal rings and equal objects are one instance, so they compare and
+    hash by identity; every way of building one returns that instance."""
+
+    def test_equal_values_are_one_instance(self):
+        assert GF(3) is GF(3) is BaseRing(3)
+        assert BaseRing() is BaseRing(None) is ZZ
+        assert z_object(1, (2,)) is make_object(ZZ, (2, 0))
+        assert z_object(3, (7, 49)) is BaseObject(ZZ, (7, 49, 0, 0, 0))
+        assert field_object(GF(5), 2) is make_object(GF(5), [5, 5])
+        assert zero_object(GF(2)) is not zero_object(GF(3))
+
+    def test_equality_and_hash_are_identity(self):
+        for cls in (BaseRing, BaseObject):
+            assert cls.__eq__ is object.__eq__
+            assert cls.__hash__ is object.__hash__
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_the_same_instance(self, copier):
+        for value in (ZZ, GF(7), z_object(2, (3, 6)), field_object(GF(3), 2), zero_object(ZZ)):
+            assert copier(value) is value
+        f = quotient_mod2()
+        g = copier(f)
+        assert g == f and g.src is f.src and g.dst is f.dst
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: make_object(ZZ, (4, 2)), "orders not a divisibility chain: \\(4, 2\\)"),
+            (lambda: BaseObject(ZZ, (0, 2)), "free generators must come last"),
+            (lambda: z_object(0, (1,)), "torsion orders must exceed 1"),
+            (lambda: make_object(GF(3), (3, 5)), "generators must all have order p"),
+            (lambda: GF(4), "not a prime: 4"),
+            (lambda: BaseRing(2**31 + 11), "field characteristic out of range"),
+        ],
+        ids=["chain", "free-first", "unit", "field", "composite", "large"],
+    )
+    def test_invalid_raises_and_registers_nothing(self, build, message):
+        before = dict(baseobj._OBJECTS), dict(rings._RINGS)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                build()
+        assert (baseobj._OBJECTS, rings._RINGS) == before
+
+    def test_biproduct_registers_only_its_invariant_form(self):
+        obj = biproduct_base((z_object(0, (4,)), z_object(0, (2,))))[0]
+        assert obj is z_object(0, (2, 4))
+        assert (ZZ, (4, 2)) not in baseobj._OBJECTS
+
+
 class TestCompositionShortcuts:
     """compose and _product skip the arithmetic for a zero factor or an
     identity endomorphism, and only for those."""
@@ -1045,6 +1103,35 @@ class TestIntegerFactoring:
         h = base_morphism(Z1, z_object(0, (4,)), [[1]])
         right = base_morphism(Z1, z_object(0, (2,)), [[1]])
         assert factor_base(h, right=right) is None
+
+
+class TestZeroFactoring:
+    """A zero h factors as the interned zero morphism on either side, the
+    same value the Kronecker-sized LinearSystem gives."""
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_zero_h_gives_the_interned_zero(self, ring):
+        rng = random.Random(2002)
+        b = Bounds()
+        for _ in range(40):
+            w, x, y = (random_base_object(rng, ring, b) for _ in range(3))
+            # a fresh zero matrix, not the interned zero morphism
+            h = BaseMorphism(w, y, tuple((0,) * w.ngens for _ in range(y.ngens)))
+            left = random_base_morphism(rng, x, y, b)
+            got = factor_base(h, left=left)
+            assert got is zero_mor(w, x)
+            assert got == factor_by_linear_system(h, left=left)
+            right = random_base_morphism(rng, w, x, b)
+            got = factor_base(h, right=right)
+            assert got is zero_mor(x, y)
+            assert got == factor_by_linear_system(h, right=right)
+
+    def test_mismatched_endpoints_still_raise(self):
+        h = zero_mor(Z1, Z2T)
+        with pytest.raises(ValueError, match="wrong endpoints"):
+            factor_base(h, left=identity_mor(Z1))
+        with pytest.raises(ValueError, match="wrong endpoints"):
+            factor_base(h, right=identity_mor(Z2T))
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from arrowcat.generators import (
     Bounds,
     random_base_morphism,
     random_complex,
+    random_finite_object,
     random_self_equivalence,
     random_square,
     random_two_object,
@@ -221,3 +222,26 @@ def test_strict_witness_matches_the_square_system(ring):
             factor_base(identity_mor(c.dst), left=c) is not None for c in (u.top, u.bottom)
         )
     assert one_sided > 0
+
+
+@pytest.mark.parametrize("ring", (GF(2), GF(3), ZZ), ids=str)
+def test_source_flags_match_enumeration(ring):
+    """discrete_source says the source boundary is injective on elements and
+    connected_source that it is onto, checked by enumerating finite groups
+    (torsion-only over Z)."""
+    rng = random.Random(2020)
+    bounds = Bounds()
+    seen = {"discrete": [0, 0], "connected": [0, 0]}
+    for _ in range(120):
+        t1, t0, b1, b0 = (random_finite_object(rng, ring, 27) for _ in range(4))
+        a = two_object(random_base_morphism(rng, t1, t0, bounds))
+        b = two_object(random_base_morphism(rng, b1, b0, bounds))
+        fl = classify2(random_square(rng, a, b))
+        image = [a.boundary.apply(el) for el in t1.elements()]
+        injective = len(set(image)) == len(image)
+        onto = len(set(image)) == t0.total_order()
+        assert fl.discrete_source == injective
+        assert fl.connected_source == onto
+        seen["discrete"][injective] += 1
+        seen["connected"][onto] += 1
+    assert all(min(counts) >= 25 for counts in seen.values()), seen
