@@ -64,7 +64,7 @@ class Presentation:
 
 def canonicalize(ngens: int, relations: Matrix, nrel: int) -> Presentation:
     """The invariant-factor form over Z of <ngens generators | relations>."""
-    snf = smith_normal_form(relations, ngens, nrel)
+    snf = smith_normal_form(relations, ngens, nrel, v=False)
     # generators whose invariant factor is 1 vanish; the others keep it as
     # their order (0 past the diagonal: free)
     kept = [i for i in range(ngens) if i >= nrel or snf.d[i][i] != 1]

@@ -4,7 +4,10 @@ A morphism is an integer matrix acting on coordinate columns by left
 multiplication.  Entries are canonically reduced: the entry into a target
 generator of order e lives in [0, e).  Well-definedness over Z is checked at
 construction (a source generator of order d must map to an element killed by
-d) and invalid matrices are rejected rather than repaired.
+d) and invalid matrices are rejected rather than repaired.  Over Z a row is
+checked whole, its range by min and max and divisibility at the torsion
+source generators only; a row that fails reruns the entry-by-entry check,
+so the first fault in row-major order is the one raised.
 
 The check contract: every BaseMorphism that is built is validated.  One
 matrix kernel, _product and _difference, gives the canonically reduced
@@ -12,13 +15,14 @@ matrices of composites and differences; compose and __sub__ wrap them, and
 the square and cell equations of core2 compare them directly, since two
 parallel morphisms are equal exactly when their reduced matrices are.
 Objects and rings are interned, so the endpoint checks (composable,
-parallel, one ring) are identity tests.  Zero
-and identity morphisms are interned: each is built and validated once per
-pair of objects while it stays in the bounded memo.  A zero or identity
-factor needs no arithmetic: compose returns the interned zero morphism or
-the other factor, both validated already, and _product their matrices.  A
-matrix is an identity only on an endomorphism: over Z, [[1]]: Z/4 -> Z/2 is
-not one.
+parallel, one ring) are identity tests.  Zero and identity morphisms are
+interned: each is built and validated once per pair of objects while it
+stays in the bounded memo.  A zero or identity factor needs no arithmetic:
+compose returns the interned zero morphism or the other factor, both
+validated already, and _product their matrices.  Likewise _difference(a, 0)
+is a's own matrix, reduced already; most differences in the cell checks
+subtract a zero component.  A matrix is an identity only on an
+endomorphism: over Z, [[1]]: Z/4 -> Z/2 is not one.
 """
 
 from __future__ import annotations
@@ -83,21 +87,19 @@ class BaseMorphism:
                 if row and (min(row) < 0 or max(row) >= p):
                     raise ValueError("matrix not canonically reduced")
             return
-        for i, e in enumerate(self.dst.orders):
-            for j, d in enumerate(self.src.orders):
-                x = self.mat[i][j]
-                if x != _reduce_entry(x, e):
-                    raise ValueError("matrix not canonically reduced")
-                if d != 0:
-                    if e == 0:
-                        if x != 0:
-                            raise ValueError(
-                                f"ill-defined: torsion generator {j} hits a free generator"
-                            )
-                    elif (d * x) % e != 0:
-                        raise ValueError(
-                            f"ill-defined entry at ({i},{j}): {e} does not divide {d}*{x}"
-                        )
+        # whole rows; a failing row reruns the entry loop for its message
+        torsion = self.src.torsion_gens
+        for row, e in zip(self.mat, self.dst.orders):
+            if e:
+                if row and (min(row) < 0 or max(row) >= e):
+                    _raise_first_fault(self)
+                for j, d in torsion:
+                    if d * row[j] % e:
+                        _raise_first_fault(self)
+            else:
+                for j, _ in torsion:
+                    if row[j]:
+                        _raise_first_fault(self)
 
     def __hash__(self) -> int:
         # the field hash of the dataclass, computed once: memo lookups hash
@@ -141,6 +143,25 @@ class BaseMorphism:
             s = sum(self.mat[i][j] * c for j, c in enumerate(coords))
             out.append(_reduce_entry(s, e))
         return tuple(out)
+
+
+def _raise_first_fault(m: BaseMorphism) -> None:
+    """Raise the first fault of m's matrix over Z, in row-major order."""
+    for i, e in enumerate(m.dst.orders):
+        for j, d in enumerate(m.src.orders):
+            x = m.mat[i][j]
+            if x != _reduce_entry(x, e):
+                raise ValueError("matrix not canonically reduced")
+            if d != 0:
+                if e == 0:
+                    if x != 0:
+                        raise ValueError(
+                            f"ill-defined: torsion generator {j} hits a free generator"
+                        )
+                elif (d * x) % e != 0:
+                    raise ValueError(
+                        f"ill-defined entry at ({i},{j}): {e} does not divide {d}*{x}"
+                    )
 
 
 def _reduced(rows, dst: BaseObject) -> Matrix:
@@ -217,9 +238,12 @@ def _multiply(g: BaseMorphism, f: BaseMorphism) -> Matrix:
 
 
 def _difference(a: BaseMorphism, b: BaseMorphism) -> Matrix:
-    """The canonically reduced matrix of a - b."""
+    """The canonically reduced matrix of a - b: a's own matrix, reduced
+    since a is validated, when b is zero."""
     if a.src != b.src or a.dst != b.dst:
         raise ValueError("difference of non-parallel morphisms")
+    if _kind(b) == _ZERO:
+        return a.mat
     return _reduced(intmat.sub(a.mat, b.mat), a.dst)
 
 

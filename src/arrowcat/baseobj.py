@@ -37,9 +37,11 @@ class BaseObject:
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "orders", orders)
-        # the generator count, read on every morphism check: set once, and
-        # not a field, so repr and asdict see ring and orders only
+        # the generator count and the (index, order) pairs of the torsion
+        # generators, read on every morphism check: set once, and not
+        # fields, so repr and asdict see ring and orders only
         object.__setattr__(self, "ngens", len(orders))
+        object.__setattr__(self, "torsion_gens", tuple((j, d) for j, d in enumerate(orders) if d))
         _OBJECTS[key] = self
         return self
 

@@ -26,15 +26,15 @@ def shape_ok(m: Matrix, nrows: int, ncols: int) -> bool:
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple([x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple([x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
 
 
 def neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in r) for r in a)
+    return tuple([tuple([-x for x in r]) for r in a])
 
 
 def mul(a: Matrix, b: Matrix, inner: int | None = None) -> Matrix:

@@ -1,41 +1,61 @@
 """Linear algebra modulo a prime: the whole of the field-ring path.
 
 Solving, nullspaces and row spaces all come from one reduced row echelon
-form.  The solver takes a matrix right-hand side and solves all its columns
-in that one row reduction.  The nonzero rows of a reduced row echelon form,
-and hence the nullspace basis read off its free columns, depend only on the
-row space of the input, not on the order of its rows.
+form, computed on sparse rows: each row is a {column: entry} dict of its
+nonzero entries, as the systems of the 2-dimensional layer are mostly
+zeros.  A matrix is passed as nrows rows of exactly ncols entries.  The solver
+takes a matrix right-hand side and solves all its columns in that one row
+reduction.  The reduced row echelon form is unique, so its nonzero rows, and
+hence the nullspace basis read off its free columns, depend only on the row
+space of the input, not on the order of its rows or of elimination.
 """
 
 from __future__ import annotations
 
 
-def _rref_mod_p(rows: list[list[int]], ncols: int, p: int):
-    """Row-reduce rows with entries in [0, p) in place; returns list of
-    (row_index, pivot_col)."""
-    pivots = []
-    nrows = len(rows)
-    r = 0
-    for col in range(ncols):
-        piv = r
-        while piv < nrows and not rows[piv][col]:
-            piv += 1
-        if piv == nrows:
+def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int) -> None:
+    """row -= f * other (mod p), in place; f and the entries of other are
+    nonzero mod p, so an entry that cancels was present in row."""
+    for c, y in other.items():
+        v = (row.get(c, 0) - f * y) % p
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def _rref(rows, ncols: int, p: int):
+    """The reduced row echelon form of sparse rows, pivoting only in columns
+    below ncols (the columns from ncols on are right-hand sides).
+
+    Rows are reduced one at a time against the pivot rows so far, each of
+    which is 1 at its pivot and 0 at every other pivot; a row that keeps an
+    entry below ncols becomes a pivot row at its first such column and is
+    cleared from the others.  Returns {pivot column: row}, or None as soon as
+    a row is zero below ncols but not past it (an inconsistent system).
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if not row:
             continue
-        row = rows[piv]
-        rows[piv] = rows[r]
-        if row[col] != 1:
-            inv = pow(row[col], -1, p)
-            row = [x * inv % p for x in row]
-        rows[r] = row
-        for i in range(nrows):
-            f = rows[i][col]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
+        if pivots:
+            # pivot rows vanish at the other pivots, so one pass clears them
+            for c in [c for c in row if c in pivots]:
+                _subtract(row, row[c], pivots[c], p)
+            if not row:
+                continue
+        lead = min(row)
+        if lead >= ncols:
+            return None
+        if row[lead] != 1:
+            inv = pow(row[lead], -1, p)
+            for c in row:
+                row[c] = row[c] * inv % p
+        for other in pivots.values():
+            f = other.get(lead)
+            if f:
+                _subtract(other, f, row, p)
+        pivots[lead] = row
     return pivots
 
 
@@ -48,17 +68,13 @@ def solve_mod_p(a, b, nrows: int, ncols: int, nrhs: int, p: int):
     and for L X = H, X is the solution of the Kronecker system (L (x) I) x =
     vec H, whose pivot columns are the pivots of L times every column of H.
     """
-    aug = [
-        [a[i][j] % p for j in range(ncols)] + [b[i][j] % p for j in range(nrhs)]
-        for i in range(nrows)
-    ]
-    pivots = _rref_mod_p(aug, ncols, p)
-    for row in aug[len(pivots):]:
-        if any(row[ncols:]):
-            return None
+    rows = [{j: v for j, x in enumerate([*a[i], *b[i]]) if (v := x % p)} for i in range(nrows)]
+    pivots = _rref(rows, ncols, p)
+    if pivots is None:
+        return None
     x = [(0,) * nrhs] * ncols
-    for r, c in pivots:
-        x[c] = tuple(aug[r][ncols:])
+    for c, row in pivots.items():
+        x[c] = tuple([row.get(ncols + j, 0) for j in range(nrhs)])
     return tuple(x)
 
 
@@ -66,9 +82,10 @@ def row_space_mod_p(a, nrows: int, ncols: int, p: int):
     """(rows, pivots): the nonzero rows of the reduced row echelon form of a
     (mod p), as tuples with entries in [0, p), and the pivot column of each,
     increasing.  Row k is 1 at pivots[k] and 0 at every other pivot."""
-    rows = [[a[i][j] % p for j in range(ncols)] for i in range(nrows)]
-    pivots = _rref_mod_p(rows, ncols, p)
-    return tuple(tuple(rows[r]) for r, _ in pivots), tuple(c for _, c in pivots)
+    pivots = _rref([{j: v for j, x in enumerate(a[i]) if (v := x % p)} for i in range(nrows)], ncols, p)
+    order = sorted(pivots)
+    rows = tuple(tuple([row.get(j, 0) for j in range(ncols)]) for row in map(pivots.get, order))
+    return rows, tuple(order)
 
 
 def nullspace_mod_p(a, nrows: int, ncols: int, p: int):

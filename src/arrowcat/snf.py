@@ -3,8 +3,15 @@
 The decomposition is D = U * M * V with U, V unimodular and the diagonal of D
 a nonnegative divisibility chain.  The pivot rule is fixed: among the nonzero
 entries of the remaining block, pick one of minimal absolute value, ties
-broken row-major.  Every caller, solve_int and kernel_lattice included,
-decomposes by this one rule, so every decomposition is reproducible.
+broken row-major (so the scan stops at the first unit).  Every caller,
+solve_int and kernel_lattice included, decomposes by this one rule, so every
+decomposition is reproducible.
+
+A transform is built only when its caller reads it, and every one that is
+built is the same whatever else is asked for: baselin.canonicalize reads U
+and U^-1, kernel_lattice reads V, and solve_int reads V and U * b, which it
+gets by applying the row operations to b in place of the identity.  Only
+the tests and the snf selftest suite ask for U, U^-1 and V together.
 """
 
 from __future__ import annotations
@@ -21,10 +28,14 @@ def _freeze(rows) -> Matrix:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    u: Matrix
+    """D = U * M * V.  A transform that was not asked for is None; given a
+    right-hand side rhs, u is None and u_rhs is U * rhs."""
+
+    u: Matrix | None
     d: Matrix
-    v: Matrix
-    u_inv: Matrix
+    v: Matrix | None
+    u_inv: Matrix | None
+    u_rhs: Matrix | None = None
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(len(self.d), len(self.d[0]) if self.d else 0)
@@ -47,32 +58,41 @@ def _nearest_quotient(a: int, b: int) -> int:
     return q
 
 
-def smith_normal_form(m: Matrix, nrows: int, ncols: int) -> SnfDecomposition:
+def smith_normal_form(
+    m: Matrix, nrows: int, ncols: int, *, u: bool = True, v: bool = True, rhs=None
+) -> SnfDecomposition:
     """D = U * m * V for the nrows x ncols matrix m, by the pivot rule of the
-    module docstring."""
+    module docstring, with U and U^-1 if u and V if v.  rhs, an nrows-row
+    matrix, takes the place of U: the row operations act on it, and it comes
+    back as u_rhs = U * rhs while U itself is not built."""
     a = [list(r) for r in m]
-    u = _identity_rows(nrows)
-    ui = _identity_rows(nrows)
-    v = _identity_rows(ncols)
+    # the rows that take the row operations: rhs, else U; a transform not
+    # asked for is an empty list, so its updates do nothing
+    carry = [list(r) for r in rhs] if rhs is not None else _identity_rows(nrows) if u else []
+    ui = _identity_rows(nrows) if u else []
+    vv = _identity_rows(ncols) if v else []
 
     def row_swap(i, j):
         if i == j:
             return
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if carry:
+            carry[i], carry[j] = carry[j], carry[i]
         for r in ui:
             r[i], r[j] = r[j], r[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if carry:
+            carry[i] = [-x for x in carry[i]]
         for r in ui:
             r[i] = -r[i]
 
     def row_add(i, j, c):
         # row i += c * row j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        if carry:
+            carry[i] = [x + c * y for x, y in zip(carry[i], carry[j])]
         for r in ui:
             r[j] -= c * r[i]
 
@@ -81,23 +101,28 @@ def smith_normal_form(m: Matrix, nrows: int, ncols: int) -> SnfDecomposition:
             return
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
+        for r in vv:
             r[i], r[j] = r[j], r[i]
 
     def col_add(i, j, c):
         # col i += c * col j
         for r in a:
             r[i] += c * r[j]
-        for r in v:
+        for r in vv:
             r[i] += c * r[j]
 
     def pick_pivot(t):
         best = None
         for i in range(t, nrows):
+            row = a[i]
             for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
+                x = row[j]
+                if x:
+                    x = abs(x)
+                    if x == 1:  # no entry is smaller: the first unit wins
+                        return (1, i, j)
+                    if best is None or x < best[0]:
+                        best = (x, i, j)
         return best
 
     # Phase 1: diagonalize with minimal pivots and symmetric remainders.
@@ -165,7 +190,13 @@ def smith_normal_form(m: Matrix, nrows: int, ncols: int) -> SnfDecomposition:
                 fix_pair(i, i + 1)
                 changed = True
 
-    return SnfDecomposition(u=_freeze(u), d=_freeze(a), v=_freeze(v), u_inv=_freeze(ui))
+    return SnfDecomposition(
+        u=_freeze(carry) if u and rhs is None else None,
+        d=_freeze(a),
+        v=_freeze(vv) if v else None,
+        u_inv=_freeze(ui) if u else None,
+        u_rhs=None if rhs is None else _freeze(carry),
+    )
 
 
 def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
@@ -235,8 +266,8 @@ def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
 def _solve_int_snf(a: Matrix, b: Matrix, nrows: int, ncols: int, bcols: int) -> Matrix | None:
     if nrows == 0:
         return zeros(ncols, bcols)
-    snf = smith_normal_form(a, nrows, ncols)
-    c = mul(snf.u, b, nrows)
+    snf = smith_normal_form(a, nrows, ncols, u=False, rhs=b)
+    c = snf.u_rhs
     y = [[0] * bcols for _ in range(ncols)]
     for i in range(nrows):
         d = snf.d[i][i] if i < min(nrows, ncols) else 0
@@ -259,7 +290,7 @@ def kernel_lattice(a: Matrix, nrows: int, ncols: int) -> list[tuple[int, ...]]:
         return []
     if nrows == 0:
         return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-    snf = smith_normal_form(a, nrows, ncols)
+    snf = smith_normal_form(a, nrows, ncols, u=False)
     basis = []
     for j in range(ncols):
         d = snf.d[j][j] if j < min(nrows, ncols) else 0

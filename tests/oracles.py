@@ -8,6 +8,7 @@ from arrowcat.baselin import LinearSystem, biproduct_base, cokernel_base, factor
 from arrowcat.basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mor
 from arrowcat.classify2 import EquivalenceData
 from arrowcat.core2 import add_cell, add_homotopy, add_square, identity2
+from arrowcat.intmat import mul, zeros
 
 
 def rank_mod_p(mat, p: int) -> int:
@@ -144,3 +145,281 @@ def fillers_unique_by_linear_system(e, m) -> bool:
     return all(
         base_morphism(x.bottom, y.top, entry[g.name]).is_zero_mor() for entry in sys.homogeneous_basis()
     )
+
+
+# The integer kernels as they were before the Smith normal form built only
+# the transforms its caller reads: every transform is tracked on every step.
+# The package must compute the same values.
+
+
+def _freeze(rows):
+    return tuple(map(tuple, rows))
+
+
+def _identity_rows(n: int):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _nearest_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if 2 * r > b:
+        q += 1
+    return q
+
+
+def reference_smith_normal_form(m, nrows: int, ncols: int):
+    """(U, D, V, U^-1) with D = U * m * V, by the package's pivot rule (minimal
+    absolute value, ties row-major), every transform tracked on every step."""
+    a = [list(r) for r in m]
+    u = _identity_rows(nrows)
+    ui = _identity_rows(nrows)
+    v = _identity_rows(ncols)
+
+    def row_swap(i, j):
+        if i == j:
+            return
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in ui:
+            r[i], r[j] = r[j], r[i]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for r in ui:
+            r[i] = -r[i]
+
+    def row_add(i, j, c):
+        # row i += c * row j
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for r in ui:
+            r[j] -= c * r[i]
+
+    def col_swap(i, j):
+        if i == j:
+            return
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(i, j, c):
+        # col i += c * col j
+        for r in a:
+            r[i] += c * r[j]
+        for r in v:
+            r[i] += c * r[j]
+
+    def pick_pivot(t):
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        return best
+
+    # Phase 1: diagonalize with minimal pivots and symmetric remainders.
+    t = 0
+    limit = min(nrows, ncols)
+    while t < limit:
+        picked = pick_pivot(t)
+        if picked is None:
+            break
+        while True:
+            _, pi, pj = picked
+            row_swap(t, pi)
+            col_swap(t, pj)
+            if a[t][t] < 0:
+                row_neg(t)
+            piv = a[t][t]
+            reduced = True
+            for i in range(t + 1, nrows):
+                x = a[i][t]
+                if x % piv != 0:
+                    row_add(i, t, -_nearest_quotient(x, piv))
+                    reduced = False
+            if not reduced:
+                picked = pick_pivot(t)
+                continue
+            for j in range(t + 1, ncols):
+                x = a[t][j]
+                if x % piv != 0:
+                    col_add(j, t, -_nearest_quotient(x, piv))
+                    reduced = False
+            if not reduced:
+                picked = pick_pivot(t)
+                continue
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    row_add(i, t, -(a[i][t] // piv))
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    col_add(j, t, -(a[t][j] // piv))
+            break
+        t += 1
+    rank = t
+
+    # Phase 2: repair the divisibility chain by gcd/lcm surgery on 2x2
+    # diagonal blocks; entries stay bounded by the lcm of the pair.
+    def fix_pair(i, j):
+        # acts on the block {i, j} x {i, j}; everything off the block is 0
+        col_add(i, j, 1)
+        while a[j][i] != 0:
+            q = a[i][i] // a[j][i]
+            row_add(i, j, -q)
+            row_swap(i, j)
+        if a[i][i] < 0:
+            row_neg(i)
+        if a[i][j]:
+            col_add(j, i, -(a[i][j] // a[i][i]))
+        if a[j][j] < 0:
+            row_neg(j)
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank - 1):
+            if a[i + 1][i + 1] % a[i][i] != 0:
+                fix_pair(i, i + 1)
+                changed = True
+
+    return _freeze(u), _freeze(a), _freeze(v), _freeze(ui)
+
+
+def reference_solve_int(a, b, nrows: int, ncols: int):
+    """One solution x (ncols x bcols) of a @ x = b over the integers, or None.
+
+    Unit coefficients are eliminated by substitution first (no growth, no
+    transform tracking); only the residual core goes through the Smith form.
+    """
+    bcols = len(b[0]) if b else 0
+    if nrows == 0:
+        return zeros(ncols, bcols)
+    rows = [list(r) + list(b[i]) for i, r in enumerate(a)]
+    live_rows = set(range(nrows))
+    live_cols = set(range(ncols))
+    # (col, row-expression) substitutions in elimination order
+    subs: list[tuple[int, list[int]]] = []
+    while True:
+        best = None
+        for i in live_rows:
+            row = rows[i]
+            nnz = 0
+            unit = None
+            for j in live_cols:
+                if row[j]:
+                    nnz += 1
+                    if row[j] in (1, -1):
+                        unit = j if unit is None else min(unit, j)
+            if unit is not None and (best is None or (nnz, i) < best[0]):
+                best = ((nnz, i), i, unit)
+        if best is None:
+            break
+        _, pi, pj = best
+        prow = rows[pi]
+        if prow[pj] == -1:
+            prow = [-x for x in prow]
+            rows[pi] = prow
+        for i in live_rows:
+            if i == pi:
+                continue
+            c = rows[i][pj]
+            if c:
+                rows[i] = [x - c * y for x, y in zip(rows[i], prow)]
+        subs.append((pj, prow))
+        live_rows.discard(pi)
+        live_cols.discard(pj)
+    sub_rows = sorted(live_rows)
+    sub_cols = sorted(live_cols)
+    core = _freeze([[rows[i][j] for j in sub_cols] for i in sub_rows])
+    core_b = _freeze([rows[i][ncols:] for i in sub_rows])
+    core_sol = _reference_solve_core(core, core_b, len(sub_rows), len(sub_cols), bcols)
+    if core_sol is None:
+        return None
+    x = [[0] * bcols for _ in range(ncols)]
+    for k, j in enumerate(sub_cols):
+        for col in range(bcols):
+            x[j][col] = core_sol[k][col]
+    for pj, prow in reversed(subs):
+        for col in range(bcols):
+            acc = prow[ncols + col]
+            for j in range(ncols):
+                if j != pj and prow[j]:
+                    acc -= prow[j] * x[j][col]
+            x[pj][col] = acc
+    return _freeze(x)
+
+
+def _reference_solve_core(a, b, nrows: int, ncols: int, bcols: int):
+    if nrows == 0:
+        return zeros(ncols, bcols)
+    u, dm, v, _ = reference_smith_normal_form(a, nrows, ncols)
+    c = mul(u, b, nrows)
+    y = [[0] * bcols for _ in range(ncols)]
+    for i in range(nrows):
+        d = dm[i][i] if i < min(nrows, ncols) else 0
+        for j in range(bcols):
+            if d == 0:
+                if c[i][j] != 0:
+                    return None
+            else:
+                q, r = divmod(c[i][j], d)
+                if r:
+                    return None
+                if i < ncols:
+                    y[i][j] = q
+    return mul(v, _freeze(y), ncols)
+
+
+def reference_kernel_lattice(a, nrows: int, ncols: int):
+    """Basis columns of the lattice {x : a @ x = 0}."""
+    if ncols == 0:
+        return []
+    if nrows == 0:
+        return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
+    _, dm, v, _ = reference_smith_normal_form(a, nrows, ncols)
+    basis = []
+    for j in range(ncols):
+        d = dm[j][j] if j < min(nrows, ncols) else 0
+        if d == 0:
+            basis.append(tuple(v[i][j] for i in range(ncols)))
+    return basis
+
+
+# Row reduction mod p on dense rows, as the package did it before it reduced
+# sparse rows.  The reduced row echelon form is unique, so the package must
+# find the same pivots and rows.
+
+
+def rref_mod_p(rows: list[list[int]], ncols: int, p: int):
+    """Row-reduce rows with entries in [0, p) in place; returns list of
+    (row_index, pivot_col)."""
+    pivots = []
+    nrows = len(rows)
+    r = 0
+    for col in range(ncols):
+        piv = r
+        while piv < nrows and not rows[piv][col]:
+            piv += 1
+        if piv == nrows:
+            continue
+        row = rows[piv]
+        rows[piv] = rows[r]
+        if row[col] != 1:
+            inv = pow(row[col], -1, p)
+            row = [x * inv % p for x in row]
+        rows[r] = row
+        for i in range(nrows):
+            f = rows[i][col]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
+        pivots.append((r, col))
+        r += 1
+        if r == nrows:
+            break
+    return pivots

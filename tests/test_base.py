@@ -611,6 +611,29 @@ class TestMorphismValues:
         with pytest.raises(ValueError, match="not canonically reduced"):
             BaseMorphism(Z1, Z2T, ((2,),))
 
+    @pytest.mark.parametrize(
+        "src, dst, mat, message",
+        [
+            # a divisibility fault ahead of a range fault in its row and a
+            # free-generator fault in the next
+            ((1, (2,)), (1, (4,)), ((1, 5), (1, 0)), "ill-defined entry at (0,0): 4 does not divide 2*1"),
+            ((1, (2,)), (1, (4,)), ((2, 7), (1, 0)), "matrix not canonically reduced"),
+            ((1, (2, 4)), (1, (4,)), ((2, 2, -1), (1, 0, 0)), "matrix not canonically reduced"),
+            ((1, (2, 4)), (1, (4,)), ((3, 0, 9), (0, 1, 0)), "ill-defined entry at (0,0): 4 does not divide 2*3"),
+            # a clean first row, then two free-generator faults
+            (
+                (1, (2, 4)), (2, (4,)), ((0, 1, 3), (0, 2, 5), (1, 0, 0)),
+                "ill-defined: torsion generator 1 hits a free generator",
+            ),
+        ],
+    )
+    def test_z_first_fault_in_row_major_order(self, src, dst, mat, message):
+        """A matrix with several faults raises the first one, in row-major
+        order, with its own message, although rows are checked whole."""
+        with pytest.raises(ValueError) as info:
+            BaseMorphism(z_object(*src), z_object(*dst), mat)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("ring", RINGS, ids=str)
     def test_routes_agree(self, ring):
         rng = random.Random(77)
@@ -1137,7 +1160,7 @@ class TestZeroFactoring:
 @pytest.fixture
 def no_snf(monkeypatch):
     """Every arrowcat reference to smith_normal_form and kernel_lattice raises."""
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the Smith normal form was called")
 
     for name in ("smith_normal_form", "kernel_lattice"):

@@ -1,0 +1,51 @@
+"""Run time at moderate sizes on dense inputs, one test per ring.
+
+Each test states its bound in seconds: at least 10 times the time measured
+on a 2-vCPU machine (Python 3.11), so that a slow CI runner meets it.  The
+bounds catch gross blow-up (integer entries exploding under elimination, a
+reduction far worse than cubic), not a few percent of speed.
+"""
+
+import random
+import time
+
+from arrowcat import GF, base_morphism, field_object, identity_mor, z_object
+from arrowcat.classify2 import classify2
+from arrowcat.core2 import two_morphism, two_object
+from arrowcat.limits2 import kernel2
+
+
+def test_dense_z_classify_at_n24():
+    """classify2 on x -> y over Z^24: x has a random boundary with 8-bit
+    entries, y the identity, the bottom is random and the top its product
+    with the boundary.  Measured 0.09 s; bound 10 s."""
+    n, bound_s = 24, 10.0
+    rng = random.Random(1)
+    z = z_object(n)
+
+    def dense():
+        return [[rng.randint(-128, 127) for _ in range(n)] for _ in range(n)]
+
+    d, b = dense(), dense()
+    top = [[sum(b[i][k] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    x, y = two_object(base_morphism(z, z, d)), two_object(identity_mor(z))
+    u = two_morphism(x, y, base_morphism(z, z, top), base_morphism(z, z, b))
+    t0 = time.perf_counter()
+    c = classify2(u)
+    elapsed = time.perf_counter() - t0
+    # the boundary of x is injective, so u is faithful but not full
+    assert c.faithful and not c.full
+    assert elapsed < bound_s, f"{elapsed:.2f} s"
+
+
+def test_kernel_of_the_identity_square_of_f2_200():
+    """kernel2 of the identity square on F_2^200 (identity boundary).
+    Measured 0.4 s; bound 20 s."""
+    n, bound_s = 200, 20.0
+    v = field_object(GF(2), n)
+    e = two_object(identity_mor(v))
+    t0 = time.perf_counter()
+    k = kernel2(two_morphism(e, e, identity_mor(v), identity_mor(v)))
+    elapsed = time.perf_counter() - t0
+    assert (k.obj.top.ngens, k.obj.bottom.ngens) == (n, n)
+    assert elapsed < bound_s, f"{elapsed:.2f} s"

@@ -315,6 +315,33 @@ def test_matrix_verdict_equals_composed_verdict(ring):
     assert seen[True] >= 10 and seen[False] >= 10, seen
 
 
+@pytest.mark.parametrize("ring", EQUATION_RINGS, ids=str)
+def test_cell_to_a_zero_square_checks_its_matrix(ring):
+    """The target of cell_to_zero is a zero square, whose components the
+    cell equations subtract without arithmetic; a wrong matrix, the zero
+    matrix on a nonzero square included, still fails them as the
+    schoolbook oracle says, and the right one passes."""
+    rng = random.Random(8400 + (ring.p or 0))
+    b = Bounds(max_dim=3)
+    verdicts = {None: 0, "top": 0, "bottom": 0}
+    for k in range(20):
+        x, y = _pair(rng, ring, zero_source=k % 3 == 2)
+        ext = extension_on(rng, x, y, b)
+        u = ext.cell.cfrom  # e.m, nullhomotopic by ext.cell
+        cases = [(u, ext.cell.mat)] + [(u, m) for m in _bumps(ext.cell.mat)]
+        v = random_square(rng, x, y)
+        cases += [(w, zero_mor(w.src.bottom, w.dst.top)) for w in (u, v)]
+        for w, mat in cases:
+            which = _oracle_cell_fails(w, zero2(w.src, w.dst), mat)
+            verdicts[which] += 1
+            if which is None:
+                assert cell_to_zero(w, mat).mat == mat
+                continue
+            with pytest.raises(ValueError, match=f"cell fails the {which} homotopy equation"):
+                cell_to_zero(w, mat)
+    assert min(verdicts.values()) >= 5, verdicts
+
+
 def _fresh_zero(x, y):
     """The zero morphism x -> y, built without the interned zero_mor."""
     return BaseMorphism(x, y, tuple((0,) * x.ngens for _ in range(y.ngens)))

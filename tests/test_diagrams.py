@@ -139,7 +139,7 @@ class TestSnake:
     def test_classical_snake_on_discrete_embedding(self):
         """Vector-space rows embedded as (0 -> V): the six-term objects carry
         the classical kernels/cokernels, cross-checked by rank arithmetic."""
-        from arrowcat.modsolve import _rref_mod_p
+        from arrowcat.modsolve import row_space_mod_p
 
         p = 5
         ring = GF(p)
@@ -149,9 +149,7 @@ class TestSnake:
             return two_object(zero_mor(zero_object(ring), field_object(ring, n)))
 
         def rank(m):
-            if not m.mat or not m.mat[0]:
-                return 0
-            return len(_rref_mod_p([list(r) for r in m.mat], m.src.ngens, p))
+            return len(row_space_mod_p(m.mat, m.dst.ngens, m.src.ngens, p)[1])
 
         # classical rows 0 -> F^a -> F^{a+c} -> F^c -> 0
         na, nc = 2, 1

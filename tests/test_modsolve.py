@@ -1,5 +1,6 @@
 """Property tests for the mod-p engine: solve_mod_p, nullspace_mod_p and
-row_space_mod_p, with shrinking.  Skipped when hypothesis is absent; it is a
+row_space_mod_p, with shrinking, and its sparse row reduction against the
+dense reference in oracles.  Skipped when hypothesis is absent; it is a
 development tool, never a package dependency."""
 
 from itertools import product
@@ -11,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from arrowcat.modsolve import nullspace_mod_p, row_space_mod_p, solve_mod_p  # noqa: E402
-from oracles import rank_mod_p  # noqa: E402
+from oracles import rank_mod_p, rref_mod_p  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 2**31 - 1)
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -129,3 +130,41 @@ def test_row_space_depends_only_on_the_subspace(sys_, rnd):
     other.append([sum(c * r[j] for c, r in zip(coefs, a)) for j in range(ncols)])
     expected = row_space_mod_p(a, nrows, ncols, p)
     assert row_space_mod_p(other, len(other), ncols, p) == expected
+
+
+@st.composite
+def sparse_systems(draw):
+    """(a, b, nrows, ncols, nrhs, p) over F2, F3 or F5, up to 7 x 7 with up
+    to 3 right-hand sides, zero entries favoured."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    nrows, ncols, nrhs = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-2 * p, 2 * p))
+    a = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    b = [[draw(entry) for _ in range(nrhs)] for _ in range(nrows)]
+    return a, b, nrows, ncols, nrhs, p
+
+
+def _dense_solve(a, b, nrows, ncols, nrhs, p):
+    """solve_mod_p by the dense reference: one reduction of [a | b]."""
+    aug = [[x % p for x in a[i]] + [x % p for x in b[i]] for i in range(nrows)]
+    pivots = rref_mod_p(aug, ncols, p)
+    if any(any(row[ncols:]) for row in aug[len(pivots):]):
+        return None
+    x = [(0,) * nrhs] * ncols
+    for r, c in pivots:
+        x[c] = tuple(aug[r][ncols:])
+    return tuple(x)
+
+
+@SETTINGS
+@given(sparse_systems())
+def test_sparse_reduction_equals_the_dense_reference(sys_):
+    """The reduced row echelon form is unique: the sparse reduction finds the
+    reference's pivots and rows, and so the same solutions and nullspace."""
+    a, b, nrows, ncols, nrhs, p = sys_
+    dense = [[x % p for x in row] for row in a]
+    pivots = rref_mod_p(dense, ncols, p)
+    rows = tuple(tuple(dense[r]) for r, _ in pivots)
+    assert row_space_mod_p(a, nrows, ncols, p) == (rows, tuple(c for _, c in pivots))
+    assert solve_mod_p(a, b, nrows, ncols, nrhs, p) == _dense_solve(a, b, nrows, ncols, nrhs, p)
+

@@ -4,8 +4,12 @@ from itertools import product
 
 import pytest
 
+from arrowcat import ZZ, baselin
+from arrowcat.baselin import cokernel_base, kernel_base
+from arrowcat.generators import Bounds, random_base_morphism, random_base_object
 from arrowcat.intmat import det, identity, mat, mul, zeros
-from arrowcat.snf import kernel_lattice, smith_normal_form, solve_int
+from arrowcat.snf import SnfDecomposition, kernel_lattice, smith_normal_form, solve_int
+from oracles import reference_kernel_lattice, reference_smith_normal_form, reference_solve_int
 
 
 def decompose(rows):
@@ -227,3 +231,84 @@ def test_solve_int_none_means_no_solution():
         assert (x is not None) == feasible
 
     check()
+
+
+# Differential tests against the reference elimination in tests/oracles.py,
+# which tracks every transform on every step: a transform that is asked for,
+# and every solve and kernel lattice, must equal the reference value.
+
+
+def _differential_matrices(seed, count):
+    """Seeded matrices of 0-7 rows and columns with entries up to 16 bits,
+    sparse or dense, some with several unit entries."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(0, 7), rng.randint(0, 7)
+        bits, density = rng.choice((2, 4, 8, 16)), rng.random()
+        rows = [[rng.randint(-(2**bits), 2**bits) if rng.random() < density else 0 for _ in range(c)] for _ in range(r)]
+        if r and c and rng.random() < 0.4:
+            for _ in range(rng.randint(2, 4)):
+                rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((1, -1))
+        yield rng, r, c, mat(rows)
+
+
+def test_requested_transforms_equal_the_reference():
+    seen = {"empty": 0, "units": 0}
+    for rng, r, c, m in _differential_matrices(2101, 1000):
+        u, d, v, u_inv = reference_smith_normal_form(m, r, c)
+        # U with U^-1 and V (selftest), U with U^-1 (canonicalize), V (kernel_lattice)
+        for ask_u, ask_v in ((True, True), (True, False), (False, True)):
+            s = smith_normal_form(m, r, c, u=ask_u, v=ask_v)
+            assert s.d == d, m
+            assert (s.u, s.u_inv) == ((u, u_inv) if ask_u else (None, None)), m
+            assert s.v == (v if ask_v else None), m
+            assert s.u_rhs is None
+        # V and U * b (solve_int)
+        bcols = rng.randint(0, 2)
+        b = mat([[rng.randint(-50, 50) for _ in range(bcols)] for _ in range(r)])
+        s = smith_normal_form(m, r, c, u=False, rhs=b)
+        assert (s.u_rhs, s.d, s.v) == (mul(u, b, r), d, v), (m, b)
+        assert s.u is None and s.u_inv is None
+        seen["empty"] += r == 0 or c == 0
+        seen["units"] += sum(x in (1, -1) for row in m for x in row) >= 2
+    assert seen["empty"] >= 150 and seen["units"] >= 250, seen
+
+
+def test_solve_int_and_kernel_lattice_equal_the_reference():
+    found = infeasible = 0
+    for rng, r, c, m in _differential_matrices(2102, 1000):
+        assert kernel_lattice(m, r, c) == reference_kernel_lattice(m, r, c), m
+        bcols = rng.randint(1, 2)
+        x0 = [[rng.randint(-5, 5) for _ in range(bcols)] for _ in range(c)]
+        solvable = mat([[sum(m[i][k] * x0[k][j] for k in range(c)) for j in range(bcols)] for i in range(r)])
+        any_b = mat([[rng.randint(-99, 99) for _ in range(bcols)] for _ in range(r)])
+        for b in (solvable, any_b):
+            x = solve_int(m, b, r, c)
+            assert x == reference_solve_int(m, b, r, c), (m, b)
+            found += x is not None
+            infeasible += x is None
+    assert found >= 1000 and infeasible >= 500, (found, infeasible)
+
+
+def test_kernel_and_cokernel_equal_the_reference(monkeypatch):
+    """Over Z, kernel_base(f) and cokernel_base(f) equal the values that
+    baselin computes when every decomposition is the reference one, which
+    builds every transform."""
+    rng = random.Random(2103)
+    bounds = Bounds(max_dim=4)
+    cases = []
+    for _ in range(150):
+        x, y = random_base_object(rng, ZZ, bounds), random_base_object(rng, ZZ, bounds)
+        f = random_base_morphism(rng, x, y, bounds)
+        if not f.is_zero_mor():
+            cases.append((f, kernel_base.__wrapped__(f), cokernel_base.__wrapped__(f)))
+    assert len(cases) >= 60, len(cases)
+
+    def reference_decomposition(m, nrows, ncols, **asked):
+        return SnfDecomposition(*reference_smith_normal_form(m, nrows, ncols))
+
+    monkeypatch.setattr(baselin, "smith_normal_form", reference_decomposition)
+    monkeypatch.setattr(baselin, "kernel_lattice", reference_kernel_lattice)
+    for f, k, q in cases:
+        assert kernel_base.__wrapped__(f) == k, f
+        assert cokernel_base.__wrapped__(f) == q, f
