@@ -14,7 +14,7 @@ through the snake's own kernel data (fbar, etabar) of gbar and cokernel data
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .basemor import compose
 from .core2 import TwoCell, TwoMorphism, TwoObject, compose2, null_cell, zero2
@@ -31,8 +31,7 @@ from .sequences import zero_capped
 from .snake import ColumnData, SnakeResult, plain_snake
 
 
-@dataclass(frozen=True)
-class AnacondaResult:
+class AnacondaResult(NamedTuple):
     objects: tuple[TwoObject, ...]  # 12 objects, Pip a .. Copip c
     maps: tuple[TwoMorphism, ...]  # 11 maps
     cells: tuple[TwoCell, ...]  # 10 nullhomotopies

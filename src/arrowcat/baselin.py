@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intmat
 from .baseobj import BaseObject, field_object, make_object
@@ -51,8 +51,7 @@ def relation_columns(orders) -> tuple[Matrix, int]:
     return intmat.mat(m), len(cols)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Canonical form of <ngens generators | relation columns>."""
 
     obj: BaseObject
@@ -65,16 +64,17 @@ class Presentation:
 def canonicalize(ngens: int, relations: Matrix, nrel: int) -> Presentation:
     """The invariant-factor form over Z of <ngens generators | relations>."""
     snf = smith_normal_form(relations, ngens, nrel, v=False)
+    d, u, u_inv = snf.d, snf.u, snf.u_inv
     # generators whose invariant factor is 1 vanish; the others keep it as
     # their order (0 past the diagonal: free)
-    kept = [i for i in range(ngens) if i >= nrel or snf.d[i][i] != 1]
-    orders = [snf.d[i][i] if i < nrel else 0 for i in kept]
+    kept = [i for i in range(ngens) if i >= nrel or d[i][i] != 1]
+    orders = [d[i][i] if i < nrel else 0 for i in kept]
     obj = make_object(ZZ, orders)
     to_canon = tuple(
-        tuple(_red(snf.u[i][j], orders[r]) for j in range(ngens))
+        tuple(_red(u[i][j], orders[r]) for j in range(ngens))
         for r, i in enumerate(kept)
     )
-    from_canon = tuple(tuple(snf.u_inv[i][j] for j in kept) for i in range(ngens))
+    from_canon = tuple(tuple(u_inv[i][j] for j in kept) for i in range(ngens))
     return Presentation(obj, to_canon, from_canon)
 
 
@@ -238,8 +238,7 @@ def pushout_base(f: BaseMorphism, g: BaseMorphism):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Unknown:
+class _Unknown(NamedTuple):
     src: BaseObject
     dst: BaseObject
     offset: int
@@ -304,7 +303,8 @@ class LinearSystem:
                 target, source = t, s
             elif t != target or s != source:
                 raise ValueError("equation terms disagree on their endpoints")
-            parts.append((coef, None if left is None else left.mat, u, None if right is None else right.mat))
+            parts.append((coef, None if left is None else left.mat, u.offset, u.src.ngens,
+                          None if right is None else right.mat))
         if target is None:
             raise ValueError("equation without terms")
         if rhs is not None and (rhs.src != source or rhs.dst != target):
@@ -312,13 +312,12 @@ class LinearSystem:
         for r in range(target.ngens):
             for c in range(source.ngens):
                 row = [0] * self._ncols
-                for coef, lmat, u, rmat in parts:
-                    ns = u.src.ngens
+                for coef, lmat, offset, ns, rmat in parts:
                     lrow = ((r, 1),) if lmat is None else enumerate(lmat[r])
                     for i, li in lrow:
                         if li == 0:
                             continue
-                        base = u.offset + i * ns
+                        base = offset + i * ns
                         if rmat is None:
                             row[base + c] += coef * li
                             continue
@@ -360,12 +359,12 @@ class LinearSystem:
 
     def _extract(self, vec) -> dict[str, BaseMorphism]:
         out = {}
-        for name, u in self._unknowns.items():
+        for name, (src, dst, offset) in self._unknowns.items():
             rows = [
-                [vec[u.offset + i * u.src.ngens + j] for j in range(u.src.ngens)]
-                for i in range(u.dst.ngens)
+                [vec[offset + i * src.ngens + j] for j in range(src.ngens)]
+                for i in range(dst.ngens)
             ]
-            out[name] = base_morphism(u.src, u.dst, rows)
+            out[name] = base_morphism(src, dst, rows)
         return out
 
     def homogeneous_basis(self) -> list[dict[str, Matrix]]:
@@ -381,10 +380,10 @@ class LinearSystem:
         for v in basis:
             entry = {}
             hit = False
-            for name, u in self._unknowns.items():
+            for name, (src, dst, offset) in self._unknowns.items():
                 rows = tuple(
-                    tuple(v[u.offset + i * u.src.ngens + j] for j in range(u.src.ngens))
-                    for i in range(u.dst.ngens)
+                    tuple(v[offset + i * src.ngens + j] for j in range(src.ngens))
+                    for i in range(dst.ngens)
                 )
                 entry[name] = rows
                 if not intmat.is_zero(rows):

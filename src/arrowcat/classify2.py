@@ -17,7 +17,7 @@ are checked before returning.  No system is solved for a whole square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baselin import (
     biproduct_base,
@@ -35,8 +35,7 @@ from .limits2 import SequenceData, factor_through, sequence_of
 from .rings import ZZ
 
 
-@dataclass(frozen=True)
-class ArrowClassification:
+class ArrowClassification(NamedTuple):
     faithful: bool
     full: bool
     fully_faithful: bool
@@ -122,8 +121,7 @@ def classify2(u: TwoMorphism) -> ArrowClassification:
     return flags
 
 
-@dataclass(frozen=True)
-class EquivalenceData:
+class EquivalenceData(NamedTuple):
     v1: BaseMorphism  # B1 -> A1
     v0: BaseMorphism  # B0 -> A0
     epsilon: BaseMorphism  # B0 -> B1

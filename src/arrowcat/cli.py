@@ -8,7 +8,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -42,9 +41,9 @@ def _flags_json(fl):
     """The flags of an ArrowClassification in field order, keyed by the
     camelCase of their field names."""
     out = {}
-    for f in dataclasses.fields(fl):
-        head, *rest = f.name.split("_")
-        out[head + "".join(w.capitalize() for w in rest)] = getattr(fl, f.name)
+    for name in fl._fields:
+        head, *rest = name.split("_")
+        out[head + "".join(w.capitalize() for w in rest)] = getattr(fl, name)
     return out
 
 

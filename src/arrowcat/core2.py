@@ -29,6 +29,7 @@ so they are written out only here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baselin import LinearSystem, cokernel_base, kernel_base
 from .baseobj import BaseObject, zero_object
@@ -230,8 +231,7 @@ def loop_cell(src: TwoObject, dst: TwoObject, mat: BaseMorphism) -> TwoCell:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SquareUnknown:
+class SquareUnknown(NamedTuple):
     """An unknown square X: src -> dst, with components named top and bottom."""
 
     src: TwoObject
@@ -240,8 +240,7 @@ class SquareUnknown:
     bottom: str
 
 
-@dataclass(frozen=True)
-class CellUnknown:
+class CellUnknown(NamedTuple):
     """An unknown cell matrix src.bottom -> dst.top."""
 
     src: TwoObject

@@ -10,8 +10,8 @@ Ker(Coker u) witness 2-Puppe-exactness when they are equivalences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .baselin import LinearSystem, cokernel_base, copair_base, kernel_base, pair_base
 from .basemor import BaseMorphism
@@ -45,8 +45,7 @@ from .limits2 import (
 )
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     # three-stage: u = mhat . l . e strictly
     e: TwoMorphism  # fully cofaithful
     l: TwoMorphism  # faithful and cofaithful
@@ -126,8 +125,7 @@ def _coker_ker_route(u: TwoMorphism, kd: KernelData):
     return ecd2.obj, ehat, mhat
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     holds: bool
     fillers: tuple
     unique: bool
@@ -184,8 +182,7 @@ def _fillers_unique(e, m) -> bool:
     return not any(a == 0 or (b != 0 and gcd(a, b) > 1) for a in q.orders for b in k.orders)
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
+class GoodnessReport(NamedTuple):
     a_comparison: BaseMorphism  # pi0 Ker u -> Ker pi0 u (bottom component)
     b_comparison: BaseMorphism  # Coker pi1 u -> pi1 Coker u (top component)
     a_epi: bool

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .baselin import LinearSystem, copair_base
 from .baseobj import BaseObject, field_object, make_object, zero_object
@@ -152,8 +153,7 @@ def random_self_equivalence(rng: random.Random, x: TwoObject, bounds: Bounds) ->
     return deform(identity2(x), alpha).cto
 
 
-@dataclass(frozen=True)
-class ExtensionInstance:
+class ExtensionInstance(NamedTuple):
     m: TwoMorphism  # A -> M
     cell: TwoCell  # e.m => 0
     e: TwoMorphism  # M -> C
@@ -178,8 +178,7 @@ def extension_on(rng: random.Random, a: TwoObject, c: TwoObject, bounds: Bounds)
     return ExtensionInstance(dm.cto, _transport_null_cell(cell, de, dm), de.cto)
 
 
-@dataclass(frozen=True)
-class ComplexInstance:
+class ComplexInstance(NamedTuple):
     lo: int
     hi: int
     objects: list[TwoObject]
@@ -222,8 +221,7 @@ def _next_differential(rng, prev: TwoMorphism, target: TwoObject, prev_cell: Two
     return nxt, alpha
 
 
-@dataclass(frozen=True)
-class ComplexExtensionInstance:
+class ComplexExtensionInstance(NamedTuple):
     sub: ComplexInstance  # A.
     total: ComplexInstance  # B. = A. (+) C. degreewise
     quot: ComplexInstance  # C.
@@ -262,8 +260,7 @@ def random_complex_extension(rng, ring, length, bounds) -> ComplexExtensionInsta
     return ComplexExtensionInstance(sub, total, quot, maps_in, in_cells, maps_out, out_cells, omegas)
 
 
-@dataclass(frozen=True)
-class SnakeInstance:
+class SnakeInstance(NamedTuple):
     row1: tuple  # (f, eta, g)
     row2: tuple  # (f2, eta2, g2)
     cols: tuple  # (a, b, c)
@@ -386,8 +383,7 @@ def _transport_null_cell(eta, dg, df):
     return vcomp2(eta, vcomp2(c2, c1))
 
 
-@dataclass(frozen=True)
-class ThreeByThreeInstance:
+class ThreeByThreeInstance(NamedTuple):
     f: tuple
     g: tuple
     eta: tuple

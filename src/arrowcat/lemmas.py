@@ -8,6 +8,7 @@ name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .baselin import copair_base, pair_base
 from .basemor import compose
@@ -30,8 +31,7 @@ from .limits2 import (
 from .sequences import is_extension, pasting_holds
 
 
-@dataclass(frozen=True)
-class ThreeByThree:
+class ThreeByThree(NamedTuple):
     """Rows (f_i, eta_i, g_i) for i = 1..3, columns (a_j, alpha), (b_j, beta),
     (c_j, gamma) and the four commuting square cells."""
 
@@ -189,8 +189,7 @@ def is_relative_pushout(i1, i2, pi: TwoCell, f, g, x, phi_mat, psi_mat) -> bool:
     return classify2(m).equivalence
 
 
-@dataclass(frozen=True)
-class ShortFiveInput:
+class ShortFiveInput(NamedTuple):
     f: TwoMorphism
     eta: TwoCell
     g: TwoMorphism

@@ -10,7 +10,7 @@ and Omega shadows are checked classically by rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .basemor import compose
 from .core2 import (
@@ -35,8 +35,7 @@ from .sequences import (
 from .snake import CokernelSide, ColumnData, KernelSide, generalized_snake
 
 
-@dataclass(frozen=True)
-class LesResult:
+class LesResult(NamedTuple):
     degrees: tuple[int, ...]
     h_objects: dict
     maps: tuple[TwoMorphism, ...]

@@ -28,7 +28,7 @@ raise AssertionError when it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baselin import (
     LinearSystem,
@@ -72,8 +72,7 @@ def factor_through(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SequenceData:
+class SequenceData(NamedTuple):
     """The three-term sequence of a square; the injections and projections of
     A0 (+) B1 are read from the memoized biproduct_base."""
 
@@ -87,8 +86,7 @@ def sequence_of(u: TwoMorphism) -> SequenceData:
     return SequenceData(pair_base(-a.boundary, u.top), copair_base(u.bottom, b.boundary))
 
 
-@dataclass(frozen=True)
-class KernelData:
+class KernelData(NamedTuple):
     obj: TwoObject
     kmor: TwoMorphism  # obj -> src(u)
     kappa: TwoCell  # u . kmor => 0
@@ -112,8 +110,7 @@ def factor_kernel2(kd: KernelData, t: TwoMorphism, beta: TwoCell) -> TwoMorphism
     return two_morphism(t.src, kd.obj, t.top, bottom)
 
 
-@dataclass(frozen=True)
-class CokernelData:
+class CokernelData(NamedTuple):
     obj: TwoObject
     qmor: TwoMorphism  # dst(u) -> obj
     zeta: TwoCell  # qmor . u => 0
@@ -143,8 +140,7 @@ def factor_cokernel2(cd: CokernelData, w: TwoMorphism, theta: TwoCell) -> TwoMor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoopData:
+class LoopData(NamedTuple):
     obj: TwoObject
     loop: TwoCell
 
@@ -175,8 +171,7 @@ def loop_tilde(pi: TwoCell) -> TwoMorphism:
     return TwoMorphism(pi.src, om.obj, zero_mor(pi.src.top, om.obj.top), bottom)
 
 
-@dataclass(frozen=True)
-class UnitData:
+class UnitData(NamedTuple):
     obj: TwoObject
     unit: TwoMorphism
 
@@ -237,8 +232,7 @@ def copip2(u: TwoMorphism) -> LoopData:
     return LoopData(obj, loop_cell(b, obj, proj))
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(NamedTuple):
     obj: TwoObject
     rmor: TwoMorphism  # obj -> src for roots; src -> obj for coroots
     kalpha: BaseMorphism
@@ -284,8 +278,7 @@ def factor_coroot2(rt: RootData, t: TwoMorphism) -> TwoMorphism:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelKernelData:
+class RelKernelData(NamedTuple):
     obj: TwoObject
     kmor: TwoMorphism
     kappa: TwoCell
@@ -309,8 +302,7 @@ def factor_rel_kernel2(rkd: RelKernelData, t: TwoMorphism, beta: TwoCell) -> Two
     return factor_root2(rkd.root, factor_kernel2(rkd.kernel, t, beta))
 
 
-@dataclass(frozen=True)
-class RelCokernelData:
+class RelCokernelData(NamedTuple):
     obj: TwoObject
     qmor: TwoMorphism
     zeta: TwoCell
@@ -338,8 +330,7 @@ def factor_rel_cokernel2(rcd: RelCokernelData, w: TwoMorphism, theta: TwoCell) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Biproduct2:
+class Biproduct2(NamedTuple):
     obj: TwoObject
     injections: tuple[TwoMorphism, ...]
     projections: tuple[TwoMorphism, ...]
@@ -380,8 +371,7 @@ def copair2(*maps: TwoMorphism) -> TwoMorphism:
     return TwoMorphism(src, maps[0].dst, top, bottom)
 
 
-@dataclass(frozen=True)
-class Pullback2:
+class Pullback2(NamedTuple):
     obj: TwoObject
     p1: TwoMorphism
     p2: TwoMorphism
@@ -397,8 +387,7 @@ def pullback2(f: TwoMorphism, g: TwoMorphism) -> Pullback2:
     return Pullback2(kd.obj, p1, p2, cell)
 
 
-@dataclass(frozen=True)
-class Pushout2:
+class Pushout2(NamedTuple):
     obj: TwoObject
     i1: TwoMorphism
     i2: TwoMorphism

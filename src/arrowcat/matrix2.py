@@ -11,14 +11,13 @@ the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core2 import TwoMorphism, TwoObject, compose2, zero2, zero_two_object
 from .limits2 import Biproduct2, biproduct2, copair2, pair2
 
 
-@dataclass(frozen=True)
-class AssembledMorphism:
+class AssembledMorphism(NamedTuple):
     mor: TwoMorphism
     src_bp: Biproduct2
     dst_bp: Biproduct2

@@ -15,7 +15,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .basemor import compose
 from .core2 import (
@@ -42,8 +42,7 @@ from .limits2 import (
 )
 
 
-@dataclass(frozen=True)
-class PuppeSequence:
+class PuppeSequence(NamedTuple):
     objects: tuple[TwoObject, ...]  # Pip, OmegaA, OmegaB, Ker, A, B, Coker, SigmaA, SigmaB, Copip
     maps: tuple[TwoMorphism, ...]  # nine arrows
     cells: tuple[TwoCell, ...]  # eight nullhomotopies of consecutive pairs

@@ -764,11 +764,13 @@ def _classification_case(rng, ring, k, bounds):
         for xx in a.bottom.elements()
         for yy in b.top.elements()
     }
+    cofaithful = len(onto) == b.bottom.total_order()
     return (
         ok
         and fl.full == exact
         and fl.fully_faithful == (inj and exact)
-        and fl.cofaithful == (len(onto) == b.bottom.total_order())
+        and fl.cofaithful == cofaithful
+        and fl.fully_cofaithful == (cofaithful and exact)
     )
 
 

@@ -16,6 +16,7 @@ sweep of the exactness oracle over every interior point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .basemor import compose
 from .classify2 import (
@@ -141,8 +142,7 @@ def is_extension(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism) -> bool:
     return _equivalence(sequence_of(b_prime))
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     obj: TwoObject
     qprime: TwoMorphism  # K(b, psi) -> H
     kprime: TwoMorphism  # H -> Q(a, phi)

@@ -21,7 +21,7 @@ pasting equations.  The three mu-identities are asserted exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baselin import LinearSystem, copair_base
 from .basemor import compose
@@ -55,22 +55,19 @@ from .limits2 import (
 from .sequences import pasting_holds
 
 
-@dataclass(frozen=True)
-class KernelSide:
+class KernelSide(NamedTuple):
     obj: TwoObject
     kmor: TwoMorphism
     kappa: TwoCell
 
 
-@dataclass(frozen=True)
-class CokernelSide:
+class CokernelSide(NamedTuple):
     obj: TwoObject
     qmor: TwoMorphism
     zeta: TwoCell
 
 
-@dataclass(frozen=True)
-class ColumnData:
+class ColumnData(NamedTuple):
     mor: TwoMorphism
     ker: KernelSide
     coker: CokernelSide
@@ -94,8 +91,7 @@ def mu_loop(cdata: ColumnData) -> TwoCell:
     return loop_cell(cdata.ker.obj, cdata.coker.obj, mat)
 
 
-@dataclass(frozen=True)
-class SnakeResult:
+class SnakeResult(NamedTuple):
     fbar: TwoMorphism
     etabar: TwoCell
     gbar: TwoMorphism

@@ -16,7 +16,7 @@ the tests and the snf selftest suite ask for U, U^-1 and V together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intmat import Matrix, mul, zeros
 
@@ -26,8 +26,7 @@ def _freeze(rows) -> Matrix:
     return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """D = U * M * V.  A transform that was not asked for is None; given a
     right-hand side rhs, u is None and u_rhs is U * rhs."""
 
@@ -291,9 +290,10 @@ def kernel_lattice(a: Matrix, nrows: int, ncols: int) -> list[tuple[int, ...]]:
     if nrows == 0:
         return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
     snf = smith_normal_form(a, nrows, ncols, u=False)
+    v = snf.v
     basis = []
     for j in range(ncols):
         d = snf.d[j][j] if j < min(nrows, ncols) else 0
         if d == 0:
-            basis.append(tuple(snf.v[i][j] for i in range(ncols)))
+            basis.append(tuple(v[i][j] for i in range(ncols)))
     return basis

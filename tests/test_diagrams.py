@@ -1,7 +1,6 @@
 """Puppe, snake, anaconda, LES and the grid lemmas on structured instances."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -498,25 +497,25 @@ class TestPastingLaw:
                 "f3*alpha . phi2*a1 . b2*phi1 = beta*f1",
                 lambda d: d.alpha,
                 lambda d, loop: compose(d.f[2].top, loop),
-                lambda d, bad: replace(d, alpha=bad),
+                lambda d, bad: d._replace(alpha=bad),
             ),
             (
                 "g3*beta . psi2*b1 . c2*psi1 = gamma*g1",
                 lambda d: d.gamma,
                 lambda d, loop: compose(loop, d.g[0].bottom),
-                lambda d, bad: replace(d, gamma=bad),
+                lambda d, bad: d._replace(gamma=bad),
             ),
             (
                 "eta2*a1 . g2*phi1 . psi1*f1 = c1*eta1",
                 lambda d: d.eta[0],
                 lambda d, loop: compose(d.c[0].top, loop),
-                lambda d, bad: replace(d, eta=(bad, *d.eta[1:])),
+                lambda d, bad: d._replace(eta=(bad, *d.eta[1:])),
             ),
             (
                 "eta3*a2 . g3*phi2 . psi2*f2 = c2*eta2",
                 lambda d: d.eta[2],
                 lambda d, loop: compose(loop, d.a[1].bottom),
-                lambda d, bad: replace(d, eta=(*d.eta[:2], bad)),
+                lambda d, bad: d._replace(eta=(*d.eta[:2], bad)),
             ),
         ],
         ids=["column-a-b", "column-b-c", "rows-1-2", "rows-2-3"],
