@@ -11,6 +11,9 @@ congruence solving through the Smith normal form (snf), with objects kept
 in invariant-factor form and interned, so that isomorphic objects are one
 instance: splitting and exactness are decided by comparing objects, without
 a solve.
+Every solve of a system of congruences goes through _solve_congruences, and
+the kernel of kernel_base and of a LinearSystem through _congruence_kernel;
+each holds its engine choice for both rings.
 Factoring through a map (factor_base) takes exactly one side and is one
 solve per generator order, with a matrix right-hand side: one row reduction
 of [L | H] over F_p.
@@ -29,7 +32,9 @@ from typing import NamedTuple
 
 from . import intmat
 from .baseobj import BaseObject, field_object, make_object
-from .basemor import BaseMorphism, _memo, _product, _reduced, base_morphism, compose, identity_mor, zero_mor
+from .basemor import (
+    BaseMorphism, _memo, _product, _reduce_entry, _reduced, base_morphism, compose, identity_mor, zero_mor,
+)
 from .intmat import Matrix
 from .modsolve import nullspace_mod_p, row_space_mod_p, solve_mod_p
 from .rings import ZZ, BaseRing
@@ -37,8 +42,11 @@ from .snf import kernel_lattice, smith_normal_form, solve_int
 
 
 # ---------------------------------------------------------------------------
-# Over Z: presentations by generators and relation columns, put into
-# invariant-factor form by the Smith normal form.
+# Congruence systems, solved in one place: row k of rows.x = rhs holds
+# modulo mods[k] (0: exactly).  Over F_p every modulus is p, mods is not
+# read and modsolve takes the rows as they are; over Z the rows are reduced
+# modulo their moduli and joined by the moduli's relation columns, whose
+# slack unknowns are dropped from the answer.
 # ---------------------------------------------------------------------------
 
 
@@ -49,6 +57,42 @@ def relation_columns(orders) -> tuple[Matrix, int]:
     for j, (i, d) in enumerate(cols):
         m[i][j] = d
     return intmat.mat(m), len(cols)
+
+
+def _integer_system(rows, mods, ncols: int) -> tuple[Matrix, int]:
+    """(the reduced rows joined by the relation columns of mods, its width), over Z."""
+    rel, nslack = relation_columns(mods)
+    return intmat.hstack([_reduced(rows, mods), rel], len(rows)), ncols + nslack
+
+
+def _solve_congruences(ring: BaseRing, rows, rhs, mods, ncols: int, nrhs: int) -> Matrix | None:
+    """Some x (ncols x nrhs) with rows.x = rhs, row k modulo mods[k], or None.
+    A system without rows is solved by zero, without an engine call.  The
+    relation columns make any representative of rhs modulo mods do."""
+    nrows = len(rows)
+    if nrows == 0:
+        return intmat.zeros(ncols, nrhs)
+    if ring.is_field:
+        return solve_mod_p(rows, rhs, nrows, ncols, nrhs, ring.p)
+    a, width = _integer_system(rows, mods, ncols)
+    x = solve_int(a, rhs, nrows, width)
+    return None if x is None else x[:ncols]
+
+
+def _congruence_kernel(ring: BaseRing, rows, mods, ncols: int) -> list[tuple[int, ...]]:
+    """Vectors spanning the x with rows.x = 0, row k modulo mods[k]: over F_p
+    a basis, over Z the kernel lattice's basis without its slack entries, so
+    a vector may be zero."""
+    if ring.is_field:
+        return nullspace_mod_p(rows, len(rows), ncols, ring.p)
+    a, width = _integer_system(rows, mods, ncols)
+    return [v[:ncols] for v in kernel_lattice(a, len(rows), width)]
+
+
+# ---------------------------------------------------------------------------
+# Over Z: presentations by generators and relation columns, put into
+# invariant-factor form by the Smith normal form.
+# ---------------------------------------------------------------------------
 
 
 class Presentation(NamedTuple):
@@ -70,16 +114,9 @@ def canonicalize(ngens: int, relations: Matrix, nrel: int) -> Presentation:
     kept = [i for i in range(ngens) if i >= nrel or d[i][i] != 1]
     orders = [d[i][i] if i < nrel else 0 for i in kept]
     obj = make_object(ZZ, orders)
-    to_canon = tuple(
-        tuple(_red(u[i][j], orders[r]) for j in range(ngens))
-        for r, i in enumerate(kept)
-    )
+    to_canon = _reduced([u[i] for i in kept], orders)
     from_canon = tuple(tuple(u_inv[i][j] for j in kept) for i in range(ngens))
     return Presentation(obj, to_canon, from_canon)
-
-
-def _red(x: int, order: int) -> int:
-    return x % order if order else x
 
 
 def subgroup(ambient: BaseObject, gen_cols: Matrix, ncols: int):
@@ -122,13 +159,10 @@ def kernel_base(f: BaseMorphism):
     """(K, k) with k mono, f.k = 0, universal among such."""
     if f.is_zero_mor():
         return f.src, identity_mor(f.src)
+    basis = _congruence_kernel(f.ring, f.mat, f.dst.orders, f.src.ngens)
     if f.ring.is_field:
-        basis = nullspace_mod_p(f.mat, f.dst.ngens, f.src.ngens, f.ring.p)
         k_obj = field_object(f.ring, len(basis))
         return k_obj, _columns_mor(k_obj, f.src, basis)
-    rel, ntors = relation_columns(f.dst.orders)
-    stacked = intmat.hstack([f.mat, rel], f.dst.ngens)
-    basis = kernel_lattice(stacked, f.dst.ngens, f.src.ngens + ntors)
     gen_cols = tuple(tuple(v[i] for v in basis) for i in range(f.src.ngens))
     k_obj, incl, _ = subgroup(f.src, gen_cols, len(basis))
     return k_obj, incl
@@ -200,7 +234,7 @@ def pair_base(*maps: BaseMorphism) -> BaseMorphism:
     if obj.orders == sum((f.dst.orders for f in maps), ()):
         mat = tuple(row for f in maps for row in f.mat)
     else:
-        mat = _reduced(functools.reduce(intmat.add, map(_product, injections, maps)), obj)
+        mat = _reduced(functools.reduce(intmat.add, map(_product, injections, maps)), obj.orders)
     return BaseMorphism(maps[0].src, obj, mat)
 
 
@@ -214,7 +248,7 @@ def copair_base(*maps: BaseMorphism) -> BaseMorphism:
     if obj.orders == sum((f.src.orders for f in maps), ()):
         mat = intmat.hstack([f.mat for f in maps], dst.ngens)
     else:
-        mat = _reduced(functools.reduce(intmat.add, map(_product, maps, projections)), dst)
+        mat = _reduced(functools.reduce(intmat.add, map(_product, maps, projections)), dst.orders)
     return BaseMorphism(obj, dst, mat)
 
 
@@ -245,29 +279,27 @@ class _Unknown(NamedTuple):
 
 
 class LinearSystem:
-    """Linear equations in unknown base morphisms, solved as one integer system.
+    """Linear equations in unknown base morphisms, solved as one congruence system.
 
-    An unknown X: src -> dst is a dst x src matrix; over Z its
-    well-definedness congruences are kept in their own list and placed ahead
-    of the equation rows at assembly.  An equation has the form
+    An unknown X: src -> dst is a dst x src matrix.  An equation has the form
 
         sum_i  coef_i * L_i . X_{name_i} . R_i  ==  rhs   (mod target orders)
 
     where L_i, R_i and rhs are base morphisms, None standing for an identity
     side or a zero right-hand side.  The target object and the column count
-    are read off the terms, which must agree.  Unknown squares and cells of
-    the 2-dimensional layer are declared through core2 (add_square, add_cell,
-    add_homotopy), which spells out their equations once.
+    are read off the terms, which must agree.  Over Z the unknowns'
+    well-definedness congruences go ahead of the equation rows.  Unknown
+    squares and cells of the 2-dimensional layer are declared through core2
+    (add_square, add_cell, add_homotopy), which spells out their equations
+    once.
     """
 
     def __init__(self, ring: BaseRing):
         self.ring = ring
         self._unknowns: dict[str, _Unknown] = {}
         self._ncols = 0
-        self._wd_rows: list[list[int]] = []
-        self._wd_mods: list[int] = []
         self._rows: list[list[int]] = []
-        self._rhs: list[int] = []
+        self._rhs: list[tuple[int]] = []
         self._mods: list[int] = []
 
     def add_unknown(self, name: str, src: BaseObject, dst: BaseObject):
@@ -276,17 +308,6 @@ class LinearSystem:
         u = _Unknown(src, dst, self._ncols)
         self._unknowns[name] = u
         self._ncols += src.ngens * dst.ngens
-        # over a field every generator has order p and the well-definedness
-        # congruences are vacuous
-        if not self.ring.is_field:
-            for j, d in enumerate(src.orders):
-                if d == 0:
-                    continue
-                for i, e in enumerate(dst.orders):
-                    row = [0] * self._ncols
-                    row[u.offset + i * src.ngens + j] = d
-                    self._wd_rows.append(row)
-                    self._wd_mods.append(e)
         return u
 
     def add_equation(self, terms, rhs: BaseMorphism | None = None):
@@ -326,71 +347,49 @@ class LinearSystem:
                             if rj:
                                 row[base + j] += coef * li * rj
                 self._rows.append(row)
-                self._rhs.append(0 if rhs is None else rhs.mat[r][c])
+                self._rhs.append((0 if rhs is None else rhs.mat[r][c],))
                 self._mods.append(target.orders[r])
 
     def _layout(self):
-        """(rows, rhs, moduli), well-definedness rows first, padded to full width."""
-        rows = [r + [0] * (self._ncols - len(r)) for r in self._wd_rows + self._rows]
-        return rows, [0] * len(self._wd_rows) + self._rhs, self._wd_mods + self._mods
+        """(rows, rhs, moduli) at full width.  Over Z the well-definedness
+        congruences d.X_ij = 0 modulo e come first, for every unknown in
+        declaration order, every source generator j of order d != 0 and every
+        target generator i of order e; over a field every generator has order
+        p and they are vacuous."""
+        rows, mods = [], []
+        if not self.ring.is_field:
+            for src, dst, offset in self._unknowns.values():
+                for j, d in src.torsion_gens:
+                    for i, e in enumerate(dst.orders):
+                        row = [0] * self._ncols
+                        row[offset + i * src.ngens + j] = d
+                        rows.append(row)
+                        mods.append(e)
+        rhs = [(0,)] * len(rows) + self._rhs
+        rows += [r + [0] * (self._ncols - len(r)) for r in self._rows]
+        return rows, rhs, mods + self._mods
 
-    def _assemble(self):
-        rows, rhs, mods = self._layout()
-        nrows = len(rows)
-        self._reduced_rhs = [x % m if m else x for x, m in zip(rhs, mods)]
-        reduced = [[x % m for x in row] if m else row for row, m in zip(rows, mods)]
-        rel, nslack = relation_columns(mods)
-        return intmat.hstack([reduced, rel], nrows), nrows, self._ncols + nslack
-
-    def solve(self) -> dict[str, BaseMorphism] | None:
-        if self.ring.is_field:
-            rows, rhs, _ = self._layout()
-            x = solve_mod_p(rows, [(v,) for v in rhs], len(rows), self._ncols, 1, self.ring.p)
-            return None if x is None else self._extract(tuple(r[0] for r in x))
-        a, nrows, ncols = self._assemble()
-        b = tuple((x,) for x in self._reduced_rhs)
-        if nrows == 0:
-            x = intmat.zeros(ncols, 1)
-        else:
-            x = solve_int(a, b, nrows, ncols)
-        if x is None:
-            return None
-        return self._extract(tuple(r[0] for r in x))
-
-    def _extract(self, vec) -> dict[str, BaseMorphism]:
+    def _matrices(self, vec) -> dict[str, Matrix]:
+        """Each unknown's matrix in a vector of their entries (raw integers)."""
         out = {}
         for name, (src, dst, offset) in self._unknowns.items():
-            rows = [
-                [vec[offset + i * src.ngens + j] for j in range(src.ngens)]
-                for i in range(dst.ngens)
-            ]
-            out[name] = base_morphism(src, dst, rows)
+            n = src.ngens
+            out[name] = tuple(tuple(vec[offset + i * n : offset + i * n + n]) for i in range(dst.ngens))
         return out
+
+    def solve(self) -> dict[str, BaseMorphism] | None:
+        rows, rhs, mods = self._layout()
+        x = _solve_congruences(self.ring, rows, rhs, mods, self._ncols, 1)
+        if x is None:
+            return None
+        mats = self._matrices([r[0] for r in x])
+        return {name: base_morphism(src, dst, mats[name]) for name, (src, dst, _) in self._unknowns.items()}
 
     def homogeneous_basis(self) -> list[dict[str, Matrix]]:
         """Basis of the solution lattice of the homogeneous system, projected
         to the unknowns (raw integer matrices, not reduced)."""
-        if self.ring.is_field:
-            rows, _, _ = self._layout()
-            basis = nullspace_mod_p(rows, len(rows), self._ncols, self.ring.p)
-        else:
-            a, nrows, ncols = self._assemble()
-            basis = kernel_lattice(a, nrows, ncols)
-        out = []
-        for v in basis:
-            entry = {}
-            hit = False
-            for name, (src, dst, offset) in self._unknowns.items():
-                rows = tuple(
-                    tuple(v[offset + i * src.ngens + j] for j in range(src.ngens))
-                    for i in range(dst.ngens)
-                )
-                entry[name] = rows
-                if not intmat.is_zero(rows):
-                    hit = True
-            if hit:
-                out.append(entry)
-        return out
+        rows, _, mods = self._layout()
+        return [self._matrices(v) for v in _congruence_kernel(self.ring, rows, mods, self._ncols) if any(v)]
 
 
 def _solve_by_order(ring, a, b, orders, x_orders, row_orders):
@@ -398,35 +397,32 @@ def _solve_by_order(ring, a, b, orders, x_orders, row_orders):
     of b and Y (orders).  Over F_p that is one row reduction of [a | b].
     Over Z the unknowns have orders x_orders, and a row of a is taken modulo
     its row_orders entry, or modulo d if row_orders is None (Y is x^T): the
-    well-definedness congruences of Y go first, then relation columns and
-    one solve_int."""
+    well-definedness congruences of Y that are not identically zero go
+    first."""
     nrows, ncols = len(a), len(x_orders)
     if ring.is_field:
-        return solve_mod_p(a, b, nrows, ncols, len(orders), ring.p)
+        return _solve_congruences(ring, a, b, None, ncols, len(orders))
     groups: dict[int, list[int]] = {}
     for k, d in enumerate(orders):
         groups.setdefault(d, []).append(k)
     y = [[0] * len(orders) for _ in range(ncols)]
     for d, cols in groups.items():
         part = [[row[k] for k in cols] for row in b]
-        if not any(map(any, part)):  # solve_int would give 0 too
+        if not any(map(any, part)):  # the solve would give 0 too
             continue
         if row_orders is None:  # d is the order of the row of x
             wd, mods = [(o, d) for o in x_orders], (d,) * nrows
         else:  # d is the order of the column of x
             wd, mods = [(d, o) for o in x_orders], row_orders
-        # a congruence that is identically zero (m divides c) is not written
-        kept = [(i, _red(c, m), m) for i, (c, m) in enumerate(wd) if _red(c, m)]
-        rows = [[c if j == i else 0 for j in range(ncols)] for i, c, _ in kept]
-        rows += [[_red(x, m) for x in row] for row, m in zip(a, mods)]
-        rhs = [(0,) * len(cols)] * len(kept) + [[_red(x, m) for x in v] for v, m in zip(part, mods)]
-        rel, nslack = relation_columns([m for _, _, m in kept] + list(mods))
-        sol = solve_int(intmat.hstack([rows, rel], len(rows)), rhs, len(rows), ncols + nslack)
+        kept = [(i, r, m) for i, (c, m) in enumerate(wd) if (r := _reduce_entry(c, m))]
+        rows = [[c if j == i else 0 for j in range(ncols)] for i, c, _ in kept] + list(a)
+        rhs = [(0,) * len(cols)] * len(kept) + part
+        sol = _solve_congruences(ring, rows, rhs, [m for _, _, m in kept] + list(mods), ncols, len(cols))
         if sol is None:
             return None
         for y_row, sol_row, (_, m) in zip(y, sol, wd):
             for k, v in zip(cols, sol_row):
-                y_row[k] = _red(v, m)
+                y_row[k] = _reduce_entry(v, m)
     return tuple(map(tuple, y))
 
 

@@ -121,13 +121,13 @@ class BaseMorphism:
     def __add__(self, other: "BaseMorphism") -> "BaseMorphism":
         if self.src != other.src or self.dst != other.dst:
             raise ValueError("sum of non-parallel morphisms")
-        return BaseMorphism(self.src, self.dst, _reduced(intmat.add(self.mat, other.mat), self.dst))
+        return BaseMorphism(self.src, self.dst, _reduced(intmat.add(self.mat, other.mat), self.dst.orders))
 
     def __sub__(self, other: "BaseMorphism") -> "BaseMorphism":
         return BaseMorphism(self.src, self.dst, _difference(self, other))
 
     def __neg__(self) -> "BaseMorphism":
-        return BaseMorphism(self.src, self.dst, _reduced(intmat.neg(self.mat), self.dst))
+        return BaseMorphism(self.src, self.dst, _reduced(intmat.neg(self.mat), self.dst.orders))
 
     def is_zero_mor(self) -> bool:
         return intmat.is_zero(self.mat)
@@ -164,11 +164,12 @@ def _raise_first_fault(m: BaseMorphism) -> None:
                     )
 
 
-def _reduced(rows, dst: BaseObject) -> Matrix:
-    """Rows of integers reduced into the canonical range of dst's generators."""
+def _reduced(rows, orders) -> Matrix:
+    """Rows of integers, row k reduced into the canonical range of orders[k]
+    (a target generator's order, or a congruence's modulus; 0 is exact)."""
     return tuple([
         tuple([x % e for x in row]) if e else tuple(row)
-        for row, e in zip(rows, dst.orders)
+        for row, e in zip(rows, orders)
     ])
 
 
@@ -180,7 +181,7 @@ def base_morphism(src: BaseObject, dst: BaseObject, entries) -> BaseMorphism:
     """
     if len(entries) != dst.ngens:
         raise ValueError("matrix row count does not match target")
-    return BaseMorphism(src, dst, _reduced([list(map(index, row)) for row in entries], dst))
+    return BaseMorphism(src, dst, _reduced([list(map(index, row)) for row in entries], dst.orders))
 
 
 @_memo
@@ -244,7 +245,7 @@ def _difference(a: BaseMorphism, b: BaseMorphism) -> Matrix:
         raise ValueError("difference of non-parallel morphisms")
     if _kind(b) == _ZERO:
         return a.mat
-    return _reduced(intmat.sub(a.mat, b.mat), a.dst)
+    return _reduced(intmat.sub(a.mat, b.mat), a.dst.orders)
 
 
 def compose(g: BaseMorphism, f: BaseMorphism) -> BaseMorphism:

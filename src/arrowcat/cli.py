@@ -66,26 +66,15 @@ def _emit(args, command: str, ok: bool, result) -> int:
 
 
 def cmd_kernel(args):
-    from .limits2 import kernel2
+    from .limits2 import cokernel2, kernel2
 
     ws = _load(args)
-    kd = kernel2(ws.morphism(args.morphism))
-    return _emit(args, "kernel", True, {
-        "object": _obj_to_json(kd.obj),
-        "morphism": _mor_json(kd.kmor),
-        "cell": _matrix_to_json(kd.kappa.mat),
-    })
-
-
-def cmd_cokernel(args):
-    from .limits2 import cokernel2
-
-    ws = _load(args)
-    cd = cokernel2(ws.morphism(args.morphism))
-    return _emit(args, "cokernel", True, {
-        "object": _obj_to_json(cd.obj),
-        "morphism": _mor_json(cd.qmor),
-        "cell": _matrix_to_json(cd.zeta.mat),
+    fn = kernel2 if args.command == "kernel" else cokernel2
+    obj, mor, cell, _ = fn(ws.morphism(args.morphism))
+    return _emit(args, args.command, True, {
+        "object": _obj_to_json(obj),
+        "morphism": _mor_json(mor),
+        "cell": _matrix_to_json(cell.mat),
     })
 
 
@@ -219,30 +208,24 @@ def cmd_puppe(args):
 
 
 def _snake_parts(ws, args):
-    from .snake import column_data
-
+    """(rows, columns, cells) of a map of extensions, as the workspace holds them."""
     rows = (
         ws.morphism(args.f), ws.cell(args.eta), ws.morphism(args.g),
         ws.morphism(args.f2), ws.cell(args.eta2), ws.morphism(args.g2),
     )
-    cols = (
-        column_data(ws.morphism(args.a)),
-        column_data(ws.morphism(args.b)),
-        column_data(ws.morphism(args.c)),
-    )
-    cells = (ws.cell(args.phi), ws.cell(args.psi))
-    return rows, cols, cells
+    cols = (ws.morphism(args.a), ws.morphism(args.b), ws.morphism(args.c))
+    return rows, cols, (ws.cell(args.phi), ws.cell(args.psi))
 
 
 def cmd_snake(args):
     from .sequences import exactness
-    from .snake import generalized_snake, plain_snake
+    from .snake import column_data, generalized_snake, plain_snake
 
     ws = _load(args)
     rows, cols, cells = _snake_parts(ws, args)
     fn = generalized_snake if args.generalized else plain_snake
     try:
-        res = fn(*rows, *cols, *cells)
+        res = fn(*rows, *map(column_data, cols), *cells)
     except ValueError as e:
         return _emit(args, "snake", False, {"error": str(e)})
     maps, scells = res.sequence()
@@ -257,11 +240,12 @@ def cmd_snake(args):
 def cmd_anaconda(args):
     from .anaconda import anaconda, anaconda_full_sequence
     from .sequences import exactness
+    from .snake import column_data
 
     ws = _load(args)
     rows, cols, cells = _snake_parts(ws, args)
     try:
-        res = anaconda(*rows, *cols, *cells)
+        res = anaconda(*rows, *map(column_data, cols), *cells)
     except ValueError as e:
         return _emit(args, "anaconda", False, {"error": str(e)})
     exact = exactness(*anaconda_full_sequence(res))
@@ -338,14 +322,8 @@ def cmd_check3x3(args):
 def cmd_shortfive(args):
     from .lemmas import ShortFiveInput, check_short_five
 
-    ws = _load(args)
-    d = ShortFiveInput(
-        ws.morphism(args.f), ws.cell(args.eta), ws.morphism(args.g),
-        ws.morphism(args.f2), ws.cell(args.eta2), ws.morphism(args.g2),
-        ws.morphism(args.a), ws.morphism(args.b), ws.morphism(args.c),
-        ws.cell(args.phi), ws.cell(args.psi),
-    )
-    rep = check_short_five(d)
+    rows, cols, cells = _snake_parts(_load(args), args)
+    rep = check_short_five(ShortFiveInput(*rows, *cols, *cells))
     details = {
         "a": _flags_json(rep.details["a"]) if "a" in rep.details else None,
         "b": _flags_json(rep.details["b"]) if "b" in rep.details else None,
@@ -435,8 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--in", dest="infile", default=None, help="workspace JSON file")
         out(sp)
 
+    def map_of_pairs(sp):  # the rows, columns and cells that _snake_parts reads
+        for flag in ("--f", "--eta", "--g", "--f2", "--eta2", "--g2", "--a", "--b", "--c", "--phi", "--psi"):
+            sp.add_argument(flag, required=True)
+
     for name, fn in [
-        ("kernel", cmd_kernel), ("cokernel", cmd_cokernel),
+        ("kernel", cmd_kernel), ("cokernel", cmd_kernel),
         ("pip", cmd_pip), ("copip", cmd_pip),
         ("classify", cmd_classify), ("equivdata", cmd_equivdata),
         ("factor", cmd_factor), ("puppe", cmd_puppe),
@@ -468,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in [("snake", cmd_snake), ("anaconda", cmd_anaconda)]:
         sp = sub.add_parser(name)
         common(sp)
-        for flag in ("--f", "--eta", "--g", "--f2", "--eta2", "--g2", "--a", "--b", "--c", "--phi", "--psi"):
-            sp.add_argument(flag, required=True)
+        map_of_pairs(sp)
         if name == "snake":
             sp.add_argument("--generalized", action="store_true")
         sp.set_defaults(fn=fn)
@@ -489,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("shortfive")
     common(sp)
-    for flag in ("--f", "--eta", "--g", "--f2", "--eta2", "--g2", "--a", "--b", "--c", "--phi", "--psi"):
-        sp.add_argument(flag, required=True)
+    map_of_pairs(sp)
     sp.set_defaults(fn=cmd_shortfive)
 
     sp = sub.add_parser("demo-nonsplit")

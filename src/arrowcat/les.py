@@ -4,8 +4,9 @@ Per degree the connecting morphism comes from the generalized snake applied
 to the rows  Q_n -> K_n  (relative cokernels over relative kernels) with
 columns h_n, whose kernel/cokernel data are the homology presentations; the
 assembled sequence ... H_n(A) -> H_n(B) -> H_n(C) -> H_{n+1}(A) ... is
-verified exact at every point by the oracle, and over prime fields the pi0
-and Omega shadows are checked classically by rank.
+verified exact at every point by the oracle, and the pi0 and Omega shadows
+are checked classically in the base category (selftest.shadows_exact), over
+prime fields and over Z.
 """
 
 from __future__ import annotations

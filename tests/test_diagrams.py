@@ -40,8 +40,8 @@ from arrowcat.lemmas import (
 from arrowcat.les import les_full_sequence, les_homology
 from arrowcat.limits2 import omega_obj, sigma_obj
 from arrowcat.puppe import puppe
-from arrowcat.selftest import _random_loop
-from arrowcat.sequences import ChainMap, exact_at, loop_exact
+from arrowcat.selftest import _random_loop, shadows_exact
+from arrowcat.sequences import ChainMap, exact_at, exactness, loop_exact
 from arrowcat.snake import column_data, generalized_snake, plain_snake
 
 
@@ -280,6 +280,22 @@ class TestLes:
             maps, cells = les_full_sequence(res)
             for k in range(len(maps) - 1):
                 assert exact_at(maps[k], cells[k], maps[k + 1])
+
+    def test_les_over_z_has_exact_shadows(self, bounds):
+        # 12 extensions of lengths 3 and 4 over Z (seed 11, under a second):
+        # exact at every point, and so are the pi0 and Omega shadows
+        rng = random.Random(11)
+        for k in range(12):
+            ce = random_complex_extension(rng, ZZ, 3 + k % 2, bounds)
+            maps, cells = les_full_sequence(les_homology(*to_chain_maps(ce)))
+            assert all(exactness(maps, cells))
+            assert shadows_exact(maps, ZZ)
+
+    def test_shadows_exact_rejects_a_nonzero_homology(self):
+        # 0 -> Z as a 2-object has pi0 = Z, and Z -0-> Z -0-> Z is not exact
+        y = two_object(zero_mor(zero_object(ZZ), z_object(1)))
+        assert not shadows_exact([zero2(y, y), zero2(y, y)], ZZ)
+        assert shadows_exact([zero2(y, y)], ZZ)
 
     def test_single_degree_reduces_to_snake(self, rng, bounds):
         # complexes concentrated in one degree: the only interesting snake
