@@ -1,7 +1,7 @@
 """Snake lemmas: the six-term kernel-cokernel sequence of a column map.
 
 The plain snake expects both rows to be extensions; the connecting morphism
-is built through the pushout of the left square (two-square lemma) and the
+is built through the pushout I of the left square (two-square lemma) and the
 triangle construction d = q'_a . k'_c.  The generalized snake only expects
 (g, eta) = Coker f in the top row and (f', eta') = Ker g' in the bottom one;
 it reduces to the plain snake on the kernel/cokernel rows as in the proof.
@@ -11,12 +11,18 @@ the homology presentations of les).  The induced maps on them come from one
 factorization through that data, limits2.factor_through_kernel_data and
 factor_through_cokernel_data, which prefers a strict solution; on canonical
 data the strict solution is unique and is factor_kernel2's or
-factor_cokernel2's.  The two-square comparison cell is written down and
-checked by TwoCell.  Every other connecting 2-cell is produced by a linear
-solve: limits2.solve_cell with pinned whiskers, which raises AssertionError
-when no such cell exists, or a LinearSystem whose unknown squares and cells
-are declared with core2's add_square, add_cell and add_homotopy, plus the
-pasting equations.  The three mu-identities are asserted exactly.
+factor_cokernel2's.
+
+Maps and cells out of I come from its universal property: j, c' and q'_a
+are one factor_cokernel2 each (q'_a is 0 along i1 and q_a along i2), and
+the cells psi2 and nu1 out of I are given by their whiskers along i1 and i2
+and checked by TwoCell.  k'_c maps into I, so it is solved for: a
+LinearSystem whose unknowns are declared with core2's add_square, add_cell
+and add_homotopy, plus the pasting equation.  mu2, etabar, etabar2 and the
+generalized snake's presentation cells are limits2.solve_cell with pinned
+whiskers, which raises AssertionError when no such cell exists; the
+generalized snake's connecting cells are one LinearSystem pinned by the
+mu-identities.  The three mu-identities are asserted exactly.
 """
 
 from __future__ import annotations
@@ -122,7 +128,8 @@ def check_pasting(f, eta, g, f2, eta2, g2, a, b, c, phi, psi):
 
 def _induced_maps(f, g, f2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi, psi):
     """fbar: Ka -> Kb and gbar: Kb -> Kc on the kernels, fbar2: Qa -> Qb and
-    gbar2: Qb -> Qc on the cokernels of the columns."""
+    gbar2: Qb -> Qc on the cokernels of the columns, and the cell
+    ps: qb.f2 => fbar2.qa that comes with fbar2."""
     beta_f = vcomp2(whisker_left(f2, a.ker.kappa), whisker_right(phi, a.ker.kmor))
     fbar, _ = factor_through_kernel_data(
         b.mor, b.ker.kmor, b.ker.kappa, compose2(f, a.ker.kmor), beta_f
@@ -132,14 +139,14 @@ def _induced_maps(f, g, f2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi
         c.mor, c.ker.kmor, c.ker.kappa, compose2(g, b.ker.kmor), beta_g
     )
     theta_f = vcomp2(whisker_right(b.coker.zeta, f), whisker_left(b.coker.qmor, phi.inverse()))
-    fbar2, _ = factor_through_cokernel_data(
+    fbar2, ps = factor_through_cokernel_data(
         a.mor, a.coker.qmor, a.coker.zeta, compose2(b.coker.qmor, f2), theta_f
     )
     theta_g = vcomp2(whisker_right(c.coker.zeta, g), whisker_left(c.coker.qmor, psi.inverse()))
     gbar2, _ = factor_through_cokernel_data(
         b.mor, b.coker.qmor, b.coker.zeta, compose2(c.coker.qmor, g2), theta_g
     )
-    return fbar, gbar, fbar2, gbar2
+    return fbar, gbar, fbar2, gbar2, ps
 
 
 def plain_snake(
@@ -159,7 +166,7 @@ def plain_snake(
     psi: c.g => g2.b."""
     check_pasting(f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, phi, psi)
 
-    fbar, gbar, fbar2, gbar2 = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
+    fbar, gbar, fbar2, gbar2, ps = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
 
     # two-square construction on the left square (f, a; f2, b)
     po = pushout2(f, a.mor)
@@ -172,10 +179,9 @@ def plain_snake(
     psi2 = TwoCell(compose2(g2, cprime), compose2(c.mor, j), chi)
 
     # k'_c: Kc -> I with cells xi and kappa'_c
-    iobj = po.obj
     kc = c.ker
     sys = LinearSystem(f.top.ring)
-    s = add_square(sys, "s", kc.obj, iobj)
+    s = add_square(sys, "s", kc.obj, po.obj)
     kp = add_cell(sys, "kp", kc.obj, b.mor.dst)
     xi = add_cell(sys, "xi", kc.obj, c.mor.src)
     # xi: kc_mor => j . s
@@ -197,30 +203,10 @@ def plain_snake(
     kprime_c = solved_square(sol, s)
     kappa_pc = sol[kp.name]
 
-    # q'_a: I -> Qa with cells zeta'_a and pi
+    # q'_a: I -> Qa, strict on i1 (zero) and on i2 (qa), so zeta'_a = 0
     qa = a.coker
-    sys = LinearSystem(f.top.ring)
-    t = add_square(sys, "t", iobj, qa.obj)
-    zp = add_cell(sys, "zp", b.mor.src, qa.obj)
-    pi = add_cell(sys, "pi", a.mor.dst, qa.obj)
-    # zp: q'_a . i1 => 0
-    add_homotopy(sys, zp, [(1, None, t, i1)], [])
-    # pi: qa_mor => q'_a . i2
-    add_homotopy(sys, pi, qa.qmor, [(1, None, t, i2)])
-    # pasting: zp.f0 = t1.phi1 - pi.a0 + zeta_a
-    sys.add_equation(
-        [
-            (1, None, zp.name, f.bottom),
-            (-1, None, t.top, phi1.mat),
-            (1, None, pi.name, a.mor.bottom),
-        ],
-        qa.zeta.mat,
-    )
-    sol = sys.solve()
-    if sol is None:
-        raise AssertionError("q'_a system is not solvable")
-    qprime_a = solved_square(sol, t)
-    zeta_pa = sol[zp.name]
+    w_q = copair2(zero2(f.dst, qa.obj), qa.qmor)
+    qprime_a = factor_cokernel2(po.cokernel, w_q, cell_to_zero(compose2(w_q, diff), -qa.zeta.mat))
 
     d = compose2(qprime_a, kprime_c)
 
@@ -231,16 +217,14 @@ def plain_snake(
         [(1, cprime.top, None, compose(kappa_pc, gbar.bottom) - b.ker.kappa.mat)],
     )
 
-    delta = cell_to_zero(
-        compose2(d, gbar),
-        compose(qprime_a.top, mu2.mat) + compose(zeta_pa, b.ker.kmor.bottom),
-    )
+    delta = cell_to_zero(compose2(d, gbar), compose(qprime_a.top, mu2.mat))
 
-    # nu1: fbar2 . q'_a => qb . c' pinned by fbar2*zeta'_a + nu1*i1 = zeta_b
-    nu1 = solve_cell(
+    # nu1: fbar2 . q'_a => qb . c', the cell out of I whose whiskers are
+    # zeta_b^{-1} along i1 and ps^{-1} along i2
+    nu1 = TwoCell(
         compose2(fbar2, qprime_a),
         compose2(b.coker.qmor, cprime),
-        [(1, None, i1.bottom, compose(fbar2.top, zeta_pa) - b.coker.zeta.mat)],
+        copair_base(-b.coker.zeta.mat, -ps.mat),
     )
 
     delta_prime = cell_to_zero(
@@ -362,7 +346,7 @@ def generalized_snake(
     )
 
     # outer induced maps on the original columns
-    fbar, gbar, fbar2, gbar2 = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
+    fbar, gbar, fbar2, gbar2, _ = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
     etabar = cell_to_zero(compose2(gbar, fbar), compose(eta.mat, a.ker.kmor.bottom))
     etabar2 = cell_to_zero(compose2(gbar2, fbar2), compose(c.coker.qmor.top, eta2.mat))
 

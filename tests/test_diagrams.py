@@ -11,11 +11,14 @@ from arrowcat.classify2 import classify2
 from arrowcat.core2 import (
     TwoCell,
     compose2,
+    deform,
     identity2,
     identity_cell,
     is_zero_equivalent,
     two_morphism,
     two_object,
+    vcomp2,
+    whisker_right,
     zero2,
 )
 from arrowcat.generators import (
@@ -42,7 +45,7 @@ from arrowcat.limits2 import omega_obj, sigma_obj
 from arrowcat.puppe import puppe
 from arrowcat.selftest import _random_loop, shadows_exact
 from arrowcat.sequences import ChainMap, exact_at, exactness, loop_exact
-from arrowcat.snake import column_data, generalized_snake, plain_snake
+from arrowcat.snake import CokernelSide, column_data, generalized_snake, plain_snake
 
 
 class TestPuppe:
@@ -118,7 +121,7 @@ class TestSnake:
             assert exact_at(maps[k], cells[k], maps[k + 1])
 
     def test_plain_random(self, rng, bounds):
-        for ring in (GF(2), ZZ):
+        for ring in (GF(2), ZZ, GF(2**31 - 1)):
             inst = random_snake_instance(rng, ring, bounds)
             cols = [column_data(x) for x in inst.cols]
             res = plain_snake(*inst.row1, *inst.row2, *cols, *inst.cells)
@@ -127,13 +130,48 @@ class TestSnake:
                 assert exact_at(maps[k], cells[k], maps[k + 1])
 
     def test_generalized_random(self, rng, bounds):
-        for ring in (GF(3), ZZ):
+        for ring in (GF(3), ZZ, GF(2**31 - 1)):
             inst = random_generalized_snake_instance(rng, ring, bounds)
             cols = [column_data(x) for x in inst.cols]
             res = generalized_snake(*inst.row1, *inst.row2, *cols, *inst.cells)
             maps, cells = res.sequence()
             for k in range(4):
                 assert exact_at(maps[k], cells[k], maps[k + 1])
+
+    @pytest.mark.parametrize("ring", [GF(3), GF(5), ZZ], ids=str)
+    def test_presented_cokernel_column(self, ring, bounds, monkeypatch):
+        """Column a's cokernel presented by a deformed qmor, with zeta carried
+        along.  fbar2 then comes with a nonzero cell ps: qb.f2 => fbar2.qa on
+        some instances, and nu1 reads ps off along i2; the snake stays exact."""
+        import arrowcat.snake as snake_mod
+        from arrowcat.generators import random_base_morphism
+
+        cells_of = []
+        factor = snake_mod.factor_through_cokernel_data
+
+        def recording(u, qmor, zeta, w, theta):
+            mor, ps = factor(u, qmor, zeta, w, theta)
+            cells_of.append((qmor, ps))
+            return mor, ps
+
+        monkeypatch.setattr(snake_mod, "factor_through_cokernel_data", recording)
+        rng = random.Random(2404 + (ring.p or 0))
+        nonzero = 0
+        for _ in range(40):
+            inst = random_snake_instance(rng, ring, bounds)
+            a, b, c = (column_data(x) for x in inst.cols)
+            qa = a.coker
+            alpha = random_base_morphism(rng, qa.qmor.src.bottom, qa.qmor.dst.top, bounds)
+            dq = deform(qa.qmor, alpha)
+            zeta = vcomp2(qa.zeta, whisker_right(dq.inverse(), a.mor))
+            a = a._replace(coker=CokernelSide(qa.obj, dq.cto, zeta))
+            cells_of.clear()
+            res = plain_snake(*inst.row1, *inst.row2, a, b, c, *inst.cells)
+            nonzero += any(q == dq.cto and not ps.mat.is_zero_mor() for q, ps in cells_of)
+            maps, cells = res.sequence()
+            for k in range(4):
+                assert exact_at(maps[k], cells[k], maps[k + 1])
+        assert nonzero > 0
 
     def test_classical_snake_on_discrete_embedding(self):
         """Vector-space rows embedded as (0 -> V): the six-term objects carry
@@ -241,7 +279,7 @@ class TestAnaconda:
             assert exact_at(maps[k], cells[k], maps[k + 1])
 
     def test_random_instance(self, rng, bounds):
-        for ring in (GF(3), ZZ):
+        for ring in (GF(3), ZZ, GF(2**31 - 1)):
             inst = random_snake_instance(rng, ring, bounds)
             cols = [column_data(x) for x in inst.cols]
             res = anaconda(*inst.row1, *inst.row2, *cols, *inst.cells)

@@ -132,22 +132,21 @@ def build_case(ring, seed):
         roles.append(f"{field}={n.cell(getattr(grid, field), f't.{field}')}")
     runs.append(("check3x3", ["check3x3", "--roles", ",".join(roles)]))
     runs.append(("check3x3-part2", ["check3x3", "--roles", ",".join(roles), "--part2"]))
-    if ring.is_field:
-        fmap, omegas, gmap = to_chain_maps(random_complex_extension(rng, ring, 3, BOUNDS))
-        for name, cx in (("A", fmap.src), ("B", fmap.dst), ("C", gmap.dst)):
-            for i, d in enumerate(cx.diffs):
-                n.mor(d, f"{name}.d{i}")
-            for i, c in enumerate(cx.cells):
-                n.cell(c, f"{name}.h{i}")
-            n.ws.complexes[name] = cx
-        for name, cm in (("f", fmap), ("g", gmap)):
-            for i, s in enumerate(cm.squares):
-                n.mor(s, f"{name}.s{i}")
-            for i, c in enumerate(cm.cells):
-                n.cell(c, f"{name}.h{i}")
-            n.ws.chainmaps[name] = cm
-        omega = ",".join(n.cell(w, f"omega{i}") for i, w in enumerate(omegas))
-        runs.append(("les", ["les", "--f", "f", "--g", "g", "--omega", omega]))
+    fmap, omegas, gmap = to_chain_maps(random_complex_extension(rng, ring, 3, BOUNDS))
+    for name, cx in (("A", fmap.src), ("B", fmap.dst), ("C", gmap.dst)):
+        for i, d in enumerate(cx.diffs):
+            n.mor(d, f"{name}.d{i}")
+        for i, c in enumerate(cx.cells):
+            n.cell(c, f"{name}.h{i}")
+        n.ws.complexes[name] = cx
+    for name, cm in (("f", fmap), ("g", gmap)):
+        for i, s in enumerate(cm.squares):
+            n.mor(s, f"{name}.s{i}")
+        for i, c in enumerate(cm.cells):
+            n.cell(c, f"{name}.h{i}")
+        n.ws.chainmaps[name] = cm
+    omega = ",".join(n.cell(w, f"omega{i}") for i, w in enumerate(omegas))
+    runs.append(("les", ["les", "--f", "f", "--g", "g", "--omega", omega]))
     return n.ws, runs
 
 
