@@ -23,17 +23,22 @@ validated already, and _product their matrices.  Likewise _difference(a, 0)
 is a's own matrix, reduced already; most differences in the cell checks
 subtract a zero component.  A matrix is an identity only on an
 endomorphism: over Z, [[1]]: Z/4 -> Z/2 is not one.
+
+BaseMorphism is a slotted value (rings._Value), not a dataclass: it carries
+no __dict__, equality and hashing are those of its field tuple
+(src, dst, mat), and the hash and the zero/identity kind are computed on
+first use and kept in two extra slots.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import index, mul
 
 from . import intmat
 from .baseobj import BaseObject
 from .intmat import Matrix
+from .rings import _Value
 
 
 _MEMO_SIZE = 256
@@ -66,13 +71,21 @@ def _reduce_entry(x: int, order: int) -> int:
     return x % order if order else x
 
 
-@dataclass(frozen=True)
-class BaseMorphism:
+class BaseMorphism(_Value):
+    __slots__ = ("src", "dst", "mat", "_hash", "_kind")
+    __match_args__ = ("src", "dst", "mat")
+
     src: BaseObject
     dst: BaseObject
     mat: Matrix
 
-    def __post_init__(self):
+    def __init__(self, src: BaseObject, dst: BaseObject, mat: Matrix):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "mat", mat)
+        # the hash and the _kind of the morphism, each computed on first use
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_kind", None)
         if self.src.ring != self.dst.ring:
             raise ValueError("morphism between different rings")
         if not intmat.shape_ok(self.mat, self.dst.ngens, self.src.ngens):
@@ -101,15 +114,19 @@ class BaseMorphism:
                     if row[j]:
                         _raise_first_fault(self)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.src, self.dst, self.mat) == (other.src, other.dst, other.mat)
+        return NotImplemented
+
     def __hash__(self) -> int:
-        # the field hash of the dataclass, computed once: memo lookups hash
-        # the same morphism many times
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
+        # the hash of the field tuple, computed once: memo lookups hash the
+        # same morphism many times
+        h = self._hash
+        if h is None:
             h = hash((self.src, self.dst, self.mat))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     @property
     def ring(self):
@@ -196,11 +213,10 @@ def zero_mor(src: BaseObject, dst: BaseObject) -> BaseMorphism:
 
 def _kind(m: BaseMorphism) -> int:
     """_ZERO, _IDENTITY or _GENERAL, computed once per morphism and kept in
-    its __dict__ like the hash: compose and _product skip the arithmetic for
-    the first two."""
-    try:
-        return m.__dict__["_kind"]
-    except KeyError:
+    its _kind slot like the hash: compose and _product skip the arithmetic
+    for the first two."""
+    kind = m._kind
+    if kind is None:
         if intmat.is_zero(m.mat):
             kind = _ZERO
         elif m.src == m.dst and m.mat == intmat.identity(len(m.mat)):
@@ -208,7 +224,7 @@ def _kind(m: BaseMorphism) -> int:
         else:
             kind = _GENERAL
         object.__setattr__(m, "_kind", kind)
-        return kind
+    return kind
 
 
 def _product(g: BaseMorphism, f: BaseMorphism) -> Matrix:

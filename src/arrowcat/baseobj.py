@@ -8,22 +8,24 @@ so isomorphic objects have the same orders.
 
 Objects are interned: BaseObject(ring, orders) returns one instance per
 (ring, orders), so isomorphic objects are the same instance, and equality
-and hashing are object identity.  Orders are validated before an object is
-registered, so an invalid one leaves nothing behind.
+and hashing are object identity; copy, deepcopy and pickle rebuild through
+the constructor, so they return that instance too.  Orders are validated
+before an object is registered, so an invalid one leaves nothing behind.
+An object is a slotted class, not a dataclass: it carries no __dict__.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .rings import BaseRing
+from .rings import BaseRing, _Value
 
 
 _OBJECTS: dict = {}  # (ring, orders) -> its one BaseObject
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class BaseObject:
+class BaseObject(_Value):
+    __slots__ = ("ring", "orders", "ngens", "torsion_gens")
+    __match_args__ = ("ring", "orders")
+
     ring: BaseRing
     orders: tuple[int, ...]
 
@@ -39,15 +41,11 @@ class BaseObject:
         object.__setattr__(self, "orders", orders)
         # the generator count and the (index, order) pairs of the torsion
         # generators, read on every morphism check: set once, and not
-        # fields, so repr and asdict see ring and orders only
+        # fields, so repr and __match_args__ name ring and orders only
         object.__setattr__(self, "ngens", len(orders))
         object.__setattr__(self, "torsion_gens", tuple((j, d) for j, d in enumerate(orders) if d))
         _OBJECTS[key] = self
         return self
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle go back through the table
-        return BaseObject, (self.ring, self.orders)
 
     @property
     def free_rank(self) -> int:

@@ -11,6 +11,10 @@ beta * alpha = v1' . alpha + beta . u0 (the alternative formula is asserted
 equal), and identities/zeros are strict: a strictly zero square is
 nullhomotopic by the zero cell (null_cell).  Cells compare by ==.
 
+Objects, squares and cells are slotted values (rings._Value), not
+dataclasses: none carries a __dict__, each is immutable, and equality and
+hashing are those of its field tuple.
+
 Every square and every cell that is built is checked.  The commutativity of
 a square and the two homotopy equations of a cell are compared as
 canonically reduced matrices (basemor._product and basemor._difference),
@@ -28,18 +32,30 @@ so they are written out only here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .baselin import LinearSystem, cokernel_base, kernel_base
 from .baseobj import BaseObject, zero_object
 from .basemor import BaseMorphism, _difference, _memo, _product, compose, identity_mor, zero_mor
-from .rings import BaseRing
+from .rings import BaseRing, _Value
 
 
-@dataclass(frozen=True)
-class TwoObject:
+class TwoObject(_Value):
+    __slots__ = ("boundary",)
+    __match_args__ = ("boundary",)
+
     boundary: BaseMorphism
+
+    def __init__(self, boundary: BaseMorphism):
+        object.__setattr__(self, "boundary", boundary)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.boundary,) == (other.boundary,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.boundary,))
 
     @property
     def top(self) -> BaseObject:
@@ -72,20 +88,34 @@ def is_zero_equivalent(x: TwoObject) -> bool:
     return kernel_base(x.boundary)[0].is_zero and cokernel_base(x.boundary)[0].is_zero
 
 
-@dataclass(frozen=True)
-class TwoMorphism:
+class TwoMorphism(_Value):
+    __slots__ = ("src", "dst", "top", "bottom")
+    __match_args__ = ("src", "dst", "top", "bottom")
+
     src: TwoObject
     dst: TwoObject
     top: BaseMorphism
     bottom: BaseMorphism
 
-    def __post_init__(self):
+    def __init__(self, src: TwoObject, dst: TwoObject, top: BaseMorphism, bottom: BaseMorphism):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
         if self.top.src != self.src.top or self.top.dst != self.dst.top:
             raise ValueError("top component has the wrong endpoints")
         if self.bottom.src != self.src.bottom or self.bottom.dst != self.dst.bottom:
             raise ValueError("bottom component has the wrong endpoints")
         if _product(self.dst.boundary, self.top) != _product(self.bottom, self.src.boundary):
             raise ValueError("square does not commute")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.src, self.dst, self.top, self.bottom) == (other.src, other.dst, other.top, other.bottom)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.top, self.bottom))
 
     def __add__(self, other: "TwoMorphism") -> "TwoMorphism":
         if self.src != other.src or self.dst != other.dst:
@@ -122,15 +152,20 @@ def compose2(b: TwoMorphism, a: TwoMorphism) -> TwoMorphism:
     return TwoMorphism(a.src, b.dst, compose(b.top, a.top), compose(b.bottom, a.bottom))
 
 
-@dataclass(frozen=True)
-class TwoCell:
+class TwoCell(_Value):
     """alpha: cfrom => cto between parallel squares."""
+
+    __slots__ = ("cfrom", "cto", "mat")
+    __match_args__ = ("cfrom", "cto", "mat")
 
     cfrom: TwoMorphism
     cto: TwoMorphism
     mat: BaseMorphism  # src.bottom -> dst.top
 
-    def __post_init__(self):
+    def __init__(self, cfrom: TwoMorphism, cto: TwoMorphism, mat: BaseMorphism):
+        object.__setattr__(self, "cfrom", cfrom)
+        object.__setattr__(self, "cto", cto)
+        object.__setattr__(self, "mat", mat)
         f, t = self.cfrom, self.cto
         if f.src != t.src or f.dst != t.dst:
             raise ValueError("cell between non-parallel squares")
@@ -140,6 +175,14 @@ class TwoCell:
             raise ValueError("cell fails the top homotopy equation")
         if _difference(f.bottom, t.bottom) != _product(f.dst.boundary, self.mat):
             raise ValueError("cell fails the bottom homotopy equation")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cfrom, self.cto, self.mat) == (other.cfrom, other.cto, other.mat)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cfrom, self.cto, self.mat))
 
     @property
     def src(self) -> TwoObject:

@@ -10,7 +10,6 @@ hypotheses hold by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -47,11 +46,9 @@ MAX_TORSION = 8
 SAMPLE_SPREAD = 2
 
 
-@dataclass
 class Bounds:
-    max_dim: int = 3
-
-    def __post_init__(self):
+    def __init__(self, max_dim: int = 3):
+        self.max_dim = max_dim
         if not 0 <= self.max_dim <= 6:
             raise ValueError(f"max dimension must lie in 0..6, got {self.max_dim}")
 

@@ -7,7 +7,6 @@ name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .baselin import copair_base, pair_base
@@ -77,11 +76,11 @@ def _commutes(d: ThreeByThree) -> str | None:
     return None
 
 
-@dataclass
 class Report:
-    ok: bool
-    failed_condition: str | None = None
-    details: dict = field(default_factory=dict)
+    def __init__(self, ok: bool, failed_condition: str | None = None, details: dict | None = None):
+        self.ok = ok
+        self.failed_condition = failed_condition
+        self.details = {} if details is None else details
 
 
 def check_3x3(d: ThreeByThree) -> Report:

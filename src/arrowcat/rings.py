@@ -2,11 +2,13 @@
 
 Rings are interned: BaseRing(p) returns one instance per p, so two equal
 rings are the same object, and equality and hashing are object identity.
+
+_Value, the base of every immutable value type of the package (rings, base
+objects and morphisms, squares, cells, complexes and chain maps), lives here
+because every module imports this one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 _P_LIMIT = 2**31
 
@@ -26,14 +28,42 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class _Value:
+    """Base of the immutable value types, all read off __match_args__ (the
+    fields, in order): assignment and deletion raise AttributeError, repr is
+    Name(field=value, ...), and copy, deepcopy and pickle rebuild the value
+    through its constructor, so it is checked (or interned) again.
+
+    Each subclass declares __slots__ and __match_args__ and stores its fields
+    with object.__setattr__; equality and hashing are its own.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+
+
 _RINGS: dict = {}  # p -> its one BaseRing
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class BaseRing:
+class BaseRing(_Value):
     """Either F_p (p a prime below 2**31) or Z (p is None)."""
 
-    p: int | None = None
+    __slots__ = ("p",)
+    __match_args__ = ("p",)
+
+    p: int | None
 
     def __new__(cls, p: int | None = None):
         try:
@@ -49,10 +79,6 @@ class BaseRing:
         object.__setattr__(self, "p", p)
         _RINGS[p] = self
         return self
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle go back through the table
-        return BaseRing, (self.p,)
 
     @property
     def is_field(self) -> bool:

@@ -11,7 +11,6 @@ counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .baselin import (
     LinearSystem,
@@ -119,12 +118,12 @@ FIELD_RINGS = (GF(2), GF(3), GF(5))
 ALL_RINGS = (GF(2), GF(3), GF(5), ZZ)
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int
-    failures: int
-    notes: list = field(default_factory=list)
+    def __init__(self, name: str, cases: int, failures: int, notes: list | None = None):
+        self.name = name
+        self.cases = cases
+        self.failures = failures
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:

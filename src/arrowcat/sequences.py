@@ -15,7 +15,6 @@ sweep of the exactness oracle over every interior point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .basemor import compose
@@ -52,6 +51,7 @@ from .limits2 import (
     rel_kernel2,
     sequence_of,
 )
+from .rings import _Value
 
 
 def is_compatible(t: TwoMorphism, alpha: TwoCell, v: TwoMorphism, beta: TwoCell) -> bool:
@@ -229,8 +229,7 @@ def pad_exact_at(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism) -> bool:
     return relative_exact_at(x, phi, a, alpha, b, psi, y)
 
 
-@dataclass(frozen=True)
-class ComplexSequence:
+class ComplexSequence(_Value):
     """A finite window of a chain complex of squares.
 
     objects[i] sits in degree lo + i; diffs[i]: objects[i] -> objects[i+1];
@@ -239,12 +238,25 @@ class ComplexSequence:
     degree.  Adjacent nullhomotopies must be compatible.
     """
 
+    __slots__ = ("lo", "objects", "diffs", "cells")
+    __match_args__ = ("lo", "objects", "diffs", "cells")
+
     lo: int
     objects: tuple[TwoObject, ...]
     diffs: tuple[TwoMorphism, ...]
     cells: tuple[TwoCell, ...]
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        lo: int,
+        objects: tuple[TwoObject, ...],
+        diffs: tuple[TwoMorphism, ...],
+        cells: tuple[TwoCell, ...],
+    ):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "diffs", diffs)
+        object.__setattr__(self, "cells", cells)
         n = len(self.objects)
         if n == 0:
             raise ValueError("a complex needs at least one object")
@@ -259,6 +271,16 @@ class ComplexSequence:
         for i in range(len(self.cells) - 1):
             if not is_compatible(self.diffs[i], self.cells[i], self.diffs[i + 2], self.cells[i + 1]):
                 raise ValueError(f"cells {i} and {i + 1} are not compatible")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.objects, self.diffs, self.cells) == (
+                other.lo, other.objects, other.diffs, other.cells
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.objects, self.diffs, self.cells))
 
     @property
     def hi(self) -> int:
@@ -286,8 +308,7 @@ class ComplexSequence:
         return null_cell(compose2(self.diff(k + 1), self.diff(k)))
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(_Value):
     """A degreewise map of complexes with its connecting homotopies.
 
     squares[i]: src.objects[i] -> dst.objects[i]; cells[i] fills
@@ -296,12 +317,25 @@ class ChainMap:
     complexes.
     """
 
+    __slots__ = ("src", "dst", "squares", "cells")
+    __match_args__ = ("src", "dst", "squares", "cells")
+
     src: ComplexSequence
     dst: ComplexSequence
     squares: tuple[TwoMorphism, ...]
     cells: tuple[TwoCell, ...]
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        src: ComplexSequence,
+        dst: ComplexSequence,
+        squares: tuple[TwoMorphism, ...],
+        cells: tuple[TwoCell, ...],
+    ):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "squares", squares)
+        object.__setattr__(self, "cells", cells)
         n = len(self.src.objects)
         if len(self.dst.objects) != n or self.src.lo != self.dst.lo:
             raise ValueError("chain map between different windows")
@@ -323,6 +357,16 @@ class ChainMap:
                 (self.cells[i].inverse(), self.cells[i + 1].inverse()),
             ):
                 raise ValueError(f"chain map coherence fails at degree {i}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.src, self.dst, self.squares, self.cells) == (
+                other.src, other.dst, other.squares, other.cells
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.squares, self.cells))
 
     def padded_square(self, n: int) -> TwoMorphism:
         """The degree-n component, zero between padded zero objects outside."""

@@ -9,7 +9,6 @@ serialized documents are byte-stable for golden testing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .baseobj import BaseObject, field_object, z_object
@@ -35,14 +34,22 @@ MAX_ENTRY_BITS = 256
 MAX_ENTRY_DIGITS = len(str(2**MAX_ENTRY_BITS - 1))
 
 
-@dataclass
 class Workspace:
-    ring: BaseRing
-    objects: dict[str, TwoObject] = field(default_factory=dict)
-    morphisms: dict[str, TwoMorphism] = field(default_factory=dict)
-    cells: dict[str, TwoCell] = field(default_factory=dict)
-    complexes: dict[str, ComplexSequence] = field(default_factory=dict)
-    chainmaps: dict[str, ChainMap] = field(default_factory=dict)
+    def __init__(
+        self,
+        ring: BaseRing,
+        objects: dict[str, TwoObject] | None = None,
+        morphisms: dict[str, TwoMorphism] | None = None,
+        cells: dict[str, TwoCell] | None = None,
+        complexes: dict[str, ComplexSequence] | None = None,
+        chainmaps: dict[str, ChainMap] | None = None,
+    ):
+        self.ring = ring
+        self.objects = {} if objects is None else objects
+        self.morphisms = {} if morphisms is None else morphisms
+        self.cells = {} if cells is None else cells
+        self.complexes = {} if complexes is None else complexes
+        self.chainmaps = {} if chainmaps is None else chainmaps
 
     def object(self, name: str) -> TwoObject:
         return self._get(self.objects, name, "object")

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import inspect
 import os
 import pathlib
@@ -556,8 +555,12 @@ class TestMemo:
                 if fn in (kernel_base, cokernel_base, biproduct_base):
                     assert isinstance(out, tuple)
                     mor = out[1] if fn is not biproduct_base else out[1][0]
-                    with pytest.raises(dataclasses.FrozenInstanceError):
+                    before = mor.mat
+                    with pytest.raises(AttributeError):
                         mor.mat = ()
+                    with pytest.raises(AttributeError):
+                        del mor.mat
+                    assert mor.mat == before
 
     def test_exceptions_are_not_cached(self):
         f = identity_mor(z_object(1))
@@ -655,16 +658,15 @@ class TestMorphismValues:
                 assert hash(g) == hash(f) == hash((f.src, f.dst, f.mat))
 
     def test_fields_and_repr_unchanged(self):
-        assert [fl.name for fl in dataclasses.fields(BaseMorphism)] == ["src", "dst", "mat"]
-        assert [fl.name for fl in dataclasses.fields(Z1)] == ["ring", "orders"]
+        assert BaseMorphism.__match_args__ == ("src", "dst", "mat")
+        assert BaseObject.__match_args__ == ("ring", "orders")
         assert Z1.ngens == 1 and z_object(2, (2, 4)).ngens == 4
         f = quotient_mod2()
         text = f"BaseMorphism(src={Z1!r}, dst={Z2T!r}, mat=((1,),))"
         assert repr(f) == text
         hash(f)
         assert repr(f) == text
-        assert list(dataclasses.asdict(f)) == ["src", "dst", "mat"]
-        assert dataclasses.asdict(f) == dataclasses.asdict(quotient_mod2())
+        assert f == quotient_mod2()
 
 
 class TestIntegerEntries:

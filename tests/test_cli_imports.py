@@ -3,7 +3,9 @@
 Every run is a fresh interpreter, as a cold ``python -m arrowcat`` call is:
 it runs ``cli.main`` on the golden f2-seed1 workspace, writes the report
 and prints ``sorted(sys.modules)``.  The report must still equal the golden
-file, so the lazy imports change no output.
+file, so the lazy imports change no output.  A cold ``kernel`` call, run as
+``python -m arrowcat`` runs it, loads neither ``dataclasses`` nor
+``inspect``: no arrowcat class is a dataclass.
 """
 
 from __future__ import annotations
@@ -101,3 +103,28 @@ def test_workspace_without_complexes_skips_sequences(tmp_path):
 def test_importing_cli_loads_no_library_layer():
     modules = set(json.loads(_child("import json, sys, arrowcat.cli; print(json.dumps(sorted(sys.modules)))")))
     assert not modules & (BATTERY | DIAGRAMS | {"arrowcat.limits2"})
+
+
+# runs the package as ``python -m arrowcat`` does, and notes what the
+# interpreter had loaded before it
+MAIN = (
+    "import json, runpy, sys\n"
+    "before = sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)\n"
+    "sys.argv = ['arrowcat', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('arrowcat', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps({'code': code, 'before': before, 'modules': sorted(sys.modules)}))\n"
+)
+
+
+def test_cold_kernel_loads_neither_dataclasses_nor_inspect(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["kernel", "--in", str(F2 / "workspace.json"), "--morphism", "u", "--out", str(out)]
+    result = json.loads(_child(MAIN, *argv).splitlines()[-1])
+    if result["before"]:
+        pytest.skip(f"the interpreter loads {', '.join(result['before'])} before arrowcat")
+    assert result["code"] == 0
+    assert out.read_text(encoding="utf-8") == (F2 / "kernel.json").read_text(encoding="utf-8")
+    assert not set(result["modules"]) & {"dataclasses", "inspect"}

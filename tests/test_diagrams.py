@@ -237,7 +237,7 @@ class TestSnake:
 
         ka = homotopy_dims(res.col_a.ker.obj)
         # Ker of the embedded a-column: pi1 = 0, pi0 = classical kernel
-        assert ka[0] == 0 or ka[0] == ka[0]  # presentation may fold, compare pi0
+        assert ka[0] == 0
         assert ka[1] - ka[0] == col_a.src.bottom.ngens - rank(col_a.bottom)
 
     def test_hypothesis_violation_reported(self, rng, bounds):

@@ -1,39 +1,46 @@
-"""Value types are dataclasses; results of constructions are NamedTuple records.
+"""Value types are slotted classes; results of constructions are NamedTuple records.
 
-A value type checks or interns its fields when it is built, so it keeps its
-dataclass: BaseRing, BaseObject, BaseMorphism, TwoObject, TwoMorphism,
-TwoCell, ComplexSequence and ChainMap, plus the mutable or defaulted
-Workspace, Report, Bounds and SuiteResult.  Every other record is a
-typing.NamedTuple, whose class is built without generating and exec-ing
-__init__/__eq__/__hash__/__repr__ source at import, a cost a cold CLI call
-pays for every dataclass it loads.  The field order below is pinned because
-reprs and the key order of cli._flags_json follow it.
+No arrowcat class is a dataclass: a cold CLI call would pay for importing
+dataclasses (and inspect behind it) and for the __init__/__eq__/__hash__/
+__repr__ source generated and exec-ed for each class at import.  A value
+type checks or interns its fields when it is built: BaseRing, BaseObject,
+BaseMorphism, TwoObject, TwoMorphism, TwoCell, ComplexSequence and ChainMap
+are hand-written classes over rings._Value, with __slots__ (no instance
+carries a __dict__), pinned __match_args__, no assignment or deletion, the
+dataclass-format repr, and equality and hashing over the field tuple (rings
+and objects are interned and compare by identity).  Every other record is a
+typing.NamedTuple.  The field order below is pinned because reprs and the
+key order of cli._flags_json follow it.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
+import random
 
 import pytest
 
 import arrowcat
+from arrowcat import GF, ZZ, base_morphism, z_object
+from arrowcat.core2 import TwoObject, identity2, identity_cell
+from arrowcat.generators import Bounds, random_complex_extension, to_chain_maps
 
-DATACLASSES = {
-    "rings.BaseRing",
-    "baseobj.BaseObject",
-    "basemor.BaseMorphism",
-    "core2.TwoObject",
-    "core2.TwoMorphism",
-    "core2.TwoCell",
-    "sequences.ComplexSequence",
-    "sequences.ChainMap",
-    "workspace.Workspace",
-    "lemmas.Report",
-    "generators.Bounds",
-    "selftest.SuiteResult",
+VALUE_TYPES = {
+    "rings.BaseRing": ("p",),
+    "baseobj.BaseObject": ("ring", "orders"),
+    "basemor.BaseMorphism": ("src", "dst", "mat"),
+    "core2.TwoObject": ("boundary",),
+    "core2.TwoMorphism": ("src", "dst", "top", "bottom"),
+    "core2.TwoCell": ("cfrom", "cto", "mat"),
+    "sequences.ComplexSequence": ("lo", "objects", "diffs", "cells"),
+    "sequences.ChainMap": ("src", "dst", "squares", "cells"),
 }
+# interned: one instance per value, so equality and hashing are identity
+INTERNED = {"rings.BaseRing", "baseobj.BaseObject"}
 
 RECORDS = {
     "limits2.SequenceData": ("iota", "pmap"),
@@ -99,9 +106,55 @@ def _classes():
 CLASSES = _classes()
 
 
-def test_only_value_and_mutable_types_are_dataclasses():
-    assert {name for name, cls in CLASSES.items() if dataclasses.is_dataclass(cls)} <= DATACLASSES
-    assert DATACLASSES <= CLASSES.keys()
+def _values():
+    """One instance of each value type, keyed like VALUE_TYPES."""
+    boundary = base_morphism(z_object(1), z_object(0, (2,)), [[1]])
+    x = TwoObject(boundary)
+    fmap, _, _ = to_chain_maps(random_complex_extension(random.Random(25), ZZ, 3, Bounds(max_dim=2)))
+    return {
+        "rings.BaseRing": GF(3),
+        "baseobj.BaseObject": boundary.dst,
+        "basemor.BaseMorphism": boundary,
+        "core2.TwoObject": x,
+        "core2.TwoMorphism": identity2(x),
+        "core2.TwoCell": identity_cell(identity2(x)),
+        "sequences.ComplexSequence": fmap.src,
+        "sequences.ChainMap": fmap,
+    }
+
+
+VALUES = _values()
+
+
+def test_no_class_is_a_dataclass():
+    assert not [name for name, cls in CLASSES.items() if dataclasses.is_dataclass(cls)]
+    assert VALUE_TYPES.keys() <= CLASSES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_type_contract(name):
+    cls, value = CLASSES[name], VALUES[name]
+    assert type(value) is cls
+    assert cls.__match_args__ == VALUE_TYPES[name]
+    assert not hasattr(value, "__dict__")
+    fields = tuple(getattr(value, f) for f in cls.__match_args__)
+    for attr in (*cls.__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    assert tuple(getattr(value, f) for f in cls.__match_args__) == fields
+    for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        twin = copier(value)
+        assert twin == value and type(twin) is cls
+        if name in INTERNED:
+            assert twin is value
+    # another class, even the field tuple itself, is left to its own __eq__
+    assert value.__eq__(fields) is NotImplemented
+    if name in INTERNED:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    else:
+        assert hash(value) == hash(fields)
 
 
 def test_every_tuple_class_is_a_listed_record():
