@@ -2,10 +2,11 @@
 
 The plain snake expects both rows to be extensions; the connecting morphism
 is built through the pushout I of the left square (two-square lemma) and the
-triangle construction d = q'_a . k'_c.  The generalized snake only expects
-(g, eta) = Coker f in the top row and (f', eta') = Ker g' in the bottom one;
-it reduces to the plain snake on the kernel/cokernel rows as in the proof.
-A column's kernel and cokernel are data: a square with a 2-cell, canonical
+triangle construction d = q'_a . k'_c (_connecting).  The generalized snake
+only expects (g, eta) = Coker f in the top row and (f', eta') = Ker g' in
+the bottom one; it takes the connecting map of the inner diagram on the
+kernel/cokernel rows as in the proof; its pasting is still checked.  A
+column's kernel and cokernel are data: a square with a 2-cell, canonical
 (kernel2, cokernel2) or presented (the generalized snake's inner columns,
 the homology presentations of les).  The induced maps on them come from one
 factorization through that data, limits2.factor_through_kernel_data and
@@ -79,14 +80,10 @@ class ColumnData(NamedTuple):
     coker: CokernelSide
 
 
-def column_data(col: TwoMorphism, ker: KernelSide | None = None, coker: CokernelSide | None = None) -> ColumnData:
-    if ker is None:
-        kd = kernel2(col)
-        ker = KernelSide(kd.obj, kd.kmor, kd.kappa)
-    if coker is None:
-        cd = cokernel2(col)
-        coker = CokernelSide(cd.obj, cd.qmor, cd.zeta)
-    return ColumnData(col, ker, coker)
+def column_data(col: TwoMorphism) -> ColumnData:
+    """A column with its canonical kernel and cokernel data."""
+    kd, cd = kernel2(col), cokernel2(col)
+    return ColumnData(col, KernelSide(kd.obj, kd.kmor, kd.kappa), CokernelSide(cd.obj, cd.qmor, cd.zeta))
 
 
 def mu_loop(cdata: ColumnData) -> TwoCell:
@@ -149,6 +146,50 @@ def _induced_maps(f, g, f2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi
     return fbar, gbar, fbar2, gbar2, ps
 
 
+def _connecting(f, eta, g, f2, eta2, g2, a_mor, b_mor, c_mor, kc: KernelSide, qa: CokernelSide, phi, psi):
+    """(po, j, c', psi2, k'_c, kappa'_c, q'_a, d) with d = q'_a . k'_c: Kc -> Qa,
+    from the column squares, kc = Ker c and qa = Coker a alone."""
+    # two-square construction on the left square (f, a; f2, b)
+    po = pushout2(f, a_mor)
+    w_j = copair2(g, zero2(a_mor.dst, g.dst))
+    j = factor_cokernel2(po.cokernel, w_j, cell_to_zero(compose2(w_j, po.diff), eta.mat))
+    w_c = copair2(b_mor, f2)
+    cprime = factor_cokernel2(po.cokernel, w_c, cell_to_zero(compose2(w_c, po.diff), phi.mat))
+    chi = copair_base(-psi.mat, eta2.mat)
+    psi2 = TwoCell(compose2(g2, cprime), compose2(c_mor, j), chi)
+
+    # k'_c: Kc -> I with cells xi and kappa'_c
+    sys = LinearSystem(f.top.ring)
+    s = add_square(sys, "s", kc.obj, po.obj)
+    kp = add_cell(sys, "kp", kc.obj, b_mor.dst)
+    xi = add_cell(sys, "xi", kc.obj, c_mor.src)
+    # xi: kc_mor => j . s
+    add_homotopy(sys, xi, kc.kmor, [(1, j, s, None)])
+    # kp: c' . s => 0
+    add_homotopy(sys, kp, [(1, cprime, s, None)], [])
+    # pasting: c.xi - psi2.s0 + g2.kp = kappa_c
+    sys.add_equation(
+        [
+            (1, c_mor.top, xi.name, None),
+            (-1, psi2.mat, s.bottom, None),
+            (1, g2.top, kp.name, None),
+        ],
+        kc.kappa.mat,
+    )
+    sol = sys.solve()
+    if sol is None:
+        raise AssertionError("k'_c system is not solvable")
+    kprime_c = solved_square(sol, s)
+    kappa_pc = sol[kp.name]
+
+    # q'_a: I -> Qa, strict on i1 (zero) and on i2 (qa), so zeta'_a = 0
+    w_q = copair2(zero2(f.dst, qa.obj), qa.qmor)
+    qprime_a = factor_cokernel2(po.cokernel, w_q, cell_to_zero(compose2(w_q, po.diff), -qa.zeta.mat))
+
+    d = compose2(qprime_a, kprime_c)
+    return po, j, cprime, psi2, kprime_c, kappa_pc, qprime_a, d
+
+
 def plain_snake(
     f: TwoMorphism,
     eta: TwoCell,
@@ -168,47 +209,10 @@ def plain_snake(
 
     fbar, gbar, fbar2, gbar2, ps = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
 
-    # two-square construction on the left square (f, a; f2, b)
-    po = pushout2(f, a.mor)
-    i1, i2, phi1, diff = po.i1, po.i2, po.cell, po.diff
-    w_j = copair2(g, zero2(a.mor.dst, g.dst))
-    j = factor_cokernel2(po.cokernel, w_j, cell_to_zero(compose2(w_j, diff), eta.mat))
-    w_c = copair2(b.mor, f2)
-    cprime = factor_cokernel2(po.cokernel, w_c, cell_to_zero(compose2(w_c, diff), phi.mat))
-    chi = copair_base(-psi.mat, eta2.mat)
-    psi2 = TwoCell(compose2(g2, cprime), compose2(c.mor, j), chi)
-
-    # k'_c: Kc -> I with cells xi and kappa'_c
-    kc = c.ker
-    sys = LinearSystem(f.top.ring)
-    s = add_square(sys, "s", kc.obj, po.obj)
-    kp = add_cell(sys, "kp", kc.obj, b.mor.dst)
-    xi = add_cell(sys, "xi", kc.obj, c.mor.src)
-    # xi: kc_mor => j . s
-    add_homotopy(sys, xi, kc.kmor, [(1, j, s, None)])
-    # kp: c' . s => 0
-    add_homotopy(sys, kp, [(1, cprime, s, None)], [])
-    # pasting: c.xi - psi2.s0 + g2.kp = kappa_c
-    sys.add_equation(
-        [
-            (1, c.mor.top, xi.name, None),
-            (-1, psi2.mat, s.bottom, None),
-            (1, g2.top, kp.name, None),
-        ],
-        kc.kappa.mat,
+    po, j, cprime, psi2, kprime_c, kappa_pc, qprime_a, d = _connecting(
+        f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, c.ker, a.coker, phi, psi
     )
-    sol = sys.solve()
-    if sol is None:
-        raise AssertionError("k'_c system is not solvable")
-    kprime_c = solved_square(sol, s)
-    kappa_pc = sol[kp.name]
-
-    # q'_a: I -> Qa, strict on i1 (zero) and on i2 (qa), so zeta'_a = 0
-    qa = a.coker
-    w_q = copair2(zero2(f.dst, qa.obj), qa.qmor)
-    qprime_a = factor_cokernel2(po.cokernel, w_q, cell_to_zero(compose2(w_q, diff), -qa.zeta.mat))
-
-    d = compose2(qprime_a, kprime_c)
+    i1, i2, phi1 = po.i1, po.i2, po.cell
 
     # mu2: k'_c . gbar => i1 . kb_mor pinned by kappa_b = kappa'_c*gbar . c'*mu2
     mu2 = solve_cell(
@@ -281,7 +285,8 @@ def generalized_snake(
     phi: TwoCell,
     psi: TwoCell,
 ) -> SnakeResult:
-    """Rows with (g, eta) = Coker f and (f2, eta2) = Ker g2 only."""
+    """Rows with (g, eta) = Coker f and (f2, eta2) = Ker g2 only; takes the
+    inner diagram's connecting map; its pasting is still checked."""
     check_pasting(f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, phi, psi)
     ring = f.top.ring
 
@@ -331,18 +336,11 @@ def generalized_snake(
     )
     qa_side = CokernelSide(a.coker.obj, a.coker.qmor, zeta_ahat)
 
-    inner = plain_snake(
-        fhat,
-        etahat,
-        g,
-        f2,
-        etahat2,
-        ghat2,
-        column_data(ahat, coker=qa_side),
-        b,
-        column_data(chat, ker=kc_side),
-        theta_a,
-        theta_c.inverse(),
+    # inner diagram: rows (fhat, etahat, g), (f2, etahat2, ghat2); columns ahat, b, chat
+    psi_hat = theta_c.inverse()
+    check_pasting(fhat, etahat, g, f2, etahat2, ghat2, ahat, b.mor, chat, theta_a, psi_hat)
+    *_, d = _connecting(
+        fhat, etahat, g, f2, etahat2, ghat2, ahat, b.mor, chat, kc_side, qa_side, theta_a, psi_hat
     )
 
     # outer induced maps on the original columns
@@ -350,7 +348,6 @@ def generalized_snake(
     etabar = cell_to_zero(compose2(gbar, fbar), compose(eta.mat, a.ker.kmor.bottom))
     etabar2 = cell_to_zero(compose2(gbar2, fbar2), compose(c.coker.qmor.top, eta2.mat))
 
-    d = inner.d
     mu_a, mu_b, mu_c = mu_loop(a), mu_loop(b), mu_loop(c)
     # re-solve the connecting cells against the outer data, pinned by the
     # three mu-identities

@@ -138,17 +138,11 @@ def test_null_cell(ring):
     assert refused >= 5
 
 
-def test_square_must_commute(setup):
-    a, b, _ = setup
-    from arrowcat.basemor import zero_mor
-    from arrowcat.core2 import TwoMorphism
+def test_square_must_commute():
+    from arrowcat import z_object
 
-    if a.top.ngens and b.bottom.ngens:
-        pass  # construction below uses zero pieces, valid for any shapes
     with pytest.raises(ValueError):
         # a deliberately non-commuting square on the doubling object
-        from arrowcat import base_morphism, z_object, two_object
-
         zz = two_object(base_morphism(z_object(1), z_object(1), [[2]]))
         TwoMorphism(
             zz,

@@ -14,7 +14,9 @@ from arrowcat.core2 import (
     deform,
     identity2,
     identity_cell,
+    identity_like_cell,
     is_zero_equivalent,
+    null_cell,
     two_morphism,
     two_object,
     vcomp2,
@@ -23,8 +25,11 @@ from arrowcat.core2 import (
 )
 from arrowcat.generators import (
     Bounds,
+    ComplexExtensionInstance,
+    ComplexInstance,
     extension_on,
     random_3x3_instance,
+    random_complex,
     random_complex_extension,
     random_generalized_snake_instance,
     random_shortfive_instance,
@@ -41,7 +46,7 @@ from arrowcat.lemmas import (
     check_short_five,
 )
 from arrowcat.les import les_full_sequence, les_homology
-from arrowcat.limits2 import omega_obj, sigma_obj
+from arrowcat.limits2 import biproduct2, copair2, omega_obj, sigma_obj
 from arrowcat.puppe import puppe
 from arrowcat.selftest import _random_loop, shadows_exact
 from arrowcat.sequences import ChainMap, exact_at, exactness, loop_exact
@@ -130,7 +135,10 @@ class TestSnake:
                 assert exact_at(maps[k], cells[k], maps[k + 1])
 
     def test_generalized_random(self, rng, bounds):
-        for ring in (GF(3), ZZ, GF(2**31 - 1)):
+        # 40 instances per ring: a sign-flipped connecting map leaves no
+        # solution to the outer connecting-cell system on some of them
+        rings = [GF(3)] * 40 + [GF(5)] * 40 + [ZZ] * 40 + [GF(2**31 - 1)]
+        for ring in rings:
             inst = random_generalized_snake_instance(rng, ring, bounds)
             cols = [column_data(x) for x in inst.cols]
             res = generalized_snake(*inst.row1, *inst.row2, *cols, *inst.cells)
@@ -309,7 +317,50 @@ class TestAnaconda:
         assert min(nonzero) > 0, nonzero
 
 
+def _twisted_extension(rng, ring, bounds):
+    """An extension A. -> B. -> C. of two-term complexes whose total
+    differential carries a random twist t: C_0 -> A_1, so B. is not the
+    split sum of A. and C. and the connecting map H_0(C) -> H_1(A) can be
+    nonzero.  Every square and cell of the extension is strict."""
+    sub = random_complex(rng, ring, 2, bounds)
+    quot = random_complex(rng, ring, 2, bounds)
+    (a0, a1), (c0, c1) = sub.objects, quot.objects
+    bp0, bp1 = biproduct2([a0, c0]), biproduct2([a1, c1])
+    t = random_square(rng, c0, a1)
+    i_a1, i_c1 = bp1.injections
+    diff = copair2(compose2(i_a1, sub.diffs[0]), compose2(i_a1, t) + compose2(i_c1, quot.diffs[0]))
+    total = ComplexInstance(0, 1, [bp0.obj, bp1.obj], [diff], [])
+    maps_in = [bp0.injections[0], i_a1]
+    maps_out = [bp0.projections[1], bp1.projections[1]]
+    in_cells = [identity_like_cell(compose2(diff, maps_in[0]), compose2(i_a1, sub.diffs[0]))]
+    out_cells = [identity_like_cell(compose2(quot.diffs[0], maps_out[0]), compose2(maps_out[1], diff))]
+    omegas = [null_cell(compose2(g, f)) for f, g in zip(maps_in, maps_out)]
+    return ComplexExtensionInstance(sub, total, quot, maps_in, in_cells, maps_out, out_cells, omegas)
+
+
 class TestLes:
+    # (top, bottom) matrices of each snake's d on _twisted_extension with
+    # Random(seed) at max_dim 2; seeds found by a search for nonzero d
+    TWISTED_D = {
+        (GF(3), 2): [((), ()), ((), ((2, 1, 2),)), (((1, 2, 0, 0),), ())],
+        (ZZ, 11): [
+            (((),), ((1, 0), (0, 0))),
+            (((0, 0), (1, 0), (0, 0)), ((-2, 2, 0, 0),)),
+            (((2, 2, 0, 0),), ()),
+        ],
+    }
+
+    @pytest.mark.parametrize("ring, seed", list(TWISTED_D), ids=str)
+    def test_nonzero_connecting_map(self, ring, seed, bounds):
+        """A twisted extension: exact everywhere, with some connecting map d
+        nonzero and each d pinned, so a sign-flipped d is seen."""
+        ce = _twisted_extension(random.Random(seed), ring, bounds)
+        res = les_homology(*to_chain_maps(ce))
+        maps, cells = les_full_sequence(res)
+        assert all(exactness(maps, cells))
+        assert [(sn.d.top.mat, sn.d.bottom.mat) for sn in res.snakes] == self.TWISTED_D[ring, seed]
+        assert any(not sn.d.is_zero_mor() for sn in res.snakes)
+
     def test_les_exact_everywhere(self, rng, bounds):
         for ring, length in ((GF(2), 3), (GF(3), 3)):
             ce = random_complex_extension(rng, ring, length, bounds)
@@ -402,6 +453,54 @@ class TestLes:
         maps, cells = les_full_sequence(res)
         for k in range(len(maps) - 1):
             assert exact_at(maps[k], cells[k], maps[k + 1])
+
+
+class TestSolveBudget:
+    """LinearSystem.solve calls on a fixed seeded set, pinned: three
+    generalized snakes and two LES (length 3) per ring, drawn from
+    Random(2026) at max_dim 2.  A total that rises means redundant solving
+    came back; one that falls is a gain, and its pin is updated with the
+    change that makes it."""
+
+    BUDGET = {
+        (GF(3), "generalized"): 39,
+        (GF(3), "les"): 103,
+        (ZZ, "generalized"): 37,
+        (ZZ, "les"): 107,
+    }
+
+    @pytest.mark.parametrize("ring", [GF(3), ZZ], ids=str)
+    def test_solve_budget(self, ring, bounds, monkeypatch):
+        import arrowcat.snake as snake_mod
+        from arrowcat.baselin import LinearSystem
+
+        rng = random.Random(2026)
+        snakes = []
+        for _ in range(3):
+            inst = random_generalized_snake_instance(rng, ring, bounds)
+            snakes.append((*inst.row1, *inst.row2, *(column_data(x) for x in inst.cols), *inst.cells))
+        extensions = [to_chain_maps(random_complex_extension(rng, ring, 3, bounds)) for _ in range(2)]
+
+        calls = [0]
+        solve = LinearSystem.solve
+
+        def counting(self, *args, **kwargs):
+            calls[0] += 1
+            return solve(self, *args, **kwargs)
+
+        def no_plain_snake(*args):
+            raise AssertionError("the generalized snake runs a plain snake")
+
+        monkeypatch.setattr(LinearSystem, "solve", counting)
+        monkeypatch.setattr(snake_mod, "plain_snake", no_plain_snake)
+        spent = {}
+        for args in snakes:
+            generalized_snake(*args)
+        spent[ring, "generalized"], calls[0] = calls[0], 0
+        for ext in extensions:
+            les_homology(*ext)
+        spent[ring, "les"] = calls[0]
+        assert spent == {k: v for k, v in self.BUDGET.items() if k[0] == ring}
 
 
 class TestGridLemmas:
