@@ -9,36 +9,45 @@ checked whole, its range by min and max and divisibility at the torsion
 source generators only; a row that fails reruns the entry-by-entry check,
 so the first fault in row-major order is the one raised.
 
-The check contract: every BaseMorphism that is built is validated.  One
-matrix kernel, _product and _difference, gives the canonically reduced
+The check contract: each distinct BaseMorphism is validated once, when it
+is first built.  Morphisms are interned in a weak table (rings._WeakTable)
+keyed by (src, dst, mat): a live morphism with those fields is returned as
+it is, and a new one is registered only once every check passed, so a
+rejected matrix leaves no entry and raises again when it is built again.
+The table holds only live morphisms, unlike the strong ring and object
+tables: an entry goes when its morphism dies.  The matrix must be a tuple
+of tuples of int, since True and 1.0 equal 1 in the key; anything else
+raises TypeError.  Equality and hashing are identity, and the zero/identity
+kind is computed once per distinct morphism and kept in its _kind slot.
+
+One matrix kernel, _product and _difference, gives the canonically reduced
 matrices of composites and differences; compose and __sub__ wrap them, and
 the square and cell equations of core2 compare them directly, since two
 parallel morphisms are equal exactly when their reduced matrices are.
 Objects and rings are interned, so the endpoint checks (composable,
-parallel, one ring) are identity tests.  Zero and identity morphisms are
-interned: each is built and validated once per pair of objects while it
-stays in the bounded memo.  A zero or identity factor needs no arithmetic:
-compose returns the interned zero morphism or the other factor, both
-validated already, and _product their matrices.  Likewise _difference(a, 0)
-is a's own matrix, reduced already; most differences in the cell checks
-subtract a zero component.  A matrix is an identity only on an
-endomorphism: over Z, [[1]]: Z/4 -> Z/2 is not one.
+parallel, one ring) are identity tests.  zero_mor and identity_mor also
+keep their most recent results in a bounded memo, which skips building
+the matrix.  A zero or identity factor needs no arithmetic: compose
+returns the zero morphism or the other factor, both validated already, and
+_product their matrices.  Likewise _difference(a, 0) is a's own matrix,
+reduced already; most differences in the cell checks subtract a zero
+component.  A matrix is an identity only on an endomorphism: over Z,
+[[1]]: Z/4 -> Z/2 is not one.
 
 BaseMorphism is a slotted value (rings._Value), not a dataclass: it carries
-no __dict__, equality and hashing are those of its field tuple
-(src, dst, mat), and the hash and the zero/identity kind are computed on
-first use and kept in two extra slots.
+no __dict__.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from operator import index, mul
 
 from . import intmat
 from .baseobj import BaseObject
 from .intmat import Matrix
-from .rings import _Value
+from .rings import _Value, _WeakTable
 
 
 _MEMO_SIZE = 256
@@ -66,67 +75,71 @@ def _memo(fn):
 
 _GENERAL, _ZERO, _IDENTITY = range(3)
 
+_MORPHISMS = _WeakTable()  # (src, dst, mat) -> the live BaseMorphism
+
 
 def _reduce_entry(x: int, order: int) -> int:
     return x % order if order else x
 
 
 class BaseMorphism(_Value):
-    __slots__ = ("src", "dst", "mat", "_hash", "_kind")
+    __slots__ = ("src", "dst", "mat", "_kind", "__weakref__")
     __match_args__ = ("src", "dst", "mat")
 
     src: BaseObject
     dst: BaseObject
     mat: Matrix
 
-    def __init__(self, src: BaseObject, dst: BaseObject, mat: Matrix):
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "mat", mat)
-        # the hash and the _kind of the morphism, each computed on first use
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_kind", None)
-        if self.src.ring != self.dst.ring:
+    def __new__(cls, src: BaseObject, dst: BaseObject, mat: Matrix):
+        key = (src, dst, mat)
+        try:
+            self = _MORPHISMS[key]()
+        except TypeError:  # an unhashable matrix, rejected below
+            self = None
+        if self is not None:
+            return self
+        _check_exact(mat)
+        if src.ring != dst.ring:
             raise ValueError("morphism between different rings")
-        if not intmat.shape_ok(self.mat, self.dst.ngens, self.src.ngens):
+        if not intmat.shape_ok(mat, dst.ngens, src.ngens):
             raise ValueError(
-                f"matrix shape {len(self.mat)}x? does not match "
-                f"{self.dst.ngens}x{self.src.ngens}"
+                f"matrix shape {len(mat)}x? does not match "
+                f"{dst.ngens}x{src.ngens}"
             )
-        p = self.src.ring.p
+        p = src.ring.p
         if p is not None:
             # every generator has order p, so (p * x) % p == 0 always holds
-            for row in self.mat:
-                if row and (min(row) < 0 or max(row) >= p):
-                    raise ValueError("matrix not canonically reduced")
-            return
-        # whole rows; a failing row reruns the entry loop for its message
-        torsion = self.src.torsion_gens
-        for row, e in zip(self.mat, self.dst.orders):
-            if e:
-                if row and (min(row) < 0 or max(row) >= e):
-                    _raise_first_fault(self)
-                for j, d in torsion:
-                    if d * row[j] % e:
-                        _raise_first_fault(self)
-            else:
-                for j, _ in torsion:
-                    if row[j]:
-                        _raise_first_fault(self)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.src, self.dst, self.mat) == (other.src, other.dst, other.mat)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # the hash of the field tuple, computed once: memo lookups hash the
-        # same morphism many times
-        h = self._hash
-        if h is None:
-            h = hash((self.src, self.dst, self.mat))
-            object.__setattr__(self, "_hash", h)
-        return h
+            if src.ngens and dst.ngens and (min(map(min, mat)) < 0 or max(map(max, mat)) >= p):
+                raise ValueError("matrix not canonically reduced")
+        else:
+            # whole rows; a failing row reruns the entry loop for its message
+            torsion = src.torsion_gens
+            for row, e in zip(mat, dst.orders):
+                if e:
+                    if row and (min(row) < 0 or max(row) >= e):
+                        _raise_first_fault(src, dst, mat)
+                    for j, d in torsion:
+                        if d * row[j] % e:
+                            _raise_first_fault(src, dst, mat)
+                else:
+                    for j, _ in torsion:
+                        if row[j]:
+                            _raise_first_fault(src, dst, mat)
+        # compose, _product and _difference skip the arithmetic for these two
+        if intmat.is_zero(mat):
+            kind = _ZERO
+        elif src is dst and mat == intmat.identity(len(mat)):
+            kind = _IDENTITY
+        else:
+            kind = _GENERAL
+        self = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "mat", mat)
+        set_field(self, "_kind", kind)
+        _MORPHISMS.add(key, self)
+        return self
 
     @property
     def ring(self):
@@ -162,11 +175,23 @@ class BaseMorphism(_Value):
         return tuple(out)
 
 
-def _raise_first_fault(m: BaseMorphism) -> None:
-    """Raise the first fault of m's matrix over Z, in row-major order."""
-    for i, e in enumerate(m.dst.orders):
-        for j, d in enumerate(m.src.orders):
-            x = m.mat[i][j]
+def _check_exact(mat) -> None:
+    """Raise TypeError unless mat is a tuple of tuples of int: True and 1.0
+    equal 1, so such an entry would make its morphism the one shared value
+    of the integer matrix."""
+    if (
+        type(mat) is not tuple
+        or not set(map(type, mat)) <= {tuple}
+        or not set(map(type, chain.from_iterable(mat))) <= {int}
+    ):
+        raise TypeError("a morphism matrix is a tuple of tuples of int")
+
+
+def _raise_first_fault(src: BaseObject, dst: BaseObject, mat: Matrix) -> None:
+    """Raise the first fault of the matrix over Z, in row-major order."""
+    for i, e in enumerate(dst.orders):
+        for j, d in enumerate(src.orders):
+            x = mat[i][j]
             if x != _reduce_entry(x, e):
                 raise ValueError("matrix not canonically reduced")
             if d != 0:
@@ -211,27 +236,11 @@ def zero_mor(src: BaseObject, dst: BaseObject) -> BaseMorphism:
     return BaseMorphism(src, dst, intmat.zeros(dst.ngens, src.ngens))
 
 
-def _kind(m: BaseMorphism) -> int:
-    """_ZERO, _IDENTITY or _GENERAL, computed once per morphism and kept in
-    its _kind slot like the hash: compose and _product skip the arithmetic
-    for the first two."""
-    kind = m._kind
-    if kind is None:
-        if intmat.is_zero(m.mat):
-            kind = _ZERO
-        elif m.src == m.dst and m.mat == intmat.identity(len(m.mat)):
-            kind = _IDENTITY
-        else:
-            kind = _GENERAL
-        object.__setattr__(m, "_kind", kind)
-    return kind
-
-
 def _product(g: BaseMorphism, f: BaseMorphism) -> Matrix:
     """The canonically reduced matrix of g after f."""
     if f.dst != g.src:
         raise ValueError("non-composable morphisms")
-    kf, kg = _kind(f), _kind(g)
+    kf, kg = f._kind, g._kind
     if kf == _ZERO or kg == _ZERO:
         return intmat.zeros(g.dst.ngens, f.src.ngens)
     if kf == _IDENTITY:
@@ -259,7 +268,7 @@ def _difference(a: BaseMorphism, b: BaseMorphism) -> Matrix:
     since a is validated, when b is zero."""
     if a.src != b.src or a.dst != b.dst:
         raise ValueError("difference of non-parallel morphisms")
-    if _kind(b) == _ZERO:
+    if b._kind == _ZERO:
         return a.mat
     return _reduced(intmat.sub(a.mat, b.mat), a.dst.orders)
 
@@ -268,7 +277,7 @@ def compose(g: BaseMorphism, f: BaseMorphism) -> BaseMorphism:
     """g after f."""
     if f.dst != g.src:
         raise ValueError("non-composable morphisms")
-    kf, kg = _kind(f), _kind(g)
+    kf, kg = f._kind, g._kind
     if kf == _ZERO or kg == _ZERO:
         return zero_mor(f.src, g.dst)
     if kf == _IDENTITY:

@@ -9,19 +9,21 @@ morphism bottom(source) -> top(target) with
 exactly.  Vertical composition adds the matrices, horizontal composition is
 beta * alpha = v1' . alpha + beta . u0 (the alternative formula is asserted
 equal), and identities/zeros are strict: a strictly zero square is
-nullhomotopic by the zero cell (null_cell).  Cells compare by ==.
+nullhomotopic by the zero cell (null_cell).
 
 Objects, squares and cells are slotted values (rings._Value), not
-dataclasses: none carries a __dict__, each is immutable, and equality and
-hashing are those of its field tuple.
+dataclasses: none carries a __dict__ and each is immutable.  Like base
+morphisms they are interned in weak tables (rings._WeakTable), keyed by
+their field tuple: equal values are one instance, equality and hashing are
+identity, and a table holds only live values.
 
-Every square and every cell that is built is checked.  The commutativity of
-a square and the two homotopy equations of a cell are compared as
-canonically reduced matrices (basemor._product and basemor._difference),
-without building the composites as morphisms; the components themselves are
-validated BaseMorphisms, and zero and identity components are interned, as
-are zero squares (zero2): each is built and checked once per pair of
-objects while it stays in the bounded memo.
+Each distinct square and cell is checked once, when it is first built, and
+registered only once its checks passed.  The commutativity of a square and
+the two homotopy equations of a cell are compared as canonically reduced
+matrices (basemor._product and basemor._difference), without building the
+composites as morphisms; the components themselves are validated
+BaseMorphisms.  zero2 also keeps its most recent zero squares in a bounded
+memo.
 
 The same two layouts - the commutativity of a square and the two homotopy
 equations of a cell - are what every "there is a square or a cell such
@@ -37,25 +39,27 @@ from typing import NamedTuple
 from .baselin import LinearSystem, cokernel_base, kernel_base
 from .baseobj import BaseObject, zero_object
 from .basemor import BaseMorphism, _difference, _memo, _product, compose, identity_mor, zero_mor
-from .rings import BaseRing, _Value
+from .rings import BaseRing, _Value, _WeakTable
+
+
+_TWO_OBJECTS = _WeakTable()  # boundary -> the live TwoObject
+_SQUARES = _WeakTable()  # (src, dst, top, bottom) -> the live TwoMorphism
+_CELLS = _WeakTable()  # (cfrom, cto, mat) -> the live TwoCell
 
 
 class TwoObject(_Value):
-    __slots__ = ("boundary",)
+    __slots__ = ("boundary", "__weakref__")
     __match_args__ = ("boundary",)
 
     boundary: BaseMorphism
 
-    def __init__(self, boundary: BaseMorphism):
-        object.__setattr__(self, "boundary", boundary)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.boundary,) == (other.boundary,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.boundary,))
+    def __new__(cls, boundary: BaseMorphism):
+        self = _TWO_OBJECTS[boundary]()
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "boundary", boundary)
+            _TWO_OBJECTS.add(boundary, self)
+        return self
 
     @property
     def top(self) -> BaseObject:
@@ -89,7 +93,7 @@ def is_zero_equivalent(x: TwoObject) -> bool:
 
 
 class TwoMorphism(_Value):
-    __slots__ = ("src", "dst", "top", "bottom")
+    __slots__ = ("src", "dst", "top", "bottom", "__weakref__")
     __match_args__ = ("src", "dst", "top", "bottom")
 
     src: TwoObject
@@ -97,25 +101,26 @@ class TwoMorphism(_Value):
     top: BaseMorphism
     bottom: BaseMorphism
 
-    def __init__(self, src: TwoObject, dst: TwoObject, top: BaseMorphism, bottom: BaseMorphism):
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
-        if self.top.src != self.src.top or self.top.dst != self.dst.top:
+    def __new__(cls, src: TwoObject, dst: TwoObject, top: BaseMorphism, bottom: BaseMorphism):
+        key = (src, dst, top, bottom)
+        self = _SQUARES[key]()
+        if self is not None:
+            return self
+        src_boundary, dst_boundary = src.boundary, dst.boundary
+        if top.src is not src_boundary.src or top.dst is not dst_boundary.src:
             raise ValueError("top component has the wrong endpoints")
-        if self.bottom.src != self.src.bottom or self.bottom.dst != self.dst.bottom:
+        if bottom.src is not src_boundary.dst or bottom.dst is not dst_boundary.dst:
             raise ValueError("bottom component has the wrong endpoints")
-        if _product(self.dst.boundary, self.top) != _product(self.bottom, self.src.boundary):
+        if _product(dst_boundary, top) != _product(bottom, src_boundary):
             raise ValueError("square does not commute")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.src, self.dst, self.top, self.bottom) == (other.src, other.dst, other.top, other.bottom)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.src, self.dst, self.top, self.bottom))
+        self = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "top", top)
+        set_field(self, "bottom", bottom)
+        _SQUARES.add(key, self)
+        return self
 
     def __add__(self, other: "TwoMorphism") -> "TwoMorphism":
         if self.src != other.src or self.dst != other.dst:
@@ -155,34 +160,35 @@ def compose2(b: TwoMorphism, a: TwoMorphism) -> TwoMorphism:
 class TwoCell(_Value):
     """alpha: cfrom => cto between parallel squares."""
 
-    __slots__ = ("cfrom", "cto", "mat")
+    __slots__ = ("cfrom", "cto", "mat", "__weakref__")
     __match_args__ = ("cfrom", "cto", "mat")
 
     cfrom: TwoMorphism
     cto: TwoMorphism
     mat: BaseMorphism  # src.bottom -> dst.top
 
-    def __init__(self, cfrom: TwoMorphism, cto: TwoMorphism, mat: BaseMorphism):
-        object.__setattr__(self, "cfrom", cfrom)
-        object.__setattr__(self, "cto", cto)
-        object.__setattr__(self, "mat", mat)
-        f, t = self.cfrom, self.cto
-        if f.src != t.src or f.dst != t.dst:
+    def __new__(cls, cfrom: TwoMorphism, cto: TwoMorphism, mat: BaseMorphism):
+        key = (cfrom, cto, mat)
+        self = _CELLS[key]()
+        if self is not None:
+            return self
+        src, dst = cfrom.src, cfrom.dst
+        if src is not cto.src or dst is not cto.dst:
             raise ValueError("cell between non-parallel squares")
-        if self.mat.src != f.src.bottom or self.mat.dst != f.dst.top:
+        src_boundary, dst_boundary = src.boundary, dst.boundary
+        if mat.src is not src_boundary.dst or mat.dst is not dst_boundary.src:
             raise ValueError("cell matrix has the wrong endpoints")
-        if _difference(f.top, t.top) != _product(self.mat, f.src.boundary):
+        if _difference(cfrom.top, cto.top) != _product(mat, src_boundary):
             raise ValueError("cell fails the top homotopy equation")
-        if _difference(f.bottom, t.bottom) != _product(f.dst.boundary, self.mat):
+        if _difference(cfrom.bottom, cto.bottom) != _product(dst_boundary, mat):
             raise ValueError("cell fails the bottom homotopy equation")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.cfrom, self.cto, self.mat) == (other.cfrom, other.cto, other.mat)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cfrom, self.cto, self.mat))
+        self = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(self, "cfrom", cfrom)
+        set_field(self, "cto", cto)
+        set_field(self, "mat", mat)
+        _CELLS.add(key, self)
+        return self
 
     @property
     def src(self) -> TwoObject:

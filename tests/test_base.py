@@ -654,8 +654,7 @@ class TestMorphismValues:
                 f - zero_mor(x, y),
             ]
             for g in routes:
-                assert g == f
-                assert hash(g) == hash(f) == hash((f.src, f.dst, f.mat))
+                assert g is f
 
     def test_fields_and_repr_unchanged(self):
         assert BaseMorphism.__match_args__ == ("src", "dst", "mat")
@@ -685,6 +684,47 @@ class TestIntegerEntries:
         f = base_morphism(v, v, [[True, 4], [-1, 0]])
         assert f.mat == ((1, 1), (2, 0))
         assert all(type(x) is int for row in f.mat for x in row)
+
+    @pytest.mark.parametrize(
+        "src, mat",
+        [("z_object(1)", "((2.5,),)"), ("field_object(GF(3), 1)", "((True,),)"), ("z_object(1)", "[[1]]")],
+        ids=["Z-float", "F3-bool", "list-rows"],
+    )
+    def test_constructor_takes_only_int_tuples(self, src, mat):
+        """BaseMorphism keys its intern table on the matrix, where True and
+        1.0 equal 1: a matrix that is not a tuple of tuples of int is
+        refused when it would be registered.  A fresh process has no live
+        morphism with an equal matrix, so each of these is such a miss."""
+        code = textwrap.dedent(
+            f"""
+            from arrowcat import GF, field_object, z_object
+            from arrowcat.basemor import BaseMorphism
+            src = {src}
+            try:
+                BaseMorphism(src, src, {mat})
+            except TypeError as exc:
+                print("TypeError:", exc)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(arrowcat.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "TypeError: a morphism matrix is a tuple of tuples of int\n"
+
+    def test_float_and_list_matrices_are_never_values(self):
+        # no int matrix equals ((2.5,),) and a list is unhashable, so these
+        # always reach the check
+        for mat in (((2.5,),), [[1]], ([1],)):
+            with pytest.raises(TypeError, match="tuple of tuples of int"):
+                BaseMorphism(Z1, Z1, mat)
+
+    def test_equal_int_matrix_is_the_live_value(self):
+        """Once the integer matrix has its live morphism, an equal bool
+        matrix finds that one: its entries are ints."""
+        v = field_object(GF(3), 1)
+        one = identity_mor(v)
+        assert BaseMorphism(v, v, ((True,),)) is one
+        assert type(one.mat[0][0]) is int
 
 
 class TestApply:

@@ -1,14 +1,17 @@
+import gc
 import inspect
 import random
+import weakref
 from math import gcd
 
 import pytest
 
-from arrowcat import GF, ZZ, base_morphism, two_object
-from arrowcat.basemor import BaseMorphism, _difference, _product, compose, zero_mor
+from arrowcat import GF, ZZ, base_morphism, basemor, core2, field_object, two_object, z_object
+from arrowcat.basemor import BaseMorphism, _difference, _product, compose, identity_mor, zero_mor
 from arrowcat.core2 import (
     TwoCell,
     TwoMorphism,
+    TwoObject,
     cell_to_zero,
     compose2,
     hcomp2,
@@ -358,3 +361,88 @@ def test_zero2_stays_a_plain_function():
     assert inspect.isfunction(zero2)
     assert zero2.__module__ == "arrowcat.core2"
     assert inspect.isfunction(zero2.__wrapped__)
+
+
+# ---------------------------------------------------------------------------
+# Interning: base morphisms, 2-objects, squares and cells live in weak tables
+# ---------------------------------------------------------------------------
+
+TABLES = (basemor._MORPHISMS, core2._TWO_OBJECTS, core2._SQUARES, core2._CELLS)
+
+
+@pytest.fixture
+def no_gc():
+    """Cyclic collection off, after one full collection: entries then go
+    only when a value's last reference does."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("ring", (GF(3), ZZ), ids=str)
+def test_equal_values_are_one_instance(ring):
+    rng = random.Random(27)
+    for _ in range(8):
+        x, y = (random_two_object(rng, ring, Bounds(max_dim=2)) for _ in range(2))
+        u = random_square(rng, x, y)
+        cell = random_cell_on(rng, u, Bounds(max_dim=2))
+        assert TwoObject(x.boundary) is two_object(x.boundary) is x
+        assert TwoMorphism(x, y, u.top, u.bottom) is compose2(identity2(y), u) is compose2(u, identity2(x)) is u
+        assert TwoCell(cell.cfrom, cell.cto, cell.mat) is cell.inverse().inverse() is cell
+        assert identity_cell(u) is TwoCell(u, u, zero_mor(x.bottom, y.top))
+
+
+def _noncommuting_square():
+    # the doubling object Z -2-> Z, with components 1 on top and 2 below
+    x = two_object(base_morphism(z_object(1), z_object(1), [[2]]))
+    one, two = base_morphism(z_object(1), z_object(1), [[1]]), base_morphism(z_object(1), z_object(1), [[2]])
+    return (x, x, one, two), TwoMorphism, "square does not commute"
+
+
+def _bad_cell():
+    # the identity square of the doubling object has no nonzero loop
+    x = two_object(base_morphism(z_object(1), z_object(1), [[2]]))
+    u = identity2(x)
+    return (u, u, identity_mor(z_object(1))), TwoCell, "cell fails the top homotopy equation"
+
+
+def _out_of_range_entry():
+    v = field_object(GF(5), 1)
+    return (v, v, ((5,),)), BaseMorphism, "matrix not canonically reduced"
+
+
+@pytest.mark.parametrize("case", [_noncommuting_square, _bad_cell, _out_of_range_entry], ids=lambda f: f.__name__[1:])
+def test_failed_construction_registers_nothing(case, no_gc):
+    """A value is registered only once every check passed: a failed build
+    leaves every table as it was, while its traceback still holds the
+    rejected instance, and the next build raises again with the same
+    message."""
+    args, cls, message = case()
+    sizes = [len(t) for t in TABLES]
+    with pytest.raises(ValueError) as first:
+        cls(*args)
+    assert str(first.value) == message
+    assert [len(t) for t in TABLES] == sizes
+    with pytest.raises(ValueError) as again:
+        cls(*args)
+    assert str(again.value) == message
+
+
+def test_entry_goes_with_its_value(no_gc):
+    v = field_object(GF(2**31 - 1), 1)
+    key = (v, v, ((20260427,),))
+    f = BaseMorphism(*key)
+    x = TwoObject(f)
+    u = identity2(x)
+    cell = identity_cell(u)
+    refs = [weakref.ref(value) for value in (f, x, u, cell)]
+    assert basemor._MORPHISMS[key]() is f
+    del f, x, u, cell
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
+    assert key not in basemor._MORPHISMS
+    # no table keeps an entry for a value that is gone
+    assert all(ref() is not None for table in TABLES for ref in table.values())

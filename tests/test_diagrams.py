@@ -1,15 +1,23 @@
 """Puppe, snake, anaconda, LES and the grid lemmas on structured instances."""
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import arrowcat
 from arrowcat import GF, ZZ, base_morphism, field_object, z_object, zero_mor, zero_object
 from arrowcat.anaconda import anaconda, anaconda_full_sequence
 from arrowcat.basemor import compose
 from arrowcat.classify2 import classify2
 from arrowcat.core2 import (
     TwoCell,
+    cell_to_zero,
     compose2,
     deform,
     identity2,
@@ -207,8 +215,6 @@ class TestSnake:
         f = two_morphism(a_o, b_o, zero_mor(a_o.top, b_o.top), bm(a_o.bottom, b_o.bottom, inj))
         g = two_morphism(b_o, c_o, zero_mor(b_o.top, c_o.top), bm(b_o.bottom, c_o.bottom, proj))
         eta = identity_cell(compose2(g, f))
-        from arrowcat.core2 import cell_to_zero
-
         eta = cell_to_zero(compose2(g, f), zero_mor(a_o.bottom, c_o.top))
         # random columns between two copies of the rows
         amat = [[rng.randrange(p) for _ in range(na)] for _ in range(na)]
@@ -249,26 +255,25 @@ class TestSnake:
         assert ka[1] - ka[0] == col_a.src.bottom.ngens - rank(col_a.bottom)
 
     def test_hypothesis_violation_reported(self, rng, bounds):
+        """eta + L, for a loop L: A.bottom -> C.top, is a valid cell g.f => 0,
+        and it breaks the pasting law exactly when c.top . L is not zero:
+        plain_snake must refuse it then."""
         ring = GF(2)
-        inst = random_snake_instance(rng, ring, bounds)
-        cols = [column_data(x) for x in inst.cols]
-        f, eta, g = inst.row1
-        bad_eta_mat = eta.mat + _nonzero_perturbation(rng, eta.mat, bounds)
-        if bad_eta_mat != eta.mat:
-            with pytest.raises(ValueError):
-                from arrowcat.core2 import cell_to_zero
-
-                bad = cell_to_zero(compose2(g, f), bad_eta_mat)
-                check = plain_snake(f, bad, g, *inst.row2, *cols, *inst.cells)
-                # if the perturbed cell happened to stay valid, the pasting
-                # condition must reject it
-                raise ValueError("pasting accepted a broken cell")
-
-
-def _nonzero_perturbation(rng, mat_mor, bounds):
-    from arrowcat.generators import random_base_morphism
-
-    return random_base_morphism(rng, mat_mor.src, mat_mor.dst, bounds)
+        refused = 0
+        for _ in range(400):
+            if refused == 5:
+                break
+            inst = random_snake_instance(rng, ring, bounds)
+            f, eta, g = inst.row1
+            loop = _random_loop(rng, f.src, g.dst).mat
+            if compose(inst.cols[2].top, loop).is_zero_mor():
+                continue  # the pasting law still holds
+            bad = cell_to_zero(compose2(g, f), eta.mat + loop)
+            cols = [column_data(x) for x in inst.cols]
+            with pytest.raises(ValueError, match="pasting condition"):
+                plain_snake(f, bad, g, *inst.row2, *cols, *inst.cells)
+            refused += 1
+        assert refused == 5
 
 
 class TestAnaconda:
@@ -400,8 +405,6 @@ class TestLes:
         from arrowcat.les import ChainMap
         from arrowcat.sequences import ComplexSequence
         from arrowcat.limits2 import biproduct2
-        from arrowcat.core2 import cell_to_zero
-
         ring = GF(3)
         subs = [random_two_object(rng, ring, bounds) for _ in range(3)]
         quots = [random_two_object(rng, ring, bounds) for _ in range(3)]
@@ -422,20 +425,16 @@ class TestLes:
         ax, bx, cx = zc(subs), zc(tots), zc(quots)
         fsq = tuple(bp.injections[0] for bp in bps)
         gsq = tuple(bp.projections[1] for bp in bps)
-        fcells = tuple(
-            identity_cell(compose2(bx.diffs[i], fsq[i]))
-            for i in range(0)
-        )
         # zero differentials: the connecting cells are identity cells of zero maps
         fcells = tuple(
-            __import__("arrowcat.core2", fromlist=["TwoCell"]).TwoCell(
+            TwoCell(
                 compose2(bx.diffs[i], fsq[i]), compose2(fsq[i + 1], ax.diffs[i]),
                 zero_mor(ax.objects[i].bottom, bx.objects[i + 1].top),
             )
             for i in range(2)
         )
         gcells = tuple(
-            __import__("arrowcat.core2", fromlist=["TwoCell"]).TwoCell(
+            TwoCell(
                 compose2(cx.diffs[i], gsq[i]), compose2(gsq[i + 1], bx.diffs[i]),
                 zero_mor(bx.objects[i].bottom, cx.objects[i + 1].top),
             )
@@ -500,6 +499,63 @@ class TestSolveBudget:
         for ext in extensions:
             les_homology(*ext)
         spent[ring, "les"] = calls[0]
+        assert spent == {k: v for k, v in self.BUDGET.items() if k[0] == ring}
+
+
+class TestInternBudget:
+    """Distinct values built and checked (registrations in the intern
+    tables of base morphisms, 2-objects, squares and cells), pinned on the
+    instances of TestSolveBudget.  Each ring runs in a fresh process, so no
+    value is live from elsewhere.  A count that rises means values are
+    checked again: interning was defeated, or redundant construction came
+    back."""
+
+    BUDGET = {
+        (GF(3), "generalized"): [257, 7, 162, 106],
+        (GF(3), "les"): [177, 16, 226, 222],
+        (ZZ, "generalized"): [225, 8, 150, 88],
+        (ZZ, "les"): [847, 51, 592, 443],
+    }
+
+    CHILD = textwrap.dedent(
+        """
+        import json, random
+        from arrowcat import GF, ZZ
+        from arrowcat.basemor import _MORPHISMS
+        from arrowcat.core2 import _CELLS, _SQUARES, _TWO_OBJECTS
+        from arrowcat.generators import Bounds, random_complex_extension, random_generalized_snake_instance, to_chain_maps
+        from arrowcat.les import les_homology
+        from arrowcat.snake import column_data, generalized_snake
+
+        ring = {ring}
+        rng, bounds = random.Random(2026), Bounds(max_dim=2)
+        snakes = []
+        for _ in range(3):
+            inst = random_generalized_snake_instance(rng, ring, bounds)
+            snakes.append((*inst.row1, *inst.row2, *(column_data(x) for x in inst.cols), *inst.cells))
+        extensions = [to_chain_maps(random_complex_extension(rng, ring, 3, bounds)) for _ in range(2)]
+
+        def added():
+            return [t.added for t in (_MORPHISMS, _TWO_OBJECTS, _SQUARES, _CELLS)]
+
+        spent, start = {{}}, added()
+        for args in snakes:
+            generalized_snake(*args)
+        spent["generalized"], start = [b - a for a, b in zip(start, added())], added()
+        for ext in extensions:
+            les_homology(*ext)
+        spent["les"] = [b - a for a, b in zip(start, added())]
+        print(json.dumps(spent))
+        """
+    )
+
+    @pytest.mark.parametrize("ring", [GF(3), ZZ], ids=str)
+    def test_intern_budget(self, ring):
+        code = self.CHILD.format(ring="GF(3)" if ring.p else "ZZ")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(arrowcat.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        spent = {(ring, phase): counts for phase, counts in json.loads(proc.stdout).items()}
         assert spent == {k: v for k, v in self.BUDGET.items() if k[0] == ring}
 
 

@@ -6,9 +6,10 @@ __repr__ source generated and exec-ed for each class at import.  A value
 type checks or interns its fields when it is built: BaseRing, BaseObject,
 BaseMorphism, TwoObject, TwoMorphism, TwoCell, ComplexSequence and ChainMap
 are hand-written classes over rings._Value, with __slots__ (no instance
-carries a __dict__), pinned __match_args__, no assignment or deletion, the
-dataclass-format repr, and equality and hashing over the field tuple (rings
-and objects are interned and compare by identity).  Every other record is a
+carries a __dict__), pinned __match_args__, no assignment or deletion and
+the dataclass-format repr.  Rings, base objects and morphisms, 2-objects,
+squares and cells are interned and compare and hash by identity; complexes
+and chain maps compare and hash by their field tuple.  Every other record is a
 typing.NamedTuple.  The field order below is pinned because reprs and the
 key order of cli._flags_json follow it.
 """
@@ -40,7 +41,10 @@ VALUE_TYPES = {
     "sequences.ChainMap": ("src", "dst", "squares", "cells"),
 }
 # interned: one instance per value, so equality and hashing are identity
-INTERNED = {"rings.BaseRing", "baseobj.BaseObject"}
+INTERNED = {
+    "rings.BaseRing", "baseobj.BaseObject",
+    "basemor.BaseMorphism", "core2.TwoObject", "core2.TwoMorphism", "core2.TwoCell",
+}
 
 RECORDS = {
     "limits2.SequenceData": ("iota", "pmap"),
