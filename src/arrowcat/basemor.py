@@ -10,15 +10,22 @@ source generators only; a row that fails reruns the entry-by-entry check,
 so the first fault in row-major order is the one raised.
 
 The check contract: each distinct BaseMorphism is validated once, when it
-is first built.  Morphisms are interned in a weak table (rings._WeakTable)
+is first built.  Morphisms are interned in a weakref.WeakValueDictionary
 keyed by (src, dst, mat): a live morphism with those fields is returned as
 it is, and a new one is registered only once every check passed, so a
 rejected matrix leaves no entry and raises again when it is built again.
 The table holds only live morphisms, unlike the strong ring and object
-tables: an entry goes when its morphism dies.  The matrix must be a tuple
-of tuples of int, since True and 1.0 equal 1 in the key; anything else
-raises TypeError.  Equality and hashing are identity, and the zero/identity
-kind is computed once per distinct morphism and kept in its _kind slot.
+tables: an entry goes when its morphism dies.  Equality and hashing are
+identity, and the zero/identity kind is computed once per distinct
+morphism and kept in its _kind slot.
+
+The constructor takes only a tuple of tuples of int, which is what every
+caller in the package passes; input from outside goes through
+base_morphism, which converts and reduces it.  A new morphism with any
+other matrix raises TypeError, so no True or 1.0 entry is ever registered,
+but the lookup comes first: a bool or integral float matrix equal to the
+matrix of a live morphism returns that morphism.  Checking entry types
+before the lookup would add a scan of every entry to every hit.
 
 One matrix kernel, _product and _difference, gives the canonically reduced
 matrices of composites and differences; compose and __sub__ wrap them, and
@@ -43,11 +50,12 @@ from __future__ import annotations
 import functools
 from itertools import chain
 from operator import index, mul
+from weakref import WeakValueDictionary
 
 from . import intmat
 from .baseobj import BaseObject
 from .intmat import Matrix
-from .rings import _Value, _WeakTable
+from .rings import _Value
 
 
 _MEMO_SIZE = 256
@@ -75,7 +83,7 @@ def _memo(fn):
 
 _GENERAL, _ZERO, _IDENTITY = range(3)
 
-_MORPHISMS = _WeakTable()  # (src, dst, mat) -> the live BaseMorphism
+_MORPHISMS = WeakValueDictionary()  # (src, dst, mat) -> the live BaseMorphism
 
 
 def _reduce_entry(x: int, order: int) -> int:
@@ -83,6 +91,9 @@ def _reduce_entry(x: int, order: int) -> int:
 
 
 class BaseMorphism(_Value):
+    """src -> dst by the matrix mat, a tuple of tuples of int (see the module
+    docstring); base_morphism builds one from any integer entries."""
+
     __slots__ = ("src", "dst", "mat", "_kind", "__weakref__")
     __match_args__ = ("src", "dst", "mat")
 
@@ -93,7 +104,7 @@ class BaseMorphism(_Value):
     def __new__(cls, src: BaseObject, dst: BaseObject, mat: Matrix):
         key = (src, dst, mat)
         try:
-            self = _MORPHISMS[key]()
+            self = _MORPHISMS.get(key)
         except TypeError:  # an unhashable matrix, rejected below
             self = None
         if self is not None:
@@ -138,7 +149,7 @@ class BaseMorphism(_Value):
         set_field(self, "dst", dst)
         set_field(self, "mat", mat)
         set_field(self, "_kind", kind)
-        _MORPHISMS.add(key, self)
+        _MORPHISMS[key] = self
         return self
 
     @property
@@ -177,8 +188,8 @@ class BaseMorphism(_Value):
 
 def _check_exact(mat) -> None:
     """Raise TypeError unless mat is a tuple of tuples of int: True and 1.0
-    equal 1, so such an entry would make its morphism the one shared value
-    of the integer matrix."""
+    equal 1, so a new morphism with such an entry would become the one
+    shared value of the integer matrix."""
     if (
         type(mat) is not tuple
         or not set(map(type, mat)) <= {tuple}

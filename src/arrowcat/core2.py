@@ -13,9 +13,9 @@ nullhomotopic by the zero cell (null_cell).
 
 Objects, squares and cells are slotted values (rings._Value), not
 dataclasses: none carries a __dict__ and each is immutable.  Like base
-morphisms they are interned in weak tables (rings._WeakTable), keyed by
-their field tuple: equal values are one instance, equality and hashing are
-identity, and a table holds only live values.
+morphisms they are interned in weak tables (weakref.WeakValueDictionary),
+keyed by their field tuple: equal values are one instance, equality and
+hashing are identity, and a table holds only live values.
 
 Each distinct square and cell is checked once, when it is first built, and
 registered only once its checks passed.  The commutativity of a square and
@@ -35,16 +35,17 @@ so they are written out only here.
 from __future__ import annotations
 
 from typing import NamedTuple
+from weakref import WeakValueDictionary
 
 from .baselin import LinearSystem, cokernel_base, kernel_base
 from .baseobj import BaseObject, zero_object
 from .basemor import BaseMorphism, _difference, _memo, _product, compose, identity_mor, zero_mor
-from .rings import BaseRing, _Value, _WeakTable
+from .rings import BaseRing, _Value
 
 
-_TWO_OBJECTS = _WeakTable()  # boundary -> the live TwoObject
-_SQUARES = _WeakTable()  # (src, dst, top, bottom) -> the live TwoMorphism
-_CELLS = _WeakTable()  # (cfrom, cto, mat) -> the live TwoCell
+_TWO_OBJECTS = WeakValueDictionary()  # boundary -> the live TwoObject
+_SQUARES = WeakValueDictionary()  # (src, dst, top, bottom) -> the live TwoMorphism
+_CELLS = WeakValueDictionary()  # (cfrom, cto, mat) -> the live TwoCell
 
 
 class TwoObject(_Value):
@@ -54,11 +55,11 @@ class TwoObject(_Value):
     boundary: BaseMorphism
 
     def __new__(cls, boundary: BaseMorphism):
-        self = _TWO_OBJECTS[boundary]()
+        self = _TWO_OBJECTS.get(boundary)
         if self is None:
             self = object.__new__(cls)
             object.__setattr__(self, "boundary", boundary)
-            _TWO_OBJECTS.add(boundary, self)
+            _TWO_OBJECTS[boundary] = self
         return self
 
     @property
@@ -103,7 +104,7 @@ class TwoMorphism(_Value):
 
     def __new__(cls, src: TwoObject, dst: TwoObject, top: BaseMorphism, bottom: BaseMorphism):
         key = (src, dst, top, bottom)
-        self = _SQUARES[key]()
+        self = _SQUARES.get(key)
         if self is not None:
             return self
         src_boundary, dst_boundary = src.boundary, dst.boundary
@@ -119,7 +120,7 @@ class TwoMorphism(_Value):
         set_field(self, "dst", dst)
         set_field(self, "top", top)
         set_field(self, "bottom", bottom)
-        _SQUARES.add(key, self)
+        _SQUARES[key] = self
         return self
 
     def __add__(self, other: "TwoMorphism") -> "TwoMorphism":
@@ -169,7 +170,7 @@ class TwoCell(_Value):
 
     def __new__(cls, cfrom: TwoMorphism, cto: TwoMorphism, mat: BaseMorphism):
         key = (cfrom, cto, mat)
-        self = _CELLS[key]()
+        self = _CELLS.get(key)
         if self is not None:
             return self
         src, dst = cfrom.src, cfrom.dst
@@ -187,7 +188,7 @@ class TwoCell(_Value):
         set_field(self, "cfrom", cfrom)
         set_field(self, "cto", cto)
         set_field(self, "mat", mat)
-        _CELLS.add(key, self)
+        _CELLS[key] = self
         return self
 
     @property

@@ -5,14 +5,10 @@ rings are the same object, and equality and hashing are object identity.
 
 _Value, the base of every immutable value type of the package (rings, base
 objects and morphisms, squares, cells, complexes and chain maps), lives here
-because every module imports this one, and so does _WeakTable, the intern
-table of the values that may die: base morphisms, 2-objects, squares and
-cells.
+because every module imports this one.
 """
 
 from __future__ import annotations
-
-from weakref import KeyedRef
 
 _P_LIMIT = 2**31
 
@@ -56,44 +52,6 @@ class _Value:
 
     def __reduce__(self):
         return type(self), tuple([getattr(self, name) for name in self.__match_args__])
-
-
-def _no_value():
-    return None
-
-
-class _WeakTable(dict):
-    """An intern table that holds only live values: key -> weakref.KeyedRef
-    to the one live value built from that key.
-
-    table[key]() is that value, or None on a miss: a key never registered,
-    or one whose value has died.  add registers a value once it has passed
-    its checks; when the value dies, drop, the one callback that every
-    reference of the table shares, removes its entry.  added counts the
-    registrations, that is the distinct values built and checked.
-    """
-
-    __slots__ = ("drop", "added")
-
-    def __init__(self):
-        super().__init__()
-        self.added = 0
-
-        def drop(ref):
-            # the key may hold a newer value already if the old one died in
-            # a cycle collection, whose callbacks run after the references
-            # are cleared
-            if self.get(ref.key) is ref:
-                del self[ref.key]
-
-        self.drop = drop
-
-    def __missing__(self, key):
-        return _no_value
-
-    def add(self, key, value) -> None:
-        self[key] = KeyedRef(value, self.drop, key)
-        self.added += 1
 
 
 _RINGS: dict = {}  # p -> its one BaseRing

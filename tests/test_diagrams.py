@@ -519,10 +519,8 @@ class TestInternBudget:
 
     CHILD = textwrap.dedent(
         """
-        import json, random
-        from arrowcat import GF, ZZ
-        from arrowcat.basemor import _MORPHISMS
-        from arrowcat.core2 import _CELLS, _SQUARES, _TWO_OBJECTS
+        import json, random, weakref
+        from arrowcat import GF, ZZ, basemor, core2
         from arrowcat.generators import Bounds, random_complex_extension, random_generalized_snake_instance, to_chain_maps
         from arrowcat.les import les_homology
         from arrowcat.snake import column_data, generalized_snake
@@ -535,8 +533,20 @@ class TestInternBudget:
             snakes.append((*inst.row1, *inst.row2, *(column_data(x) for x in inst.cols), *inst.cells))
         extensions = [to_chain_maps(random_complex_extension(rng, ring, 3, bounds)) for _ in range(2)]
 
+        class Counting(weakref.WeakValueDictionary):
+            added = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.added += 1
+
+        # the tables keep their entries and count their registrations
+        tables = (basemor._MORPHISMS, core2._TWO_OBJECTS, core2._SQUARES, core2._CELLS)
+        for table in tables:
+            table.__class__ = Counting
+
         def added():
-            return [t.added for t in (_MORPHISMS, _TWO_OBJECTS, _SQUARES, _CELLS)]
+            return [t.added for t in tables]
 
         spent, start = {{}}, added()
         for args in snakes:
