@@ -2,8 +2,19 @@
 
 Per degree the connecting morphism comes from the generalized snake applied
 to the rows  Q_n -> K_n  (relative cokernels over relative kernels) with
-columns h_n, whose kernel/cokernel data are the homology presentations; the
-assembled sequence ... H_n(A) -> H_n(B) -> H_n(C) -> H_{n+1}(A) ... is
+columns h_n, whose kernel/cokernel data are the homology presentations.
+The six-term sequences of degrees n and n+1 meet at H_{n+1}: snake n's
+(fbar2, etabar2, gbar2) are snake n+1's (fbar, etabar, gbar), so the
+sequence ... H_n(A) -> H_n(B) -> H_n(C) -> H_{n+1}(A) ... is the snakes
+glued end to end, and no seam cell is solved.  Each shared map is the
+unique strict factorization of H_{n+1}(f) or H_{n+1}(g) through the
+presentation of H_{n+1}.  On the cokernel side qprime has the identity
+bottom, and its top together with zeta' is the coroot's projection after
+the cokernel's, an epi.  On the kernel side pair(kprime.bottom, kappa') is
+kfull . incl, a mono, and kprime is faithful.  As kprime . qprime = s
+strictly (homology_at asserts it), the one factorization meets both
+snakes' equations, and interning makes the two results one object; the
+glue checks the shared ends by identity.  The assembled sequence is
 verified exact at every point by the oracle, and the pi0 and Omega shadows
 are checked classically in the base category (selftest.shadows_exact), over
 prime fields and over Z.
@@ -24,7 +35,7 @@ from .core2 import (
     whisker_left,
     whisker_right,
 )
-from .limits2 import factor_rel_cokernel2, factor_rel_kernel2, solve_cell
+from .limits2 import factor_rel_cokernel2, factor_rel_kernel2
 from .sequences import (
     ChainMap,
     ComplexSequence,
@@ -117,29 +128,17 @@ def les_homology(fmap: ChainMap, omegas: tuple[TwoCell, ...], gmap: ChainMap) ->
             )
         )
 
-    maps: list[TwoMorphism] = []
-    cells: list[TwoCell] = []
     h_objects = {}
     for i in range(3):
         for n in degrees:
             h_objects[(i, n)] = hrs[i][n].obj
-    for k, sn in enumerate(snakes):
-        if k == 0:
-            maps.extend([sn.fbar, sn.gbar])
-            cells.append(sn.etabar)
-        cells.append(sn.delta)
-        maps.append(sn.d)
-        if k + 1 < len(snakes):
-            nxt = snakes[k + 1]
-            seam = solve_cell(sn.fbar2, nxt.fbar)
-            dp = vcomp2(sn.delta_prime, whisker_right(seam.inverse(), sn.d))
-            cells.append(dp)
-            maps.extend([nxt.fbar, nxt.gbar])
-            cells.append(nxt.etabar)
-        else:
-            cells.append(sn.delta_prime)
-            maps.extend([sn.fbar2, sn.gbar2])
-            cells.append(sn.etabar2)
+    maps, cells = (list(part) for part in snakes[0].sequence())
+    for prev, sn in zip(snakes, snakes[1:]):
+        if not (prev.fbar2 is sn.fbar and prev.etabar2 is sn.etabar and prev.gbar2 is sn.gbar):
+            raise AssertionError("consecutive snakes do not share their ends")
+        sn_maps, sn_cells = sn.sequence()
+        maps.extend(sn_maps[2:])
+        cells.extend(sn_cells[1:])
     return LesResult(tuple(degrees), h_objects, tuple(maps), tuple(cells), tuple(snakes))
 
 

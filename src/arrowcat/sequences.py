@@ -31,7 +31,6 @@ from .core2 import (
     TwoObject,
     cell_to_zero,
     compose2,
-    identity_cell,
     identity_like_cell,
     is_zero_equivalent,
     null_cell,
@@ -143,18 +142,19 @@ def is_extension(a: TwoMorphism, alpha: TwoCell, b: TwoMorphism) -> bool:
 
 
 class HomologyResult(NamedTuple):
+    """The homology H at B of x -> A -a-> B -b-> C -> y, presented both ways:
+    H is the relative cokernel (qprime, zeta') of the map a' that a induces
+    into K(b, psi), and kprime . qprime = s = q . k strictly."""
+
     obj: TwoObject
     qprime: TwoMorphism  # K(b, psi) -> H
     kprime: TwoMorphism  # H -> Q(a, phi)
     zeta_prime: TwoCell  # qprime . a' => 0
     kappa_prime: TwoCell  # b' . kprime => 0
-    eta: TwoCell  # q.k => kprime.qprime
-    comparison: TwoMorphism  # the coker-route H -> ker-route H
-    comparison_flags: ArrowClassification
-    rel_kernel: RelKernelData
-    rel_cokernel: RelCokernelData
-    a_induced: TwoMorphism
-    b_induced: TwoMorphism
+    comparison_flags: ArrowClassification  # of the coker-route H -> ker-route H
+    rel_kernel: RelKernelData  # k: K(b, psi) -> B
+    rel_cokernel: RelCokernelData  # q: B -> Q(a, phi)
+    b_induced: TwoMorphism  # b': Q(a, phi) -> C
 
 
 def homology_at(
@@ -190,7 +190,6 @@ def homology_at(
     flags = classify2(w)
     if not flags.equivalence:
         raise AssertionError("the two homology constructions are not equivalent")
-    eta = identity_cell(compose2(w_tilde, h_coker.qmor))
     if compose2(w_tilde, h_coker.qmor) != s:
         raise AssertionError("homology comparison is not strict")
     return HomologyResult(
@@ -199,12 +198,9 @@ def homology_at(
         kprime=w_tilde,
         zeta_prime=h_coker.zeta,
         kappa_prime=kappa_w,
-        eta=eta,
-        comparison=w,
         comparison_flags=flags,
         rel_kernel=rk,
         rel_cokernel=rc,
-        a_induced=a_ind,
         b_induced=b_ind,
     )
 

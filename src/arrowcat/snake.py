@@ -250,26 +250,25 @@ def plain_snake(
         [(1, None, qprime_a.bottom, zeta_3 + compose(gbar2.top, nu1.mat))],
     )
 
-    mu_a, mu_b, mu_c = mu_loop(a), mu_loop(b), mu_loop(c)
-    _assert_mu_identities(
-        fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2, mu_a, mu_b, mu_c
-    )
-    return SnakeResult(
+    return _six_term(
         fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2,
-        mu_a, mu_b, mu_c, a, b, c,
+        mu_loop(a), mu_loop(b), mu_loop(c), a, b, c,
     )
 
 
-def _assert_mu_identities(fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2, mu_a, mu_b, mu_c):
-    id1 = compose(delta.mat, fbar.bottom) - compose(d.top, etabar.mat)
-    if id1 != mu_a.mat:
+def _six_term(*fields) -> SnakeResult:
+    """SnakeResult(*fields), once its three mu-identities hold exactly."""
+    r = SnakeResult(*fields)
+    id1 = compose(r.delta.mat, r.fbar.bottom) - compose(r.d.top, r.etabar.mat)
+    if id1 != r.mu_a.mat:
         raise AssertionError("snake mu-identity 1 fails")
-    id2 = compose(delta_prime.mat, gbar.bottom) - compose(fbar2.top, delta.mat)
-    if id2 != -mu_b.mat:
+    id2 = compose(r.delta_prime.mat, r.gbar.bottom) - compose(r.fbar2.top, r.delta.mat)
+    if id2 != -r.mu_b.mat:
         raise AssertionError("snake mu-identity 2 fails")
-    id3 = compose(etabar2.mat, d.bottom) - compose(gbar2.top, delta_prime.mat)
-    if id3 != mu_c.mat:
+    id3 = compose(r.etabar2.mat, r.d.bottom) - compose(r.gbar2.top, r.delta_prime.mat)
+    if id3 != r.mu_c.mat:
         raise AssertionError("snake mu-identity 3 fails")
+    return r
 
 
 def generalized_snake(
@@ -375,10 +374,7 @@ def generalized_snake(
         raise AssertionError("generalized snake connecting cells do not exist")
     delta = TwoCell(dg, zero2(dg.src, dg.dst), sol[de.name])
     delta_prime = TwoCell(fd, zero2(fd.src, fd.dst), sol[dp.name])
-    _assert_mu_identities(
-        fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2, mu_a, mu_b, mu_c
-    )
-    return SnakeResult(
+    return _six_term(
         fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2,
         mu_a, mu_b, mu_c, a, b, c,
     )

@@ -78,8 +78,8 @@ RECORDS = {
     "anaconda.AnacondaResult": ("objects", "maps", "cells", "snake", "composite_signs"),
     "puppe.PuppeSequence": ("objects", "maps", "cells", "mu"),
     "matrix2.AssembledMorphism": ("mor", "src_bp", "dst_bp"),
-    "sequences.HomologyResult": ("obj", "qprime", "kprime", "zeta_prime", "kappa_prime", "eta", "comparison",
-                                 "comparison_flags", "rel_kernel", "rel_cokernel", "a_induced", "b_induced"),
+    "sequences.HomologyResult": ("obj", "qprime", "kprime", "zeta_prime", "kappa_prime", "comparison_flags",
+                                 "rel_kernel", "rel_cokernel", "b_induced"),
     "baselin.Presentation": ("obj", "to_canon", "from_canon"),
     "baselin._Unknown": ("src", "dst", "offset"),
     "core2.SquareUnknown": ("src", "dst", "top", "bottom"),
