@@ -10,7 +10,11 @@ on the subspaces, not on the order of elimination.  Over Z it is integer
 congruence solving through the Smith normal form (snf), with objects kept
 in invariant-factor form and interned, so that isomorphic objects are one
 instance: splitting and exactness are decided by comparing objects, without
-a solve.
+a solve.  Those objects come from base_objects, the memoized (ker, im,
+coker) of a morphism without its maps: over F_p a rank, over Z Smith
+diagonals for which no transform is built.  Every decision that reads only
+objects reads them there; kernel_base and cokernel_base stay for the
+callers that read the maps.
 Every solve of a system of congruences goes through _solve_congruences, and
 the kernel of kernel_base and of a LinearSystem through _congruence_kernel;
 each holds its engine choice for both rings.
@@ -31,7 +35,7 @@ import itertools
 from typing import NamedTuple
 
 from . import intmat
-from .baseobj import BaseObject, field_object, make_object
+from .baseobj import BaseObject, field_object, make_object, zero_object
 from .basemor import (
     BaseMorphism, _memo, _product, _reduce_entry, _reduced, base_morphism, compose, identity_mor, zero_mor,
 )
@@ -52,11 +56,14 @@ from .snf import kernel_lattice, smith_normal_form, solve_int
 
 def relation_columns(orders) -> tuple[Matrix, int]:
     """(columns d_i * e_i for every torsion order d_i, their count), over Z."""
-    cols = [(i, d) for i, d in enumerate(orders) if d != 0]
-    m = [[0] * len(cols) for _ in orders]
-    for j, (i, d) in enumerate(cols):
-        m[i][j] = d
-    return intmat.mat(m), len(cols)
+    cols = [i for i, d in enumerate(orders) if d != 0]
+    zero = (0,) * len(cols)
+    rows = [zero] * len(orders)
+    for j, i in enumerate(cols):
+        row = list(zero)
+        row[j] = orders[i]
+        rows[i] = tuple(row)
+    return tuple(rows), len(cols)
 
 
 def _integer_system(rows, mods, ncols: int) -> tuple[Matrix, int]:
@@ -105,27 +112,45 @@ class Presentation(NamedTuple):
     from_canon: Matrix
 
 
+def _invariant_factors(d: Matrix, ngens: int, nrel: int) -> list[tuple[int, int]]:
+    """(generator, order) for each generator that the Smith diagonal d of
+    <ngens generators | nrel relation columns> keeps: a generator whose
+    invariant factor is 1 vanishes, the others keep it as their order (0
+    past the diagonal: free)."""
+    return [(i, d[i][i] if i < nrel else 0) for i in range(ngens) if i >= nrel or d[i][i] != 1]
+
+
 def canonicalize(ngens: int, relations: Matrix, nrel: int) -> Presentation:
     """The invariant-factor form over Z of <ngens generators | relations>."""
     snf = smith_normal_form(relations, ngens, nrel, v=False)
-    d, u, u_inv = snf.d, snf.u, snf.u_inv
-    # generators whose invariant factor is 1 vanish; the others keep it as
-    # their order (0 past the diagonal: free)
-    kept = [i for i in range(ngens) if i >= nrel or d[i][i] != 1]
-    orders = [d[i][i] if i < nrel else 0 for i in kept]
+    factors = _invariant_factors(snf.d, ngens, nrel)
+    kept = [i for i, _ in factors]
+    orders = [d for _, d in factors]
     obj = make_object(ZZ, orders)
-    to_canon = _reduced([u[i] for i in kept], orders)
-    from_canon = tuple(tuple(u_inv[i][j] for j in kept) for i in range(ngens))
+    to_canon = _reduced([snf.u[i] for i in kept], orders)
+    from_canon = tuple(tuple(snf.u_inv[i][j] for j in kept) for i in range(ngens))
     return Presentation(obj, to_canon, from_canon)
+
+
+def _presented_object(ngens: int, relations: Matrix, nrel: int) -> BaseObject:
+    """The object <ngens generators | relations> over Z, canonicalize's
+    object, from the Smith diagonal alone: no transform is built."""
+    d = smith_normal_form(relations, ngens, nrel, u=False, v=False).d
+    return make_object(ZZ, [order for _, order in _invariant_factors(d, ngens, nrel)])
+
+
+def _subgroup_relations(ambient: BaseObject, gen_cols: Matrix, ncols: int) -> tuple[Matrix, int]:
+    """(the relation columns among the ncols generators gen_cols of a
+    subgroup of ambient, their count), over Z."""
+    rel, ntors = relation_columns(ambient.orders)
+    stacked = intmat.hstack([gen_cols, rel], ambient.ngens)
+    basis = kernel_lattice(stacked, ambient.ngens, ncols + ntors)
+    return tuple(tuple(v[j] for v in basis) for j in range(ncols)), len(basis)
 
 
 def subgroup(ambient: BaseObject, gen_cols: Matrix, ncols: int):
     """The subgroup generated by columns of gen_cols, with its inclusion, over Z."""
-    rel, ntors = relation_columns(ambient.orders)
-    stacked = intmat.hstack([gen_cols, rel], ambient.ngens)
-    basis = kernel_lattice(stacked, ambient.ngens, ncols + ntors)
-    rel = tuple(tuple(v[j] for v in basis) for j in range(ncols))
-    pres = canonicalize(ncols, rel, len(basis))
+    pres = canonicalize(ncols, *_subgroup_relations(ambient, gen_cols, ncols))
     incl_cols = intmat.mul(gen_cols, pres.from_canon, ncols)
     incl = base_morphism(pres.obj, ambient, incl_cols)
     return pres.obj, incl, pres
@@ -182,6 +207,43 @@ def cokernel_base(f: BaseMorphism):
     return quotient(f.dst, f.mat, f.src.ngens)
 
 
+class BaseObjects(NamedTuple):
+    """The kernel, image and cokernel of a morphism, as objects only."""
+
+    ker: BaseObject
+    im: BaseObject  # the coimage src / ker f, isomorphic to the image
+    coker: BaseObject
+
+
+@_memo
+def base_objects(f: BaseMorphism) -> BaseObjects:
+    """(ker f, src / ker f, coker f), without their maps: the objects of
+    kernel_base(f), of the cokernel of its inclusion and of cokernel_base(f).
+
+    Over F_p they are read off the rank of f.  Over Z, L is the lattice of
+    the x with f.x = 0 in dst, kernel_base's first step, and it holds the
+    relations of src; then src / ker f is Z^n / L, ker f is L modulo the
+    relations of src, and coker f is dst / <columns of f>, each from the
+    Smith diagonal of its presentation alone.  Objects are interned by their
+    orders, so each is the very object the construction would build.
+    """
+    src, dst = f.src, f.dst
+    if f.is_zero_mor():
+        return BaseObjects(src, zero_object(f.ring), dst)
+    if f.ring.is_field:
+        rank = len(row_space_mod_p(f.mat, dst.ngens, src.ngens, f.ring.p)[0])
+        return BaseObjects(*(field_object(f.ring, k) for k in (src.ngens - rank, rank, dst.ngens - rank)))
+    n = src.ngens
+    basis = _congruence_kernel(f.ring, f.mat, dst.orders, n)
+    lattice = tuple(tuple(v[i] for v in basis) for i in range(n))
+    rel, ntors = relation_columns(dst.orders)
+    return BaseObjects(
+        _presented_object(len(basis), *_subgroup_relations(src, lattice, len(basis))),
+        _presented_object(n, lattice, len(basis)),
+        _presented_object(dst.ngens, intmat.hstack([f.mat, rel], dst.ngens), n + ntors),
+    )
+
+
 def image_comparison(f: BaseMorphism):
     """(I, m, e) with m mono, e epi and m.e = f."""
     if f.ring.is_field:
@@ -212,17 +274,28 @@ def biproduct_base(parts: tuple[BaseObject, ...]):
     ring = parts[0].ring
     if any(p.ring != ring for p in parts):
         raise ValueError("biproduct across rings")
+    obj = sum_object(parts)
     orders = tuple(d for p in parts for d in p.orders)
     n = len(orders)
-    try:  # BaseObject rejects orders that are not in invariant-factor form
-        obj, to_canon, from_canon = BaseObject(ring, orders), intmat.identity(n), intmat.identity(n)
-    except ValueError:
+    if obj.orders == orders:
+        to_canon = from_canon = intmat.identity(n)
+    else:
         pres = canonicalize(n, *relation_columns(orders))
-        obj, to_canon, from_canon = pres.obj, pres.to_canon, pres.from_canon
+        to_canon, from_canon = pres.to_canon, pres.from_canon
     blocks = list(zip(parts, itertools.accumulate((p.ngens for p in parts), initial=0)))
     injections = tuple(base_morphism(p, obj, [r[o : o + p.ngens] for r in to_canon]) for p, o in blocks)
     projections = tuple(base_morphism(obj, p, from_canon[o : o + p.ngens]) for p, o in blocks)
     return obj, injections, projections
+
+
+def sum_object(parts: tuple[BaseObject, ...]) -> BaseObject:
+    """The object of biproduct_base(parts), without its injections and
+    projections."""
+    orders = tuple(d for p in parts for d in p.orders)
+    try:  # BaseObject rejects orders that are not in invariant-factor form
+        return BaseObject(parts[0].ring, orders)
+    except ValueError:
+        return _presented_object(len(orders), *relation_columns(orders))
 
 
 def pair_base(*maps: BaseMorphism) -> BaseMorphism:
@@ -465,17 +538,13 @@ def splits_base(f: BaseMorphism) -> bool:
     and 0 -> I -> dst -> coker f -> 0 split, and a short exact sequence
     0 -> A -> B -> C -> 0 of finitely generated modules splits iff B and
     A (+) C are isomorphic (Miyata 1967).  Objects are in invariant-factor
-    form, so isomorphic objects are one instance.  Over F_p every map splits.
+    form, so isomorphic objects are one instance, and the test reads only
+    base_objects(f) and sum_object.  Over F_p every map splits.
     """
     if f.ring.is_field:
         return True
-    k_obj, k = kernel_base(f)
-    i_obj = cokernel_base(k)[0]  # the coimage src / ker f, isomorphic to the image
-    q_obj = cokernel_base(f)[0]
-    return (
-        biproduct_base((k_obj, i_obj))[0] == f.src
-        and biproduct_base((i_obj, q_obj))[0] == f.dst
-    )
+    k_obj, i_obj, q_obj = base_objects(f)
+    return sum_object((k_obj, i_obj)) is f.src and sum_object((i_obj, q_obj)) is f.dst
 
 
 @_memo
@@ -507,4 +576,4 @@ def exact_at_base(f: BaseMorphism, g: BaseMorphism) -> bool:
         raise ValueError("composite is not zero")
     # im f <= ker g makes coker f -> Y / ker g onto, and a surjection between
     # isomorphic finitely generated modules is an iso (they are Hopfian)
-    return cokernel_base(f)[0] == cokernel_base(kernel_base(g)[1])[0]
+    return base_objects(f).coker is base_objects(g).im

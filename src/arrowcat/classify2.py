@@ -9,10 +9,14 @@ exactness in the middle, cofaithfulness surjectivity on the right; the
 normal variants add that the map splits, and equivalences are the split
 exact case.  Splitting is a summand condition read off invariant factors
 (baselin.splits_base): ker f must be a summand of the source and im f of the
-target.  Witness data for an equivalence is decided first, then taken to be
-the componentwise inverses of the square when both components are
-isomorphisms, else extracted from an actual splitting; all twelve equations
-are checked before returning.  No system is solved for a whole square.
+target.  Every flag reads objects only, through baselin.base_objects:
+injectivity and surjectivity are a zero kernel or cokernel object, and
+exactness and splitting compare objects.  No flag builds a kernel or
+cokernel map.  Witness data for an equivalence is decided first, then
+taken to be the componentwise inverses of the square when both components
+are isomorphisms, else extracted from an actual splitting; all twelve
+equations are checked before returning.  No system is solved for a whole
+square.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .baselin import (
+    base_objects,
     biproduct_base,
-    cokernel_base,
     exact_at_base,
     factor_base,
-    kernel_base,
     split_data_base,
     splits_base,
 )
@@ -53,15 +56,15 @@ class ArrowClassification(NamedTuple):
 
 # One predicate per flag over the base sequence of a square.  classify2
 # evaluates them all; exact_at and is_extension evaluate only the flag they
-# read.  Repeated base constructions are served by the baselin memo.
+# read.  Repeated base objects are served by the baselin memo.
 
 
 def _faithful(seq: SequenceData) -> bool:
-    return kernel_base(seq.iota)[0].is_zero
+    return base_objects(seq.iota).ker.is_zero
 
 
 def _cofaithful(seq: SequenceData) -> bool:
-    return cokernel_base(seq.pmap)[0].is_zero
+    return base_objects(seq.pmap).coker.is_zero
 
 
 def _full(seq: SequenceData) -> bool:
@@ -91,6 +94,7 @@ def classify2(u: TwoMorphism) -> ArrowClassification:
     split_p = splits_base(seq.pmap)
     equivalence = _equivalence(seq)
     d = u.src.boundary
+    d_objects = base_objects(d)
     flags = ArrowClassification(
         faithful=faithful,
         full=full,
@@ -102,8 +106,8 @@ def classify2(u: TwoMorphism) -> ArrowClassification:
         normal_cofaithful=cofaithful and split_p,
         normal_fully_cofaithful=fully_cofaithful and split_p,
         equivalence=equivalence,
-        discrete_source=kernel_base(d)[0].is_zero,
-        connected_source=cokernel_base(d)[0].is_zero,
+        discrete_source=d_objects.ker.is_zero,
+        connected_source=d_objects.coker.is_zero,
         split_source=splits_base(d),
     )
     if flags.equivalence and not (

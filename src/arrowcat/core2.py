@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 from weakref import WeakValueDictionary
 
-from .baselin import LinearSystem, cokernel_base, kernel_base
+from .baselin import LinearSystem, base_objects
 from .baseobj import BaseObject, zero_object
 from .basemor import BaseMorphism, _difference, _memo, _product, compose, identity_mor, zero_mor
 from .rings import BaseRing, _Value
@@ -90,7 +90,8 @@ def zero_two_object(ring: BaseRing) -> TwoObject:
 def is_zero_equivalent(x: TwoObject) -> bool:
     """An object is equivalent to 0 exactly when its boundary is invertible,
     that is mono and epi."""
-    return kernel_base(x.boundary)[0].is_zero and cokernel_base(x.boundary)[0].is_zero
+    objects = base_objects(x.boundary)
+    return objects.ker.is_zero and objects.coker.is_zero
 
 
 class TwoMorphism(_Value):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .baselin import LinearSystem, cokernel_base, copair_base, kernel_base, pair_base
+from .baselin import LinearSystem, base_objects, copair_base, pair_base
 from .basemor import BaseMorphism
 from .classify2 import ArrowClassification, classify2
 from .core2 import (
@@ -177,8 +177,8 @@ def _fillers_unique(e, m) -> bool:
     Hom(Q, K) for Q that cokernel and K that kernel; Hom(Z/a, Z/b) is
     Z/gcd(a, b), Hom(Z, Z/b) is Z/b and Hom(Z/a, Z) is 0 for a != 0."""
     x, y = e.dst, m.src
-    q = cokernel_base(copair_base(x.boundary, e.bottom))[0]
-    k = kernel_base(pair_base(y.boundary, m.top))[0]
+    q = base_objects(copair_base(x.boundary, e.bottom)).coker
+    k = base_objects(pair_base(y.boundary, m.top)).ker
     return not any(a == 0 or (b != 0 and gcd(a, b) > 1) for a in q.orders for b in k.orders)
 
 
@@ -209,6 +209,6 @@ def goodness_comparisons(u: TwoMorphism) -> GoodnessReport:
     theta = null_cell(compose2(rival2, p1_u))
     b_cmp = factor_cokernel2(cd1, rival2, theta)
 
-    a_epi = cokernel_base(a_cmp.bottom)[0].is_zero
-    b_mono = kernel_base(b_cmp.top)[0].is_zero
+    a_epi = base_objects(a_cmp.bottom).coker.is_zero
+    b_mono = base_objects(b_cmp.top).ker.is_zero
     return GoodnessReport(a_cmp.bottom, b_cmp.top, a_epi, b_mono)

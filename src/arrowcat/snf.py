@@ -9,8 +9,9 @@ decomposition is reproducible.
 
 A transform is built only when its caller reads it, and every one that is
 built is the same whatever else is asked for: baselin.canonicalize reads U
-and U^-1, kernel_lattice reads V, and solve_int reads V and U * b, which it
-gets by applying the row operations to b in place of the identity.  Only
+and U^-1, baselin.base_objects only the diagonal, kernel_lattice reads V,
+and solve_int reads V and U * b, which it gets by applying the row
+operations to b in place of the identity.  Only
 the tests and the snf selftest suite ask for U, U^-1 and V together.
 """
 

@@ -2,12 +2,14 @@
 
 import functools
 import operator
+import random
 from dataclasses import dataclass
 
 from arrowcat.baselin import LinearSystem, biproduct_base, cokernel_base, factor_base, kernel_base
+from arrowcat.baseobj import z_object
 from arrowcat.basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mor
 from arrowcat.classify2 import EquivalenceData
-from arrowcat.core2 import add_cell, add_homotopy, add_square, identity2
+from arrowcat.core2 import add_cell, add_homotopy, add_square, identity2, two_morphism, two_object
 from arrowcat.intmat import mul, zeros
 
 
@@ -67,6 +69,44 @@ def exact_by_induced_map(f: BaseMorphism, g: BaseMorphism) -> bool:
     if induced is None:
         raise AssertionError("image must land in the kernel")
     return cokernel_base(induced)[0].is_zero
+
+
+# Splitting and exactness from the constructions with their maps, the way the
+# package decided them before they read only baselin.base_objects.
+
+
+def splits_by_constructions(f: BaseMorphism) -> bool:
+    """Whether src = ker f (+) coimage and dst = coimage (+) coker f, with
+    every object taken from kernel_base, cokernel_base and biproduct_base."""
+    if f.ring.is_field:
+        return True
+    k_obj, k = kernel_base(f)
+    i_obj = cokernel_base(k)[0]
+    q_obj = cokernel_base(f)[0]
+    return biproduct_base((k_obj, i_obj))[0] == f.src and biproduct_base((i_obj, q_obj))[0] == f.dst
+
+
+def exact_by_constructions(f: BaseMorphism, g: BaseMorphism) -> bool:
+    """Exactness of X -f-> Y -g-> Z at Y as coker f = Y / ker g, both objects
+    from the cokernel constructions."""
+    return cokernel_base(f)[0] == cokernel_base(kernel_base(g)[1])[0]
+
+
+def dense_z_square(n: int, seed: int = 1):
+    """x -> y over Z^n: x has a random boundary with 8-bit entries, y the
+    identity, the bottom is random and the top its product with the
+    boundary.  The boundary is injective, so the square is faithful but not
+    full."""
+    rng = random.Random(seed)
+    z = z_object(n)
+
+    def dense():
+        return [[rng.randint(-128, 127) for _ in range(n)] for _ in range(n)]
+
+    d, b = dense(), dense()
+    top = [[sum(b[i][k] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    x, y = two_object(base_morphism(z, z, d)), two_object(identity_mor(z))
+    return two_morphism(x, y, base_morphism(z, z, top), base_morphism(z, z, b))
 
 
 # Factorizations as one Kronecker-sized LinearSystem in every entry of x, the

@@ -13,12 +13,13 @@ import pytest
 
 from arrowcat import GF, ZZ, base_morphism, compose, field_object, identity_mor, z_object, zero_mor, zero_object
 import arrowcat
-from arrowcat import baseobj, rings, snf
+from arrowcat import baselin, baseobj, rings, snf
 from arrowcat.baseobj import BaseObject, make_object
 from arrowcat.basemor import BaseMorphism, _product
 from arrowcat.rings import BaseRing
 from arrowcat.baselin import (
     LinearSystem,
+    base_objects,
     biproduct_base,
     canonicalize,
     cokernel_base,
@@ -52,9 +53,11 @@ from arrowcat.generators import (
     random_complex_extension,
     random_finite_object,
     random_snake_instance,
+    random_square,
+    random_two_object,
     to_chain_maps,
 )
-from arrowcat.classify2 import z_counterexample
+from arrowcat.classify2 import classify2, z_counterexample
 from arrowcat.lemmas import ThreeByThree, check_3x3
 from arrowcat.les import les_full_sequence, les_homology
 from arrowcat.limits2 import sequence_of
@@ -63,10 +66,13 @@ from arrowcat.snake import column_data, plain_snake
 from oracles import (
     classify_base,
     copair_by_projections,
+    dense_z_square,
+    exact_by_constructions,
     exact_by_induced_map,
     factor_by_linear_system,
     pair_by_injections,
     rank_mod_p,
+    splits_by_constructions,
 )
 
 Z1 = z_object(1)
@@ -585,6 +591,76 @@ class TestMemo:
         assert inspect.isfunction(fn)
         assert fn.__module__ == "arrowcat.baselin"
         assert inspect.isfunction(fn.__wrapped__)
+
+
+def _objects_cases(seed, ring, count):
+    """Seeded maps at max_dim 0..4: zero objects, every fourth map zero, and
+    over Z free+torsion objects with every third pair all torsion."""
+    rng = random.Random(seed)
+    for k in range(count):
+        b = Bounds(max_dim=k % 5)
+        if not ring.is_field and k % 3 == 2:
+            x, y = random_finite_object(rng, ring), random_finite_object(rng, ring)
+        else:
+            x, y = random_base_object(rng, ring, b), random_base_object(rng, ring, b)
+        yield zero_mor(x, y) if k % 4 == 3 else random_base_morphism(rng, x, y, b)
+
+
+class TestBaseObjects:
+    """base_objects reads (ker, im, coker) off a rank or off Smith diagonals
+    without transforms; the constructions with maps stay the check."""
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_equals_the_constructions(self, ring):
+        for f in _objects_cases(2901, ring, 150):
+            k_obj, incl = kernel_base(f)
+            expected = (k_obj, cokernel_base(incl)[0], cokernel_base(f)[0])
+            got = base_objects(f)
+            assert all(a is b for a, b in zip(got, expected)), f
+            assert base_objects(f) is got  # a memo hit
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_splitting_and_exactness_agree_with_the_constructions(self, ring):
+        rng = random.Random(2902)
+        nonsplit = inexact = 0
+        for f in _objects_cases(2903, ring, 120):
+            split = splits_base(f)
+            assert split == splits_by_constructions(f), f
+            nonsplit += not split
+            k, q = kernel_base(f)[1], cokernel_base(f)[1]
+            # k . h lands in ker f; it is exact there only when onto ker f
+            h = random_base_morphism(rng, random_base_object(rng, ring, Bounds(max_dim=3)), k.src, Bounds())
+            for a, b in ((k, f), (f, q), (compose(k, h), f)):
+                exact = exact_at_base(a, b)
+                assert exact == exact_by_constructions(a, b), (a, b)
+                inexact += not exact
+        assert inexact >= 10, inexact
+        if not ring.is_field:
+            assert nonsplit >= 10, nonsplit
+
+    def test_sum_object_is_the_canonical_form(self):
+        rng = random.Random(2904)
+        merged = 0
+        for _ in range(60):
+            parts = tuple(random_finite_object(rng, ZZ) for _ in range(rng.randrange(1, 4)))
+            orders = tuple(d for p in parts for d in p.orders)
+            obj = baselin.sum_object(parts)
+            assert obj is canonicalize(len(orders), *relation_columns(orders)).obj
+            merged += obj.orders != orders
+        assert merged >= 10, merged
+
+    def test_decisions_build_no_transform(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a decision built a transform")
+
+        monkeypatch.setattr(baselin, "quotient", refused)
+        monkeypatch.setattr(baselin, "subgroup", refused)
+        c = classify2(dense_z_square(8, seed=2905))
+        assert c.faithful and not c.full
+        rng, b = random.Random(2906), Bounds(max_dim=3)
+        for _ in range(40):
+            u = random_square(rng, random_two_object(rng, ZZ, b), random_two_object(rng, ZZ, b))
+            classify2(u)
 
 
 class TestMorphismValues:

@@ -560,9 +560,9 @@ class TestInternBudget:
 
     BUDGET = {
         (GF(3), "generalized"): [257, 7, 162, 106],
-        (GF(3), "les"): [177, 16, 227, 204],
+        (GF(3), "les"): [171, 16, 227, 204],
         (ZZ, "generalized"): [225, 8, 150, 88],
-        (ZZ, "les"): [839, 51, 597, 417],
+        (ZZ, "les"): [759, 51, 597, 417],
     }
 
     CHILD = textwrap.dedent(

@@ -81,6 +81,7 @@ RECORDS = {
     "sequences.HomologyResult": ("obj", "qprime", "kprime", "zeta_prime", "kappa_prime", "comparison_flags",
                                  "rel_kernel", "rel_cokernel", "b_induced"),
     "baselin.Presentation": ("obj", "to_canon", "from_canon"),
+    "baselin.BaseObjects": ("ker", "im", "coker"),
     "baselin._Unknown": ("src", "dst", "offset"),
     "core2.SquareUnknown": ("src", "dst", "top", "bottom"),
     "core2.CellUnknown": ("src", "dst", "name"),
