@@ -8,22 +8,29 @@ the bottom one; it takes the connecting map of the inner diagram on the
 kernel/cokernel rows as in the proof; its pasting is still checked.  A
 column's kernel and cokernel are data: a square with a 2-cell, canonical
 (kernel2, cokernel2) or presented (the generalized snake's inner columns,
-the homology presentations of les).  The induced maps on them come from one
-factorization through that data, limits2.factor_through_kernel_data and
-factor_through_cokernel_data, which prefers a strict solution; on canonical
-data the strict solution is unique and is factor_kernel2's or
+the homology presentations of les, or any deformation of the canonical
+kmor or qmor with its cell carried along).  The induced maps on them come
+from one factorization through that data, limits2.factor_through_kernel_data
+and factor_through_cokernel_data, which prefers a strict solution; on
+canonical data the strict solution is unique and is factor_kernel2's or
 factor_cokernel2's.
 
 Maps and cells out of I come from its universal property: j, c' and q'_a
 are one factor_cokernel2 each (q'_a is 0 along i1 and q_a along i2), and
-the cells psi2 and nu1 out of I are given by their whiskers along i1 and i2
-and checked by TwoCell.  k'_c maps into I, so it is solved for: a
-LinearSystem whose unknowns are declared with core2's add_square, add_cell
-and add_homotopy, plus the pasting equation.  mu2, etabar, etabar2 and the
-generalized snake's presentation cells are limits2.solve_cell with pinned
-whiskers, which raises AssertionError when no such cell exists; the
-generalized snake's connecting cells are one LinearSystem pinned by the
-mu-identities.  The three mu-identities are asserted exactly.
+the cell psi2 out of I is given by its whiskers along i1 and i2 and checked
+by TwoCell.  k'_c maps into I, so it is solved for: a LinearSystem whose
+unknowns are declared with core2's add_square, add_cell and add_homotopy,
+plus the pasting equation.
+
+Both snakes end in one tail (_six_term).  etabar is the cell gbar.fbar => 0
+whose kc-whisker is eta*ka composed with the inverses of the factorization
+cells of fbar and gbar; it is unique because the kernel inclusion kc is
+faithful, it is read off when kc.top is an identity (canonical data) and
+otherwise is one limits2.solve_cell pinned along kc.top.  etabar2 is the
+dual, pinned along qa.bottom.  The connecting cells delta and delta' are one
+LinearSystem pinned by the three mu-identities, which are then asserted
+exactly.  The generalized snake's presentation cells are solve_cell with
+pinned whiskers too; solve_cell raises AssertionError when no cell exists.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .baselin import LinearSystem, copair_base
-from .basemor import compose
+from .basemor import compose, identity_mor
 from .core2 import (
     TwoCell,
     TwoMorphism,
@@ -124,31 +131,25 @@ def check_pasting(f, eta, g, f2, eta2, g2, a, b, c, phi, psi):
 
 
 def _induced_maps(f, g, f2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi, psi):
-    """fbar: Ka -> Kb and gbar: Kb -> Kc on the kernels, fbar2: Qa -> Qb and
-    gbar2: Qb -> Qc on the cokernels of the columns, and the cell
-    ps: qb.f2 => fbar2.qa that comes with fbar2."""
+    """(fbar, th_f), (gbar, th_g), (fbar2, ps_f), (gbar2, ps_g): the maps on
+    the kernels and cokernels of the columns with their factorization cells
+    th_f: f.ka => kb.fbar, th_g: g.kb => kc.gbar, ps_f: qb.f2 => fbar2.qa and
+    ps_g: qc.g2 => gbar2.qb."""
     beta_f = vcomp2(whisker_left(f2, a.ker.kappa), whisker_right(phi, a.ker.kmor))
-    fbar, _ = factor_through_kernel_data(
-        b.mor, b.ker.kmor, b.ker.kappa, compose2(f, a.ker.kmor), beta_f
-    )
     beta_g = vcomp2(whisker_left(g2, b.ker.kappa), whisker_right(psi, b.ker.kmor))
-    gbar, _ = factor_through_kernel_data(
-        c.mor, c.ker.kmor, c.ker.kappa, compose2(g, b.ker.kmor), beta_g
-    )
     theta_f = vcomp2(whisker_right(b.coker.zeta, f), whisker_left(b.coker.qmor, phi.inverse()))
-    fbar2, ps = factor_through_cokernel_data(
-        a.mor, a.coker.qmor, a.coker.zeta, compose2(b.coker.qmor, f2), theta_f
-    )
     theta_g = vcomp2(whisker_right(c.coker.zeta, g), whisker_left(c.coker.qmor, psi.inverse()))
-    gbar2, _ = factor_through_cokernel_data(
-        b.mor, b.coker.qmor, b.coker.zeta, compose2(c.coker.qmor, g2), theta_g
+    return (
+        factor_through_kernel_data(b.mor, b.ker.kmor, b.ker.kappa, compose2(f, a.ker.kmor), beta_f),
+        factor_through_kernel_data(c.mor, c.ker.kmor, c.ker.kappa, compose2(g, b.ker.kmor), beta_g),
+        factor_through_cokernel_data(a.mor, a.coker.qmor, a.coker.zeta, compose2(b.coker.qmor, f2), theta_f),
+        factor_through_cokernel_data(b.mor, b.coker.qmor, b.coker.zeta, compose2(c.coker.qmor, g2), theta_g),
     )
-    return fbar, gbar, fbar2, gbar2, ps
 
 
 def _connecting(f, eta, g, f2, eta2, g2, a_mor, b_mor, c_mor, kc: KernelSide, qa: CokernelSide, phi, psi):
-    """(po, j, c', psi2, k'_c, kappa'_c, q'_a, d) with d = q'_a . k'_c: Kc -> Qa,
-    from the column squares, kc = Ker c and qa = Coker a alone."""
+    """d = q'_a . k'_c: Kc -> Qa, from the column squares, kc = Ker c and
+    qa = Coker a alone."""
     # two-square construction on the left square (f, a; f2, b)
     po = pushout2(f, a_mor)
     w_j = copair2(g, zero2(a_mor.dst, g.dst))
@@ -180,14 +181,11 @@ def _connecting(f, eta, g, f2, eta2, g2, a_mor, b_mor, c_mor, kc: KernelSide, qa
     if sol is None:
         raise AssertionError("k'_c system is not solvable")
     kprime_c = solved_square(sol, s)
-    kappa_pc = sol[kp.name]
 
     # q'_a: I -> Qa, strict on i1 (zero) and on i2 (qa), so zeta'_a = 0
     w_q = copair2(zero2(f.dst, qa.obj), qa.qmor)
     qprime_a = factor_cokernel2(po.cokernel, w_q, cell_to_zero(compose2(w_q, po.diff), -qa.zeta.mat))
-
-    d = compose2(qprime_a, kprime_c)
-    return po, j, cprime, psi2, kprime_c, kappa_pc, qprime_a, d
+    return compose2(qprime_a, kprime_c)
 
 
 def plain_snake(
@@ -206,69 +204,75 @@ def plain_snake(
     """Rows (f, eta, g) and (f2, eta2, g2) extensions; phi: b.f => f2.a,
     psi: c.g => g2.b."""
     check_pasting(f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, phi, psi)
+    induced = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
+    d = _connecting(f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, c.ker, a.coker, phi, psi)
+    return _six_term(eta, g, f2, eta2, a, b, c, induced, d)
 
-    fbar, gbar, fbar2, gbar2, ps = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
 
-    po, j, cprime, psi2, kprime_c, kappa_pc, qprime_a, d = _connecting(
-        f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, c.ker, a.coker, phi, psi
-    )
-    i1, i2, phi1 = po.i1, po.i2, po.cell
+def _null_cell_along(u: TwoMorphism, left, right, pin) -> TwoCell:
+    """The cell u => 0 whose matrix alpha has left . alpha . right = pin, for
+    a faithful left or a cofaithful right (the other one None): pin itself
+    when that one is an identity, else solved for."""
+    side = left if right is None else right
+    if side == identity_mor(side.src):
+        return cell_to_zero(u, pin)
+    return solve_cell(u, zero2(u.src, u.dst), [(1, left, right, pin)])
 
-    # mu2: k'_c . gbar => i1 . kb_mor pinned by kappa_b = kappa'_c*gbar . c'*mu2
-    mu2 = solve_cell(
-        compose2(kprime_c, gbar),
-        compose2(i1, b.ker.kmor),
-        [(1, cprime.top, None, compose(kappa_pc, gbar.bottom) - b.ker.kappa.mat)],
-    )
 
-    delta = cell_to_zero(compose2(d, gbar), compose(qprime_a.top, mu2.mat))
-
-    # nu1: fbar2 . q'_a => qb . c', the cell out of I whose whiskers are
-    # zeta_b^{-1} along i1 and ps^{-1} along i2
-    nu1 = TwoCell(
-        compose2(fbar2, qprime_a),
-        compose2(b.coker.qmor, cprime),
-        copair_base(-b.coker.zeta.mat, -ps.mat),
-    )
-
-    delta_prime = cell_to_zero(
-        compose2(fbar2, d),
-        compose(nu1.mat, kprime_c.bottom) + compose(b.coker.qmor.top, kappa_pc),
-    )
-
-    # the triangle lemma's own kernel/cokernel cells, pinned as in its proof
-    kappa_1 = compose(i2.top, a.ker.kappa.mat) + compose(phi1.mat, a.ker.kmor.bottom)
-    etabar = solve_cell(
+def _six_term(eta, g, f2, eta2, a: ColumnData, b: ColumnData, c: ColumnData, induced, d) -> SnakeResult:
+    """The six-term sequence of either snake from its induced maps (with
+    their factorization cells) and its connecting map d."""
+    (fbar, th_f), (gbar, th_g), (fbar2, ps_f), (gbar2, ps_g) = induced
+    # kc*etabar = eta*ka . g*th_f^-1 . th_g^-1*fbar
+    etabar = _null_cell_along(
         compose2(gbar, fbar),
-        zero2(fbar.src, gbar.dst),
-        [(1, kprime_c.top, None, kappa_1 + compose(mu2.mat, fbar.bottom))],
+        c.ker.kmor.top,
+        None,
+        compose(eta.mat, a.ker.kmor.bottom) - compose(g.top, th_f.mat) - compose(th_g.mat, fbar.bottom),
     )
-    zeta_3 = compose(c.coker.qmor.top, psi2.mat) + compose(c.coker.zeta.mat, j.bottom)
-    etabar2 = solve_cell(
+    # etabar2*qa = qc*eta2 . ps_g^-1*f2 . gbar2*ps_f^-1
+    etabar2 = _null_cell_along(
         compose2(gbar2, fbar2),
-        zero2(fbar2.src, gbar2.dst),
-        [(1, None, qprime_a.bottom, zeta_3 + compose(gbar2.top, nu1.mat))],
+        None,
+        a.coker.qmor.bottom,
+        compose(c.coker.qmor.top, eta2.mat) - compose(gbar2.top, ps_f.mat) - compose(ps_g.mat, f2.bottom),
     )
+    mu_a, mu_b, mu_c = mu_loop(a), mu_loop(b), mu_loop(c)
 
-    return _six_term(
-        fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2,
-        mu_loop(a), mu_loop(b), mu_loop(c), a, b, c,
+    sys = LinearSystem(eta.mat.ring)
+    de = add_cell(sys, "de", b.ker.obj, a.coker.obj)
+    dp = add_cell(sys, "dp", c.ker.obj, b.coker.obj)
+    dg = compose2(d, gbar)
+    fd = compose2(fbar2, d)
+    # delta: d.gbar => 0
+    add_homotopy(sys, de, dg, [])
+    # delta': fbar2.d => 0
+    add_homotopy(sys, dp, fd, [])
+    # identity 1: delta.fbar0 = mu_a + d1.etabar
+    sys.add_equation([(1, None, de.name, fbar.bottom)], mu_a.mat + compose(d.top, etabar.mat))
+    # identity 2: delta'.gbar0 - fbar2_1.delta = -mu_b
+    sys.add_equation(
+        [(1, None, dp.name, gbar.bottom), (-1, fbar2.top, de.name, None)], -mu_b.mat
     )
+    # identity 3: gbar2_1.delta' = etabar2.d0 - mu_c
+    sys.add_equation(
+        [(1, gbar2.top, dp.name, None)], compose(etabar2.mat, d.bottom) - mu_c.mat
+    )
+    sol = sys.solve()
+    if sol is None:
+        raise AssertionError("snake connecting cells do not exist")
+    delta, delta_prime = cell_to_zero(dg, sol[de.name]), cell_to_zero(fd, sol[dp.name])
 
-
-def _six_term(*fields) -> SnakeResult:
-    """SnakeResult(*fields), once its three mu-identities hold exactly."""
-    r = SnakeResult(*fields)
-    id1 = compose(r.delta.mat, r.fbar.bottom) - compose(r.d.top, r.etabar.mat)
-    if id1 != r.mu_a.mat:
+    # the three mu-identities, asserted exactly
+    if compose(delta.mat, fbar.bottom) - compose(d.top, etabar.mat) != mu_a.mat:
         raise AssertionError("snake mu-identity 1 fails")
-    id2 = compose(r.delta_prime.mat, r.gbar.bottom) - compose(r.fbar2.top, r.delta.mat)
-    if id2 != -r.mu_b.mat:
+    if compose(delta_prime.mat, gbar.bottom) - compose(fbar2.top, delta.mat) != -mu_b.mat:
         raise AssertionError("snake mu-identity 2 fails")
-    id3 = compose(r.etabar2.mat, r.d.bottom) - compose(r.gbar2.top, r.delta_prime.mat)
-    if id3 != r.mu_c.mat:
+    if compose(etabar2.mat, d.bottom) - compose(gbar2.top, delta_prime.mat) != mu_c.mat:
         raise AssertionError("snake mu-identity 3 fails")
-    return r
+    return SnakeResult(
+        fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2, mu_a, mu_b, mu_c, a, b, c
+    )
 
 
 def generalized_snake(
@@ -287,7 +291,6 @@ def generalized_snake(
     """Rows with (g, eta) = Coker f and (f2, eta2) = Ker g2 only; takes the
     inner diagram's connecting map; its pasting is still checked."""
     check_pasting(f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, phi, psi)
-    ring = f.top.ring
 
     # reduce the rows to extensions
     khat = kernel2(g)
@@ -338,43 +341,7 @@ def generalized_snake(
     # inner diagram: rows (fhat, etahat, g), (f2, etahat2, ghat2); columns ahat, b, chat
     psi_hat = theta_c.inverse()
     check_pasting(fhat, etahat, g, f2, etahat2, ghat2, ahat, b.mor, chat, theta_a, psi_hat)
-    *_, d = _connecting(
+    d = _connecting(
         fhat, etahat, g, f2, etahat2, ghat2, ahat, b.mor, chat, kc_side, qa_side, theta_a, psi_hat
     )
-
-    # outer induced maps on the original columns
-    fbar, gbar, fbar2, gbar2, _ = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
-    etabar = cell_to_zero(compose2(gbar, fbar), compose(eta.mat, a.ker.kmor.bottom))
-    etabar2 = cell_to_zero(compose2(gbar2, fbar2), compose(c.coker.qmor.top, eta2.mat))
-
-    mu_a, mu_b, mu_c = mu_loop(a), mu_loop(b), mu_loop(c)
-    # re-solve the connecting cells against the outer data, pinned by the
-    # three mu-identities
-    sys = LinearSystem(ring)
-    de = add_cell(sys, "de", b.ker.obj, a.coker.obj)
-    dp = add_cell(sys, "dp", c.ker.obj, b.coker.obj)
-    dg = compose2(d, gbar)
-    fd = compose2(fbar2, d)
-    # delta: d.gbar => 0
-    add_homotopy(sys, de, dg, [])
-    # delta': fbar2.d => 0
-    add_homotopy(sys, dp, fd, [])
-    # identity 1: delta.fbar0 = mu_a + d1.etabar
-    sys.add_equation([(1, None, de.name, fbar.bottom)], mu_a.mat + compose(d.top, etabar.mat))
-    # identity 2: delta'.gbar0 - fbar2_1.delta = -mu_b
-    sys.add_equation(
-        [(1, None, dp.name, gbar.bottom), (-1, fbar2.top, de.name, None)], -mu_b.mat
-    )
-    # identity 3: gbar2_1.delta' = etabar2.d0 - mu_c
-    sys.add_equation(
-        [(1, gbar2.top, dp.name, None)], compose(etabar2.mat, d.bottom) - mu_c.mat
-    )
-    sol = sys.solve()
-    if sol is None:
-        raise AssertionError("generalized snake connecting cells do not exist")
-    delta = TwoCell(dg, zero2(dg.src, dg.dst), sol[de.name])
-    delta_prime = TwoCell(fd, zero2(fd.src, fd.dst), sol[dp.name])
-    return _six_term(
-        fbar, etabar, gbar, delta, d, delta_prime, fbar2, etabar2, gbar2,
-        mu_a, mu_b, mu_c, a, b, c,
-    )
+    return _six_term(eta, g, f2, eta2, a, b, c, _induced_maps(f, g, f2, g2, a, b, c, phi, psi), d)
