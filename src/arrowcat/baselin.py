@@ -6,9 +6,10 @@ algebra in one of two engines.  Over F_p it is row reduction mod p
 (modsolve): a kernel is the reduced-row-echelon nullspace basis, an image
 the nonzero rows of the reduced row echelon form of the transpose, a
 cokernel the complement of their pivot columns.  These bases depend only
-on the subspaces, not on the order of elimination.  Over Z it is integer
-congruence solving through the Smith normal form (snf), with objects kept
-in invariant-factor form and interned, so that isomorphic objects are one
+on the subspaces, not on the order of elimination.  Over Z it is snf:
+congruences are solved by solve_int's column echelon form, kernels and
+presentations come from the Smith normal form, and objects are kept in
+invariant-factor form and interned, so that isomorphic objects are one
 instance: splitting and exactness are decided by comparing objects, without
 a solve.  Those objects come from base_objects, the memoized (ker, im,
 coker) of a morphism without its maps: over F_p a rank, over Z Smith

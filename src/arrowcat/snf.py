@@ -4,22 +4,25 @@ The decomposition is D = U * M * V with U, V unimodular and the diagonal of D
 a nonnegative divisibility chain.  The pivot rule is fixed: among the nonzero
 entries of the remaining block, pick one of minimal absolute value, ties
 broken row-major (so the scan stops at the first unit).  Every caller,
-solve_int and kernel_lattice included, decomposes by this one rule, so every
-decomposition is reproducible.
+kernel_lattice included, decomposes by this one rule, so every decomposition
+is reproducible.
 
 A transform is built only when its caller reads it, and every one that is
 built is the same whatever else is asked for: baselin.canonicalize reads U
-and U^-1, baselin.base_objects only the diagonal, kernel_lattice reads V,
-and solve_int reads V and U * b, which it gets by applying the row
-operations to b in place of the identity.  Only
+and U^-1, baselin.base_objects only the diagonal and kernel_lattice V.  Only
 the tests and the snf selftest suite ask for U, U^-1 and V together.
+
+solve_int does not decompose: it brings its system to column echelon form
+by column operations alone.  On a rank-deficient system the Smith form's V
+grows with the deficiency, and a solution read off it as V . y grows with
+it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .intmat import Matrix, mul, zeros
+from .intmat import Matrix
 
 
 def _freeze(rows) -> Matrix:
@@ -28,14 +31,12 @@ def _freeze(rows) -> Matrix:
 
 
 class SnfDecomposition(NamedTuple):
-    """D = U * M * V.  A transform that was not asked for is None; given a
-    right-hand side rhs, u is None and u_rhs is U * rhs."""
+    """D = U * M * V.  A transform that was not asked for is None."""
 
     u: Matrix | None
     d: Matrix
     v: Matrix | None
     u_inv: Matrix | None
-    u_rhs: Matrix | None = None
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(len(self.d), len(self.d[0]) if self.d else 0)
@@ -59,16 +60,13 @@ def _nearest_quotient(a: int, b: int) -> int:
 
 
 def smith_normal_form(
-    m: Matrix, nrows: int, ncols: int, *, u: bool = True, v: bool = True, rhs=None
+    m: Matrix, nrows: int, ncols: int, *, u: bool = True, v: bool = True
 ) -> SnfDecomposition:
     """D = U * m * V for the nrows x ncols matrix m, by the pivot rule of the
-    module docstring, with U and U^-1 if u and V if v.  rhs, an nrows-row
-    matrix, takes the place of U: the row operations act on it, and it comes
-    back as u_rhs = U * rhs while U itself is not built."""
+    module docstring, with U and U^-1 if u and V if v."""
     a = [list(r) for r in m]
-    # the rows that take the row operations: rhs, else U; a transform not
-    # asked for is an empty list, so its updates do nothing
-    carry = [list(r) for r in rhs] if rhs is not None else _identity_rows(nrows) if u else []
+    # a transform not asked for is an empty list, so its updates do nothing
+    uu = _identity_rows(nrows) if u else []
     ui = _identity_rows(nrows) if u else []
     vv = _identity_rows(ncols) if v else []
 
@@ -76,23 +74,23 @@ def smith_normal_form(
         if i == j:
             return
         a[i], a[j] = a[j], a[i]
-        if carry:
-            carry[i], carry[j] = carry[j], carry[i]
+        if uu:
+            uu[i], uu[j] = uu[j], uu[i]
         for r in ui:
             r[i], r[j] = r[j], r[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
-        if carry:
-            carry[i] = [-x for x in carry[i]]
+        if uu:
+            uu[i] = [-x for x in uu[i]]
         for r in ui:
             r[i] = -r[i]
 
     def row_add(i, j, c):
         # row i += c * row j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        if carry:
-            carry[i] = [x + c * y for x, y in zip(carry[i], carry[j])]
+        if uu:
+            uu[i] = [x + c * y for x, y in zip(uu[i], uu[j])]
         for r in ui:
             r[j] -= c * r[i]
 
@@ -191,97 +189,79 @@ def smith_normal_form(
                 changed = True
 
     return SnfDecomposition(
-        u=_freeze(carry) if u and rhs is None else None,
+        u=_freeze(uu) if u else None,
         d=_freeze(a),
         v=_freeze(vv) if v else None,
         u_inv=_freeze(ui) if u else None,
-        u_rhs=None if rhs is None else _freeze(carry),
     )
 
 
 def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
-    """One solution x (ncols x bcols) of a @ x = b over the integers, or None.
+    """One solution x (ncols x bcols) of a @ x = b over the integers, or
+    None: column operations bring a to lower column echelon form
+    H = a . V one row at a time, then x = V . y for the y that solves
+    H . y = b by forward substitution.
 
-    Unit coefficients are eliminated by substitution first (no growth, no
-    transform tracking); only the residual core goes through the Smith form.
-    """
+    Row i is taken on the columns that have no pivot yet: while two of them
+    are nonzero there, the others are reduced by the one of least absolute
+    value (ties to the lower index) with nearest quotients, and the survivor
+    becomes row i's pivot column.  x is the one solution in the span of the
+    pivot columns of V, so normalizing or reducing the pivot columns would
+    not change it.  No row operation runs, so x stays near the size of a and
+    b (module docstring)."""
     bcols = len(b[0]) if b else 0
-    if nrows == 0:
-        return zeros(ncols, bcols)
-    rows = [list(r) + list(b[i]) for i, r in enumerate(a)]
-    live_rows = set(range(nrows))
-    live_cols = set(range(ncols))
-    # (col, row-expression) substitutions in elimination order
-    subs: list[tuple[int, list[int]]] = []
-    while True:
-        best = None
-        for i in live_rows:
-            row = rows[i]
-            nnz = 0
-            unit = None
-            for j in live_cols:
-                if row[j]:
-                    nnz += 1
-                    if row[j] in (1, -1):
-                        unit = j if unit is None else min(unit, j)
-            if unit is not None and (best is None or (nnz, i) < best[0]):
-                best = ((nnz, i), i, unit)
-        if best is None:
-            break
-        _, pi, pj = best
-        prow = rows[pi]
-        if prow[pj] == -1:
-            prow = [-x for x in prow]
-            rows[pi] = prow
-        for i in live_rows:
-            if i == pi:
-                continue
-            c = rows[i][pj]
-            if c:
-                rows[i] = [x - c * y for x, y in zip(rows[i], prow)]
-        subs.append((pj, prow))
-        live_rows.discard(pi)
-        live_cols.discard(pj)
-    sub_rows = sorted(live_rows)
-    sub_cols = sorted(live_cols)
-    core = _freeze([[rows[i][j] for j in sub_cols] for i in sub_rows])
-    core_b = _freeze([rows[i][ncols:] for i in sub_rows])
-    core_sol = _solve_int_snf(core, core_b, len(sub_rows), len(sub_cols), bcols)
-    if core_sol is None:
-        return None
-    x = [[0] * bcols for _ in range(ncols)]
-    for k, j in enumerate(sub_cols):
-        for col in range(bcols):
-            x[j][col] = core_sol[k][col]
-    for pj, prow in reversed(subs):
-        for col in range(bcols):
-            acc = prow[ncols + col]
-            for j in range(ncols):
-                if j != pj and prow[j]:
-                    acc -= prow[j] * x[j][col]
-            x[pj][col] = acc
-    return _freeze(x)
-
-
-def _solve_int_snf(a: Matrix, b: Matrix, nrows: int, ncols: int, bcols: int) -> Matrix | None:
-    if nrows == 0:
-        return zeros(ncols, bcols)
-    snf = smith_normal_form(a, nrows, ncols, u=False, rhs=b)
-    c = snf.u_rhs
-    y = [[0] * bcols for _ in range(ncols)]
+    # each column holds its rows of a, then its column of V
+    cols = [[a[i][j] for i in range(nrows)] + [int(k == j) for k in range(ncols)] for j in range(ncols)]
+    width = nrows + ncols
+    free = list(range(ncols))
+    pivots: dict[int, list[int]] = {}  # row -> its pivot column
     for i in range(nrows):
-        d = snf.d[i][i] if i < min(nrows, ncols) else 0
+        live = [j for j in free if cols[j][i]]
+        if not live:
+            continue
+        while True:
+            p = min(live, key=lambda j: (abs(cols[j][i]), j))
+            pcol = cols[p]
+            pv = pcol[i]
+            span = [k for k in range(i, width) if pcol[k]]
+            rest = []
+            for j in live:
+                if j == p:
+                    continue
+                col = cols[j]
+                q = _nearest_quotient(col[i], pv) if pv > 0 else -_nearest_quotient(col[i], -pv)
+                for k in span:
+                    col[k] -= q * pcol[k]
+                if col[i]:
+                    rest.append(j)
+            if not rest:
+                break
+            live = rest + [p]
+        free.remove(p)
+        pivots[i] = pcol
+    res = [list(r) for r in b]
+    x = [[0] * bcols for _ in range(ncols)]
+    for i in range(nrows):
+        r = res[i]
+        col = pivots.get(i)
+        if col is None:
+            if any(r):
+                return None
+            continue
+        pv = col[i]
+        span = [k for k in range(i, width) if col[k]]
         for j in range(bcols):
-            if d == 0:
-                if c[i][j] != 0:
-                    return None
-            else:
-                q, r = divmod(c[i][j], d)
-                if r:
-                    return None
-                if i < ncols:
-                    y[i][j] = q
-    return mul(snf.v, _freeze(y), ncols)
+            y, rem = divmod(r[j], pv)
+            if rem:
+                return None
+            if not y:
+                continue
+            for k in span:
+                if k < nrows:
+                    res[k][j] -= y * col[k]
+                else:
+                    x[k - nrows][j] += y * col[k]
+    return _freeze(x)
 
 
 def kernel_lattice(a: Matrix, nrows: int, ncols: int) -> list[tuple[int, ...]]:

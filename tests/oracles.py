@@ -10,7 +10,7 @@ from arrowcat.baseobj import z_object
 from arrowcat.basemor import BaseMorphism, base_morphism, compose, identity_mor, zero_mor
 from arrowcat.classify2 import EquivalenceData
 from arrowcat.core2 import add_cell, add_homotopy, add_square, identity2, two_morphism, two_object
-from arrowcat.intmat import mul, zeros
+from arrowcat.intmat import mul
 
 
 def rank_mod_p(mat, p: int) -> int:
@@ -332,88 +332,54 @@ def reference_smith_normal_form(m, nrows: int, ncols: int):
 
 
 def reference_solve_int(a, b, nrows: int, ncols: int):
-    """One solution x (ncols x bcols) of a @ x = b over the integers, or None.
-
-    Unit coefficients are eliminated by substitution first (no growth, no
-    transform tracking); only the residual core goes through the Smith form.
-    """
+    """One solution x (ncols x bcols) of a @ x = b over the integers, or
+    None, by the echelon rule of snf.solve_int on whole matrices: every
+    column operation acts on all of a and of V = I, and y is read off the
+    echelon form before x = V . y."""
     bcols = len(b[0]) if b else 0
-    if nrows == 0:
-        return zeros(ncols, bcols)
-    rows = [list(r) + list(b[i]) for i, r in enumerate(a)]
-    live_rows = set(range(nrows))
-    live_cols = set(range(ncols))
-    # (col, row-expression) substitutions in elimination order
-    subs: list[tuple[int, list[int]]] = []
-    while True:
-        best = None
-        for i in live_rows:
-            row = rows[i]
-            nnz = 0
-            unit = None
-            for j in live_cols:
-                if row[j]:
-                    nnz += 1
-                    if row[j] in (1, -1):
-                        unit = j if unit is None else min(unit, j)
-            if unit is not None and (best is None or (nnz, i) < best[0]):
-                best = ((nnz, i), i, unit)
-        if best is None:
-            break
-        _, pi, pj = best
-        prow = rows[pi]
-        if prow[pj] == -1:
-            prow = [-x for x in prow]
-            rows[pi] = prow
-        for i in live_rows:
-            if i == pi:
-                continue
-            c = rows[i][pj]
-            if c:
-                rows[i] = [x - c * y for x, y in zip(rows[i], prow)]
-        subs.append((pj, prow))
-        live_rows.discard(pi)
-        live_cols.discard(pj)
-    sub_rows = sorted(live_rows)
-    sub_cols = sorted(live_cols)
-    core = _freeze([[rows[i][j] for j in sub_cols] for i in sub_rows])
-    core_b = _freeze([rows[i][ncols:] for i in sub_rows])
-    core_sol = _reference_solve_core(core, core_b, len(sub_rows), len(sub_cols), bcols)
-    if core_sol is None:
-        return None
-    x = [[0] * bcols for _ in range(ncols)]
-    for k, j in enumerate(sub_cols):
-        for col in range(bcols):
-            x[j][col] = core_sol[k][col]
-    for pj, prow in reversed(subs):
-        for col in range(bcols):
-            acc = prow[ncols + col]
-            for j in range(ncols):
-                if j != pj and prow[j]:
-                    acc -= prow[j] * x[j][col]
-            x[pj][col] = acc
-    return _freeze(x)
+    h = [list(r) for r in a]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
+    def col_sub(j, p, q):  # column j -= q * column p, in h and in v
+        for m in (h, v):
+            for row in m:
+                row[j] -= q * row[p]
 
-def _reference_solve_core(a, b, nrows: int, ncols: int, bcols: int):
-    if nrows == 0:
-        return zeros(ncols, bcols)
-    u, dm, v, _ = reference_smith_normal_form(a, nrows, ncols)
-    c = mul(u, b, nrows)
+    free = list(range(ncols))
+    pivot_of = {}
+    for i in range(nrows):
+        while True:
+            live = [j for j in free if h[i][j]]
+            if not live:
+                break
+            p = min(live, key=lambda j: (abs(h[i][j]), j))
+            if len(live) == 1:
+                break
+            for j in live:
+                if j != p:
+                    # nearest quotient, ties toward the floor of h[i][j] / |pivot|
+                    pv = abs(h[i][p])
+                    q, r = divmod(h[i][j], pv)
+                    if 2 * r > pv:
+                        q += 1
+                    col_sub(j, p, q if h[i][p] > 0 else -q)
+        if not live:
+            continue
+        free.remove(p)
+        pivot_of[i] = p
     y = [[0] * bcols for _ in range(ncols)]
     for i in range(nrows):
-        d = dm[i][i] if i < min(nrows, ncols) else 0
         for j in range(bcols):
-            if d == 0:
-                if c[i][j] != 0:
-                    return None
-            else:
-                q, r = divmod(c[i][j], d)
+            r = b[i][j] - sum(h[i][k] * y[k][j] for k in range(ncols))
+            if i not in pivot_of:
                 if r:
                     return None
-                if i < ncols:
-                    y[i][j] = q
-    return mul(v, _freeze(y), ncols)
+                continue
+            p = pivot_of[i]
+            if r % h[i][p]:
+                return None
+            y[p][j] = r // h[i][p]
+    return mul(_freeze(v), _freeze(y), ncols)
 
 
 def reference_kernel_lattice(a, nrows: int, ncols: int):

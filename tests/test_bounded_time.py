@@ -1,4 +1,4 @@
-"""Run time at moderate sizes on dense inputs, one test per ring.
+"""Run time at moderate sizes on dense or growth-prone inputs.
 
 Each test states its bound in seconds: at least 10 times the time measured
 on a 2-vCPU machine (Python 3.11), so that a slow CI runner meets it.  The
@@ -9,10 +9,15 @@ reduction far worse than cubic), not a few percent of speed.
 import random
 import time
 
-from arrowcat import GF, base_morphism, field_object, identity_mor, z_object
+import pytest
+
+from arrowcat import GF, ZZ, base_morphism, field_object, identity_mor, z_object
 from arrowcat.classify2 import classify2
 from arrowcat.core2 import two_morphism, two_object
+from arrowcat.generators import Bounds, random_snake_instance
 from arrowcat.limits2 import kernel2
+from arrowcat.sequences import exact_at
+from arrowcat.snake import column_data, plain_snake
 from oracles import dense_z_square
 
 
@@ -61,4 +66,31 @@ def test_kernel_of_the_identity_square_of_f2_200():
     k = kernel2(two_morphism(e, e, identity_mor(v), identity_mor(v)))
     elapsed = time.perf_counter() - t0
     assert (k.obj.top.ngens, k.obj.bottom.ngens) == (n, n)
+    assert elapsed < bound_s, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize(
+    "draw, bound_s, max_bits",
+    [(13, 1.0, 64), (69, 2.0, 2048)],
+)
+def test_plain_z_snake_with_a_rank_deficient_tail(draw, bound_s, max_bits):
+    """plain_snake over Z on draw i of random_snake_instance(Random(777),
+    ZZ, Bounds(max_dim=2 + i % 2)).  The connecting-cell system of its tail
+    is rank-deficient; with its solution read off the Smith form's V it
+    returned 14,026-bit entries in 2.5 s on draw 13 and ran past 60 s on
+    draw 69.  Measured 0.02 s and 16 bits (draw 13), 0.06 s and 743 bits
+    (draw 69, whose canonical column data already hold 1,281-bit
+    entries)."""
+    rng = random.Random(777)
+    for i in range(draw + 1):
+        inst = random_snake_instance(rng, ZZ, Bounds(max_dim=2 + i % 2))
+    cols = [column_data(x) for x in inst.cols]
+    t0 = time.perf_counter()
+    res = plain_snake(*inst.row1, *inst.row2, *cols, *inst.cells)
+    elapsed = time.perf_counter() - t0
+    maps, cells = res.sequence()
+    assert all(exact_at(maps[k], cells[k], maps[k + 1]) for k in range(4))
+    mats = [m for u in maps for m in (u.top, u.bottom)] + [c.mat for c in cells]
+    bits = max(abs(e).bit_length() for m in mats for row in m.mat for e in row)
+    assert bits <= max_bits, bits
     assert elapsed < bound_s, f"{elapsed:.2f} s"

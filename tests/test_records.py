@@ -85,7 +85,7 @@ RECORDS = {
     "baselin._Unknown": ("src", "dst", "offset"),
     "core2.SquareUnknown": ("src", "dst", "top", "bottom"),
     "core2.CellUnknown": ("src", "dst", "name"),
-    "snf.SnfDecomposition": ("u", "d", "v", "u_inv", "u_rhs"),
+    "snf.SnfDecomposition": ("u", "d", "v", "u_inv"),
     "generators.ExtensionInstance": ("m", "cell", "e"),
     "generators.ComplexInstance": ("lo", "hi", "objects", "diffs", "cells"),
     "generators.ComplexExtensionInstance": ("sub", "total", "quot", "maps_in", "maps_in_cells", "maps_out",

@@ -262,13 +262,6 @@ def test_requested_transforms_equal_the_reference():
             assert s.d == d, m
             assert (s.u, s.u_inv) == ((u, u_inv) if ask_u else (None, None)), m
             assert s.v == (v if ask_v else None), m
-            assert s.u_rhs is None
-        # V and U * b (solve_int)
-        bcols = rng.randint(0, 2)
-        b = mat([[rng.randint(-50, 50) for _ in range(bcols)] for _ in range(r)])
-        s = smith_normal_form(m, r, c, u=False, rhs=b)
-        assert (s.u_rhs, s.d, s.v) == (mul(u, b, r), d, v), (m, b)
-        assert s.u is None and s.u_inv is None
         seen["empty"] += r == 0 or c == 0
         seen["units"] += sum(x in (1, -1) for row in m for x in row) >= 2
     assert seen["empty"] >= 150 and seen["units"] >= 250, seen
