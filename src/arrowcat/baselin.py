@@ -7,15 +7,15 @@ algebra in one of two engines.  Over F_p it is row reduction mod p
 the nonzero rows of the reduced row echelon form of the transpose, a
 cokernel the complement of their pivot columns.  These bases depend only
 on the subspaces, not on the order of elimination.  Over Z it is snf:
-congruences are solved by solve_int's column echelon form, kernels and
-presentations come from the Smith normal form, and objects are kept in
-invariant-factor form and interned, so that isomorphic objects are one
-instance: splitting and exactness are decided by comparing objects, without
-a solve.  Those objects come from base_objects, the memoized (ker, im,
-coker) of a morphism without its maps: over F_p a rank, over Z Smith
-diagonals for which no transform is built.  Every decision that reads only
-objects reads them there; kernel_base and cokernel_base stay for the
-callers that read the maps.
+congruences are solved and their kernels read off one column echelon form
+(solve_int, kernel_lattice), presentations come from the Smith normal form,
+and objects are kept in invariant-factor form and interned, so that
+isomorphic objects are one instance: splitting and exactness are decided by
+comparing objects, without a solve.  Those objects come from base_objects,
+the memoized (ker, im, coker) of a morphism without its maps: over F_p a
+rank, over Z Smith diagonals for which no transform is built.  Every
+decision that reads only objects reads them there; kernel_base and
+cokernel_base stay for the callers that read the maps.
 Every solve of a system of congruences goes through _solve_congruences, and
 the kernel of kernel_base and of a LinearSystem through _congruence_kernel;
 each holds its engine choice for both rings.

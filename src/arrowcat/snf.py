@@ -3,19 +3,16 @@
 The decomposition is D = U * M * V with U, V unimodular and the diagonal of D
 a nonnegative divisibility chain.  The pivot rule is fixed: among the nonzero
 entries of the remaining block, pick one of minimal absolute value, ties
-broken row-major (so the scan stops at the first unit).  Every caller,
-kernel_lattice included, decomposes by this one rule, so every decomposition
-is reproducible.
+broken row-major (so the scan stops at the first unit), so every
+decomposition is reproducible.  It presents objects only: a transform is
+built only when its caller reads it, and is the same whatever else is asked
+for.  baselin.canonicalize reads U and U^-1, baselin.base_objects only the
+diagonal; the tests and the snf selftest suite ask for all three.
 
-A transform is built only when its caller reads it, and every one that is
-built is the same whatever else is asked for: baselin.canonicalize reads U
-and U^-1, baselin.base_objects only the diagonal and kernel_lattice V.  Only
-the tests and the snf selftest suite ask for U, U^-1 and V together.
-
-solve_int does not decompose: it brings its system to column echelon form
-by column operations alone.  On a rank-deficient system the Smith form's V
-grows with the deficiency, and a solution read off it as V . y grows with
-it.
+solve_int and kernel_lattice do not decompose: both read one column echelon
+form, reached by column operations alone.  On a rank-deficient system the
+Smith form's V grows with the deficiency, and a solution or kernel basis
+read off it grows with it.
 """
 
 from __future__ import annotations
@@ -196,25 +193,19 @@ def smith_normal_form(
     )
 
 
-def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
-    """One solution x (ncols x bcols) of a @ x = b over the integers, or
-    None: column operations bring a to lower column echelon form
-    H = a . V one row at a time, then x = V . y for the y that solves
-    H . y = b by forward substitution.
-
-    Row i is taken on the columns that have no pivot yet: while two of them
-    are nonzero there, the others are reduced by the one of least absolute
-    value (ties to the lower index) with nearest quotients, and the survivor
-    becomes row i's pivot column.  x is the one solution in the span of the
-    pivot columns of V, so normalizing or reducing the pivot columns would
-    not change it.  No row operation runs, so x stays near the size of a and
-    b (module docstring)."""
-    bcols = len(b[0]) if b else 0
-    # each column holds its rows of a, then its column of V
+def _column_echelon(a: Matrix, nrows: int, ncols: int) -> tuple[dict[int, list[int]], list[list[int]]]:
+    """(row -> its pivot column, the free columns) of the lower column
+    echelon form H = a . V, reached one row at a time by column operations
+    alone; a column holds its rows of H, then its column of V.  Row i is
+    taken on the columns without a pivot yet: while two of them are nonzero
+    there, the others are reduced by the one of least absolute value (ties
+    to the lower index) with nearest quotients, and the survivor becomes
+    row i's pivot column.  The free columns, in index order, are zero in H
+    and V is unimodular, so their V parts are a basis of {x : a . x = 0}."""
     cols = [[a[i][j] for i in range(nrows)] + [int(k == j) for k in range(ncols)] for j in range(ncols)]
     width = nrows + ncols
     free = list(range(ncols))
-    pivots: dict[int, list[int]] = {}  # row -> its pivot column
+    pivots: dict[int, list[int]] = {}
     for i in range(nrows):
         live = [j for j in free if cols[j][i]]
         if not live:
@@ -239,6 +230,16 @@ def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
             live = rest + [p]
         free.remove(p)
         pivots[i] = pcol
+    return pivots, [cols[j] for j in free]
+
+
+def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
+    """One solution x (ncols x bcols) of a @ x = b over the integers, or
+    None: x = V . y for the y that solves H . y = b by forward substitution
+    on _column_echelon's H = a . V.  x is the one solution in the span of
+    the pivot columns of V, and stays near the size of a and b."""
+    bcols = len(b[0]) if b else 0
+    pivots, _ = _column_echelon(a, nrows, ncols)
     res = [list(r) for r in b]
     x = [[0] * bcols for _ in range(ncols)]
     for i in range(nrows):
@@ -249,7 +250,7 @@ def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
                 return None
             continue
         pv = col[i]
-        span = [k for k in range(i, width) if col[k]]
+        span = [k for k in range(i, len(col)) if col[k]]
         for j in range(bcols):
             y, rem = divmod(r[j], pv)
             if rem:
@@ -265,16 +266,7 @@ def solve_int(a: Matrix, b: Matrix, nrows: int, ncols: int) -> Matrix | None:
 
 
 def kernel_lattice(a: Matrix, nrows: int, ncols: int) -> list[tuple[int, ...]]:
-    """Basis columns of the lattice {x : a @ x = 0}."""
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-    snf = smith_normal_form(a, nrows, ncols, u=False)
-    v = snf.v
-    basis = []
-    for j in range(ncols):
-        d = snf.d[j][j] if j < min(nrows, ncols) else 0
-        if d == 0:
-            basis.append(tuple(v[i][j] for i in range(ncols)))
-    return basis
+    """Basis columns of the lattice {x : a @ x = 0}: the V parts of
+    _column_echelon's free columns, in their order."""
+    _, free = _column_echelon(a, nrows, ncols)
+    return [tuple(col[nrows:]) for col in free]

@@ -187,9 +187,11 @@ def fillers_unique_by_linear_system(e, m) -> bool:
     )
 
 
-# The integer kernels as they were before the Smith normal form built only
-# the transforms its caller reads: every transform is tracked on every step.
-# The package must compute the same values.
+# The integer eliminations written out on whole matrices: the Smith normal
+# form as it was before it built only the transforms its caller reads (every
+# transform is tracked on every step), and the column echelon form that
+# solve_int and kernel_lattice share.  The package must compute the same
+# values.
 
 
 def _freeze(rows):
@@ -331,12 +333,10 @@ def reference_smith_normal_form(m, nrows: int, ncols: int):
     return _freeze(u), _freeze(a), _freeze(v), _freeze(ui)
 
 
-def reference_solve_int(a, b, nrows: int, ncols: int):
-    """One solution x (ncols x bcols) of a @ x = b over the integers, or
-    None, by the echelon rule of snf.solve_int on whole matrices: every
-    column operation acts on all of a and of V = I, and y is read off the
-    echelon form before x = V . y."""
-    bcols = len(b[0]) if b else 0
+def reference_column_echelon(a, nrows: int, ncols: int):
+    """(H, V, row -> its pivot column index) by the echelon rule of
+    snf._column_echelon on whole matrices: H = a . V, and every column
+    operation acts on all of a and of V = I."""
     h = [list(r) for r in a]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
@@ -357,16 +357,20 @@ def reference_solve_int(a, b, nrows: int, ncols: int):
                 break
             for j in live:
                 if j != p:
-                    # nearest quotient, ties toward the floor of h[i][j] / |pivot|
-                    pv = abs(h[i][p])
-                    q, r = divmod(h[i][j], pv)
-                    if 2 * r > pv:
-                        q += 1
+                    q = _nearest_quotient(h[i][j], abs(h[i][p]))
                     col_sub(j, p, q if h[i][p] > 0 else -q)
         if not live:
             continue
         free.remove(p)
         pivot_of[i] = p
+    return h, v, pivot_of
+
+
+def reference_solve_int(a, b, nrows: int, ncols: int):
+    """One solution x (ncols x bcols) of a @ x = b over the integers, or
+    None: y is read off the reference echelon form H before x = V . y."""
+    bcols = len(b[0]) if b else 0
+    h, v, pivot_of = reference_column_echelon(a, nrows, ncols)
     y = [[0] * bcols for _ in range(ncols)]
     for i in range(nrows):
         for j in range(bcols):
@@ -383,18 +387,11 @@ def reference_solve_int(a, b, nrows: int, ncols: int):
 
 
 def reference_kernel_lattice(a, nrows: int, ncols: int):
-    """Basis columns of the lattice {x : a @ x = 0}."""
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-    _, dm, v, _ = reference_smith_normal_form(a, nrows, ncols)
-    basis = []
-    for j in range(ncols):
-        d = dm[j][j] if j < min(nrows, ncols) else 0
-        if d == 0:
-            basis.append(tuple(v[i][j] for i in range(ncols)))
-    return basis
+    """Basis columns of the lattice {x : a @ x = 0}: the columns of the
+    reference echelon form's V that hold no pivot, in index order."""
+    _, v, pivot_of = reference_column_echelon(a, nrows, ncols)
+    pivots = set(pivot_of.values())
+    return [tuple(row[j] for row in v) for j in range(ncols) if j not in pivots]
 
 
 # Row reduction mod p on dense rows, as the package did it before it reduced

@@ -1265,9 +1265,10 @@ class TestZeroFactoring:
 
 @pytest.fixture
 def no_snf(monkeypatch):
-    """Every arrowcat reference to smith_normal_form and kernel_lattice raises."""
+    """Every arrowcat reference to the integer engine's smith_normal_form and
+    kernel_lattice (a column echelon form, no Smith form) raises."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the Smith normal form was called")
+        raise AssertionError("an integer elimination was called")
 
     for name in ("smith_normal_form", "kernel_lattice"):
         orig = getattr(snf, name)
@@ -1304,5 +1305,5 @@ class TestFieldPathAvoidsSnf:
         assert rep.ok, rep.failed_condition
 
     def test_the_guard_bites_over_z(self, no_snf):
-        with pytest.raises(AssertionError, match="Smith normal form"):
+        with pytest.raises(AssertionError, match="integer elimination"):
             kernel_base.__wrapped__(quotient_mod2())

@@ -384,9 +384,9 @@ class TestLes:
     TWISTED_D = {
         (GF(3), 2): [((), ()), ((), ((2, 1, 2),)), (((1, 2, 0, 0),), ())],
         (ZZ, 11): [
-            (((),), ((1, 0), (0, 0))),
-            (((0, 0), (1, 0), (0, 0)), ((-2, 2, 0, 0),)),
-            (((2, 2, 0, 0),), ()),
+            (((),), ((0, 0), (0, 0))),
+            (((0, 0), (0, 0), (0, 0)), ((-1, 0, 0, 0),)),
+            (((3, 0, 0, 0),), ()),
         ],
     }
 
@@ -608,8 +608,8 @@ class TestInternBudget:
     BUDGET = {
         (GF(3), "generalized"): [258, 7, 162, 106],
         (GF(3), "les"): [171, 16, 227, 203],
-        (ZZ, "generalized"): [224, 8, 150, 88],
-        (ZZ, "les"): [761, 51, 597, 416],
+        (ZZ, "generalized"): [224, 8, 145, 92],
+        (ZZ, "les"): [782, 51, 591, 416],
     }
 
     CHILD = textwrap.dedent(

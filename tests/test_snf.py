@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from arrowcat import ZZ, baselin
+from arrowcat import ZZ, baselin, snf
 from arrowcat.baselin import cokernel_base, kernel_base
 from arrowcat.generators import Bounds, random_base_morphism, random_base_object
 from arrowcat.intmat import det, identity, mat, mul, zeros
@@ -256,8 +256,9 @@ def test_requested_transforms_equal_the_reference():
     seen = {"empty": 0, "units": 0}
     for rng, r, c, m in _differential_matrices(2101, 1000):
         u, d, v, u_inv = reference_smith_normal_form(m, r, c)
-        # U with U^-1 and V (selftest), U with U^-1 (canonicalize), V (kernel_lattice)
-        for ask_u, ask_v in ((True, True), (True, False), (False, True)):
+        # U with U^-1 and V (selftest), U with U^-1 (canonicalize), the
+        # diagonal alone (base_objects), and V alone (no package caller)
+        for ask_u, ask_v in ((True, True), (True, False), (False, False), (False, True)):
             s = smith_normal_form(m, r, c, u=ask_u, v=ask_v)
             assert s.d == d, m
             assert (s.u, s.u_inv) == ((u, u_inv) if ask_u else (None, None)), m
@@ -281,6 +282,20 @@ def test_solve_int_and_kernel_lattice_equal_the_reference():
             found += x is not None
             infeasible += x is None
     assert found >= 1000 and infeasible >= 500, (found, infeasible)
+
+
+def test_kernel_lattice_runs_no_smith_form(monkeypatch):
+    """kernel_lattice reads its basis off the column echelon form alone: with
+    every Smith decomposition raising, it gives the same bases."""
+    cases = [(r, c, m, kernel_lattice(m, r, c)) for _, r, c, m in _differential_matrices(2104, 300)]
+
+    def no_smith_form(*args, **kwargs):
+        raise AssertionError("kernel_lattice decomposed")
+
+    monkeypatch.setattr(snf, "smith_normal_form", no_smith_form)
+    for r, c, m, basis in cases:
+        assert kernel_lattice(m, r, c) == basis, m
+    assert sum(len(basis) for *_, basis in cases) >= 300
 
 
 def test_kernel_and_cokernel_equal_the_reference(monkeypatch):
