@@ -8,8 +8,9 @@ For a map of extensions the snake extends to the exact sequence
 with three extra connecting maps; the composites of adjacent nullhomotopies
 are the canonical loops omega/mu/sigma up to recorded signs.  The connectors
 d': Pip c -> Ker a and d'': Coker c -> Copip a are limits2's factorizations
-through the snake's own kernel data (fbar, etabar) of gbar and cokernel data
-(gbar', etabar') of fbar', which prefer a strict solution.
+through the snake's own presented kernel data (fbar, etabar) of gbar and
+cokernel data (gbar', etabar') of fbar' (kfull and qfull None), which
+prefer a strict solution.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from typing import NamedTuple
 from .basemor import compose
 from .core2 import TwoCell, TwoMorphism, TwoObject, compose2, null_cell, zero2
 from .limits2 import (
+    CokernelData,
+    KernelData,
     factor_through_cokernel_data,
     factor_through_kernel_data,
     omega_mor,
@@ -55,8 +58,9 @@ def anaconda(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnDat
 
     # d': Pip c -> Ker a and dtil: fbar.d' => 0 with gbar_1.dtil - etabar*d'_0 =
     # omega_{Kc}: the zero square with the loop -omega_{Kc} through (fbar, etabar)
+    ker_g = KernelData(sn.fbar.src, sn.fbar, sn.etabar, None)
     dprime, theta = factor_through_kernel_data(
-        sn.gbar, sn.fbar, sn.etabar, zero2(om_kc.obj, sn.fbar.dst), om_kc.loop.inverse()
+        sn.gbar, ker_g, zero2(om_kc.obj, sn.fbar.dst), om_kc.loop.inverse()
     )
     dtil = theta.inverse()
     # eps~: d'.om_g => 0 pinned by dtil*om_g - fbar*eps = omega_{Kb}
@@ -68,8 +72,9 @@ def anaconda(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnDat
     # d'': Coker c -> Copip a and dhat: d''.gbar2 => 0 with dhat*fbar2_0 -
     # d''_1.etabar2 = -sigma_{Qa}: the zero square with the loop sigma_{Qa}
     # through the cokernel data (gbar2, etabar2) of fbar2
+    coker_f2 = CokernelData(sn.gbar2.dst, sn.gbar2, sn.etabar2, None)
     dsec, psi = factor_through_cokernel_data(
-        sn.fbar2, sn.gbar2, sn.etabar2, zero2(sn.fbar2.dst, sg_qa.obj), sg_qa.loop
+        sn.fbar2, coker_f2, zero2(sn.fbar2.dst, sg_qa.obj), sg_qa.loop
     )
     dhat = psi.inverse()
     epsp = solve_cell(

@@ -2,7 +2,9 @@
 
 Per degree the connecting morphism comes from the generalized snake applied
 to the rows  Q_n -> K_n  (relative cokernels over relative kernels) with
-columns h_n, whose kernel/cokernel data are the homology presentations.
+columns h_n, whose kernel/cokernel data are the homology presentations:
+limits2 KernelData and CokernelData with kfull and qfull None, through
+which the snakes' factorizations are solved for.
 The six-term sequences of degrees n and n+1 meet at H_{n+1}: snake n's
 (fbar2, etabar2, gbar2) are snake n+1's (fbar, etabar, gbar), so the
 sequence ... H_n(A) -> H_n(B) -> H_n(C) -> H_{n+1}(A) ... is the snakes
@@ -35,7 +37,7 @@ from .core2 import (
     whisker_left,
     whisker_right,
 )
-from .limits2 import factor_rel_cokernel2, factor_rel_kernel2
+from .limits2 import CokernelData, KernelData, factor_rel_cokernel2, factor_rel_kernel2
 from .sequences import (
     ChainMap,
     ComplexSequence,
@@ -44,7 +46,7 @@ from .sequences import (
     padded_window,
     zero_capped,
 )
-from .snake import CokernelSide, ColumnData, KernelSide, generalized_snake
+from .snake import ColumnData, generalized_snake
 
 
 class LesResult(NamedTuple):
@@ -90,17 +92,11 @@ def les_homology(fmap: ChainMap, omegas: tuple[TwoCell, ...], gmap: ChainMap) ->
     for n in snake_degrees:
         cols = []
         for hr, hm in zip(hrs, h_maps):
-            hn = hm[n]
-            ker_side = KernelSide(
-                hr[n].obj,
-                hr[n].kprime,
-                cell_to_zero(compose2(hn, hr[n].kprime), hr[n].kappa_prime.mat),
-            )
-            coker_side = CokernelSide(
-                hr[n + 1].obj,
-                hr[n + 1].qprime,
-                cell_to_zero(compose2(hr[n + 1].qprime, hn), hr[n + 1].zeta_prime.mat),
-            )
+            hn, hk, hq = hm[n], hr[n], hr[n + 1]
+            kappa = cell_to_zero(compose2(hn, hk.kprime), hk.kappa_prime.mat)
+            zeta = cell_to_zero(compose2(hq.qprime, hn), hq.zeta_prime.mat)
+            ker_side = KernelData(hk.obj, hk.kprime, kappa, None)
+            coker_side = CokernelData(hq.obj, hq.qprime, zeta, None)
             cols.append(ColumnData(hn, ker_side, coker_side))
         f_r = _coker_induced(fmap, hrs[0][n], hrs[1][n], n)
         g_r = _coker_induced(gmap, hrs[1][n], hrs[2][n], n)

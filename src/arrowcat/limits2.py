@@ -14,14 +14,16 @@ the base cokernel qfull: A0 (+) B1 -> Q, and neither keeps the biproduct
 glue, which is read back from the memoized biproduct_base.  Factorizations
 through canonical (co)kernels are strict (the connecting cell is an
 identity), and each is one one-sided factor_base of a pairing through kfull
-or of a copairing through qfull.  Factorizations through (co)kernel data
-given as a square with a 2-cell are solved for, strictly when a strict
-solution exists; on kernel2/cokernel2 data that strict solution is unique
-and is the canonical one.  Cells between parallel squares are solved for
-too.  Each solve is a LinearSystem whose unknown squares and cells are
-declared with core2's add_square, add_cell and add_homotopy, so only the
-extra pasting or pinning equations are written here.  Base factorizations go through
-factor_through (baselin.factor_base).  Every solve here is for something
+or of a copairing through qfull.  KernelData and CokernelData also carry
+presented (co)kernel sides, a square with a 2-cell and kfull or qfull None.
+factor_through_kernel_data and factor_through_cokernel_data take either:
+canonical data factor through their universal property, as above, and
+presented data are solved for, strictly when a strict solution exists.
+Cells between parallel squares are solved for too.  Each solve is a
+LinearSystem whose unknown squares and cells are declared with core2's
+add_square, add_cell and add_homotopy, so only the extra pasting or pinning
+equations are written here.  Base factorizations go through factor_through
+(baselin.factor_base).  Every solve here is for something
 that must exist, so factor_through, solve_cell and the other factorizations
 raise AssertionError when it does not.
 """
@@ -50,6 +52,7 @@ from .core2 import (
     add_square,
     cell_to_zero,
     compose2,
+    identity_like_cell,
     loop_cell,
     solved_square,
     two_morphism,
@@ -90,7 +93,7 @@ class KernelData(NamedTuple):
     obj: TwoObject
     kmor: TwoMorphism  # obj -> src(u)
     kappa: TwoCell  # u . kmor => 0
-    kfull: BaseMorphism  # P -> A0 (+) B1
+    kfull: BaseMorphism | None  # P -> A0 (+) B1; None on presented data
 
 
 def kernel2(u: TwoMorphism) -> KernelData:
@@ -114,7 +117,7 @@ class CokernelData(NamedTuple):
     obj: TwoObject
     qmor: TwoMorphism  # dst(u) -> obj
     zeta: TwoCell  # qmor . u => 0
-    qfull: BaseMorphism  # A0 (+) B1 -> Q
+    qfull: BaseMorphism | None  # A0 (+) B1 -> Q; None on presented data
 
 
 def cokernel2(u: TwoMorphism) -> CokernelData:
@@ -410,22 +413,25 @@ def pushout2(f: TwoMorphism, g: TwoMorphism) -> Pushout2:
 # ---------------------------------------------------------------------------
 
 
-def factor_through_kernel_data(
-    g: TwoMorphism, kmor: TwoMorphism, kappa: TwoCell, t: TwoMorphism, beta: TwoCell
-):
+def factor_through_kernel_data(g: TwoMorphism, kd: KernelData, t: TwoMorphism, beta: TwoCell):
     """(m, theta) with theta: t => kmor.m and kappa*m . g*theta = beta.
 
-    A strict solution (theta the identity) is preferred when one exists; the
-    strict system is the same one without the cell unknown.
+    On kernel2 data this is factor_kernel2's m with an identity theta: kfull
+    is mono, so the strict solution is unique.  On presented data (kfull
+    None) a strict solution is preferred when one exists; the strict system
+    is the same one without the cell unknown.
     """
-    x, k_obj = t.src, kmor.src
+    if kd.kfull is not None:
+        mor = factor_kernel2(kd, t, beta)
+        return mor, identity_like_cell(t, compose2(kd.kmor, mor))
+    x = t.src
     for strict in (True, False):
         sys = LinearSystem(g.top.ring)
-        m = add_square(sys, "m", x, k_obj)
+        m = add_square(sys, "m", x, kd.obj)
         th = None if strict else add_cell(sys, "th", x, g.src)
-        add_homotopy(sys, th, t, [(1, kmor, m, None)])
+        add_homotopy(sys, th, t, [(1, kd.kmor, m, None)])
         # pasting: kappa.mb + g.top.th = beta
-        pasting = [(1, kappa.mat, m.bottom, None)]
+        pasting = [(1, kd.kappa.mat, m.bottom, None)]
         if th is not None:
             pasting.append((1, g.top, th.name, None))
         sys.add_equation(pasting, beta.mat)
@@ -436,24 +442,27 @@ def factor_through_kernel_data(
         raise AssertionError("kernel-data factorization does not exist")
     mor = solved_square(sol, m)
     th_mat = zero_mor(x.bottom, g.src.top) if th is None else sol[th.name]
-    return mor, TwoCell(t, compose2(kmor, mor), th_mat)
+    return mor, TwoCell(t, compose2(kd.kmor, mor), th_mat)
 
 
-def factor_through_cokernel_data(
-    u: TwoMorphism, qmor: TwoMorphism, zeta: TwoCell, w: TwoMorphism, theta: TwoCell
-):
+def factor_through_cokernel_data(u: TwoMorphism, cd: CokernelData, w: TwoMorphism, theta: TwoCell):
     """(m, psi) with psi: w => m.qmor and m*zeta . psi*u = theta.
 
-    A strict solution (psi the identity) is preferred when one exists; the
-    strict system is the same one without the cell unknown.
+    On cokernel2 data this is factor_cokernel2's m with an identity psi:
+    qfull is epi, so the strict solution is unique.  On presented data
+    (qfull None) a strict solution is preferred when one exists; the strict
+    system is the same one without the cell unknown.
     """
+    if cd.qfull is not None:
+        mor = factor_cokernel2(cd, w, theta)
+        return mor, identity_like_cell(w, compose2(mor, cd.qmor))
     for strict in (True, False):
         sys = LinearSystem(u.top.ring)
-        m = add_square(sys, "m", qmor.dst, w.dst)
-        ps = None if strict else add_cell(sys, "ps", qmor.src, w.dst)
-        add_homotopy(sys, ps, w, [(1, None, m, qmor)])
+        m = add_square(sys, "m", cd.obj, w.dst)
+        ps = None if strict else add_cell(sys, "ps", w.src, w.dst)
+        add_homotopy(sys, ps, w, [(1, None, m, cd.qmor)])
         # pasting: mt.zeta + ps.u.bottom = theta
-        pasting = [(1, None, m.top, zeta.mat)]
+        pasting = [(1, None, m.top, cd.zeta.mat)]
         if ps is not None:
             pasting.append((1, None, ps.name, u.bottom))
         sys.add_equation(pasting, theta.mat)
@@ -464,7 +473,7 @@ def factor_through_cokernel_data(
         raise AssertionError("cokernel-data factorization does not exist")
     mor = solved_square(sol, m)
     ps_mat = zero_mor(w.src.bottom, w.dst.top) if ps is None else sol[ps.name]
-    return mor, TwoCell(w, compose2(mor, qmor), ps_mat)
+    return mor, TwoCell(w, compose2(mor, cd.qmor), ps_mat)
 
 
 def solve_cell(u: TwoMorphism, v: TwoMorphism, pins=()) -> TwoCell:

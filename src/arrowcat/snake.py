@@ -6,14 +6,14 @@ triangle construction d = q'_a . k'_c (_connecting).  The generalized snake
 only expects (g, eta) = Coker f in the top row and (f', eta') = Ker g' in
 the bottom one; it takes the connecting map of the inner diagram on the
 kernel/cokernel rows as in the proof; its pasting is still checked.  A
-column's kernel and cokernel are data: a square with a 2-cell, canonical
-(kernel2, cokernel2) or presented (the generalized snake's inner columns,
-the homology presentations of les, or any deformation of the canonical
-kmor or qmor with its cell carried along).  The induced maps on them come
-from one factorization through that data, limits2.factor_through_kernel_data
-and factor_through_cokernel_data, which prefers a strict solution; on
-canonical data the strict solution is unique and is factor_kernel2's or
-factor_cokernel2's.
+column's kernel and cokernel are limits2's KernelData and CokernelData:
+canonical (kernel2, cokernel2) or presented with kfull or qfull None (the
+generalized snake's inner columns, the homology presentations of les, or
+any deformation of the canonical kmor or qmor with its cell carried along).
+The induced maps on them come from limits2.factor_through_kernel_data and
+factor_through_cokernel_data: on canonical data factor_kernel2's or
+factor_cokernel2's strict factorization, on presented data a solve that
+prefers a strict solution.
 
 Maps and cells out of I come from its universal property: j, c' and q'_a
 are one factor_cokernel2 each (q'_a is 0 along i1 and q_a along i2), and
@@ -42,7 +42,6 @@ from .basemor import compose, identity_mor
 from .core2 import (
     TwoCell,
     TwoMorphism,
-    TwoObject,
     add_cell,
     add_homotopy,
     add_square,
@@ -56,6 +55,8 @@ from .core2 import (
     zero2,
 )
 from .limits2 import (
+    CokernelData,
+    KernelData,
     cokernel2,
     copair2,
     factor_cokernel2,
@@ -69,28 +70,15 @@ from .limits2 import (
 from .sequences import pasting_holds
 
 
-class KernelSide(NamedTuple):
-    obj: TwoObject
-    kmor: TwoMorphism
-    kappa: TwoCell
-
-
-class CokernelSide(NamedTuple):
-    obj: TwoObject
-    qmor: TwoMorphism
-    zeta: TwoCell
-
-
 class ColumnData(NamedTuple):
     mor: TwoMorphism
-    ker: KernelSide
-    coker: CokernelSide
+    ker: KernelData
+    coker: CokernelData
 
 
 def column_data(col: TwoMorphism) -> ColumnData:
     """A column with its canonical kernel and cokernel data."""
-    kd, cd = kernel2(col), cokernel2(col)
-    return ColumnData(col, KernelSide(kd.obj, kd.kmor, kd.kappa), CokernelSide(cd.obj, cd.qmor, cd.zeta))
+    return ColumnData(col, kernel2(col), cokernel2(col))
 
 
 def mu_loop(cdata: ColumnData) -> TwoCell:
@@ -140,14 +128,14 @@ def _induced_maps(f, g, f2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi
     theta_f = vcomp2(whisker_right(b.coker.zeta, f), whisker_left(b.coker.qmor, phi.inverse()))
     theta_g = vcomp2(whisker_right(c.coker.zeta, g), whisker_left(c.coker.qmor, psi.inverse()))
     return (
-        factor_through_kernel_data(b.mor, b.ker.kmor, b.ker.kappa, compose2(f, a.ker.kmor), beta_f),
-        factor_through_kernel_data(c.mor, c.ker.kmor, c.ker.kappa, compose2(g, b.ker.kmor), beta_g),
-        factor_through_cokernel_data(a.mor, a.coker.qmor, a.coker.zeta, compose2(b.coker.qmor, f2), theta_f),
-        factor_through_cokernel_data(b.mor, b.coker.qmor, b.coker.zeta, compose2(c.coker.qmor, g2), theta_g),
+        factor_through_kernel_data(b.mor, b.ker, compose2(f, a.ker.kmor), beta_f),
+        factor_through_kernel_data(c.mor, c.ker, compose2(g, b.ker.kmor), beta_g),
+        factor_through_cokernel_data(a.mor, a.coker, compose2(b.coker.qmor, f2), theta_f),
+        factor_through_cokernel_data(b.mor, b.coker, compose2(c.coker.qmor, g2), theta_g),
     )
 
 
-def _connecting(f, eta, g, f2, eta2, g2, a_mor, b_mor, c_mor, kc: KernelSide, qa: CokernelSide, phi, psi):
+def _connecting(f, eta, g, f2, eta2, g2, a_mor, b_mor, c_mor, kc: KernelData, qa: CokernelData, phi, psi):
     """d = q'_a . k'_c: Kc -> Qa, from the column squares, kc = Ker c and
     qa = Coker a alone."""
     # two-square construction on the left square (f, a; f2, b)
@@ -303,11 +291,11 @@ def generalized_snake(
     # columns of the inner diagram
     beta_ahat = vcomp2(whisker_left(c.mor, etahat), whisker_right(psi.inverse(), fhat))
     ahat, theta_a = factor_through_kernel_data(
-        g2, f2, eta2, compose2(b.mor, fhat), beta_ahat
+        g2, KernelData(f2.src, f2, eta2, None), compose2(b.mor, fhat), beta_ahat
     )
     theta_chat_cell = vcomp2(whisker_right(etahat2, a.mor), whisker_left(ghat2, phi))
     chat, theta_c = factor_through_cokernel_data(
-        f, g, eta, compose2(ghat2, b.mor), theta_chat_cell
+        f, CokernelData(g.dst, g, eta, None), compose2(ghat2, b.mor), theta_chat_cell
     )
 
     # present Ker(chat) on Kc: solve nu: c => n'.chat with nu*g pinned,
@@ -322,7 +310,7 @@ def generalized_snake(
         zero2(c.ker.obj, chat.dst),
         [(1, nprime.top, None, c.ker.kappa.mat - compose(nu.mat, c.ker.kmor.bottom))],
     )
-    kc_side = KernelSide(c.ker.obj, c.ker.kmor, kappa_chat)
+    kc_side = KernelData(c.ker.obj, c.ker.kmor, kappa_chat, None)
 
     # present Coker(ahat) on Qa: mu_m: a => ahat.m with f2-whisker pinned,
     # then zeta_ahat with zeta_ahat*m + qa*mu_m = zeta_a
@@ -336,7 +324,7 @@ def generalized_snake(
         zero2(ahat.src, a.coker.obj),
         [(1, None, m.bottom, a.coker.zeta.mat - compose(a.coker.qmor.top, mu_m.mat))],
     )
-    qa_side = CokernelSide(a.coker.obj, a.coker.qmor, zeta_ahat)
+    qa_side = CokernelData(a.coker.obj, a.coker.qmor, zeta_ahat, None)
 
     # inner diagram: rows (fhat, etahat, g), (f2, etahat2, ghat2); columns ahat, b, chat
     psi_hat = theta_c.inverse()

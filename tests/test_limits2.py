@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arrowcat import GF, ZZ, base_morphism, field_object, z_object, zero_mor, zero_object
-from arrowcat.baselin import biproduct_base, kernel_base
+from arrowcat.baselin import LinearSystem, biproduct_base, kernel_base
 from arrowcat.classify2 import classify2
 from arrowcat.core2 import (
     cell_to_zero,
@@ -343,30 +343,60 @@ class TestSolveRaises:
             solve_cell(identity2(x), zero2(x, x))
 
 
+def canonical_factorization_cases(ring, bounds):
+    """(u, kd, t, beta, cd, w, theta) with kd, cd = kernel2(u), cokernel2(u),
+    t = kmor.r with beta = kappa*r and w = s.qmor with theta = s*zeta."""
+    rng = random.Random(1313)
+    for _ in range(6):
+        a = random_two_object(rng, ring, bounds)
+        b = random_two_object(rng, ring, bounds)
+        u = random_square(rng, a, b)
+        kd, cd = kernel2(u), cokernel2(u)
+        for _ in range(3):
+            x = random_two_object(rng, ring, bounds)
+            r = random_square(rng, x, kd.obj)
+            t = compose2(kd.kmor, r)
+            beta = cell_to_zero(compose2(u, t), whisker_right(kd.kappa, r).mat)
+            s = random_square(rng, cd.obj, x)
+            w = compose2(s, cd.qmor)
+            theta = cell_to_zero(compose2(w, u), whisker_left(s, cd.zeta).mat)
+            yield u, kd, t, beta, cd, w, theta
+
+
 class TestFactorThroughCanonicalData:
     """On kernel2/cokernel2 data the strict factorization is unique: kfull
-    is mono and qfull is epi.  So the factorization through data
-    returns the canonical factorization with a zero cell."""
+    is mono and qfull is epi.  So the LinearSystem path, run on the same
+    records presented (kfull or qfull None), returns the canonical
+    factorization with a zero cell, and the canonical records factor
+    through their universal property without a LinearSystem."""
 
     @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
     def test_agrees_with_the_canonical_factorization(self, ring, bounds):
-        rng = random.Random(1313)
-        for _ in range(6):
-            a = random_two_object(rng, ring, bounds)
-            b = random_two_object(rng, ring, bounds)
-            u = random_square(rng, a, b)
-            kd, cd = kernel2(u), cokernel2(u)
-            for _ in range(3):
-                x = random_two_object(rng, ring, bounds)
-                r = random_square(rng, x, kd.obj)
-                t = compose2(kd.kmor, r)
-                beta = cell_to_zero(compose2(u, t), whisker_right(kd.kappa, r).mat)
-                m, theta = factor_through_kernel_data(u, kd.kmor, kd.kappa, t, beta)
-                assert m == factor_kernel2(kd, t, beta)
-                assert theta.cfrom == t and theta.mat.is_zero_mor()
-                s = random_square(rng, cd.obj, x)
-                w = compose2(s, cd.qmor)
-                theta_w = cell_to_zero(compose2(w, u), whisker_left(s, cd.zeta).mat)
-                m, psi = factor_through_cokernel_data(u, cd.qmor, cd.zeta, w, theta_w)
-                assert m == factor_cokernel2(cd, w, theta_w)
-                assert psi.cfrom == w and psi.mat.is_zero_mor()
+        for u, kd, t, beta, cd, w, theta in canonical_factorization_cases(ring, bounds):
+            m, th = factor_through_kernel_data(u, kd._replace(kfull=None), t, beta)
+            assert m == factor_kernel2(kd, t, beta)
+            assert th.cfrom == t and th.mat.is_zero_mor()
+            m, psi = factor_through_cokernel_data(u, cd._replace(qfull=None), w, theta)
+            assert m == factor_cokernel2(cd, w, theta)
+            assert psi.cfrom == w and psi.mat.is_zero_mor()
+
+    @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
+    def test_canonical_records_solve_nothing(self, ring, bounds, monkeypatch):
+        cases = list(canonical_factorization_cases(ring, bounds))
+        presented = [
+            (
+                factor_through_kernel_data(u, kd._replace(kfull=None), t, beta),
+                factor_through_cokernel_data(u, cd._replace(qfull=None), w, theta),
+            )
+            for u, kd, t, beta, cd, w, theta in cases
+        ]
+
+        def no_solve(self, *args, **kwargs):
+            raise AssertionError("a canonical record was factored by a LinearSystem")
+
+        monkeypatch.setattr(LinearSystem, "solve", no_solve)
+        for (u, kd, t, beta, cd, w, theta), (k_res, q_res) in zip(cases, presented):
+            m, th = factor_through_kernel_data(u, kd, t, beta)
+            assert (m, th) == k_res and th.mat.is_zero_mor()
+            m, psi = factor_through_cokernel_data(u, cd, w, theta)
+            assert (m, psi) == q_res and psi.mat.is_zero_mor()

@@ -58,8 +58,6 @@ RECORDS = {
     "limits2.Biproduct2": ("obj", "injections", "projections"),
     "limits2.Pullback2": ("obj", "p1", "p2", "cell"),
     "limits2.Pushout2": ("obj", "i1", "i2", "cell", "cokernel", "diff"),
-    "snake.KernelSide": ("obj", "kmor", "kappa"),
-    "snake.CokernelSide": ("obj", "qmor", "zeta"),
     "snake.ColumnData": ("mor", "ker", "coker"),
     "snake.SnakeResult": ("fbar", "etabar", "gbar", "delta", "d", "delta_prime", "fbar2", "etabar2", "gbar2",
                           "mu_a", "mu_b", "mu_c", "col_a", "col_b", "col_c"),
