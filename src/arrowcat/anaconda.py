@@ -9,8 +9,8 @@ with three extra connecting maps; the composites of adjacent nullhomotopies
 are the canonical loops omega/mu/sigma up to recorded signs.  The connectors
 d': Pip c -> Ker a and d'': Coker c -> Copip a are limits2's factorizations
 through the snake's own presented kernel data (fbar, etabar) of gbar and
-cokernel data (gbar', etabar') of fbar' (kfull and qfull None), which
-prefer a strict solution.
+cokernel data (gbar', etabar') of fbar' (kfull and qfull None), each one
+solve for the square and its cell.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ def anaconda(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnDat
     cells = (
         zc0, eps, dtil, sn.etabar, sn.delta, sn.delta_prime, sn.etabar2, dhat, epsp, zc9,
     )
-    signs = _composite_signs(objects, maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb, sg_qc, a, b, c)
+    signs = _composite_signs(maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb, sg_qc)
     return AnacondaResult(objects, maps, cells, sn, signs)
 
 
-def _composite_signs(objects, maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb, sg_qc, a, b, c):
+def _composite_signs(maps, cells, sn, om_ka, om_kb, om_kc, sg_qa, sg_qb, sg_qc):
     targets = [
         om_ka.loop.mat, om_kb.loop.mat, om_kc.loop.mat,
         sn.mu_a.mat, sn.mu_b.mat, sn.mu_c.mat,

@@ -2,30 +2,34 @@
 
 Per degree the connecting morphism comes from the generalized snake applied
 to the rows  Q_n -> K_n  (relative cokernels over relative kernels) with
-columns h_n, whose kernel/cokernel data are the homology presentations:
-limits2 KernelData and CokernelData with kfull and qfull None, through
-which the snakes' factorizations are solved for.
+columns h_n, whose kernel/cokernel data are the homology presentations,
+passed as canonical limits2 KernelData and CokernelData: kfull is
+pair(kprime.bottom, kappa') and qfull is copair(zeta', qprime.top).  They
+are canonical by construction.  kernel2's kmor has the identity top, so
+the map a' that a induces into K(b, psi) keeps a's top, the cokernels of a'
+and of a have the same top, and kprime: H -> Q(a, phi) has the identity
+top; dually qprime: K(b, psi) -> H has the identity bottom.  kfull is the
+kernel's kfull after an inclusion, a mono, and qfull is the coroot's
+projection after the cokernel's, an epi, so the snakes factor through the
+records by their universal property and solve nothing for them.
 The six-term sequences of degrees n and n+1 meet at H_{n+1}: snake n's
 (fbar2, etabar2, gbar2) are snake n+1's (fbar, etabar, gbar), so the
 sequence ... H_n(A) -> H_n(B) -> H_n(C) -> H_{n+1}(A) ... is the snakes
 glued end to end, and no seam cell is solved.  Each shared map is the
 unique strict factorization of H_{n+1}(f) or H_{n+1}(g) through the
-presentation of H_{n+1}.  On the cokernel side qprime has the identity
-bottom, and its top together with zeta' is the coroot's projection after
-the cokernel's, an epi.  On the kernel side pair(kprime.bottom, kappa') is
-kfull . incl, a mono, and kprime is faithful.  As kprime . qprime = s
-strictly (homology_at asserts it), the one factorization meets both
-snakes' equations, and interning makes the two results one object; the
-glue checks the shared ends by identity.  The assembled sequence is
-verified exact at every point by the oracle, and the pi0 and Omega shadows
-are checked classically in the base category (selftest.shadows_exact), over
-prime fields and over Z.
+presentation of H_{n+1}.  As kprime . qprime = s strictly (homology_at
+asserts it), the one factorization meets both snakes' equations, and
+interning makes the two results one object; the glue checks the shared
+ends by identity.  The assembled sequence is verified exact at every point
+by the oracle, and the pi0 and Omega shadows are checked classically in the
+base category (selftest.shadows_exact), over prime fields and over Z.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from .baselin import copair_base, pair_base
 from .basemor import compose
 from .core2 import (
     TwoCell,
@@ -95,8 +99,8 @@ def les_homology(fmap: ChainMap, omegas: tuple[TwoCell, ...], gmap: ChainMap) ->
             hn, hk, hq = hm[n], hr[n], hr[n + 1]
             kappa = cell_to_zero(compose2(hn, hk.kprime), hk.kappa_prime.mat)
             zeta = cell_to_zero(compose2(hq.qprime, hn), hq.zeta_prime.mat)
-            ker_side = KernelData(hk.obj, hk.kprime, kappa, None)
-            coker_side = CokernelData(hq.obj, hq.qprime, zeta, None)
+            ker_side = KernelData(hk.obj, hk.kprime, kappa, pair_base(hk.kprime.bottom, kappa.mat))
+            coker_side = CokernelData(hq.obj, hq.qprime, zeta, copair_base(zeta.mat, hq.qprime.top))
             cols.append(ColumnData(hn, ker_side, coker_side))
         f_r = _coker_induced(fmap, hrs[0][n], hrs[1][n], n)
         g_r = _coker_induced(gmap, hrs[1][n], hrs[2][n], n)

@@ -18,7 +18,8 @@ or of a copairing through qfull.  KernelData and CokernelData also carry
 presented (co)kernel sides, a square with a 2-cell and kfull or qfull None.
 factor_through_kernel_data and factor_through_cokernel_data take either:
 canonical data factor through their universal property, as above, and
-presented data are solved for, strictly when a strict solution exists.
+presented data are one solve for the square and then its cell, which over
+F_p is the strict solution whenever one exists.
 Cells between parallel squares are solved for too.  Each solve is a
 LinearSystem whose unknown squares and cells are declared with core2's
 add_square, add_cell and add_homotopy, so only the extra pasting or pinning
@@ -418,31 +419,27 @@ def factor_through_kernel_data(g: TwoMorphism, kd: KernelData, t: TwoMorphism, b
 
     On kernel2 data this is factor_kernel2's m with an identity theta: kfull
     is mono, so the strict solution is unique.  On presented data (kfull
-    None) a strict solution is preferred when one exists; the strict system
-    is the same one without the cell unknown.
+    None) it is one LinearSystem in the square m and then the cell theta.
     """
     if kd.kfull is not None:
         mor = factor_kernel2(kd, t, beta)
         return mor, identity_like_cell(t, compose2(kd.kmor, mor))
+    # The cell's columns come after the square's, and this order matters:
+    # over F_p the reduced row echelon form is unique and the free columns
+    # are 0, so when a strict solution exists the pivot columns of m alone
+    # reach beta, the cell is zero and m is the strict solution.
     x = t.src
-    for strict in (True, False):
-        sys = LinearSystem(g.top.ring)
-        m = add_square(sys, "m", x, kd.obj)
-        th = None if strict else add_cell(sys, "th", x, g.src)
-        add_homotopy(sys, th, t, [(1, kd.kmor, m, None)])
-        # pasting: kappa.mb + g.top.th = beta
-        pasting = [(1, kd.kappa.mat, m.bottom, None)]
-        if th is not None:
-            pasting.append((1, g.top, th.name, None))
-        sys.add_equation(pasting, beta.mat)
-        sol = sys.solve()
-        if sol is not None:
-            break
-    else:
+    sys = LinearSystem(g.top.ring)
+    m = add_square(sys, "m", x, kd.obj)
+    th = add_cell(sys, "th", x, g.src)
+    add_homotopy(sys, th, t, [(1, kd.kmor, m, None)])
+    # pasting: kappa.mb + g.top.th = beta
+    sys.add_equation([(1, kd.kappa.mat, m.bottom, None), (1, g.top, th.name, None)], beta.mat)
+    sol = sys.solve()
+    if sol is None:
         raise AssertionError("kernel-data factorization does not exist")
     mor = solved_square(sol, m)
-    th_mat = zero_mor(x.bottom, g.src.top) if th is None else sol[th.name]
-    return mor, TwoCell(t, compose2(kd.kmor, mor), th_mat)
+    return mor, TwoCell(t, compose2(kd.kmor, mor), sol[th.name])
 
 
 def factor_through_cokernel_data(u: TwoMorphism, cd: CokernelData, w: TwoMorphism, theta: TwoCell):
@@ -450,30 +447,23 @@ def factor_through_cokernel_data(u: TwoMorphism, cd: CokernelData, w: TwoMorphis
 
     On cokernel2 data this is factor_cokernel2's m with an identity psi:
     qfull is epi, so the strict solution is unique.  On presented data
-    (qfull None) a strict solution is preferred when one exists; the strict
-    system is the same one without the cell unknown.
+    (qfull None) it is one LinearSystem in the square m and then the cell
+    psi, in that order for the reason given in factor_through_kernel_data.
     """
     if cd.qfull is not None:
         mor = factor_cokernel2(cd, w, theta)
         return mor, identity_like_cell(w, compose2(mor, cd.qmor))
-    for strict in (True, False):
-        sys = LinearSystem(u.top.ring)
-        m = add_square(sys, "m", cd.obj, w.dst)
-        ps = None if strict else add_cell(sys, "ps", w.src, w.dst)
-        add_homotopy(sys, ps, w, [(1, None, m, cd.qmor)])
-        # pasting: mt.zeta + ps.u.bottom = theta
-        pasting = [(1, None, m.top, cd.zeta.mat)]
-        if ps is not None:
-            pasting.append((1, None, ps.name, u.bottom))
-        sys.add_equation(pasting, theta.mat)
-        sol = sys.solve()
-        if sol is not None:
-            break
-    else:
+    sys = LinearSystem(u.top.ring)
+    m = add_square(sys, "m", cd.obj, w.dst)
+    ps = add_cell(sys, "ps", w.src, w.dst)
+    add_homotopy(sys, ps, w, [(1, None, m, cd.qmor)])
+    # pasting: mt.zeta + ps.u.bottom = theta
+    sys.add_equation([(1, None, m.top, cd.zeta.mat), (1, None, ps.name, u.bottom)], theta.mat)
+    sol = sys.solve()
+    if sol is None:
         raise AssertionError("cokernel-data factorization does not exist")
     mor = solved_square(sol, m)
-    ps_mat = zero_mor(w.src.bottom, w.dst.top) if ps is None else sol[ps.name]
-    return mor, TwoCell(w, compose2(mor, cd.qmor), ps_mat)
+    return mor, TwoCell(w, compose2(mor, cd.qmor), sol[ps.name])
 
 
 def solve_cell(u: TwoMorphism, v: TwoMorphism, pins=()) -> TwoCell:

@@ -7,13 +7,13 @@ only expects (g, eta) = Coker f in the top row and (f', eta') = Ker g' in
 the bottom one; it takes the connecting map of the inner diagram on the
 kernel/cokernel rows as in the proof; its pasting is still checked.  A
 column's kernel and cokernel are limits2's KernelData and CokernelData:
-canonical (kernel2, cokernel2) or presented with kfull or qfull None (the
-generalized snake's inner columns, the homology presentations of les, or
-any deformation of the canonical kmor or qmor with its cell carried along).
-The induced maps on them come from limits2.factor_through_kernel_data and
-factor_through_cokernel_data: on canonical data factor_kernel2's or
-factor_cokernel2's strict factorization, on presented data a solve that
-prefers a strict solution.
+canonical (kernel2, cokernel2, or the homology presentations of les) or
+presented with kfull or qfull None (the generalized snake's inner columns,
+or any deformation of the canonical kmor or qmor with its cell carried
+along).  The induced maps on them come from
+limits2.factor_through_kernel_data and factor_through_cokernel_data: on
+canonical data factor_kernel2's or factor_cokernel2's strict
+factorization, on presented data one solve for the square and its cell.
 
 Maps and cells out of I come from its universal property: j, c' and q'_a
 are one factor_cokernel2 each (q'_a is 0 along i1 and q_a along i2), and

@@ -365,10 +365,12 @@ def canonical_factorization_cases(ring, bounds):
 
 class TestFactorThroughCanonicalData:
     """On kernel2/cokernel2 data the strict factorization is unique: kfull
-    is mono and qfull is epi.  So the LinearSystem path, run on the same
-    records presented (kfull or qfull None), returns the canonical
-    factorization with a zero cell, and the canonical records factor
-    through their universal property without a LinearSystem."""
+    is mono and qfull is epi.  The LinearSystem path, run on the same
+    records presented (kfull or qfull None), declares the cell after the
+    square, so over F_p the cell's columns come last in the row reduction
+    and, being free, are 0: it returns the canonical factorization with a
+    zero cell (over Z it does on these draws).  The canonical records
+    factor through their universal property without a LinearSystem."""
 
     @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
     def test_agrees_with_the_canonical_factorization(self, ring, bounds):
