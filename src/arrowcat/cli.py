@@ -219,13 +219,12 @@ def _snake_parts(ws, args):
 
 def cmd_snake(args):
     from .sequences import exactness
-    from .snake import column_data, generalized_snake, plain_snake
+    from .snake import column_data, plain_snake
 
     ws = _load(args)
     rows, cols, cells = _snake_parts(ws, args)
-    fn = generalized_snake if args.generalized else plain_snake
     try:
-        res = fn(*rows, *map(column_data, cols), *cells)
+        res = plain_snake(*rows, *map(column_data, cols), *cells)
     except ValueError as e:
         return _emit(args, "snake", False, {"error": str(e)})
     maps, scells = res.sequence()
@@ -452,7 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
         common(sp)
         map_of_pairs(sp)
         if name == "snake":
-            sp.add_argument("--generalized", action="store_true")
+            sp.add_argument(
+                "--generalized",
+                action="store_true",
+                help="accepted and ignored: the one snake needs only g = Coker f and f2 = Ker g2",
+            )
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("les")

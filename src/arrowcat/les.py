@@ -1,7 +1,9 @@
 """The long exact sequence of homology of an extension of chain complexes.
 
-Per degree the connecting morphism comes from the generalized snake applied
-to the rows  Q_n -> K_n  (relative cokernels over relative kernels) with
+Per degree the connecting morphism comes from the snake (its rows need only
+be a cokernel on top and a kernel below, which the relative cokernel and
+kernel rows are) applied to the rows  Q_n -> K_n  (relative cokernels over
+relative kernels) with
 columns h_n, whose kernel/cokernel data are the homology presentations,
 passed as canonical limits2 KernelData and CokernelData: kfull is
 pair(kprime.bottom, kappa') and qfull is copair(zeta', qprime.top).  They

@@ -108,7 +108,7 @@ from .sequences import (
     pad_exact_at,
     padded_window,
 )
-from .snake import column_data, generalized_snake, plain_snake
+from .snake import column_data, generalized_snake
 from .anaconda import anaconda, anaconda_full_sequence
 from .intmat import det, identity, mat, mul
 from .snf import smith_normal_form
@@ -146,8 +146,10 @@ def suite(name: str, rings, schedule=_cycle):
     The suite run(seed, cases, bounds) draws every case from one
     random.Random(seed), over the rings in schedule(rings, cases) order; k
     is the number of earlier cases over the same ring.  A case that raises
-    AssertionError (an internal invariant failed) counts as a failure, and
-    the first such message is noted.
+    AssertionError (an internal invariant failed) or ValueError (a 2-layer
+    constructor refused a value, such as a square that does not commute)
+    counts as a failure, the first such message is noted, and the suite
+    goes on with its next case.
     """
 
     def wrap(case):
@@ -159,7 +161,7 @@ def suite(name: str, rings, schedule=_cycle):
                 k = seen[ring] = seen.get(ring, -1) + 1
                 try:
                     ok = case(rng, ring, k, bounds)
-                except AssertionError as e:
+                except (AssertionError, ValueError) as e:
                     ok = False
                     if not result.notes:
                         result.notes.append(f"internal error: {e}")
@@ -374,14 +376,10 @@ def suite_counterexample(seed: int, cases: int, bounds: Bounds) -> SuiteResult:
 
 @suite("snake", ALL_RINGS, _blocks)
 def suite_snake(rng, ring, k, bounds):
-    if k % 2 == 0:
-        inst = random_snake_instance(rng, ring, bounds)
-        snake = plain_snake
-    else:
-        inst = random_generalized_snake_instance(rng, ring, bounds)
-        snake = generalized_snake
+    draw = random_snake_instance if k % 2 == 0 else random_generalized_snake_instance
+    inst = draw(rng, ring, bounds)
     ca, cb, cc = (column_data(x) for x in inst.cols)
-    res = snake(*inst.row1, *inst.row2, ca, cb, cc, *inst.cells)
+    res = generalized_snake(*inst.row1, *inst.row2, ca, cb, cc, *inst.cells)
     return all(exactness(*res.sequence()))
 
 

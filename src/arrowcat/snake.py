@@ -1,16 +1,16 @@
-"""Snake lemmas: the six-term kernel-cokernel sequence of a column map.
+"""The snake lemma: the six-term kernel-cokernel sequence of a column map.
 
-The plain snake expects both rows to be extensions; the connecting morphism
-is built through the pushout I of the left square (two-square lemma) and the
-triangle construction d = q'_a . k'_c (_connecting).  The generalized snake
-only expects (g, eta) = Coker f in the top row and (f', eta') = Ker g' in
-the bottom one; it takes the connecting map of the inner diagram on the
-kernel/cokernel rows as in the proof; its pasting is still checked.  A
+One construction (generalized_snake; plain_snake is the same function).
+The rows need only (g, eta) = Coker f on top and (f', eta') = Ker g' at
+the bottom; extension rows are the classical case.  The connecting
+morphism is built through the pushout I of the left square (two-square
+lemma) and the triangle construction d = q'_a . k'_c (_connecting): lifting
+Kc along j uses only that g is a cokernel, and killing c'.s only that f' is
+a kernel, so no reduction to an inner diagram of extensions is needed.  A
 column's kernel and cokernel are limits2's KernelData and CokernelData:
 canonical (kernel2, cokernel2, or the homology presentations of les) or
-presented with kfull or qfull None (the generalized snake's inner columns,
-or any deformation of the canonical kmor or qmor with its cell carried
-along).  The induced maps on them come from
+presented with kfull or qfull None (any deformation of the canonical kmor
+or qmor with its cell carried along).  The induced maps on them come from
 limits2.factor_through_kernel_data and factor_through_cokernel_data: on
 canonical data factor_kernel2's or factor_cokernel2's strict
 factorization, on presented data one solve for the square and its cell.
@@ -22,15 +22,14 @@ by TwoCell.  k'_c maps into I, so it is solved for: a LinearSystem whose
 unknowns are declared with core2's add_square, add_cell and add_homotopy,
 plus the pasting equation.
 
-Both snakes end in one tail (_six_term).  etabar is the cell gbar.fbar => 0
-whose kc-whisker is eta*ka composed with the inverses of the factorization
-cells of fbar and gbar; it is unique because the kernel inclusion kc is
-faithful, it is read off when kc.top is an identity (canonical data) and
-otherwise is one limits2.solve_cell pinned along kc.top.  etabar2 is the
-dual, pinned along qa.bottom.  The connecting cells delta and delta' are one
-LinearSystem pinned by the three mu-identities, which are then asserted
-exactly.  The generalized snake's presentation cells are solve_cell with
-pinned whiskers too; solve_cell raises AssertionError when no cell exists.
+The sequence ends in one tail (_six_term).  etabar is the cell
+gbar.fbar => 0 whose kc-whisker is eta*ka composed with the inverses of the
+factorization cells of fbar and gbar; it is unique because the kernel
+inclusion kc is faithful, it is read off when kc.top is an identity
+(canonical data) and otherwise is one limits2.solve_cell pinned along
+kc.top.  etabar2 is the dual, pinned along qa.bottom.  The connecting cells
+delta and delta' are one LinearSystem pinned by the three mu-identities,
+which are then asserted exactly.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .limits2 import (
     cokernel2,
     copair2,
     factor_cokernel2,
-    factor_kernel2,
     factor_through_cokernel_data,
     factor_through_kernel_data,
     kernel2,
@@ -113,11 +111,6 @@ class SnakeResult(NamedTuple):
         return maps, cells
 
 
-def check_pasting(f, eta, g, f2, eta2, g2, a, b, c, phi, psi):
-    if not pasting_holds((f, eta, g), (f2, eta2, g2), (a, b, c), (phi, psi)):
-        raise ValueError("snake diagram does not commute (pasting condition)")
-
-
 def _induced_maps(f, g, f2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi, psi):
     """(fbar, th_f), (gbar, th_g), (fbar2, ps_f), (gbar2, ps_g): the maps on
     the kernels and cokernels of the columns with their factorization cells
@@ -135,9 +128,10 @@ def _induced_maps(f, g, f2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi
     )
 
 
-def _connecting(f, eta, g, f2, eta2, g2, a_mor, b_mor, c_mor, kc: KernelData, qa: CokernelData, phi, psi):
-    """d = q'_a . k'_c: Kc -> Qa, from the column squares, kc = Ker c and
-    qa = Coker a alone."""
+def _connecting(f, eta, g, f2, eta2, g2, a: ColumnData, b: ColumnData, c: ColumnData, phi, psi):
+    """d = q'_a . k'_c: Kc -> Qa, from the column squares, Ker c and Coker a
+    alone."""
+    a_mor, b_mor, c_mor, kc, qa = a.mor, b.mor, c.mor, c.ker, a.coker
     # two-square construction on the left square (f, a; f2, b)
     po = pushout2(f, a_mor)
     w_j = copair2(g, zero2(a_mor.dst, g.dst))
@@ -174,27 +168,6 @@ def _connecting(f, eta, g, f2, eta2, g2, a_mor, b_mor, c_mor, kc: KernelData, qa
     w_q = copair2(zero2(f.dst, qa.obj), qa.qmor)
     qprime_a = factor_cokernel2(po.cokernel, w_q, cell_to_zero(compose2(w_q, po.diff), -qa.zeta.mat))
     return compose2(qprime_a, kprime_c)
-
-
-def plain_snake(
-    f: TwoMorphism,
-    eta: TwoCell,
-    g: TwoMorphism,
-    f2: TwoMorphism,
-    eta2: TwoCell,
-    g2: TwoMorphism,
-    a: ColumnData,
-    b: ColumnData,
-    c: ColumnData,
-    phi: TwoCell,
-    psi: TwoCell,
-) -> SnakeResult:
-    """Rows (f, eta, g) and (f2, eta2, g2) extensions; phi: b.f => f2.a,
-    psi: c.g => g2.b."""
-    check_pasting(f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, phi, psi)
-    induced = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
-    d = _connecting(f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, c.ker, a.coker, phi, psi)
-    return _six_term(eta, g, f2, eta2, a, b, c, induced, d)
 
 
 def _null_cell_along(u: TwoMorphism, left, right, pin) -> TwoCell:
@@ -276,60 +249,17 @@ def generalized_snake(
     phi: TwoCell,
     psi: TwoCell,
 ) -> SnakeResult:
-    """Rows with (g, eta) = Coker f and (f2, eta2) = Ker g2 only; takes the
-    inner diagram's connecting map; its pasting is still checked."""
-    check_pasting(f, eta, g, f2, eta2, g2, a.mor, b.mor, c.mor, phi, psi)
+    """The six-term sequence Ka -> Kb -> Kc -> Qa -> Qb -> Qc of the columns
+    a, b, c; phi: b.f => f2.a, psi: c.g => g2.b.  The rows need only
+    (g, eta) = Coker f and (f2, eta2) = Ker g2; on extension rows this is
+    the classical snake.  Raises ValueError when the pasting condition
+    fails."""
+    if not pasting_holds((f, eta, g), (f2, eta2, g2), (a.mor, b.mor, c.mor), (phi, psi)):
+        raise ValueError("snake diagram does not commute (pasting condition)")
+    induced = _induced_maps(f, g, f2, g2, a, b, c, phi, psi)
+    d = _connecting(f, eta, g, f2, eta2, g2, a, b, c, phi, psi)
+    return _six_term(eta, g, f2, eta2, a, b, c, induced, d)
 
-    # reduce the rows to extensions
-    khat = kernel2(g)
-    fhat, etahat = khat.kmor, khat.kappa
-    m = factor_kernel2(khat, f, eta)
-    chat_d = cokernel2(f2)
-    ghat2, etahat2 = chat_d.qmor, chat_d.zeta
-    nprime = factor_cokernel2(chat_d, g2, eta2)
 
-    # columns of the inner diagram
-    beta_ahat = vcomp2(whisker_left(c.mor, etahat), whisker_right(psi.inverse(), fhat))
-    ahat, theta_a = factor_through_kernel_data(
-        g2, KernelData(f2.src, f2, eta2, None), compose2(b.mor, fhat), beta_ahat
-    )
-    theta_chat_cell = vcomp2(whisker_right(etahat2, a.mor), whisker_left(ghat2, phi))
-    chat, theta_c = factor_through_cokernel_data(
-        f, CokernelData(g.dst, g, eta, None), compose2(ghat2, b.mor), theta_chat_cell
-    )
-
-    # present Ker(chat) on Kc: solve nu: c => n'.chat with nu*g pinned,
-    # then kappa_chat with n'*kappa_chat . nu*kc = kappa_c
-    nu = solve_cell(
-        c.mor,
-        compose2(nprime, chat),
-        [(1, None, g.bottom, compose(nprime.top, theta_c.mat) + psi.mat)],
-    )
-    kappa_chat = solve_cell(
-        compose2(chat, c.ker.kmor),
-        zero2(c.ker.obj, chat.dst),
-        [(1, nprime.top, None, c.ker.kappa.mat - compose(nu.mat, c.ker.kmor.bottom))],
-    )
-    kc_side = KernelData(c.ker.obj, c.ker.kmor, kappa_chat, None)
-
-    # present Coker(ahat) on Qa: mu_m: a => ahat.m with f2-whisker pinned,
-    # then zeta_ahat with zeta_ahat*m + qa*mu_m = zeta_a
-    mu_m = solve_cell(
-        a.mor,
-        compose2(ahat, m),
-        [(1, f2.top, None, compose(theta_a.mat, m.bottom) - phi.mat)],
-    )
-    zeta_ahat = solve_cell(
-        compose2(a.coker.qmor, ahat),
-        zero2(ahat.src, a.coker.obj),
-        [(1, None, m.bottom, a.coker.zeta.mat - compose(a.coker.qmor.top, mu_m.mat))],
-    )
-    qa_side = CokernelData(a.coker.obj, a.coker.qmor, zeta_ahat, None)
-
-    # inner diagram: rows (fhat, etahat, g), (f2, etahat2, ghat2); columns ahat, b, chat
-    psi_hat = theta_c.inverse()
-    check_pasting(fhat, etahat, g, f2, etahat2, ghat2, ahat, b.mor, chat, theta_a, psi_hat)
-    d = _connecting(
-        fhat, etahat, g, f2, etahat2, ghat2, ahat, b.mor, chat, kc_side, qa_side, theta_a, psi_hat
-    )
-    return _six_term(eta, g, f2, eta2, a, b, c, _induced_maps(f, g, f2, g2, a, b, c, phi, psi), d)
+# one construction: extension rows meet the weaker hypotheses
+plain_snake = generalized_snake

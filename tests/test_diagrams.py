@@ -145,26 +145,40 @@ class TestSnake:
                 assert exact_at(maps[k], cells[k], maps[k + 1])
 
     def test_generalized_random(self, rng, bounds):
+        """Rows that need not be extensions: at least a quarter of the 40
+        draws per ring have f not faithful, and a quarter g2 not cofaithful
+        (measured: 28, 30, 28 and 26, 23, 23 of 40 on F3, F5, Z), so the
+        one snake construction meets the weaker hypotheses."""
         # 40 instances per ring: a sign-flipped connecting map leaves no
         # solution to the outer connecting-cell system on some of them
         rings = [GF(3)] * 40 + [GF(5)] * 40 + [ZZ] * 40 + [GF(2**31 - 1)]
+        not_faithful = dict.fromkeys(rings, 0)
+        not_cofaithful = dict.fromkeys(rings, 0)
         for ring in rings:
             inst = random_generalized_snake_instance(rng, ring, bounds)
+            not_faithful[ring] += not classify2(inst.row1[0]).faithful
+            not_cofaithful[ring] += not classify2(inst.row2[2]).cofaithful
             cols = [column_data(x) for x in inst.cols]
             res = generalized_snake(*inst.row1, *inst.row2, *cols, *inst.cells)
             maps, cells = res.sequence()
             for k in range(4):
                 assert exact_at(maps[k], cells[k], maps[k + 1])
+        for ring in (GF(3), GF(5), ZZ):
+            assert not_faithful[ring] >= 10, ring
+            assert not_cofaithful[ring] >= 10, ring
 
     @pytest.mark.parametrize("ring", [GF(3), GF(5), ZZ], ids=str)
     @pytest.mark.parametrize("side", ["a-cokernel", "b-kernel", "b-cokernel", "c-kernel"])
-    @pytest.mark.parametrize("snake", [plain_snake, generalized_snake], ids=["plain", "generalized"])
-    def test_presented_columns(self, snake, side, ring, bounds, monkeypatch):
+    @pytest.mark.parametrize(
+        "draw", [random_snake_instance, random_generalized_snake_instance], ids=["plain", "generalized"]
+    )
+    def test_presented_columns(self, draw, side, ring, bounds, monkeypatch):
         """One side of one column presented: its canonical kmor or qmor
         deformed by a random matrix, with kappa or zeta carried along and
-        kfull or qfull None.  On some draws an induced map then factors
-        through the presented side only with a nonzero cell, so the tail's
-        pins read that cell; both snakes stay exact."""
+        kfull or qfull None, on extension rows (plain) and on rows that
+        need not be extensions (generalized).  On some draws an induced map
+        then factors through the presented side only with a nonzero cell,
+        so the tail's pins read that cell; the snake stays exact."""
         import arrowcat.snake as snake_mod
         from arrowcat.generators import random_base_morphism
 
@@ -182,7 +196,7 @@ class TestSnake:
         rng = random.Random(2404 + (ring.p or 0))
         nonzero = 0
         for _ in range(40):
-            inst = random_snake_instance(rng, ring, bounds)
+            inst = draw(rng, ring, bounds)
             cols = [column_data(x) for x in inst.cols]
             x = cols[col]
             if kind == "kernel":
@@ -198,7 +212,7 @@ class TestSnake:
                 zeta = vcomp2(qs.zeta, whisker_right(dq.inverse(), x.mor))
                 cols[col], presented = x._replace(coker=CokernelData(qs.obj, dq.cto, zeta, None)), dq.cto
             cells_of.clear()
-            maps, cells = snake(*inst.row1, *inst.row2, *cols, *inst.cells).sequence()
+            maps, cells = plain_snake(*inst.row1, *inst.row2, *cols, *inst.cells).sequence()
             nonzero += any(m is presented and not th.mat.is_zero_mor() for m, th in cells_of)
             for k in range(4):
                 assert exact_at(maps[k], cells[k], maps[k + 1])
@@ -207,8 +221,7 @@ class TestSnake:
     @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), ZZ], ids=str)
     def test_tail_convention(self, ring):
         """On canonical columns every induced map is a strict factorization,
-        kc*etabar is eta*ka and etabar2*qa is qc*eta2; on extension rows the
-        two snakes agree on everything but the connecting map and cells."""
+        kc*etabar is eta*ka and etabar2*qa is qc*eta2."""
         rng = random.Random(777 + (ring.p or 0))
         for i in range(20):
             inst = random_snake_instance(rng, ring, Bounds(max_dim=2 + i % 2))
@@ -222,9 +235,6 @@ class TestSnake:
             assert compose2(res.gbar2, b.coker.qmor) == compose2(c.coker.qmor, g2)
             assert whisker_left(c.ker.kmor, res.etabar) == whisker_right(eta, a.ker.kmor)
             assert whisker_right(res.etabar2, a.coker.qmor) == whisker_left(c.coker.qmor, eta2)
-            gen = generalized_snake(*inst.row1, *inst.row2, a, b, c, *inst.cells)
-            for name in ("fbar", "etabar", "gbar", "fbar2", "etabar2", "gbar2"):
-                assert getattr(gen, name) is getattr(res, name), name
 
     def test_classical_snake_on_discrete_embedding(self):
         """Vector-space rows embedded as (0 -> V): the six-term objects carry
@@ -591,22 +601,27 @@ class TestSolveBudget:
     attempt first; that took out the second solve of every factorization
     whose strict attempt failed: 3 in the F3 generalized snakes (27 -> 24),
     1 in the F3 LES (-> 64), 2 in the Z anacondas (20 -> 18), 1 in the Z
-    generalized snakes (25 -> 24) and 5 in the Z LES (-> 64)."""
+    generalized snakes (25 -> 24) and 5 in the Z LES (-> 64).
+
+    The generalized snake is the plain snake's construction: no inner
+    diagram, so no presented ahat and chat factorizations and no nu,
+    kappa_chat, mu_m and zeta_ahat cells.  Every snake is two solves, k'_c
+    and the connecting cells: generalized 24 -> 6 and LES 64 -> 16 (eight
+    snakes) on both rings.  A count above 6 means an inner route is back."""
 
     BUDGET = {
         (GF(3), "anaconda"): 18,
-        (GF(3), "generalized"): 24,
-        (GF(3), "les"): 64,
+        (GF(3), "generalized"): 6,
+        (GF(3), "les"): 16,
         (GF(3), "plain"): 6,
         (ZZ, "anaconda"): 18,
-        (ZZ, "generalized"): 24,
-        (ZZ, "les"): 64,
+        (ZZ, "generalized"): 6,
+        (ZZ, "les"): 16,
         (ZZ, "plain"): 6,
     }
 
     @pytest.mark.parametrize("ring", [GF(3), ZZ], ids=str)
     def test_solve_budget(self, ring, bounds, monkeypatch):
-        import arrowcat.snake as snake_mod
         from arrowcat.baselin import LinearSystem
 
         rng = random.Random(2026)
@@ -628,9 +643,6 @@ class TestSolveBudget:
             calls[0] += 1
             return solve(self, *args, **kwargs)
 
-        def no_plain_snake(*args):
-            raise AssertionError("the generalized snake runs a plain snake")
-
         monkeypatch.setattr(LinearSystem, "solve", counting)
         spent = {}
         for args in plain:
@@ -639,7 +651,6 @@ class TestSolveBudget:
         for args in plain:
             anaconda(*args)
         spent[ring, "anaconda"], calls[0] = calls[0], 0
-        monkeypatch.setattr(snake_mod, "plain_snake", no_plain_snake)
         for args in snakes:
             generalized_snake(*args)
         spent[ring, "generalized"], calls[0] = calls[0], 0
@@ -674,13 +685,21 @@ class TestInternBudget:
     where the strict attempt had found a zero one: the Z generalized
     snakes rose from 227 to 229 base morphisms and from 92 to 93 cells,
     and the Z LES to 795, a zero morphism that zero_mor's memo no longer
-    holds from the generalized snakes."""
+    holds from the generalized snakes.
+
+    Every count fell when the generalized snake became the plain snake's
+    construction: it builds no inner diagram (kernel2 of g, cokernel2 of
+    f2, the presented ahat and chat, and the four presentation cells),
+    generalized [265, 7, 162, 106] -> [191, 5, 117, 72] on F3 and
+    [229, 8, 145, 93] -> [156, 5, 98, 61] on Z, and the LES, eight such
+    snakes, [172, 16, 227, 203] -> [140, 12, 184, 178] on F3 and
+    [795, 51, 591, 416] -> [659, 41, 508, 368] on Z."""
 
     BUDGET = {
-        (GF(3), "generalized"): [265, 7, 162, 106],
-        (GF(3), "les"): [172, 16, 227, 203],
-        (ZZ, "generalized"): [229, 8, 145, 93],
-        (ZZ, "les"): [795, 51, 591, 416],
+        (GF(3), "generalized"): [191, 5, 117, 72],
+        (GF(3), "les"): [140, 12, 184, 178],
+        (ZZ, "generalized"): [156, 5, 98, 61],
+        (ZZ, "les"): [659, 41, 508, 368],
     }
 
     CHILD = textwrap.dedent(

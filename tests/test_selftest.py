@@ -13,6 +13,18 @@ def test_internal_error_is_a_counted_failure(monkeypatch):
     assert (snf.name, snf.cases, snf.failures, snf.notes) == ("snf", 3, 0, [])
 
 
+def test_a_refused_value_is_a_counted_failure(monkeypatch):
+    """A 2-layer constructor's ValueError fails its case, not the battery."""
+    def refused(*args):
+        raise ValueError("square does not commute")
+
+    monkeypatch.setattr(selftest, "hcomp2", refused)
+    refused_suite, snf = selftest.run_all(seed=7, cases=3, only={"interchange", "snf"})
+    assert (refused_suite.cases, refused_suite.failures) == (3, 3)
+    assert refused_suite.notes == ["internal error: square does not commute"]
+    assert (snf.name, snf.cases, snf.failures, snf.notes) == ("snf", 3, 0, [])
+
+
 def _recorder(monkeypatch, name, seen, variant):
     def record(*args):
         seen.add(variant(*args))
